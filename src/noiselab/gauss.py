@@ -400,7 +400,8 @@ def ou_gradient_quadrature(set_spec, rho, x, *, step: float = 3e-4) -> VectorEst
     """Deterministic gradient of T_rho 1_set for sets with an exact T route.
 
     Closed form for half-spaces; otherwise central differences of the exact
-    T evaluation (error ~ step^2 plus quadrature noise / step).
+    T evaluation (error ~ step^2 plus quadrature noise / step), with the
+    whole 2d-point stencil evaluated in one batch.
     """
     r = as_rho(rho, nonzero=True)
     xv = check_point(x)
@@ -410,16 +411,14 @@ def ou_gradient_quadrature(set_spec, rho, x, *, step: float = 3e-4) -> VectorEst
         if res is not None:
             g, err = res
             return VectorEstimate(np.asarray(g, float), np.full(len(g), err), 0, CLOSED_FORM)
-    if not hasattr(set_spec, "ou_exact") or set_spec.ou_exact(r, xv) is None:
-        raise DomainError("set does not support exact T_rho evaluation")
     d = xv.shape[0]
-    g = np.empty(d)
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        vp, ep = set_spec.ou_exact(r, xv + e)
-        vm, em = set_spec.ou_exact(r, xv - e)
-        g[k] = (vp - vm) / (2.0 * step)
+    shifts = step * np.eye(d)
+    exact = getattr(set_spec, "ou_exact", None)
+    res = None if exact is None else exact(r, np.concatenate([xv + shifts, xv - shifts]))
+    if res is None:
+        raise DomainError("set does not support exact T_rho evaluation")
+    vals, _ = res
+    g = (vals[:d] - vals[d:]) / (2.0 * step)
     err = step**2 + 2e-12 / step
     return VectorEstimate(g, np.full(d, err), 0, QUADRATURE)
 
@@ -479,8 +478,9 @@ def ou_rho_derivative(set_spec, rho, x, budget: int = 200_000, *, seed=0,
         raise DomainError("rho finite-difference step leaves (-1, 1)")
 
     exact = getattr(set_spec, "ou_exact", None)
-    if exact is not None and exact(r, xv) is not None:
-        vp, ep = exact(r + h, xv)
+    up = None if exact is None else exact(r + h, xv)
+    if up is not None:
+        vp, ep = up
         vm, em = exact(r - h, xv)
         fd = Estimate((vp - vm) / (2.0 * h), h * h + (ep + em) / (2.0 * h), 0, QUADRATURE)
     else:

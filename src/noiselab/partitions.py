@@ -23,6 +23,7 @@ quadrature modes used for identity verification in dimension <= 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,10 +70,22 @@ class UnsupportedBoundaryError(ValueError):
 # converge geometrically.
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per size.
+
+    Every caller shares the returned arrays, so they are read-only.
+    """
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _leg_panels(alpha: float, beta: float, nodes: int, max_width: float = math.pi / 2):
     width = beta - alpha
     n_panels = max(1, int(math.ceil(width / max_width)))
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = _leggauss(nodes)
     edges = np.linspace(alpha, beta, n_panels + 1)
     thetas, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -145,7 +158,7 @@ def shifted_sector_pair_stability(apex_a, alpha_a: float, beta_a: float,
     qb = check_point(apex_b, 2)
     r_max = 14.0 + float(np.linalg.norm(qa))
     theta, wt = _leg_panels(alpha_a, beta_a, n_theta)
-    tr, wr = np.polynomial.legendre.leggauss(n_r)
+    tr, wr = _leggauss(n_r)
     rr = 0.5 * r_max * (tr + 1.0)
     wr = 0.5 * r_max * wr
     u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -187,7 +200,11 @@ class SetSpec:
         return None
 
     def ou_exact(self, rho: float, x: np.ndarray):
-        """(T_rho 1_set(x), error_bound) when a deterministic route exists."""
+        """(T_rho 1_set(x), error_bound) when a deterministic route exists.
+
+        ``x`` is one point or an (n, d) batch; the value is a float for one
+        point and n values for a batch.
+        """
         deco = self.sector_decomposition()
         if deco is not None:
             apex, arcs = deco
@@ -242,7 +259,8 @@ class HalfSpace(SetSpec):
 
     def ou_exact(self, rho, x):
         sig = math.sqrt(1.0 - rho * rho)
-        return float(ndtr((self.offset - rho * float(self.normal @ x)) / sig)), 1e-15
+        val = ndtr((self.offset - rho * (np.asarray(x, dtype=float) @ self.normal)) / sig)
+        return (float(val) if np.ndim(val) == 0 else val), 1e-15
 
     def ou_gradient_exact(self, rho, x):
         sig = math.sqrt(1.0 - rho * rho)
@@ -299,39 +317,32 @@ class ConeCell(SetSpec):
         return arc
 
     def _compute_arc(self):
+        # The cell is the intersection of the half-planes <u, z_i - z_j> >= 0.
+        # Each is an arc of width pi centred on the angle of z_i - z_j, so the
+        # cell's edges are among those angles +- pi/2, and a midpoint test per
+        # gap between consecutive candidate edges decides which gaps it covers.
         z = self.generators
-        i = self.index
-
-        def slack(theta):
-            u = np.array([math.cos(theta), math.sin(theta)])
-            dots = z @ u
-            others = np.delete(dots, i)
-            return dots[i] - others.max()
-
-        grid = np.linspace(0.0, _TWO_PI, 2049)
-        vals = np.array([slack(t) for t in grid[:-1]])
-        feas = vals >= 0
+        w = z[self.index] - np.delete(z, self.index, axis=0)
+        w = w[np.any(w != 0.0, axis=1)]  # an identical generator constrains nothing
+        if w.shape[0] == 0:
+            return (0.0, _TWO_PI)
+        centre = np.arctan2(w[:, 1], w[:, 0])
+        edges = np.mod(np.concatenate([centre - math.pi / 2, centre + math.pi / 2]), _TWO_PI)
+        edges = np.sort(np.where(edges < _TWO_PI, edges, 0.0))  # mod may round up to 2 pi
+        ends = np.append(edges[1:], edges[0] + _TWO_PI)
+        mid = 0.5 * (edges + ends)
+        slack = np.stack([np.cos(mid), np.sin(mid)], axis=-1) @ w.T
+        feas = (slack.min(axis=1) >= 0) & (ends > edges)  # an empty gap is only a boundary point
         if feas.all():
             return (0.0, _TWO_PI)
         if not feas.any():
             return None
-        edges = []
-        n = len(feas)
-        for k in range(n):
-            if feas[k] != feas[(k + 1) % n]:
-                lo, hi = grid[k], grid[k] + (grid[1] - grid[0])
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if (slack(mid) >= 0) == feas[k]:
-                        lo = mid
-                    else:
-                        hi = mid
-                edges.append((0.5 * (lo + hi), feas[k]))
-        starts = [e for e, was in edges if not was]
+        starts = np.flatnonzero(feas & ~np.roll(feas, 1))
+        stops = np.flatnonzero(feas & ~np.roll(feas, -1))
         if len(starts) != 1:
             raise DomainError("cone cell is not a single angular arc")
-        alpha = starts[0]
-        beta = next(e for e, was in edges if was)
+        alpha = float(edges[starts[0]])
+        beta = float(ends[stops[0]])
         if beta < alpha:
             beta += _TWO_PI
         return (alpha, beta)
@@ -410,7 +421,7 @@ class ExplicitCell(SetSpec):
 
     def ou_exact(self, rho, x):
         if not self.halfspaces:
-            return 1.0, 0.0
+            return (1.0 if np.ndim(x) == 1 else np.ones(len(x))), 0.0
         if len(self.halfspaces) == 1:
             return self.halfspaces[0].ou_exact(rho, x)
         return None
@@ -451,7 +462,7 @@ class ProductWithR(SetSpec):
         return self.base.gaussian_measure_exact()
 
     def ou_exact(self, rho, x):
-        return self.base.ou_exact(rho, np.asarray(x, float)[: self.base.dim])
+        return self.base.ou_exact(rho, np.asarray(x, float)[..., : self.base.dim])
 
     def ou_gradient_exact(self, rho, x):
         inner = getattr(self.base, "ou_gradient_exact", None)

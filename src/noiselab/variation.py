@@ -322,10 +322,13 @@ def t_rho_derivative_difference(p: PartitionSpec, i: int, j: int, rho, x, *,
     if not (-1.0 < r - h and r + h < 1.0):
         raise DomainError("rho step leaves (-1, 1)")
     ci, cj = p.cells[i], p.cells[j]
-    if mode in ("auto", "exact") and ci.ou_exact(r, xv) is not None and cj.ou_exact(r, xv) is not None:
-        up = ci.ou_exact(r + h, xv)[0] - cj.ou_exact(r + h, xv)[0]
-        dn = ci.ou_exact(r - h, xv)[0] - cj.ou_exact(r - h, xv)[0]
-        return Estimate((up - dn) / (2 * h), h * h + 1e-11 / h, 0, QUADRATURE)
+    if mode in ("auto", "exact"):
+        up_i = ci.ou_exact(r + h, xv)
+        up_j = None if up_i is None else cj.ou_exact(r + h, xv)
+        if up_j is not None:
+            up = up_i[0] - up_j[0]
+            dn = ci.ou_exact(r - h, xv)[0] - cj.ou_exact(r - h, xv)[0]
+            return Estimate((up - dn) / (2 * h), h * h + 1e-11 / h, 0, QUADRATURE)
     if mode == "exact":
         raise DomainError("no exact T route for these cells")
     d = p.dim

@@ -23,7 +23,20 @@ from noiselab.gauss import (
     ou_rho_derivative,
     sample_correlated_pair,
 )
-from noiselab.partitions import ExplicitCell, HalfSpace, simplex_cone_partition
+from noiselab.partitions import (
+    Complement,
+    ConeCell,
+    DilationFlowSet,
+    ExplicitCell,
+    HalfSpace,
+    OracleSet,
+    ProductWithR,
+    Sector2D,
+    ShiftedSet,
+    _leggauss,
+    perturbed_simplex_cones,
+    simplex_cone_partition,
+)
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -227,6 +240,71 @@ class TestOuGradient:
             assert abs(mc.value[k] - qd.value[k]) <= 3 * mc.std_error[k] + 1e-6
 
 
+def _exact_cells():
+    """One cell of every kind with an exact T_rho route, with its dimension."""
+    cone = simplex_cone_partition(3).cells[0]
+    hs = HalfSpace([0.6, -0.8], 0.3)
+    hs3 = HalfSpace([0.2, -0.5, 1.0], -0.4)
+    return [
+        hs, hs3, cone, Sector2D(0.4, 2.9),
+        ExplicitCell([], dim=2), ExplicitCell([hs]),
+        ProductWithR(cone, 2), ProductWithR(hs, 1),
+        Complement(hs), Complement(cone),
+        ShiftedSet(cone, [0.3, -0.2]), DilationFlowSet(cone, 0.01),
+    ]
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize("cell", _exact_cells(), ids=lambda c: type(c).__name__)
+    def test_batch_equals_stacked_single_points(self, cell):
+        pts = np.random.default_rng(12).standard_normal((7, cell.dim))
+        for rho in (-0.6, 0.3, 0.9):
+            batch, err = cell.ou_exact(rho, pts)
+            assert batch.shape == (7,)
+            singles = [cell.ou_exact(rho, x) for x in pts]
+            assert all(isinstance(v, float) for v, _ in singles)
+            assert np.max(np.abs(batch - [v for v, _ in singles])) <= 1e-15
+            assert err == singles[0][1]
+
+    def test_no_exact_route_declines_batches(self):
+        ball = OracleSet(lambda pts: np.sum(pts * pts, axis=1) <= 1.0, 2)
+        pts = np.zeros((3, 2))
+        assert ball.ou_exact(0.5, pts) is None
+        assert ConeCell(np.eye(3), 0).ou_exact(0.5, np.zeros((3, 3))) is None
+
+    @pytest.mark.parametrize("cell", [
+        *simplex_cone_partition(3).cells,
+        perturbed_simplex_cones(3).cells[0],
+        ShiftedSet(simplex_cone_partition(3).cells[1], [0.4, 0.1]),
+    ])
+    def test_gradient_stencil_matches_per_axis_loop(self, cell):
+        step = 3e-4
+        for rho, x in ((0.5, [0.6, 0.4]), (-0.3, [-0.2, 1.1]), (0.9, [0.05, -0.7])):
+            xv = np.asarray(x)
+            loop = np.empty(2)
+            for k in range(2):
+                e = np.zeros(2)
+                e[k] = step
+                loop[k] = (cell.ou_exact(rho, xv + e)[0] - cell.ou_exact(rho, xv - e)[0]) / (2 * step)
+            est = ou_gradient_quadrature(cell, rho, xv, step=step)
+            assert est.method == "quadrature"
+            assert np.max(np.abs(est.value - loop)) <= 1e-12
+
+    def test_gradient_without_exact_route_raises(self):
+        ball = OracleSet(lambda pts: np.sum(pts * pts, axis=1) <= 1.0, 2)
+        with pytest.raises(DomainError):
+            ou_gradient_quadrature(ball, 0.5, [0.1, 0.2])
+
+    def test_node_table_is_cached_and_read_only(self):
+        t, w = _leggauss(48)
+        assert _leggauss(48)[0] is t and _leggauss(48)[1] is w
+        assert not t.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+        ref_t, ref_w = np.polynomial.legendre.leggauss(48)
+        assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
+
+
 class TestOuRhoDerivative:
     def test_symmetric_point_is_zero(self):
         hs = HalfSpace([1.0, 0.0], 0.0)
@@ -252,6 +330,24 @@ class TestOuRhoDerivative:
         assert abs(res.finite_difference.value - res.divergence_form.value) <= (
             3 * (res.finite_difference.std_error + res.divergence_form.std_error)
         )
+
+    def test_exact_route_evaluates_only_at_the_stencil(self):
+        calls = []
+
+        class Counted(HalfSpace):
+            def ou_exact(self, rho, x):
+                calls.append(rho)
+                return super().ou_exact(rho, x)
+
+        hs = Counted([1.0, 0.0], 1.0)
+        res = ou_rho_derivative(hs, 0.5, [1.0, 0.0], budget=1000, seed=8)
+        h = 1e-3 * 0.5
+        assert calls == [0.5 + h, 0.5 - h]
+        plain = HalfSpace([1.0, 0.0], 1.0)
+        vp, ep = plain.ou_exact(0.5 + h, np.array([1.0, 0.0]))
+        vm, em = plain.ou_exact(0.5 - h, np.array([1.0, 0.0]))
+        assert res.finite_difference.value == (vp - vm) / (2.0 * h)
+        assert res.finite_difference.method == "quadrature"
 
     def test_laplacian_moment_form(self):
         # Lap T on the full space vanishes

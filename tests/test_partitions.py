@@ -13,6 +13,7 @@ from scipy.special import ndtr
 from noiselab.gauss import DomainError
 from noiselab.partitions import (
     Complement,
+    ConeCell,
     CoverageError,
     EmptyInterfaceError,
     ExplicitCell,
@@ -38,6 +39,7 @@ from noiselab.partitions import (
     simplex_generators,
     three_sectors_120,
 )
+from noiselab.stability import partition_stability
 
 
 class TestSimplexGenerators:
@@ -386,3 +388,63 @@ class TestPerturbedCones:
         vals = [gaussian_measure(c).value for c in p.cells]
         assert sum(vals) == pytest.approx(1.0, abs=1e-9)
         assert max(abs(v - 1 / 3) for v in vals) > 1e-3
+
+
+# Arcs (alpha, beta) that the former 2,048-point angular scan with bisection
+# returned for each cell; None marks an empty cell.
+OLD_SCAN_ARCS = {
+    "simplex3": [(2.879793265790644, 4.974188368183839),
+                 (4.974188368183839, 7.0685834705770345),
+                 (0.7853981633974483, 2.879793265790644)],
+    "perturbed3": [(2.923426497090502, 5.017821599483698),
+                   (5.017821599483698, 7.0685834705770345),
+                   (0.7853981633974483, 2.923426497090502)],
+    "random5": [(4.571853479391795, 6.296271698311364),
+                (3.4412015057356964, 4.571853479391795),
+                (0.013086391131778004, 2.0634084802325336),
+                (2.0634084802325336, 3.4412015057356964),
+                None],
+}
+
+
+def _narrow_cones():
+    # three 120-degree cones plus a generator just outside the boundary
+    # between two of them: its cell is about 4.6e-6 rad wide
+    z = [[math.cos(t), math.sin(t)] for t in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    z.append([(0.5 + 2e-6) * math.cos(math.pi / 3), (0.5 + 2e-6) * math.sin(math.pi / 3)])
+    return cone_partition(z)
+
+
+class TestConeArcs:
+    @pytest.mark.parametrize("name, partition", [
+        ("simplex3", simplex_cone_partition(3)),
+        ("perturbed3", perturbed_simplex_cones(3)),
+        ("random5", cone_partition(np.random.default_rng(20221).standard_normal((5, 2)))),
+    ])
+    def test_closed_form_matches_old_scan(self, name, partition):
+        for cell, old in zip(partition.cells, OLD_SCAN_ARCS[name]):
+            arc = cell._compute_arc()
+            if old is None:
+                assert arc is None
+            else:
+                assert arc == pytest.approx(old, abs=1e-12)
+
+    def test_narrow_cell_has_an_arc_and_cells_tile_the_circle(self):
+        arcs = sorted(c.sector_decomposition()[1][0] for c in _narrow_cones().cells)
+        assert len(arcs) == 4
+        assert 0.0 < arcs[0][1] - arcs[0][0] < 1e-5
+        for (_, end), (start, _) in zip(arcs, arcs[1:] + [(arcs[0][0] + 2 * math.pi, None)]):
+            assert end == pytest.approx(start, abs=1e-12)
+
+    def test_narrow_cell_keeps_the_quadrature_route(self):
+        p = _narrow_cones()
+        quad = partition_stability(p, 0.5)
+        assert quad.method == "quadrature"
+        mc = partition_stability(p, 0.5, budget=1_000_000, seed=31, mode="monte-carlo")
+        assert abs(quad.value - mc.value) <= 4 * (mc.std_error + quad.std_error)
+
+    def test_full_and_empty_cells(self):
+        same = ConeCell([[1.0, 0.0], [1.0, 0.0]], 0)
+        assert same.sector_decomposition()[1] == [(0.0, 2 * math.pi)]
+        inside = ConeCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], 2)
+        assert inside.sector_decomposition() is None

@@ -8,6 +8,8 @@ from scipy.special import ndtr
 
 from noiselab.gauss import DomainError
 from noiselab.partitions import (
+    ConeCell,
+    PartitionSpec,
     halfspace_partition,
     perturbed_simplex_cones,
     simplex_cone_partition,
@@ -32,6 +34,7 @@ from noiselab.variation import (
     second_variation_translation,
     sij_operator,
     stability_second_derivative,
+    t_rho_derivative_difference,
     translation_eigen_residual,
 )
 
@@ -71,6 +74,28 @@ class TestFirstVariation:
         rep = first_variation_constancy(p, 0.5, 0, 1, 10, budget=100_000, seed=4,
                                         mode="monte-carlo")
         assert abs(rep.mean) <= 3 * rep.pointwise_error
+
+
+class TestRhoDerivativeDifference:
+    def test_exact_route_makes_four_evaluations(self):
+        calls = []
+
+        class Counted(ConeCell):
+            def ou_exact(self, rho, x):
+                calls.append(rho)
+                return super().ou_exact(rho, x)
+
+        z = simplex_generators(3, 2)
+        p = PartitionSpec([Counted(z, k) for k in range(3)])
+        x = np.array([0.3, -0.4])
+        rho, h = 0.6, 1e-3 * 0.4
+        est = t_rho_derivative_difference(p, 0, 1, rho, x)
+        assert sorted(calls) == [rho - h, rho - h, rho + h, rho + h]
+        ci, cj = simplex_cone_partition(3).cells[:2]
+        up = ci.ou_exact(rho + h, x)[0] - cj.ou_exact(rho + h, x)[0]
+        dn = ci.ou_exact(rho - h, x)[0] - cj.ou_exact(rho - h, x)[0]
+        assert est.value == (up - dn) / (2 * h)
+        assert est.method == "quadrature"
 
 
 class TestSurfaceOperator:
