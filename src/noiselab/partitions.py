@@ -16,9 +16,9 @@ surface measure so that
     integral_F h(y) gamma dy ~ sum_k  w_k gamma(y_k) h(y_k).
 
 Two-dimensional sector-like cells additionally expose exact routines (Gaussian
-mass of a shifted sector, and T_rho of their indicator) built on a closed-form
-radial integral and Gauss-Legendre panels in the angle; these power the
-quadrature modes used for identity verification in dimension <= 2.
+mass and moment of a shifted sector in closed form via Owen's T function, and
+T_rho of their indicator); these power the quadrature modes used for identity
+verification in dimension <= 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 from .gauss import (
     CLOSED_FORM,
@@ -60,14 +60,17 @@ class UnsupportedBoundaryError(ValueError):
 # ---------------------------------------------------------------------------
 # exact machinery for planar sectors
 #
-# For a sector with apex q spanning angles [alpha, beta], the Gaussian mass is
-# the angular integral of
+# For a sector with apex q spanning angles [alpha, beta], write c = <q, u(t)>
+# and d = <q, u(t)^perp> for the edge ray at angle t, with u(t) = (cos t, sin t)
+# and u(t)^perp = (-sin t, cos t).  Integrating r * gamma_2(q + r u) over r >= 0
+# gives the angular density of the mass, and its antiderivative in t is
 #
-#   I(t) = (2 pi)^-1 exp(-|q|^2/2) - (2 pi)^-1/2 c exp((c^2-|q|^2)/2) Phi(-c),
+#   G(t) = T(d, c/d) + Phi(d)/2        (Owen 1956; T is Owen's T function),
 #
-# with c = <q, u(t)>, obtained by integrating r * gamma_2(q + r u) in closed
-# form over r >= 0.  The integrand is analytic in t, so Gauss-Legendre panels
-# converge geometrically.
+# up to a jump of -1/2 wherever d changes sign.  So the mass is
+# G(beta) - G(alpha) + n/2, with n the number of sign changes of d on the arc.
+# Since grad gamma_2 = -x gamma_2, the moment is a sum over the two edge rays of
+# the inward normal times int_0^inf gamma_2(q + r u) dr = phi(d) Phi(-c).
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,25 +98,51 @@ def _leg_panels(alpha: float, beta: float, nodes: int, max_width: float = math.p
     return np.concatenate(thetas), np.concatenate(weights)
 
 
+def _edge_coordinates(q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(c, d) = (<q, u(t)>, <q, u(t)^perp>) for a point q or an (n, 2) batch."""
+    ct, st = math.cos(t), math.sin(t)
+    return q[..., 0] * ct + q[..., 1] * st, q[..., 1] * ct - q[..., 0] * st
+
+
+def _edge_antiderivative(q: np.ndarray, t: float, inward: float):
+    """G(t) at the edge ray t and whether d < 0 there.
+
+    Where d = 0 it takes the sign d has just inside the sector: -c at alpha
+    (``inward`` = -1) and +c at beta (``inward`` = +1).  The sign is read from
+    the same d that goes into T, so the crossing count and T change together.
+    """
+    c, d = _edge_coordinates(q, t)
+    d = np.where(d == 0.0, np.copysign(0.0, inward * c), d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = owens_t(d, c / d) + 0.5 * ndtr(d)
+    return g, np.signbit(d)
+
+
 def shifted_sector_mass(apex, alpha: float, beta: float, nodes: int = 48):
     """Gaussian measure of {apex + r (cos t, sin t): r >= 0, alpha <= t <= beta}.
 
     ``apex`` may be a single point or an (n, 2) batch; returns matching shape.
+    The value is a closed form in Owen's T, exact to rounding for any width
+    and apex; ``nodes`` is unused and kept because ``perfbench/tracer.py``
+    reads it by name.
     """
     q = np.atleast_2d(np.asarray(apex, dtype=float))
     if not beta >= alpha:
         raise DomainError("need beta >= alpha")
-    if beta - alpha > _TWO_PI + 1e-12:
+    width = beta - alpha
+    if width > _TWO_PI + 1e-12:
         raise DomainError("sector width exceeds a full turn")
-    if beta == alpha:
+    if width == 0.0:
         return 0.0 if np.ndim(apex) == 1 else np.zeros(q.shape[0])
-    theta, wt = _leg_panels(alpha, beta, nodes)
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    c = q @ u.T
-    q2 = np.sum(q * q, axis=1)[:, None]
-    term1 = np.exp(-0.5 * q2) / _TWO_PI
-    term2 = -c * np.exp(0.5 * (c * c - q2) + log_ndtr(-c)) / math.sqrt(_TWO_PI)
-    mass = (term1 + term2) @ wt
+    if width >= _TWO_PI:
+        mass = np.ones(q.shape[0])
+    else:
+        g_lo, neg_lo = _edge_antiderivative(q, alpha, -1.0)
+        g_hi, neg_hi = _edge_antiderivative(q, beta, 1.0)
+        flips = neg_lo != neg_hi
+        crossings = flips if width <= math.pi else 2 - flips
+        mass = g_hi - g_lo + 0.5 * crossings
+        mass = np.where(np.any(q != 0.0, axis=1), mass, width / _TWO_PI)
     return float(mass[0]) if np.ndim(apex) == 1 else mass
 
 
@@ -121,28 +150,18 @@ def shifted_sector_mass(apex, alpha: float, beta: float, nodes: int = 48):
 SECTOR_MASS_ERR = 1e-12
 
 
-def shifted_sector_moment(apex, alpha: float, beta: float, nodes: int = 48) -> np.ndarray:
+def shifted_sector_moment(apex, alpha: float, beta: float) -> np.ndarray:
     """integral of x * gamma_2(x) over the shifted sector (the cell moment).
 
-    In polar coordinates around the apex q, with c = <q, u(t)>, the radial
-    moments have closed forms:
-
-        J1 = int_0^inf r   gamma_2(q + r u) dr   (the mass integrand),
-        J2 = int_0^inf r^2 gamma_2(q + r u) dr
-           = exp((c^2-|q|^2)/2) [(1+c^2) Phi(-c) - c phi(c)] / sqrt(2 pi),
-
-    and the moment is the angular integral of q * J1 + u * J2.
+    Closed form: with inward edge normals u(alpha + pi/2) and u(beta - pi/2),
+    the moment is the sum over both edge rays of normal * phi(d) Phi(-c).
     """
     q = check_point(apex, 2)
-    theta, wt = _leg_panels(alpha, beta, nodes)
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    c = u @ q
-    q2 = float(q @ q)
-    safe = np.exp(0.5 * (c * c - q2) + log_ndtr(-c))  # exp((c^2-q^2)/2) * Phi(-c)
-    j1 = np.exp(-0.5 * q2) / _TWO_PI - c * safe / math.sqrt(_TWO_PI)
-    j2 = (1.0 + c * c) * safe / math.sqrt(_TWO_PI) - c * np.exp(-0.5 * q2) / _TWO_PI
-    contrib = q[None, :] * j1[:, None] + u * j2[:, None]
-    return contrib.T @ wt
+    moment = np.zeros(2)
+    for t, normal in ((alpha, alpha + 0.5 * math.pi), (beta, beta - 0.5 * math.pi)):
+        c, d = _edge_coordinates(q, t)
+        moment += np.array([math.cos(normal), math.sin(normal)]) * (norm_pdf(d) * ndtr(-c))
+    return moment
 
 
 def shifted_sector_pair_stability(apex_a, alpha_a: float, beta_a: float,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from noiselab.gauss import (
     Correlation,
@@ -385,6 +385,44 @@ class TestBivariateNormalCdf:
         hits = np.mean((x[:, 0] <= a) & (y[:, 0] <= b))
         se = math.sqrt(hits * (1 - hits) / 1_000_000)
         assert bivariate_normal_cdf(a, b, rho) == pytest.approx(float(hits), abs=3 * se)
+
+    @pytest.mark.parametrize("rho", [0.9999999, -0.9999999, 0.999, -0.999, 1e-12, 0.5])
+    def test_arcsine_law_near_the_ends(self, rho):
+        law = 0.25 + math.asin(rho) / (2 * math.pi)
+        assert abs(bivariate_normal_cdf(0.0, 0.0, rho) - law) <= 1e-15
+        # arguments that underflow h k to 0 take the general branch
+        assert abs(bivariate_normal_cdf(1e-200, 1e-200, rho) - law) <= 1e-15
+        # opposite signs whose product underflows to -0.0
+        assert abs(bivariate_normal_cdf(-1e-170, 1e-170, rho) - law) <= 1e-15
+        assert abs(bivariate_normal_cdf(1e-170, -1e-170, rho) - law) <= 1e-15
+
+    def test_diagonal_near_the_ends(self):
+        # Phi2(h, h; rho) = Phi(h) - 2 T(h, sqrt((1 - rho)/(1 + rho)))
+        for rho in (0.9999999, 0.999, -0.999, -0.9999999):
+            for h in (-1.3, 0.2, 0.7, 2.0):
+                diag = ndtr(h) - 2 * owens_t(h, math.sqrt((1 - rho) / (1 + rho)))
+                assert abs(bivariate_normal_cdf(h, h, rho) - diag) <= 1e-15
+
+    def test_reflection_identity(self):
+        # Phi2(h, k; rho) + Phi2(h, -k; -rho) = Phi(h)
+        for h in (-3.0, -0.7, 0.0, 0.4, 2.5):
+            for k in (-2.0, -0.1, 0.0, 0.3, 1.7):
+                for rho in (-0.9999, -0.6, 0.2, 0.95, 0.9999999):
+                    total = bivariate_normal_cdf(h, k, rho) + bivariate_normal_cdf(h, -k, -rho)
+                    assert abs(total - ndtr(h)) <= 1e-15
+
+    def test_batch_equals_stacked_scalars(self):
+        h = np.array([[-2.0], [0.0], [0.5], [np.inf], [-np.inf]])
+        k = np.array([-1.0, 0.0, 0.3, 4.0])
+        batch = bivariate_normal_cdf(h, k, 0.7)
+        assert batch.shape == (5, 4)
+        stacked = [[bivariate_normal_cdf(a, b, 0.7) for b in k] for a in h[:, 0]]
+        assert all(isinstance(v, float) for row in stacked for v in row)
+        assert np.array_equal(batch, np.array(stacked))
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            bivariate_normal_cdf(np.array([0.0, np.nan]), 0.0, 0.3)
 
 
 class TestConcurrency:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
-from noiselab.gauss import DomainError
+import noiselab.partitions as partitions_module
+from noiselab.gauss import DomainError, bivariate_normal_cdf
 from noiselab.partitions import (
     Complement,
     ConeCell,
@@ -448,3 +449,91 @@ class TestConeArcs:
         assert same.sector_decomposition()[1] == [(0.0, 2 * math.pi)]
         inside = ConeCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], 2)
         assert inside.sector_decomposition() is None
+
+
+def _old_sector_rule(apex, alpha, beta, nodes):
+    # the former angular Gauss-Legendre rule (panels of at most pi/2) over
+    # the closed-form radial integrals J1 (mass) and J2 (second radial moment)
+    width = beta - alpha
+    panels = max(1, math.ceil(width / (math.pi / 2)))
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(alpha, beta, panels + 1)
+    half = 0.5 * np.diff(edges)
+    theta = (0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * t).ravel()
+    wt = (half[:, None] * w).ravel()
+    q = np.atleast_2d(np.asarray(apex, dtype=float))
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    c = q @ u.T
+    q2 = np.sum(q * q, axis=1)[:, None]
+    safe = np.exp(0.5 * (c * c - q2) + log_ndtr(-c))
+    j1 = np.exp(-0.5 * q2) / (2 * math.pi) - c * safe / math.sqrt(2 * math.pi)
+    j2 = (1 + c * c) * safe / math.sqrt(2 * math.pi) - c * np.exp(-0.5 * q2) / (2 * math.pi)
+    return j1 @ wt, (q * (j1 @ wt)[:, None] + (j2 * wt) @ u)
+
+
+SECTOR_WIDTHS = [1e-12, 1e-9, 4.6e-6, 1e-3, 2 * math.pi / 3, math.pi - 1e-10, math.pi,
+                 math.pi + 1e-10, 4.0, 2 * math.pi - 1e-9, 2 * math.pi]
+
+
+class TestSectorClosedForms:
+    @pytest.mark.parametrize("width", SECTOR_WIDTHS)
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, -2.0, math.pi / 2, 5.0])
+    def test_mass_matches_the_old_rule(self, width, alpha):
+        beta = alpha + width
+        rng = np.random.default_rng([41, SECTOR_WIDTHS.index(width)])
+        on_edges = np.concatenate([np.outer([-3.0, -1.0, -0.2, 0.5, 2.0], [math.cos(t), math.sin(t)])
+                                   for t in (alpha, beta)])
+        apex = np.concatenate([rng.standard_normal((100, 2)), on_edges, np.zeros((1, 2))])
+        mass = shifted_sector_mass(apex, alpha, beta)
+        old, _ = _old_sector_rule(apex, alpha, beta, 200)
+        assert np.max(np.abs(mass - old)) <= 3e-14
+        assert np.all((mass >= -1e-15) & (mass <= 1.0 + 1e-15))
+        singles = [shifted_sector_mass(q, alpha, beta) for q in apex[-11:]]
+        assert all(isinstance(v, float) for v in singles)
+        assert np.array_equal(singles, mass[-11:])
+
+    def test_apex_zero_is_the_width_fraction(self):
+        for width in SECTOR_WIDTHS:
+            beta = 1.0 + width
+            assert shifted_sector_mass([0.0, 0.0], 1.0, beta) == (beta - 1.0) / (2 * math.pi)
+
+    def test_mass_is_continuous_across_an_edge_ray(self):
+        # apexes on the line of the alpha edge (d = 0 exactly) and just either
+        # side of it, where d changes sign
+        alpha, beta = 0.7, 2.5
+        u = np.array([math.cos(alpha), math.sin(alpha)])
+        n = np.array([-u[1], u[0]])
+        for r in (-1.5, 1.5):
+            apex = r * u + np.array([-1e-13, -1e-15, 0.0, 1e-15, 1e-13])[:, None] * n
+            mass = shifted_sector_mass(apex, alpha, beta)
+            assert np.ptp(mass) <= 1e-13
+
+    def test_half_turn_with_d_zero_at_both_edges(self):
+        # at this alpha, cos and sin of alpha + pi round to exactly minus those
+        # of alpha, so d = 0 at both edges; the half-plane's line passes
+        # through the origin and its mass is 1/2
+        alpha = 0.6398146546030792
+        beta = alpha + math.pi
+        u = np.array([math.cos(alpha), math.sin(alpha)])
+        for r in (-1.3, 0.2, 1.3):
+            assert shifted_sector_mass(r * u, alpha, beta) == pytest.approx(0.5, abs=1e-15)
+
+    def test_moment_matches_the_old_rule(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            apex = 2.0 * rng.standard_normal(2)
+            alpha = rng.uniform(-4.0, 4.0)
+            beta = alpha + rng.uniform(0.0, 2 * math.pi)
+            _, old = _old_sector_rule(apex, alpha, beta, 96)
+            assert np.max(np.abs(shifted_sector_moment(apex, alpha, beta) - old[0])) <= 1e-13
+
+    def test_no_gauss_legendre_table_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Gauss-Legendre table was requested")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        monkeypatch.setattr(partitions_module, "_leggauss", refuse)
+        apex = np.array([[0.3, -0.2], [4.0, 0.0]])
+        assert shifted_sector_mass(apex, 0.1, 2.0).shape == (2,)
+        assert shifted_sector_moment(apex[0], 0.1, 2.0).shape == (2,)
+        assert 0.0 < bivariate_normal_cdf(0.4, -0.3, 0.999) < 1.0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from noiselab.gauss import DomainError, sample_correlated_pair
@@ -12,11 +13,14 @@ from noiselab.partitions import (
     ExplicitCell,
     HalfSpace,
     PartitionSpec,
+    Sector2D,
+    ShiftedSet,
     cone_partition,
     cylinder_extend,
     gaussian_measure,
     halfspace_partition,
     random_orthogonal,
+    sector_partition,
     simplex_cone_partition,
     three_sectors_120,
 )
@@ -278,3 +282,44 @@ class TestClosedFormOracle:
             )
             slack = 3 * (est.std_error + 2 * mu.std_error)
             assert est.value <= bench + slack
+
+
+def _angle_difference_density(delta, rho):
+    # density of angle(Y) - angle(X) for a rho-correlated pair in R^2
+    b = rho * math.cos(delta)
+    s = 1.0 - b * b
+    return ((1.0 - rho * rho) / (2 * math.pi * s)
+            * (1.0 + b * (math.pi / 2 + math.asin(b)) / math.sqrt(s)))
+
+
+class TestSectorQuadratureNearOne:
+    """The sector route keeps its reported error as rho -> 1 and for shifted apexes."""
+
+    @pytest.mark.parametrize("rho", [0.99, 0.995, 0.999])
+    def test_half_plane_as_sectors_matches_sheppard(self, rho):
+        est = partition_stability(sector_partition([-math.pi / 2, math.pi / 2]), rho)
+        assert est.method == "quadrature"
+        assert abs(est.value - (0.5 + math.asin(rho) / math.pi)) <= est.std_error
+
+    @pytest.mark.parametrize("rho", [0.99, 0.995, 0.999])
+    def test_simplex_cones_match_the_angle_difference_integral(self, rho):
+        # the angle of X is uniform and independent of the angle difference, so
+        # three 120-degree cells give P(same cell) = (3/pi) int_0^w f(t) (w - t) dt
+        w = 2 * math.pi / 3
+        val, _ = integrate.quad(lambda t: _angle_difference_density(t, rho) * (w - t), 0.0, w,
+                                epsabs=1e-15, epsrel=1e-13, limit=400)
+        est = partition_stability(simplex_cone_partition(3), rho)
+        assert est.method == "quadrature"
+        assert abs(est.value - 3.0 * val / math.pi) <= est.std_error
+
+    @pytest.mark.parametrize("rho", [0.98, 0.995])
+    def test_shifted_half_plane_as_a_sector(self, rho):
+        # x <= 4 as the sector with apex (4, 0) over [pi/2, 3 pi/2]
+        cell = ShiftedSet(Sector2D(math.pi / 2, 3 * math.pi / 2), [4.0, 0.0])
+        s = math.sqrt(1.0 - rho * rho)
+        val, _ = integrate.quad(lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
+                                * ndtr((4.0 - rho * t) / s), -40.0, 4.0,
+                                epsabs=1e-15, epsrel=1e-13, limit=400)
+        est = noise_stability(cell, rho)
+        assert est.method == "quadrature"
+        assert abs(est.value - val) <= est.std_error
