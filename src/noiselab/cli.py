@@ -29,6 +29,7 @@ from .gauss import DomainError, bivariate_normal_cdf, kernel_g, ou_apply, sample
 from .partitions import (
     CoverageError,
     PartitionSpec,
+    cone_partition,
     halfspace_partition,
     partition_from_json,
     perturbed_simplex_cones,
@@ -38,6 +39,7 @@ from .partitions import (
 from .stability import (
     bilinear_stability,
     half_space_stability_closed_form,
+    noise_stability,
     partition_stability,
     propeller_functional,
     sheppard_half_space,
@@ -164,8 +166,6 @@ def cmd_stability(args) -> int:
     report["rho"] = args.rho
     report["result"] = est.as_dict()
     if args.per_cell:
-        from .stability import noise_stability
-
         report["cells"] = [
             noise_stability(c, args.rho, args.budget, seed=[seed, k], threads=args.threads).as_dict()
             for k, c in enumerate(p.cells)
@@ -351,8 +351,6 @@ def _suite_propeller(seed, scale, budget):
     for _ in range(10):
         gens = rng.standard_normal((4, 3))
         gens /= np.linalg.norm(gens, axis=1, keepdims=True)
-        from .partitions import cone_partition
-
         est = propeller_functional(cone_partition(gens), budget=budget, seed=[seed, 12])
         worst = max(worst, est.value + 3 * est.std_error)
     checks.append(_check("random-3d-cones-below-bound", worst, 0.0, target=bound, direction="le"))

@@ -170,6 +170,12 @@ def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in make_seedseq(seed).spawn(n)]
 
 
+def noisy_copies(rng, rho: float, x: np.ndarray, k: int) -> np.ndarray:
+    """k draws of rho*x + sqrt(1-rho^2)*Z with Z ~ gamma_d; ``x`` is one point
+    or a (k, d) batch."""
+    return rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal((k, x.shape[-1]))
+
+
 def sample_correlated_pair(rho, d: int, n: int = 1, *, seed=0):
     """Draw n correlated standard Gaussian pairs (X, Y) in R^d.
 
@@ -181,9 +187,7 @@ def sample_correlated_pair(rho, d: int, n: int = 1, *, seed=0):
         raise DomainError("dimension must be >= 1")
     rng = np.random.default_rng(make_seedseq(seed))
     x = rng.standard_normal((n, d))
-    z = rng.standard_normal((n, d))
-    y = r * x + math.sqrt(1.0 - r * r) * z
-    return x, y
+    return x, noisy_copies(rng, r, x, n)
 
 
 def kernel_g(x, y, rho) -> float:
@@ -228,77 +232,103 @@ def _shard_sizes(n: int, shard: int = _SHARD) -> list[int]:
     return sizes
 
 
-def mc_mean(values_fn, n: int, *, seed=0, threads: int = 1) -> Estimate:
+def _shard_loop(values_fn, rngs, sizes, reduce, threads: int = 1) -> list:
+    """``reduce(values_fn(rngs[i], sizes[i]))`` for every shard, in shard order.
+
+    A thread pool only changes which worker evaluates a shard, never its draws
+    or the order of the results.
+    """
+    def run(idx):
+        return reduce(np.asarray(values_fn(rngs[idx], sizes[idx]), dtype=float))
+
+    if threads > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(len(sizes))))
+    return [run(i) for i in range(len(sizes))]
+
+
+def _sums(vals):
+    return vals.sum(axis=0), (vals * vals).sum(axis=0)
+
+
+def mean_over_shards(values_fn, rngs, sizes, threads: int = 1) -> Estimate | VectorEstimate:
+    """Mean and standard error of ``values_fn(rng, k)`` over the given shards.
+
+    A callback that returns k values gives an :class:`Estimate`; one that
+    returns a (k, dim) array gives a componentwise :class:`VectorEstimate`.
+    """
+    n = sum(sizes)
+    parts = _shard_loop(values_fn, rngs, sizes, _sums, threads)
+    # seeded results depend on the order: scalars add by shard, vectors via numpy
+    s1, s2 = (np.sum(col, axis=0) if np.ndim(col[0]) else sum(col) for col in zip(*parts))
+    mean = s1 / n
+    var = np.maximum(s2 / n - mean * mean, 0.0) * (n / max(n - 1, 1))
+    se = np.sqrt(var / n)
+    if np.ndim(mean) == 0:
+        return Estimate(float(mean), float(se), n, MONTE_CARLO)
+    return VectorEstimate(mean, se, n, MONTE_CARLO)
+
+
+def mc_mean(values_fn, n: int, *, seed=0, threads: int = 1) -> Estimate | VectorEstimate:
     """Mean and standard error of ``values_fn(rng, k)`` over n draws.
 
-    ``values_fn`` must return a length-k array of sample values.  Shards are
-    reduced in counter order regardless of thread scheduling.
+    ``values_fn`` returns k sample values (the result is an
+    :class:`Estimate`) or a (k, dim) array of vector samples (a
+    :class:`VectorEstimate`).  Shards are reduced in counter order regardless
+    of thread scheduling.
     """
     if n <= 0:
         raise DomainError("Monte Carlo budget must be positive")
     sizes = _shard_sizes(n)
-    rngs = spawn_rngs(seed, len(sizes))
-
-    def run(idx):
-        vals = np.asarray(values_fn(rngs[idx], sizes[idx]), dtype=float)
-        return float(vals.sum()), float((vals * vals).sum())
-
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(len(sizes))))
-    else:
-        parts = [run(i) for i in range(len(sizes))]
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0) * (n / max(n - 1, 1))
-    return Estimate(mean, math.sqrt(var / n), n, MONTE_CARLO)
-
-
-def mc_vector_mean(values_fn, n: int, dim: int, *, seed=0, threads: int = 1) -> VectorEstimate:
-    """Vector-valued analogue of :func:`mc_mean`; values_fn returns (k, dim)."""
-    if n <= 0:
-        raise DomainError("Monte Carlo budget must be positive")
-    sizes = _shard_sizes(n)
-    rngs = spawn_rngs(seed, len(sizes))
-
-    def run(idx):
-        vals = np.asarray(values_fn(rngs[idx], sizes[idx]), dtype=float).reshape(sizes[idx], dim)
-        return vals.sum(axis=0), (vals * vals).sum(axis=0)
-
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(len(sizes))))
-    else:
-        parts = [run(i) for i in range(len(sizes))]
-    s1 = np.sum([p[0] for p in parts], axis=0)
-    s2 = np.sum([p[1] for p in parts], axis=0)
-    mean = s1 / n
-    var = np.maximum(s2 / n - mean * mean, 0.0) * (n / max(n - 1, 1))
-    return VectorEstimate(mean, np.sqrt(var / n), n, MONTE_CARLO)
+    return mean_over_shards(values_fn, spawn_rngs(seed, len(sizes)), sizes, threads)
 
 
 def mc_shard_means(values_fn, n: int, *, seed=0, n_shards: int = 32, threads: int = 1):
     """Per-shard means of ``values_fn(rng, k)``, for correlated-difference work.
 
-    Returns (means, shard_size).  All shards share one root seed, so two calls
-    with the same seed and budget see identical underlying draws; this is what
-    makes shared-seed finite differences well-defined.
+    Returns (means, shard_size); n_shards * shard_size draws are made.  All
+    shards share one root seed, so two calls with the same seed and budget see
+    identical underlying draws; this is what makes shared-seed finite
+    differences well-defined.
     """
+    if n <= 0:
+        raise DomainError("Monte Carlo budget must be positive")
     shard = max(n // n_shards, 1)
-    rngs = spawn_rngs(seed, n_shards)
-    def run(idx):
-        return float(np.mean(values_fn(rngs[idx], shard)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            means = list(pool.map(run, range(n_shards)))
-    else:
-        means = [run(i) for i in range(n_shards)]
+    means = _shard_loop(values_fn, spawn_rngs(seed, n_shards), [shard] * n_shards, np.mean, threads)
     return np.asarray(means), shard
 
 
 # ---------------------------------------------------------------------------
 # the operator T_rho and its derivatives
+
+
+class SignedDifference:
+    """The signed indicator 1_a - 1_b of two cells, as input to the T_rho routes.
+
+    T_rho is linear, so every route applies to the difference cell by cell:
+    the exact routes return (value_a - value_b, error_a + error_b) and decline
+    when either cell declines, and the Monte Carlo integrands, which weight
+    each draw by ``contains``, see weights in {-1, 0, 1}.
+    """
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def contains(self, points) -> np.ndarray:
+        return (np.asarray(self.a.contains(points), dtype=float)
+                - np.asarray(self.b.contains(points), dtype=float))
+
+    def _both(self, route: str, rho, x):
+        fa, fb = getattr(self.a, route, None), getattr(self.b, route, None)
+        ra = None if fa is None or fb is None else fa(rho, x)
+        rb = None if ra is None else fb(rho, x)
+        return None if rb is None else (ra[0] - rb[0], ra[1] + rb[1])
+
+    def ou_exact(self, rho, x):
+        return self._both("ou_exact", rho, x)
+
+    def ou_gradient_exact(self, rho, x):
+        return self._both("ou_gradient_exact", rho, x)
 
 
 def _eval_on_points(f, pts: np.ndarray) -> np.ndarray:
@@ -337,11 +367,9 @@ def ou_apply(f, rho, x, budget: int = 200_000, *, seed=0, mode: str = "auto",
 
     if mode == "quadrature" or (mode == "auto" and not hasattr(f, "contains") and d <= 3):
         return _ou_apply_gh(f, r, xv, budget)
-    sigma = math.sqrt(1.0 - r * r)
 
     def values(rng, k):
-        y = r * xv + sigma * rng.standard_normal((k, d))
-        return _eval_on_points(f, y)
+        return _eval_on_points(f, noisy_copies(rng, r, xv, k))
 
     return mc_mean(values, budget, seed=seed, threads=threads)
 
@@ -382,17 +410,14 @@ def ou_gradient(set_spec, rho, x, budget: int = 200_000, *, seed=0,
     """
     r = as_rho(rho, nonzero=True)
     xv = check_point(x)
-    d = xv.shape[0]
-    s = 1.0 - r * r
-    sig = math.sqrt(s)
-    scale = r / s
+    scale = r / (1.0 - r * r)
 
     def values(rng, k):
-        y = r * xv + sig * rng.standard_normal((k, d))
+        y = noisy_copies(rng, r, xv, k)
         ind = set_spec.contains(y).astype(float)
         return scale * (y - r * xv) * ind[:, None]
 
-    return mc_vector_mean(values, budget, dim=d, seed=seed, threads=threads)
+    return mc_mean(values, budget, seed=seed, threads=threads)
 
 
 def ou_gradient_quadrature(set_spec, rho, x, *, step: float = 3e-4) -> VectorEstimate:
@@ -422,24 +447,30 @@ def ou_gradient_quadrature(set_spec, rho, x, *, step: float = 3e-4) -> VectorEst
     return VectorEstimate(g, np.full(d, err), 0, QUADRATURE)
 
 
+def _moment_samples(set_spec, r: float, xv: np.ndarray, rng, k: int):
+    """Moment-form samples of Lap T_rho 1_A(x) and <x, grad T_rho 1_A(x)>.
+
+    With Y ~ N(rho x, (1-rho^2) I) and w = 1_A(Y) (any weight ``contains``
+    returns), E[rho^2 (||Y - rho x||^2/(1-rho^2) - d) / (1-rho^2) * w] is the
+    Laplacian and E[rho/(1-rho^2) <Y - rho x, x> w] is <x, grad>.
+    """
+    s = 1.0 - r * r
+    y = noisy_copies(rng, r, xv, k)
+    w = set_spec.contains(y).astype(float)
+    centered = y - r * xv
+    q = np.einsum("ij,ij->i", centered, centered)
+    return (r * r / s) * (q / s - xv.shape[0]) * w, (r / s) * (centered @ xv) * w
+
+
 def ou_divergence_mc(set_spec, rho, x, budget: int = 200_000, *, seed=0,
                      threads: int = 1) -> Estimate:
-    """Monte Carlo estimate of div grad T_rho 1_set(x) (the Laplacian).
-
-    Moment form: with Y ~ N(rho x, (1-rho^2) I),
-    Lap = E[ rho^2 (||Y - rho x||^2/(1-rho^2) - d) / (1-rho^2) * 1_A(Y) ].
-    """
+    """Monte Carlo estimate of div grad T_rho 1_set(x) (the Laplacian), in
+    moment form."""
     r = as_rho(rho, nonzero=True)
     xv = check_point(x)
-    d = xv.shape[0]
-    s = 1.0 - r * r
-    sig = math.sqrt(s)
 
     def values(rng, k):
-        y = r * xv + sig * rng.standard_normal((k, d))
-        ind = set_spec.contains(y).astype(float)
-        q = np.einsum("ij,ij->i", y - r * xv, y - r * xv)
-        return (r * r / s) * (q / s - d) * ind
+        return _moment_samples(set_spec, r, xv, rng, k)[0]
 
     return mc_mean(values, budget, seed=seed, threads=threads)
 
@@ -457,32 +488,54 @@ def rho_step(rho: float) -> float:
     return max(1e-4, 1e-3 * (1.0 - abs(rho)))
 
 
+def ou_rho_derivative_exact(set_spec, rho, x) -> Estimate | None:
+    """Central difference in rho of the exact T_rho route, or None when the
+    set has no exact route.  Two evaluations, at rho +- h."""
+    r = as_rho(rho, nonzero=True)
+    xv = check_point(x)
+    h = rho_step(r)
+    if not (-1.0 < r - h and r + h < 1.0):
+        raise DomainError("rho finite-difference step leaves (-1, 1)")
+    exact = getattr(set_spec, "ou_exact", None)
+    up = None if exact is None else exact(r + h, xv)
+    if up is None:
+        return None
+    vp, ep = up
+    vm, em = exact(r - h, xv)
+    return Estimate((vp - vm) / (2.0 * h), h * h + (ep + em) / (2.0 * h), 0, QUADRATURE)
+
+
+def ou_rho_derivative_heat(set_spec, rho, x, budget: int = 200_000, *, seed=0,
+                           threads: int = 1) -> Estimate:
+    """d/drho T_rho 1_set(x) by the heat identity (1/rho) * (-Lap T + <x, grad T>),
+    with both terms in moment form (Monte Carlo, no differencing)."""
+    r = as_rho(rho, nonzero=True)
+    xv = check_point(x)
+
+    def values(rng, k):
+        lap, grad_dot_x = _moment_samples(set_spec, r, xv, rng, k)
+        return (-lap + grad_dot_x) / r
+
+    return mc_mean(values, budget, seed=seed, threads=threads)
+
+
 def ou_rho_derivative(set_spec, rho, x, budget: int = 200_000, *, seed=0,
                       threads: int = 1) -> RhoDerivative:
     """Estimate d/drho T_rho 1_set(x) two independent ways.
 
     (a) central finite differences of T_rho in rho (exact T route when the
         set provides one, otherwise Monte Carlo with shared draws), and
-    (b) the heat identity (1/rho) * (-Lap T + <x, grad T>), with the
-        Laplacian and gradient taken in divergence/moment form.
+    (b) the heat identity of :func:`ou_rho_derivative_heat`.
 
     Both results are returned so callers can cross-validate.  Rejects rho = 0
     and steps that leave (-1, 1).
     """
     r = as_rho(rho, nonzero=True)
     xv = check_point(x)
-    d = xv.shape[0]
-    h = rho_step(r)
-    if not (-1.0 < r - h and r + h < 1.0):
-        raise DomainError("rho finite-difference step leaves (-1, 1)")
-
-    exact = getattr(set_spec, "ou_exact", None)
-    up = None if exact is None else exact(r + h, xv)
-    if up is not None:
-        vp, ep = up
-        vm, em = exact(r - h, xv)
-        fd = Estimate((vp - vm) / (2.0 * h), h * h + (ep + em) / (2.0 * h), 0, QUADRATURE)
-    else:
+    fd = ou_rho_derivative_exact(set_spec, r, xv)
+    if fd is None:
+        d = xv.shape[0]
+        h = rho_step(r)
         s_p, s_m = math.sqrt(1 - (r + h) ** 2), math.sqrt(1 - (r - h) ** 2)
 
         def diff_values(rng, k):
@@ -493,21 +546,8 @@ def ou_rho_derivative(set_spec, rho, x, budget: int = 200_000, *, seed=0,
 
         fd = mc_mean(diff_values, budget, seed=seed, threads=threads)
         fd = Estimate(fd.value, fd.std_error + h * h, fd.samples, MONTE_CARLO)
-
-    s = 1.0 - r * r
-    sig = math.sqrt(s)
-
-    def heat_values(rng, k):
-        y = r * xv + sig * rng.standard_normal((k, d))
-        ind = set_spec.contains(y).astype(float)
-        centered = y - r * xv
-        q = np.einsum("ij,ij->i", centered, centered)
-        lap = (r * r / s) * (q / s - d) * ind
-        grad_dot_x = (r / s) * (centered @ xv) * ind
-        return (-lap + grad_dot_x) / r
-
-    div = mc_mean(heat_values, budget, seed=seed, threads=threads)
-    return RhoDerivative(fd, div)
+    heat = ou_rho_derivative_heat(set_spec, r, xv, budget, seed=seed, threads=threads)
+    return RhoDerivative(fd, heat)
 
 
 # ---------------------------------------------------------------------------

@@ -210,13 +210,9 @@ class SetSpec:
         raise NotImplementedError
 
     def gaussian_measure_exact(self):
-        """(value, error_bound) when a deterministic measure is available."""
-        deco = self.sector_decomposition()
-        if deco is not None:
-            apex, arcs = deco
-            val = sum(shifted_sector_mass(apex, a, b) for a, b in arcs)
-            return val, SECTOR_MASS_ERR
-        return None
+        """(value, error_bound) when a deterministic measure is available:
+        T_0 1_set is the constant gamma(set)."""
+        return self.ou_exact(0.0, np.zeros(self.dim))
 
     def ou_exact(self, rho: float, x: np.ndarray):
         """(T_rho 1_set(x), error_bound) when a deterministic route exists.

@@ -23,6 +23,7 @@ from scipy.special import ndtr, ndtri
 
 from .gauss import (
     CLOSED_FORM,
+    MONTE_CARLO,
     QUADRATURE,
     DomainError,
     Estimate,
@@ -31,9 +32,12 @@ from .gauss import (
     bivariate_normal_cdf,
     make_seedseq,
     mc_mean,
+    noisy_copies,
     spawn_rngs,
 )
 from .partitions import (
+    Complement,
+    ExplicitCell,
     PartitionSpec,
     ProductWithR,
     SetSpec,
@@ -45,14 +49,21 @@ from .partitions import (
 )
 
 def _correlated_values(membership_match, rho, d):
-    sig = math.sqrt(1.0 - rho * rho)
-
     def values(rng, k):
         x = rng.standard_normal((k, d))
-        y = rho * x + sig * rng.standard_normal((k, d))
-        return membership_match(x, y)
+        return membership_match(x, noisy_copies(rng, rho, x, k))
 
     return values
+
+
+def agreement_values(p: PartitionSpec, q: PartitionSpec, rho):
+    """Monte Carlo integrand of sum_i P(X in p_i, Y in q_i) for a
+    rho-correlated pair: 1 where X and Y fall in cells of the same index."""
+
+    def match(x, y):
+        return (p.membership(x) == q.membership(y)).astype(float)
+
+    return _correlated_values(match, rho, p.dim)
 
 
 def noise_stability(s: SetSpec, rho, budget: int = 1_000_000, *, seed=0,
@@ -99,21 +110,15 @@ def partition_stability(p: PartitionSpec, rho, budget: int = 1_000_000, *, seed=
                         threads: int = 1, mode: str = "auto") -> Estimate:
     """sum_i P((X, Y) in cell_i x cell_i), shared pairs across cells."""
     r = as_rho(rho)
+    if r == 0.0:
+        return _stability_at_zero(p, budget, seed=seed, threads=threads)
     if mode in ("auto", "quadrature"):
-        if r == 0.0:
-            return _stability_at_zero(p, budget, seed=seed, threads=threads)
         exact = partition_stability_quadrature(p, r)
         if exact is not None:
             return exact
         if mode == "quadrature":
             raise DomainError("no quadrature route for this partition")
-    if r == 0.0:
-        return _stability_at_zero(p, budget, seed=seed, threads=threads)
-
-    def match(x, y):
-        return (p.membership(x) == p.membership(y)).astype(float)
-
-    return mc_mean(_correlated_values(match, r, p.dim), budget, seed=seed, threads=threads)
+    return mc_mean(agreement_values(p, p, r), budget, seed=seed, threads=threads)
 
 
 def _stability_at_zero(p: PartitionSpec, budget, *, seed, threads) -> Estimate:
@@ -180,11 +185,7 @@ def bilinear_stability(p: PartitionSpec, q: PartitionSpec, rho,
             return exact
         if mode == "quadrature":
             raise DomainError("no quadrature route for this pair")
-
-    def match(x, y):
-        return (p.membership(x) == q.membership(y)).astype(float)
-
-    return mc_mean(_correlated_values(match, r, p.dim), budget, seed=seed, threads=threads)
+    return mc_mean(agreement_values(p, q, r), budget, seed=seed, threads=threads)
 
 
 def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, scale: float = 1.0,
@@ -242,15 +243,12 @@ def cell_moment(s: SetSpec, budget: int = 400_000, *, seed=0, mode: str = "auto"
         return VectorEstimate(exact, np.full(s.dim, 1e-12), 0, QUADRATURE)
     if mode == "quadrature":
         raise DomainError("no quadrature route for this cell's moment")
-    sizes_seed = seed
-    rngs = spawn_rngs(sizes_seed, 1)
-    rng = rngs[0]
-    x = rng.standard_normal((budget, s.dim))
-    ind = s.contains(x).astype(float)
-    vals = x * ind[:, None]
-    mean = vals.mean(axis=0)
-    se = vals.std(axis=0, ddof=1) / math.sqrt(budget)
-    return VectorEstimate(mean, se, budget, "monte-carlo")
+
+    def values(rng, k):
+        x = rng.standard_normal((k, s.dim))
+        return x * s.contains(x).astype(float)[:, None]
+
+    return mc_mean(values, budget, seed=seed)
 
 
 def _cell_moment_exact(s: SetSpec) -> np.ndarray | None:
@@ -267,8 +265,6 @@ def _cell_moment_exact(s: SetSpec) -> np.ndarray | None:
         inner = _cell_moment_exact(s.base)
         if inner is not None:
             return np.concatenate([inner, np.zeros(s.extra)])
-    from .partitions import Complement, ExplicitCell
-
     if isinstance(s, ExplicitCell) and not s.halfspaces:
         return np.zeros(s.dim)  # odd symmetry of the moment over R^d
     if isinstance(s, Complement):
@@ -306,7 +302,7 @@ def propeller_functional(p: PartitionSpec, budget: int = 1_000_000, *, seed=0,
     pair_vals = np.einsum("pid,pid->p", moments[0::2], moments[1::2])
     value = float(pair_vals.mean())
     se = float(pair_vals.std(ddof=1) / math.sqrt(len(pair_vals)))
-    return Estimate(value, se, per * n_batches, "monte-carlo")
+    return Estimate(value, se, per * n_batches, MONTE_CARLO)
 
 
 def half_space_stability_closed_form(measure: float, rho) -> float:

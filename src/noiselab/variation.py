@@ -38,20 +38,30 @@ import numpy as np
 from scipy import integrate
 
 from .gauss import (
+    MONTE_CARLO,
     QUADRATURE,
     DomainError,
     Estimate,
+    SignedDifference,
     VectorEstimate,
     as_rho,
     check_point,
     make_seedseq,
     mc_shard_means,
     mehler_kernel,
+    ou_apply,
     ou_gradient,
     ou_gradient_quadrature,
-    rho_step,
+    ou_rho_derivative_exact,
+    ou_rho_derivative_heat,
 )
 from .partitions import BoundarySample, Facet, PartitionSpec
+from .stability import (
+    _bilinear_quadrature,
+    agreement_values,
+    check_measure_match,
+    partition_stability_quadrature,
+)
 
 VOLUME_TOL = 1e-6
 #: default translation step for deterministic finite differences
@@ -146,6 +156,11 @@ def _field_const_on_facet(field, facet: Facet, sign: float):
 # surface operator
 
 
+def _on_facet(field, facet: Facet, pts: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """The field's values at points of the facet, with normal sign * N."""
+    return field.values(pts, np.tile(sign * facet.normal, (pts.shape[0], 1)))
+
+
 def _facet_s_quadrature(facet: Facet, sign: float, rho: float, field, x: np.ndarray,
                         *, budget: int = 20_000, seed=0) -> tuple[float, float]:
     """(integral over the facet of f(y, sign*N) K_rho(y, x) dy, error figure)."""
@@ -153,12 +168,9 @@ def _facet_s_quadrature(facet: Facet, sign: float, rho: float, field, x: np.ndar
     if facet.mass == 0.0:
         return 0.0, 0.0
 
-    def f_of(pts):
-        return field.values(pts, np.tile(sign * facet.normal, (pts.shape[0], 1)))
-
     if facet.kind == "point":
         y = facet.base_point[None, :]
-        return float(f_of(y)[0] * mehler_kernel(y, x, rho)[0]), 1e-15
+        return float(_on_facet(field, facet, y, sign)[0] * mehler_kernel(y, x, rho)[0]), 1e-15
 
     const = _field_const_on_facet(field, facet, sign)
     if const is not None and not facet.constraints:
@@ -173,7 +185,7 @@ def _facet_s_quadrature(facet: Facet, sign: float, rho: float, field, x: np.ndar
 
         def integrand(t):
             y = (facet.base_point + t * facet.tangents[0])[None, :]
-            return float(f_of(y)[0] * mehler_kernel(y, x, rho)[0])
+            return float(_on_facet(field, facet, y, sign)[0] * mehler_kernel(y, x, rho)[0])
 
         val, err = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
         return float(val), float(err) + 1e-14
@@ -182,12 +194,12 @@ def _facet_s_quadrature(facet: Facet, sign: float, rho: float, field, x: np.ndar
     rng = np.random.default_rng(make_seedseq(seed))
     pts = facet.sample(rng, budget)
     gam = np.exp(-0.5 * np.sum(pts * pts, axis=1)) * (2 * math.pi) ** (-facet.dim / 2)
-    vals = f_of(pts) * mehler_kernel(pts, x, rho) / gam
+    vals = _on_facet(field, facet, pts, sign) * mehler_kernel(pts, x, rho) / gam
     se = float(np.std(vals, ddof=1) / math.sqrt(budget))
     return facet.mass * float(np.mean(vals)), facet.mass * se
 
 
-def s_operator(boundary, rho, field, x, *, mode: str = "monte-carlo") -> Estimate:
+def s_operator(boundary, rho, field, x) -> Estimate:
     """The surface operator S(f)(x) over one weighted boundary sample.
 
     ``boundary`` is a :class:`BoundarySample` or a list of
@@ -214,7 +226,7 @@ def s_operator(boundary, rho, field, x, *, mode: str = "monte-carlo") -> Estimat
         sel = terms[strata == s]
         if sel.size > 1:
             var += sel.size * float(np.var(sel, ddof=1))
-    return Estimate(value, math.sqrt(var), int(len(terms)), "monte-carlo")
+    return Estimate(value, math.sqrt(var), int(len(terms)), MONTE_CARLO)
 
 
 def sij_operator(p: PartitionSpec, rho, i: int, j: int, field, x, *,
@@ -239,15 +251,14 @@ def sij_operator(p: PartitionSpec, rho, i: int, j: int, field, x, *,
                 n_samp += budget
             value += cell_sign * v
             err += e
-    return Estimate(value, err, n_samp, "monte-carlo" if used_mc else QUADRATURE)
+    return Estimate(value, err, n_samp, MONTE_CARLO if used_mc else QUADRATURE)
 
 
 def _facet_s_mc(facet, sign, rho, field, x, budget, seed):
     rng = np.random.default_rng(make_seedseq(seed))
     pts = facet.sample(rng, budget)
-    nms = np.tile(sign * facet.normal, (budget, 1))
     gam = np.exp(-0.5 * np.sum(pts * pts, axis=1)) * (2 * math.pi) ** (-facet.dim / 2)
-    vals = field.values(pts, nms) * mehler_kernel(pts, x, rho) / gam
+    vals = _on_facet(field, facet, pts, sign) * mehler_kernel(pts, x, rho) / gam
     se = float(np.std(vals, ddof=1) / math.sqrt(budget)) if budget > 1 else 0.0
     return facet.mass * float(np.mean(vals)), facet.mass * se + abs(float(np.mean(vals))) * facet.mass_err
 
@@ -258,95 +269,26 @@ def _facet_s_mc(facet, sign, rho, field, x, budget, seed):
 
 def t_difference(p: PartitionSpec, i: int, j: int, rho, x, *, budget: int = 200_000,
                  seed=0, mode: str = "auto") -> Estimate:
-    """T_rho(1_i - 1_j)(x)."""
-    r = as_rho(rho)
+    """T_rho(1_i - 1_j)(x): the exact route of both cells when ``mode`` is
+    "auto" or "exact", Monte Carlo otherwise."""
     xv = check_point(x, p.dim)
-    ci, cj = p.cells[i], p.cells[j]
-    if mode in ("auto", "exact"):
-        ri = ci.ou_exact(r, xv)
-        rj = cj.ou_exact(r, xv)
-        if ri is not None and rj is not None:
-            return Estimate(ri[0] - rj[0], ri[1] + rj[1], 0, QUADRATURE)
-        if mode == "exact":
-            raise DomainError("no exact T route for these cells")
-    sig = math.sqrt(1.0 - r * r)
-
-    def values(rng, k):
-        y = r * xv + sig * rng.standard_normal((k, p.dim))
-        return ci.contains(y).astype(float) - cj.contains(y).astype(float)
-
-    from .gauss import mc_mean
-
-    return mc_mean(values, budget, seed=seed)
+    return ou_apply(SignedDifference(p.cells[i], p.cells[j]), rho, xv, budget, seed=seed,
+                    mode=mode if mode in ("auto", "exact") else MONTE_CARLO)
 
 
 def gradient_difference(p: PartitionSpec, i: int, j: int, rho, x, *,
                         budget: int = 200_000, seed=0, mode: str = "auto") -> VectorEstimate:
-    """grad T_rho(1_i - 1_j)(x)."""
+    """grad T_rho(1_i - 1_j)(x); ``mode`` "auto" or "quadrature" tries the exact route."""
     r = as_rho(rho, nonzero=True)
     xv = check_point(x, p.dim)
-    ci, cj = p.cells[i], p.cells[j]
+    diff = SignedDifference(p.cells[i], p.cells[j])
     if mode in ("auto", "quadrature"):
         try:
-            gi = ou_gradient_quadrature(ci, r, xv)
-            gj = ou_gradient_quadrature(cj, r, xv)
-            return VectorEstimate(gi.value - gj.value, gi.std_error + gj.std_error, 0, QUADRATURE)
+            return ou_gradient_quadrature(diff, r, xv)
         except DomainError:
             if mode == "quadrature":
                 raise
-    d = p.dim
-    s = 1.0 - r * r
-    sig = math.sqrt(s)
-
-    def values(rng, k):
-        y = r * xv + sig * rng.standard_normal((k, d))
-        w = ci.contains(y).astype(float) - cj.contains(y).astype(float)
-        return (r / s) * (y - r * xv) * w[:, None]
-
-    from .gauss import mc_vector_mean
-
-    return mc_vector_mean(values, budget, dim=d, seed=seed)
-
-
-def t_rho_derivative_difference(p: PartitionSpec, i: int, j: int, rho, x, *,
-                                budget: int = 200_000, seed=0, mode: str = "auto") -> Estimate:
-    """d/drho of T_rho(1_i - 1_j)(x).
-
-    Exact route: central differences of the deterministic T evaluation.
-    Monte Carlo route: the heat identity (1/rho)(-Lap + <x, grad>) in moment
-    form with shared draws (an estimator independent of the surface operator).
-    """
-    r = as_rho(rho, nonzero=True)
-    xv = check_point(x, p.dim)
-    h = rho_step(r)
-    if not (-1.0 < r - h and r + h < 1.0):
-        raise DomainError("rho step leaves (-1, 1)")
-    ci, cj = p.cells[i], p.cells[j]
-    if mode in ("auto", "exact"):
-        up_i = ci.ou_exact(r + h, xv)
-        up_j = None if up_i is None else cj.ou_exact(r + h, xv)
-        if up_j is not None:
-            up = up_i[0] - up_j[0]
-            dn = ci.ou_exact(r - h, xv)[0] - cj.ou_exact(r - h, xv)[0]
-            return Estimate((up - dn) / (2 * h), h * h + 1e-11 / h, 0, QUADRATURE)
-    if mode == "exact":
-        raise DomainError("no exact T route for these cells")
-    d = p.dim
-    s = 1.0 - r * r
-    sig = math.sqrt(s)
-
-    def values(rng, k):
-        y = r * xv + sig * rng.standard_normal((k, d))
-        w = ci.contains(y).astype(float) - cj.contains(y).astype(float)
-        centered = y - r * xv
-        q = np.einsum("ij,ij->i", centered, centered)
-        lap = (r * r / s) * (q / s - d) * w
-        grad_dot_x = (r / s) * (centered @ xv) * w
-        return (-lap + grad_dot_x) / r
-
-    from .gauss import mc_mean
-
-    return mc_mean(values, budget, seed=seed)
+    return ou_gradient(diff, r, xv, budget, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +350,7 @@ def cell_volume_rates(p: PartitionSpec, field) -> tuple[np.ndarray, np.ndarray]:
     errs = np.zeros(p.m)
     for i in range(p.m):
         for facet, sign in p.cell_boundary(i):
-            def h(pts, _f=facet, _s=sign):
-                return field.values(pts, np.tile(_s * _f.normal, (pts.shape[0], 1)))
-            v, e = facet.gauss_integral(h)
+            v, e = facet.gauss_integral(lambda pts: _on_facet(field, facet, pts, sign))
             rates[i] += v
             errs[i] += e
     return rates, errs
@@ -501,10 +441,14 @@ def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
                               + rho d/drho T_rho(1_i-1_j)(x) ).
 
     The left side uses the surface operator and the gradient norm; the right
-    side's rho-derivative comes from an independent estimator.
+    side's rho-derivative comes from an independent estimator: the exact
+    route's central difference in rho, else (or when ``rhs_mode`` asks for
+    Monte Carlo) the heat identity.
     """
     r = as_rho(rho, nonzero=True)
     field = RadialField()
+    diff = SignedDifference(p.cells[i], p.cells[j])
+    rho_mode = rhs_mode or mode
     sample = p.boundary_sample(i, j, n_points, seed=seed)
     lhs = np.empty(len(sample))
     rhs = np.empty(len(sample))
@@ -515,8 +459,11 @@ def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
         xn = float(x @ sample.normals[k])
         s_est = sij_operator(p, r, i, j, field, x, mode=mode, seed=[seed, 5, k])
         g = gradient_difference(p, i, j, r, x, budget=budget, seed=[seed, 6, k], mode=mode).norm_estimate()
-        dr = t_rho_derivative_difference(p, i, j, r, x, budget=budget, seed=[seed, 7, k],
-                                         mode=rhs_mode or mode)
+        dr = ou_rho_derivative_exact(diff, r, x) if rho_mode in ("auto", "exact") else None
+        if dr is None:
+            if rho_mode == "exact":
+                raise DomainError("no exact T route for these cells")
+            dr = ou_rho_derivative_heat(diff, r, x, budget, seed=[seed, 7, k])
         lhs[k] = s_est.value - xn * g.value
         rhs[k] = coef * (xn * g.value + r * dr.value)
         tol = max(tol, s_est.std_error + abs(xn) * (1 + coef) * g.std_error + coef * r * dr.std_error)
@@ -526,6 +473,34 @@ def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
 
 # ---------------------------------------------------------------------------
 # second variations
+
+
+def _translation_form(pairs, r: float, vv: np.ndarray, *, budget: int, seed, mode: str,
+                      tags: tuple[int, int]) -> tuple[float, float]:
+    """Sum over (own, other) in ``pairs`` and interfaces Sigma_ij of ``own`` of
+    the integral of ||grad T_rho(1_{other_i} - 1_{other_j})|| <v, N_ij>^2 dgamma,
+    with its error figure."""
+    total, err = 0.0, 0.0
+    for own, other in pairs:
+        for (i, j), facets in own.all_interfaces().items():
+            for fk, facet in enumerate(facets):
+                vn2 = float(facet.normal @ vv) ** 2
+                if vn2 == 0.0 or facet.mass == 0.0:
+                    continue
+
+                def h(pts):
+                    return np.array([
+                        vn2 * gradient_difference(other, i, j, r, x, budget=budget,
+                                                  seed=[seed, tags[0], fk], mode=mode)
+                        .norm_estimate().value
+                        for x in pts
+                    ])
+
+                val, e = facet.gauss_integral(h, budget=max(budget // 1000, 200),
+                                              seed=[seed, tags[1], fk])
+                total += val
+                err += e
+    return total, err
 
 
 def second_variation_translation(p: PartitionSpec, rho, v, *, budget: int = 100_000,
@@ -539,23 +514,8 @@ def second_variation_translation(p: PartitionSpec, rho, v, *, budget: int = 100_
     r = as_rho(rho, nonzero=True)
     vv = check_point(v, p.dim)
     check_volume_condition(p, TranslationField(vv), rho=r, policy=volume_policy, seed=seed)
-    total, err = 0.0, 0.0
-    for (i, j), facets in p.all_interfaces().items():
-        for fk, facet in enumerate(facets):
-            vn2 = float(facet.normal @ vv) ** 2
-            if vn2 == 0.0 or facet.mass == 0.0:
-                continue
-
-            def h(pts):
-                return np.array([
-                    vn2 * gradient_difference(p, i, j, r, q, budget=budget,
-                                              seed=[seed, 8, fk], mode=mode).norm_estimate().value
-                    for q in pts
-                ])
-
-            val, e = facet.gauss_integral(h, budget=max(budget // 1000, 200), seed=[seed, 9, fk])
-            total += val
-            err += e
+    total, err = _translation_form(((p, p),), r, vv, budget=budget, seed=seed, mode=mode,
+                                   tags=(8, 9))
     coef = 1.0 / r - 1.0
     return Estimate(coef * total, abs(coef) * (err + 1e-9), 0, QUADRATURE)
 
@@ -579,16 +539,14 @@ def second_variation_general(p: PartitionSpec, rho, field, *, budget: int = 200_
 
             def h_cross(pts):
                 out = np.empty(pts.shape[0])
-                nm = np.tile(facet.normal, (pts.shape[0], 1))
-                fv = field.values(pts, nm)
+                fv = _on_facet(field, facet, pts)
                 for k in range(pts.shape[0]):
                     out[k] = fv[k] * sij_operator(p, r, i, j, field, pts[k],
                                                   mode=mode, seed=[seed, 10, fk]).value
                 return out
 
             def h_grad(pts):
-                nm = np.tile(facet.normal, (pts.shape[0], 1))
-                fv = field.values(pts, nm)
+                fv = _on_facet(field, facet, pts)
                 return np.array([
                     fv[k] ** 2 * gradient_difference(p, i, j, r, pts[k], budget=budget,
                                                      seed=[seed, 11, fk], mode=mode)
@@ -603,29 +561,30 @@ def second_variation_general(p: PartitionSpec, rho, field, *, budget: int = 200_
     return Estimate(total, err + 1e-9, 0, QUADRATURE)
 
 
+def _cross_term(p: PartitionSpec, r: float, field, facet: Facet, seed):
+    """x -> f(x) S(f)(x) on ``facet``, with S integrated over the whole
+    boundary of cell 0 by facet quadrature."""
+
+    def h(pts):
+        fv = _on_facet(field, facet, pts)
+        out = np.empty(pts.shape[0])
+        for k in range(pts.shape[0]):
+            out[k] = fv[k] * sum(
+                _facet_s_quadrature(f2, sign, r, field, pts[k], seed=[seed, gk])[0]
+                for gk, (f2, sign) in enumerate(p.cell_boundary(0))
+            )
+        return out
+
+    return h
+
+
 def _second_variation_two_cells(p, r, field, *, budget, seed, mode) -> Estimate:
-    facets = p.interface_facets(0, 1)
     cell = p.cells[0]
-
-    def s_single(x):
-        val, err = 0.0, 0.0
-        for fk, (facet, sign) in enumerate(p.cell_boundary(0)):
-            v, e = _facet_s_quadrature(facet, sign, r, field, x, seed=[seed, 14, fk])
-            val += v
-            err += e
-        return val, err
-
     total, toterr = 0.0, 0.0
-    for fk, facet in enumerate(facets):
-
-        def h_cross(pts):
-            nm = np.tile(facet.normal, (pts.shape[0], 1))
-            fv = field.values(pts, nm)
-            return np.array([fv[k] * s_single(pts[k])[0] for k in range(pts.shape[0])])
+    for fk, facet in enumerate(p.interface_facets(0, 1)):
 
         def h_grad(pts):
-            nm = np.tile(facet.normal, (pts.shape[0], 1))
-            fv = field.values(pts, nm)
+            fv = _on_facet(field, facet, pts)
             out = np.empty(pts.shape[0])
             for k in range(pts.shape[0]):
                 g = ou_gradient_quadrature(cell, r, pts[k]) if mode in ("auto", "quadrature") \
@@ -633,7 +592,8 @@ def _second_variation_two_cells(p, r, field, *, budget, seed, mode) -> Estimate:
                 out[k] = fv[k] ** 2 * g.norm_estimate().value
             return out
 
-        v1, e1 = facet.gauss_integral(h_cross, budget=max(budget // 1000, 200), seed=[seed, 16, fk])
+        v1, e1 = facet.gauss_integral(_cross_term(p, r, field, facet, [seed, 14]),
+                                      budget=max(budget // 1000, 200), seed=[seed, 16, fk])
         v2, e2 = facet.gauss_integral(h_grad, budget=max(budget // 1000, 200), seed=[seed, 17, fk])
         total += v1 - v2
         toterr += e1 + e2
@@ -646,20 +606,8 @@ def g_form_value(p: PartitionSpec, rho, field, *, seed=0) -> Estimate:
     r = as_rho(rho, nonzero=True)
     total, toterr = 0.0, 0.0
     for fk, facet in enumerate(p.interface_facets(0, 1)):
-
-        def h_cross(pts):
-            nm = np.tile(facet.normal, (pts.shape[0], 1))
-            fv = field.values(pts, nm)
-            out = np.empty(pts.shape[0])
-            for k in range(pts.shape[0]):
-                val = 0.0
-                for gk, (f2, sign) in enumerate(p.cell_boundary(0)):
-                    v, _ = _facet_s_quadrature(f2, sign, r, field, pts[k], seed=[seed, 18, gk])
-                    val += v
-                out[k] = fv[k] * val
-            return out
-
-        v1, e1 = facet.gauss_integral(h_cross, budget=2000, seed=[seed, 19, fk])
+        v1, e1 = facet.gauss_integral(_cross_term(p, r, field, facet, [seed, 18]), budget=2000,
+                                      seed=[seed, 19, fk])
         total += v1
         toterr += e1
     return Estimate(total, toterr + 1e-9, 0, QUADRATURE)
@@ -667,6 +615,59 @@ def g_form_value(p: PartitionSpec, rho, field, *, seed=0) -> Estimate:
 
 # ---------------------------------------------------------------------------
 # finite-difference oracles and the mixed-derivative probe
+
+
+def _flow_difference(moved, quadrature, stencil, combine, *, h_s, budget: int, seed,
+                     mode: str, n_shards: int, threads: int = 1) -> Estimate:
+    """Difference quotient ``combine(*values, step)`` of sum_i P(X in p_i, Y in q_i)
+    over the (s, rho) points of ``stencil(step)``, with (p, q) = moved(s):
+    ``quadrature(p, q, rho)`` Richardson-extrapolated from steps h and 2h, else
+    shared-seed Monte Carlo with a coarser step and the standard error across
+    shards."""
+    if mode in ("auto", "quadrature"):
+        values = {}
+
+        def F(s, rr):
+            if (s, rr) not in values:  # second differences share the centre
+                est = quadrature(*moved(s), rr)
+                values[(s, rr)] = None if est is None else est.value
+            return values[(s, rr)]
+
+        def at(step):
+            vals = [F(s, rr) for s, rr in stencil(step)]
+            return None if any(v is None for v in vals) else combine(*vals, step)
+
+        h = h_s or H_S_QUADRATURE
+        d_h = at(h)
+        if d_h is not None:  # Richardson extrapolation from steps h and 2h
+            d_2h = at(2 * h)
+            return Estimate(d_h + (d_h - d_2h) / 3.0, 2 * abs(d_h - d_2h) / 3.0 + 1e-5, 0,
+                            QUADRATURE)
+        if mode == "quadrature":
+            raise DomainError("no quadrature stability route for this partition")
+    h = h_s or H_S_MONTE_CARLO
+    # every grid point reuses the seed, so all see identical draws and the
+    # quotient's variance stays bounded as the steps shrink
+    shards = [mc_shard_means(agreement_values(*moved(s), rr), budget, seed=seed,
+                             n_shards=n_shards, threads=threads) for s, rr in stencil(h)]
+    diffs = combine(*(means for means, _ in shards), h)
+    se = float(diffs.std(ddof=1) / math.sqrt(n_shards))
+    return Estimate(float(diffs.mean()), se + h * h, n_shards * shards[0][1], MONTE_CARLO)
+
+
+def _second_difference(lo, mid, hi, step):
+    return (hi - 2 * mid + lo) / (step * step)
+
+
+def _stability_flow_difference(p: PartitionSpec, field, stencil, combine, **route) -> Estimate:
+    """:func:`_flow_difference` for the stability of p under the field's flow."""
+
+    def moved(s):
+        ps = field.flowed(p, s) if s else p
+        return ps, ps
+
+    return _flow_difference(moved, lambda ps, _, rr: partition_stability_quadrature(ps, rr),
+                            stencil, combine, **route)
 
 
 def stability_second_derivative(p: PartitionSpec, rho, field, *, h_s: float | None = None,
@@ -680,40 +681,9 @@ def stability_second_derivative(p: PartitionSpec, rho, field, *, h_s: float | No
     Note this is the full second derivative (no 1/2).
     """
     r = as_rho(rho)
-
-    def F_quad(s):
-        from .stability import partition_stability_quadrature
-
-        est = partition_stability_quadrature(field.flowed(p, s) if s else p, r)
-        return None if est is None else est.value
-
-    if mode in ("auto", "quadrature"):
-        h = h_s or H_S_QUADRATURE
-        vals = [F_quad(s) for s in (-2 * h, -h, 0.0, h, 2 * h)]
-        if all(v is not None for v in vals):
-            d_h = (vals[3] - 2 * vals[2] + vals[1]) / (h * h)
-            d_2h = (vals[4] - 2 * vals[2] + vals[0]) / (4 * h * h)
-            extrap = d_h + (d_h - d_2h) / 3.0
-            err = 2 * abs(d_h - d_2h) / 3.0 + 1e-5
-            return Estimate(extrap, err, 0, QUADRATURE)
-        if mode == "quadrature":
-            raise DomainError("no quadrature stability route for this partition")
-
-    h = h_s or H_S_MONTE_CARLO
-    sig = math.sqrt(1.0 - r * r)
-    grid = [field.flowed(p, s) if s else p for s in (-h, 0.0, h)]
-    means = []
-    for ps in grid:
-        def values(rng, k, _ps=ps):
-            x = rng.standard_normal((k, p.dim))
-            y = r * x + sig * rng.standard_normal((k, p.dim))
-            return (_ps.membership(x) == _ps.membership(y)).astype(float)
-
-        m, _ = mc_shard_means(values, budget, seed=seed, n_shards=n_shards, threads=threads)
-        means.append(m)
-    diffs = (means[2] - 2 * means[1] + means[0]) / (h * h)
-    se = float(diffs.std(ddof=1) / math.sqrt(n_shards))
-    return Estimate(float(diffs.mean()), se + h * h, budget, "monte-carlo")
+    return _stability_flow_difference(
+        p, field, lambda step: [(-step, r), (0.0, r), (step, r)], _second_difference, h_s=h_s,
+        budget=budget, seed=seed, mode=mode, n_shards=n_shards, threads=threads)
 
 
 @dataclass(frozen=True)
@@ -742,59 +712,15 @@ def hyperstability_probe(p: PartitionSpec, rho, field, *, budget: int = 2_000_00
     d2s = stability_second_derivative(p, r, field, h_s=h_s, budget=budget, seed=seed,
                                       mode=mode, n_shards=n_shards, threads=threads)
 
-    from .stability import partition_stability_quadrature
+    def stencil(step):
+        return [(s, rr) for s in (-step, step) for rr in (r - hr, r + hr)]
 
-    def F_quad(s, rr):
-        est = partition_stability_quadrature(field.flowed(p, s) if s else p, rr)
-        return None if est is None else est.value
+    def mixed(a, b, c, d, step):
+        return (d - b - c + a) / (4 * step * hr)
 
-    if mode in ("auto", "quadrature"):
-        h = h_s or H_S_QUADRATURE
-
-        def mixed_at(step):
-            vals = {}
-            for s in (-step, step):
-                for rr in (r - hr, r + hr):
-                    vals[(s, rr)] = F_quad(s, rr)
-            if any(v is None for v in vals.values()):
-                return None
-            return (
-                vals[(step, r + hr)]
-                - vals[(-step, r + hr)]
-                - vals[(step, r - hr)]
-                + vals[(-step, r - hr)]
-            ) / (4 * step * hr)
-
-        m_h = mixed_at(h)
-        if m_h is not None:
-            m_2h = mixed_at(2 * h)
-            extrap = m_h + (m_h - m_2h) / 3.0
-            err = 2 * abs(m_h - m_2h) / 3.0 + 1e-5
-            return HyperstabilityReport(d2s, Estimate(extrap, err, 0, QUADRATURE))
-        if mode == "quadrature":
-            raise DomainError("no quadrature stability route for this partition")
-
-    h = h_s or H_S_MONTE_CARLO
-    shard_means = {}
-    for s in (-h, h):
-        ps = field.flowed(p, s)
-        for rr in (r - hr, r + hr):
-            sig = math.sqrt(1.0 - rr * rr)
-
-            def values(rng, k, _ps=ps, _rr=rr, _sig=sig):
-                x = rng.standard_normal((k, p.dim))
-                y = _rr * x + _sig * rng.standard_normal((k, p.dim))
-                return (_ps.membership(x) == _ps.membership(y)).astype(float)
-
-            m, _ = mc_shard_means(values, budget, seed=seed, n_shards=n_shards, threads=threads)
-            shard_means[(s, rr)] = m
-    mixed_shards = (
-        shard_means[(h, r + hr)] - shard_means[(-h, r + hr)]
-        - shard_means[(h, r - hr)] + shard_means[(-h, r - hr)]
-    ) / (4 * h * hr)
-    se = float(mixed_shards.std(ddof=1) / math.sqrt(n_shards))
-    mixed = Estimate(float(mixed_shards.mean()), se + h * h, budget, "monte-carlo")
-    return HyperstabilityReport(d2s, mixed)
+    return HyperstabilityReport(d2s, _stability_flow_difference(
+        p, field, stencil, mixed, h_s=h_s, budget=budget, seed=seed, mode=mode,
+        n_shards=n_shards, threads=threads))
 
 
 # ---------------------------------------------------------------------------
@@ -808,39 +734,12 @@ def bilinear_second_derivative(p: PartitionSpec, q: PartitionSpec, rho, v, *,
     r = as_rho(rho, nonzero=True)
     vv = check_point(v, p.dim)
 
-    from .stability import _bilinear_quadrature
+    def moved(s):
+        return (p.translated(s * vv), q.translated(s * vv)) if s else (p, q)
 
-    def F_quad(s):
-        est = _bilinear_quadrature(p.translated(s * vv) if s else p,
-                                   q.translated(s * vv) if s else q, r)
-        return None if est is None else est.value
-
-    if mode in ("auto", "quadrature"):
-        h = h_s or H_S_QUADRATURE
-        vals = [F_quad(s) for s in (-2 * h, -h, 0.0, h, 2 * h)]
-        if all(u is not None for u in vals):
-            d_h = (vals[3] - 2 * vals[2] + vals[1]) / (h * h)
-            d_2h = (vals[4] - 2 * vals[2] + vals[0]) / (4 * h * h)
-            return Estimate(d_h + (d_h - d_2h) / 3.0, 2 * abs(d_h - d_2h) / 3.0 + 1e-5, 0, QUADRATURE)
-        if mode == "quadrature":
-            raise DomainError("no quadrature route for this pair")
-    h = h_s or H_S_MONTE_CARLO
-    sig = math.sqrt(1.0 - r * r)
-    means = []
-    for s in (-h, 0.0, h):
-        ps = p.translated(s * vv) if s else p
-        qs = q.translated(s * vv) if s else q
-
-        def values(rng, k, _ps=ps, _qs=qs):
-            x = rng.standard_normal((k, p.dim))
-            y = r * x + sig * rng.standard_normal((k, p.dim))
-            return (_ps.membership(x) == _qs.membership(y)).astype(float)
-
-        m, _ = mc_shard_means(values, budget, seed=seed, n_shards=n_shards)
-        means.append(m)
-    diffs = (means[2] - 2 * means[1] + means[0]) / (h * h)
-    return Estimate(float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(n_shards)) + h * h,
-                    budget, "monte-carlo")
+    return _flow_difference(moved, _bilinear_quadrature,
+                            lambda step: [(-step, r), (0.0, r), (step, r)], _second_difference,
+                            h_s=h_s, budget=budget, seed=seed, mode=mode, n_shards=n_shards)
 
 
 def bilinear_translation_form(p: PartitionSpec, q: PartitionSpec, rho, v, *,
@@ -854,25 +753,8 @@ def bilinear_translation_form(p: PartitionSpec, q: PartitionSpec, rho, v, *,
     """
     r = as_rho(rho, nonzero=True)
     vv = check_point(v, p.dim)
-    total, err = 0.0, 0.0
-    for own, other in ((p, q), (q, p)):
-        for (i, j), facets in own.all_interfaces().items():
-            for fk, facet in enumerate(facets):
-                vn2 = float(facet.normal @ vv) ** 2
-                if vn2 == 0.0 or facet.mass == 0.0:
-                    continue
-
-                def h(pts):
-                    return np.array([
-                        vn2 * gradient_difference(other, i, j, r, x, budget=budget,
-                                                  seed=[seed, 20, fk], mode=mode)
-                        .norm_estimate().value
-                        for x in pts
-                    ])
-
-                val, e = facet.gauss_integral(h, budget=max(budget // 1000, 200), seed=[seed, 21, fk])
-                total += val
-                err += e
+    total, err = _translation_form(((p, q), (q, p)), r, vv, budget=budget, seed=seed, mode=mode,
+                                   tags=(20, 21))
     coef = -1.0 / r + 1.0
     return Estimate(coef * total, abs(coef) * (err + 1e-9), 0, QUADRATURE)
 
@@ -902,8 +784,6 @@ def bilinear_variation_suite(p: PartitionSpec, q: PartitionSpec, rho, *,
     r = as_rho(rho, nonzero=True)
     if p.dim != q.dim or p.m != q.m:
         raise DomainError("bilinear pair must match in dimension and cell count")
-    from .stability import check_measure_match
-
     check_measure_match(p, q, seed=seed)
     vv = check_point(v if v is not None else np.eye(p.dim)[0], p.dim)
     field = TranslationField(vv)

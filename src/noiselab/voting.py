@@ -16,13 +16,14 @@ from sampling the chain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gauss import DomainError, Estimate, make_seedseq
+from .gauss import DomainError, Estimate, make_seedseq, mean_over_shards
+from .partitions import halfspace_partition, simplex_cone_partition
+from .stability import partition_stability
 
 EXACT_TABLE_LIMIT = 10_000_000
 EXACT_PAIR_LIMIT = 100_000_000
@@ -121,13 +122,7 @@ def discrete_noise_stability(f, rho: float) -> float:
     (pass m, n via a DiscreteFunction for validation-sensitive uses).
     """
     if isinstance(f, DiscreteFunction):
-        if f.m ** (2 * f.n) > EXACT_PAIR_LIMIT:
-            raise DomainError("pair enumeration exceeds the exact-mode limit; use the MC variant")
-        total = 0.0
-        for j in range(f.m):
-            g = f.coordinate(j)
-            total += float(np.mean(g * apply_noise(g, f.m, f.n, rho)))
-        return total
+        return sum(coordinate_stability(f.coordinate(j), f.m, f.n, rho) for j in range(f.m))
     raise DomainError("expected a DiscreteFunction; use coordinate_stability for raw tables")
 
 
@@ -152,16 +147,13 @@ def sample_noisy_profiles(m: int, n: int, rho: float, k: int, rng) -> tuple[np.n
 def discrete_noise_stability_mc(f: DiscreteFunction, rho: float, samples: int = 200_000,
                                 *, seed=0) -> Estimate:
     """Unbiased Monte Carlo for S_rho f over the product chain."""
-    if samples <= 0:
-        raise DomainError("sample budget must be positive")
-    rng = np.random.default_rng(make_seedseq(seed))
-    w, d = sample_noisy_profiles(f.m, f.n, rho, samples, rng)
     powers = f.m ** np.arange(f.n)
-    iw = w @ powers
-    idd = d @ powers
-    vals = np.einsum("ij,ij->i", f.values[iw], f.values[idd])
-    se = float(vals.std(ddof=1) / math.sqrt(samples))
-    return Estimate(float(vals.mean()), se, samples, "monte-carlo")
+
+    def values(rng, k):
+        w, d = sample_noisy_profiles(f.m, f.n, rho, k, rng)
+        return np.einsum("ij,ij->i", f.values[w @ powers], f.values[d @ powers])
+
+    return _chain_mean(values, samples, seed)
 
 
 def plurality(m: int, n: int) -> DiscreteFunction:
@@ -170,17 +162,8 @@ def plurality(m: int, n: int) -> DiscreteFunction:
     size = m**n
     if size > EXACT_TABLE_LIMIT:
         raise DomainError("table exceeds the exact-mode size limit")
-    profiles = np.stack(
-        [np.arange(size) // m**i % m for i in range(n)], axis=1
-    )
-    counts = np.stack([(profiles == c).sum(axis=1) for c in range(m)], axis=1)
-    top = counts.max(axis=1)
-    winners = counts == top[:, None]
-    n_winners = winners.sum(axis=1)
-    vals = np.full((size, m), 1.0 / m)
-    strict = n_winners == 1
-    vals[strict] = winners[strict].astype(float)
-    return DiscreteFunction(m, n, vals)
+    profiles = np.stack([np.arange(size) // m**i % m for i in range(n)], axis=1)
+    return DiscreteFunction(m, n, plurality_values(m, profiles))
 
 
 def plurality_values(m: int, profiles: np.ndarray) -> np.ndarray:
@@ -197,13 +180,20 @@ def plurality_values(m: int, profiles: np.ndarray) -> np.ndarray:
 def plurality_stability_mc(m: int, n: int, rho: float, samples: int = 200_000,
                            *, seed=0) -> Estimate:
     """Monte Carlo S_rho PLUR_{m,n} without tabulating the rule."""
+
+    def values(rng, k):
+        w, d = sample_noisy_profiles(m, n, rho, k, rng)
+        return np.einsum("ij,ij->i", plurality_values(m, w), plurality_values(m, d))
+
+    return _chain_mean(values, samples, seed)
+
+
+def _chain_mean(values_fn, samples: int, seed) -> Estimate:
+    # the chain is one shard drawn from the seed's root generator: that
+    # layout fixes the seeded values these estimators report
     if samples <= 0:
         raise DomainError("sample budget must be positive")
-    rng = np.random.default_rng(make_seedseq(seed))
-    w, d = sample_noisy_profiles(m, n, rho, samples, rng)
-    vals = np.einsum("ij,ij->i", plurality_values(m, w), plurality_values(m, d))
-    se = float(vals.std(ddof=1) / math.sqrt(samples))
-    return Estimate(float(vals.mean()), se, samples, "monte-carlo")
+    return mean_over_shards(values_fn, [np.random.default_rng(make_seedseq(seed))], [samples])
 
 
 def plurality_stability_table(m: int, rho: float, n_list, samples: int = 200_000,
@@ -229,9 +219,6 @@ def plurality_stability_table(m: int, rho: float, n_list, samples: int = 200_000
 
 
 def _continuous_benchmark(m: int, rho: float, budget: int, seed) -> dict:
-    from .partitions import halfspace_partition, simplex_cone_partition
-    from .stability import partition_stability
-
     # m = 2 cones in R^1 are the opposing half-lines; use the half-space
     # representation so the closed-form route applies
     part = halfspace_partition([1.0], 0.0) if m == 2 else simplex_cone_partition(m)

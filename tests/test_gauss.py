@@ -12,15 +12,21 @@ from noiselab.gauss import (
     Correlation,
     DomainError,
     Estimate,
+    SignedDifference,
+    VectorEstimate,
     bivariate_normal_cdf,
     gaussian_density,
     kernel_g,
+    mc_mean,
+    mc_shard_means,
     mehler_kernel,
     ou_apply,
     ou_divergence_mc,
     ou_gradient,
     ou_gradient_quadrature,
     ou_rho_derivative,
+    ou_rho_derivative_exact,
+    ou_rho_derivative_heat,
     sample_correlated_pair,
 )
 from noiselab.partitions import (
@@ -34,7 +40,10 @@ from noiselab.partitions import (
     Sector2D,
     ShiftedSet,
     _leggauss,
+    cylinder_extend,
+    halfspace_partition,
     perturbed_simplex_cones,
+    sector_partition,
     simplex_cone_partition,
 )
 
@@ -448,3 +457,139 @@ class TestEstimate:
         e = Estimate(0.5, 0.01, 100, "monte-carlo")
         assert e.as_dict() == {"value": 0.5, "std_error": 0.01, "samples": 100,
                                "method": "monte-carlo"}
+
+
+# the four cell kinds the signed difference is checked on; each pair is cells 0
+# and 1 of the partition, at points on and off their interface
+SIGNED_PAIRS = {
+    "cones": simplex_cone_partition(3).cells[:2],
+    "half-spaces": halfspace_partition([1.0, 0.0], 0.5).cells[:2],
+    "sectors": sector_partition([0.1, 2.0, 4.0]).cells[:2],
+    "cylinder": cylinder_extend(simplex_cone_partition(3), 1).cells[:2],
+}
+
+
+def _signed_points(d):
+    pts = np.array([[0.3, -0.4], [0.5, 0.0], [-1.1, 0.7]])
+    return np.hstack([pts, np.full((3, d - 2), 0.2)]) if d > 2 else pts
+
+
+class TestSignedDifference:
+    """T_rho is linear: every route on 1_a - 1_b is the per-cell difference."""
+
+    @pytest.mark.parametrize("kind", sorted(SIGNED_PAIRS))
+    def test_exact_routes_give_per_cell_differences(self, kind):
+        a, b = SIGNED_PAIRS[kind]
+        diff = SignedDifference(a, b)
+        for x in _signed_points(a.dim):
+            t, ta, tb = (ou_apply(c, 0.5, x) for c in (diff, a, b))
+            assert t.method == "quadrature"
+            assert abs(t.value - (ta.value - tb.value)) <= 1e-12
+            assert t.std_error == ta.std_error + tb.std_error
+            g, ga, gb = (ou_gradient_quadrature(c, 0.5, x) for c in (diff, a, b))
+            assert np.max(np.abs(g.value - (ga.value - gb.value))) <= 1e-12
+            r, ra, rb = (ou_rho_derivative_exact(c, 0.5, x) for c in (diff, a, b))
+            assert abs(r.value - (ra.value - rb.value)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(SIGNED_PAIRS))
+    def test_monte_carlo_routes_weight_draws_by_the_cell_difference(self, kind):
+        # the per-draw weight 1_a(Y) - 1_b(Y), written out here, gives the
+        # same bits through every Monte Carlo route
+        a, b = SIGNED_PAIRS[kind]
+        diff = SignedDifference(a, b)
+        r, s, x = 0.5, 0.75, _signed_points(a.dim)[0]
+        d = x.shape[0]
+
+        def draws(rng, k):
+            y = r * x + math.sqrt(s) * rng.standard_normal((k, d))
+            return y, a.contains(y).astype(float) - b.contains(y).astype(float)
+
+        def t_values(rng, k):
+            return draws(rng, k)[1]
+
+        def grad_values(rng, k):
+            y, w = draws(rng, k)
+            return (r / s) * (y - r * x) * w[:, None]
+
+        def lap_values(rng, k):
+            y, w = draws(rng, k)
+            q = np.einsum("ij,ij->i", y - r * x, y - r * x)
+            return (r * r / s) * (q / s - d) * w
+
+        def heat_values(rng, k):
+            y, w = draws(rng, k)
+            q = np.einsum("ij,ij->i", y - r * x, y - r * x)
+            lap = (r * r / s) * (q / s - d) * w
+            return (-lap + (r / s) * ((y - r * x) @ x) * w) / r
+
+        n = 140_000  # two shards
+        weights = diff.contains(draws(np.random.default_rng(1), 2000)[0])
+        assert set(np.unique(weights)) <= {-1.0, 0.0, 1.0}
+        assert ou_apply(diff, r, x, n, seed=3, mode="monte-carlo") == mc_mean(t_values, n, seed=3)
+        got, want = ou_gradient(diff, r, x, n, seed=4), mc_mean(grad_values, n, seed=4)
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.std_error, want.std_error)
+        assert ou_divergence_mc(diff, r, x, n, seed=5) == mc_mean(lap_values, n, seed=5)
+        assert ou_rho_derivative_heat(diff, r, x, n, seed=6) == mc_mean(heat_values, n, seed=6)
+
+    def test_declines_unless_both_cells_have_the_route(self):
+        ball = OracleSet(lambda pts: np.sum(pts * pts, axis=1) <= 1.0, 2)
+        hs = HalfSpace([1.0, 0.0], 0.0)
+        for diff in (SignedDifference(hs, ball), SignedDifference(ball, hs)):
+            assert diff.ou_exact(0.5, np.zeros(2)) is None
+            assert ou_rho_derivative_exact(diff, 0.5, np.zeros(2)) is None
+            with pytest.raises(DomainError):
+                ou_apply(diff, 0.5, np.zeros(2), mode="exact")
+
+
+class TestMonteCarloMean:
+    def test_vector_output_is_inferred_from_the_callback(self):
+        def vec(rng, k):
+            return rng.standard_normal((k, 3)) + np.array([1.0, 0.0, -2.0])
+
+        est = mc_mean(vec, 300_000, seed=7)  # three shards
+        assert isinstance(est, VectorEstimate) and est.samples == 300_000
+        assert np.all(np.abs(est.value - [1.0, 0.0, -2.0]) <= 4 * est.std_error)
+        assert np.allclose(est.std_error, 1 / math.sqrt(300_000), rtol=0.02)
+        threaded = mc_mean(vec, 300_000, seed=7, threads=2)
+        assert np.array_equal(threaded.value, est.value)
+        assert np.array_equal(threaded.std_error, est.std_error)
+        scalar = mc_mean(lambda rng, k: vec(rng, k)[:, 0], 300_000, seed=7)
+        assert isinstance(scalar, Estimate)
+        assert scalar.value == pytest.approx(est.value[0], abs=1e-12)
+
+    def test_one_shard_matches_the_sample_mean(self):
+        def vec(rng, k):
+            return rng.standard_normal((k, 2)) ** 2
+
+        est = mc_mean(vec, 50_000, seed=8)
+        vals = vec(np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0]), 50_000)
+        assert np.array_equal(est.value, vals.sum(axis=0) / 50_000)
+        assert np.allclose(est.std_error, vals.std(axis=0, ddof=1) / math.sqrt(50_000),
+                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_shard_means_reject_a_non_positive_budget(self, n):
+        with pytest.raises(DomainError):
+            mc_shard_means(lambda rng, k: rng.standard_normal(k), n)
+        with pytest.raises(DomainError):
+            mc_mean(lambda rng, k: rng.standard_normal(k), n)
+
+    def test_shard_means_seeded_literals(self):
+        # literals recorded before the shard loop was shared with mc_mean
+        means, shard = mc_shard_means(lambda rng, k: rng.standard_normal(k) ** 2, 1000,
+                                      seed=18, n_shards=4)
+        assert shard == 250
+        assert means.tolist() == [1.0497043457294526, 0.8904799793748586,
+                                  1.0170010254516644, 1.0802256533180525]
+        threaded, _ = mc_shard_means(lambda rng, k: rng.standard_normal(k) ** 2, 1000,
+                                     seed=18, n_shards=4, threads=2)
+        assert np.array_equal(threaded, means)
+
+    def test_heat_route_seeded_literals(self):
+        # d/drho T_rho 1_A by the heat identity, seeded literals recorded
+        # before the moment-form integrand was shared
+        cell = simplex_cone_partition(3).cells[0]
+        est = ou_rho_derivative(cell, 0.5, [0.3, -0.4], budget=150_000, seed=14).divergence_form
+        assert (est.value, est.std_error, est.samples) == (
+            0.010795783635265725, 0.00203963951987889, 150_000)

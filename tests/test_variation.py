@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from noiselab.gauss import DomainError
+from noiselab.gauss import (
+    DomainError,
+    SignedDifference,
+    ou_rho_derivative_exact,
+    ou_rho_derivative_heat,
+)
 from noiselab.partitions import (
     ConeCell,
     PartitionSpec,
@@ -28,13 +33,14 @@ from noiselab.variation import (
     dilation_eigen_residual,
     first_variation_constancy,
     g_form_value,
+    gradient_difference,
     hyperstability_probe,
     s_operator,
     second_variation_general,
     second_variation_translation,
     sij_operator,
     stability_second_derivative,
-    t_rho_derivative_difference,
+    t_difference,
     translation_eigen_residual,
 )
 
@@ -89,7 +95,7 @@ class TestRhoDerivativeDifference:
         p = PartitionSpec([Counted(z, k) for k in range(3)])
         x = np.array([0.3, -0.4])
         rho, h = 0.6, 1e-3 * 0.4
-        est = t_rho_derivative_difference(p, 0, 1, rho, x)
+        est = ou_rho_derivative_exact(SignedDifference(p.cells[0], p.cells[1]), rho, x)
         assert sorted(calls) == [rho - h, rho - h, rho + h, rho + h]
         ci, cj = simplex_cone_partition(3).cells[:2]
         up = ci.ou_exact(rho + h, x)[0] - cj.ou_exact(rho + h, x)[0]
@@ -434,3 +440,55 @@ class TestBilinearSuite:
         q = halfspace_partition([1.0], 0.6)
         with pytest.raises(DomainError):
             bilinear_variation_suite(p, q, 0.5, seed=43)
+
+
+class TestSeededDifferences:
+    """Seeded Monte Carlo literals recorded before T_rho(1_i - 1_j) went
+    through the gauss operators; the draws and their reduction are unchanged."""
+
+    P = simplex_cone_partition(3)
+    X = [0.3, -0.4]
+
+    def test_t_difference(self):
+        est = t_difference(self.P, 0, 1, 0.5, self.X, budget=200_000, seed=11, mode="monte-carlo")
+        assert (est.value, est.std_error, est.samples) == (-0.07479, 0.0019376663934370282, 200_000)
+
+    def test_gradient_difference(self):
+        est = gradient_difference(self.P, 0, 1, 0.5, self.X, budget=200_000, seed=12,
+                                  mode="monte-carlo")
+        assert est.value.tolist() == [-0.3674159760324405, -0.08555758843995528]
+        assert est.std_error.tolist() == [0.0008517545293619499, 0.0009686849463853197]
+        assert est.samples == 200_000
+
+    def test_heat_route_of_the_difference(self):
+        diff = SignedDifference(self.P.cells[0], self.P.cells[1])
+        est = ou_rho_derivative_heat(diff, 0.5, self.X, 200_000, seed=13)
+        assert (est.value, est.std_error) == (-0.20321017912000186, 0.0024461291099945885)
+
+
+class TestSharedSeedBudget:
+    def test_non_positive_budget_rejected(self):
+        p = simplex_cone_partition(3)
+        for budget in (0, -1):
+            with pytest.raises(DomainError):
+                stability_second_derivative(p, 0.5, TranslationField([1, 0]), budget=budget,
+                                            mode="monte-carlo")
+
+    def test_samples_report_the_draws_made(self):
+        # 1000 draws split into 32 shards of 31 make 992 draws per grid point
+        p = simplex_cone_partition(3)
+        z = p.cells[0].generators
+        d2s = stability_second_derivative(p, 0.5, TranslationField([1.0, 0.0]), budget=1000,
+                                          seed=5, mode="monte-carlo")
+        assert d2s.samples == 992
+        # value recorded when this estimate still reported samples=1000
+        assert (d2s.value, d2s.std_error) == (1.209677419354842, 2.039334366489916)
+        rep = hyperstability_probe(p, 0.5, TranslationField(z[0]), budget=1000, seed=23,
+                                   mode="monte-carlo")
+        assert rep.second_s.samples == rep.mixed_s_rho.samples == 992
+        q = halfspace_partition([1.0, 0.0], 0.0)
+        fd = bilinear_second_derivative(q, q.negated(), 0.5, [1.0, 0.0], budget=1000, seed=24,
+                                        mode="monte-carlo")
+        assert fd.samples == 992
+        assert stability_second_derivative(p, 0.5, TranslationField(z[0]), budget=40,
+                                           mode="monte-carlo").samples == 32

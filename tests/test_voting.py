@@ -19,6 +19,7 @@ from noiselab.voting import (
     plurality,
     plurality_stability_mc,
     plurality_stability_table,
+    plurality_values,
 )
 
 
@@ -253,3 +254,40 @@ class TestStabilityTable:
                                          benchmark_budget=50_000)
         assert rows[0]["method"] == "monte-carlo"
         assert rows[0]["std_error"] > 0
+
+
+class TestOneCopyPerRule:
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 4), (3, 1), (3, 3), (3, 5), (4, 2), (4, 3)])
+    def test_plurality_table_matches_a_direct_count(self, m, n):
+        # the tie rule written out independently of plurality_values
+        profiles = np.array(list(itertools.product(range(m), repeat=n)))[:, ::-1]
+        expect = np.full((m**n, m), 1.0 / m)
+        for row, w in enumerate(profiles):
+            counts = np.bincount(w, minlength=m)
+            if (counts == counts.max()).sum() == 1:
+                expect[row] = np.eye(m)[counts.argmax()]
+        assert np.array_equal(plurality(m, n).values, expect)
+        assert np.array_equal(plurality(m, n).values, plurality_values(m, profiles))
+
+    def test_stability_is_the_sum_of_coordinate_stabilities(self):
+        f = plurality(3, 5)
+        total = sum(coordinate_stability(f.coordinate(j), 3, 5, 0.4) for j in range(3))
+        assert discrete_noise_stability(f, 0.4) == total == 0.4589945679012346
+
+    def test_pair_limit_guard(self):
+        f = DiscreteFunction(3, 9, np.full((3**9, 3), 1.0 / 3))  # 3^18 > the pair limit
+        with pytest.raises(DomainError):
+            discrete_noise_stability(f, 0.4)
+
+    def test_seeded_chain_estimates(self):
+        # literals recorded before the chain estimators used the shared mean;
+        # the draws and the mean are unchanged, the standard error moves by
+        # rounding only (one-pass variance)
+        est = discrete_noise_stability_mc(plurality(3, 3), 0.4, 200_000, seed=20)
+        assert (est.value, est.samples, est.method) == (0.50106, 200_000, "monte-carlo")
+        assert est.std_error == pytest.approx(0.0009111980392552801, rel=1e-12)
+        est = plurality_stability_mc(3, 5, 0.4, 200_000, seed=21)
+        assert (est.value, est.samples) == (0.45843666666666666, 200_000)
+        assert est.std_error == pytest.approx(0.0007713256115966101, rel=1e-12)
+        with pytest.raises(DomainError):
+            plurality_stability_mc(3, 5, 0.4, 0)
