@@ -406,6 +406,11 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a non-finite or non-positive scale would pass or fail every scaled check
+        if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
+            raise DomainError(f"--tolerance-scale must be finite and positive, got {args.tolerance_scale}")
+        if args.threads < 1:
+            raise DomainError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "stability":
             return cmd_stability(args)
         if args.command == "sweep":

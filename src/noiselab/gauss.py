@@ -222,7 +222,7 @@ def mehler_kernel(y: np.ndarray, x: np.ndarray, rho: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo plumbing
+# Monte Carlo plumbing and route choice
 
 
 def _shard_sizes(n: int, shard: int = _SHARD) -> list[int]:
@@ -298,6 +298,26 @@ def mc_shard_means(values_fn, n: int, *, seed=0, n_shards: int = 32, threads: in
     return np.asarray(means), shard
 
 
+def route(mode: str, deterministic, sampled):
+    """Run the route ``mode`` picks; the one place where a ``mode`` is read.
+
+    ``deterministic()`` returns a result, or None where no quadrature or
+    closed form covers the input; ``sampled()`` runs Monte Carlo.  "auto"
+    samples only where the deterministic route declines, "quadrature" (also
+    spelt "exact") raises :class:`DomainError` there, "monte-carlo" always
+    samples, and any other mode raises :class:`DomainError`.
+    """
+    if mode not in ("auto", QUADRATURE, "exact", MONTE_CARLO):
+        raise DomainError(f"unknown mode {mode!r}; use auto, quadrature or monte-carlo")
+    if mode != MONTE_CARLO:
+        res = deterministic()
+        if res is not None:
+            return res
+        if mode != "auto":
+            raise DomainError(f"mode {mode!r}: no deterministic route covers this input")
+    return sampled()
+
+
 # ---------------------------------------------------------------------------
 # the operator T_rho and its derivatives
 
@@ -343,35 +363,28 @@ def ou_apply(f, rho, x, budget: int = 200_000, *, seed=0, mode: str = "auto",
 
     ``f`` is either a set object exposing ``contains`` (indicator mode, and
     ``ou_exact`` when the set has closed or one-dimensional structure) or a
-    callable mapping an (n, d) array of points to n values.
-
-    mode: "auto" prefers an exact/quadrature route when the set provides one
-    and falls back to Monte Carlo; "exact" demands it; "monte-carlo" forces
-    sampling; "quadrature" uses a tensor Gauss-Hermite rule (d <= 3).
+    callable mapping an (n, d) array of points to n values.  The
+    deterministic route is the set's ``ou_exact``, or a tensor Gauss-Hermite
+    rule for a callable in d <= 3; ``mode``: see :func:`route`.
     """
     r = as_rho(rho)
     xv = check_point(x)
     if budget <= 0:
         raise DomainError("integration budget must be positive")
-    d = xv.shape[0]
 
-    if mode in ("auto", "exact") and hasattr(f, "ou_exact"):
-        res = f.ou_exact(r, xv)
+    def deterministic():
+        exact = getattr(f, "ou_exact", None)
+        res = None if exact is None else exact(r, xv)
         if res is not None:
-            value, err = res
-            return Estimate(float(value), float(err), 0, QUADRATURE)
-        if mode == "exact":
-            raise DomainError("no exact T_rho evaluation available for this set")
-    if mode == "exact" and not hasattr(f, "ou_exact"):
-        raise DomainError("no exact T_rho evaluation available for this input")
-
-    if mode == "quadrature" or (mode == "auto" and not hasattr(f, "contains") and d <= 3):
-        return _ou_apply_gh(f, r, xv, budget)
+            return Estimate(float(res[0]), float(res[1]), 0, QUADRATURE)
+        if not hasattr(f, "contains") and xv.shape[0] <= 3:
+            return _ou_apply_gh(f, r, xv, budget)
+        return None
 
     def values(rng, k):
         return _eval_on_points(f, noisy_copies(rng, r, xv, k))
 
-    return mc_mean(values, budget, seed=seed, threads=threads)
+    return route(mode, deterministic, lambda: mc_mean(values, budget, seed=seed, threads=threads))
 
 
 def _gh_nodes(n: int):

@@ -40,6 +40,7 @@ from .gauss import (
     make_seedseq,
     mc_mean,
     norm_pdf,
+    route,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -597,12 +598,6 @@ class OracleSet(SetSpec):
         out = np.asarray(self.indicator(pts), dtype=bool)
         return bool(out[0]) if single else out
 
-    def gaussian_measure_exact(self):
-        return None
-
-    def ou_exact(self, rho, x):
-        return None
-
     def translate(self, t):
         return ShiftedSet(self, np.asarray(t, dtype=float))
 
@@ -1148,18 +1143,15 @@ def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
 def gaussian_measure(s: SetSpec, budget: int = 200_000, *, seed=0, threads: int = 1,
                      mode: str = "auto") -> Estimate:
     """Gaussian measure of a cell: closed form when available, else Monte Carlo."""
-    if mode in ("auto", "exact"):
+
+    def closed_form():
         res = s.gaussian_measure_exact()
-        if res is not None:
-            v, e = res
-            return Estimate(float(v), float(e), 0, CLOSED_FORM)
-        if mode == "exact":
-            raise DomainError("no exact measure available for this set")
+        return None if res is None else Estimate(float(res[0]), float(res[1]), 0, CLOSED_FORM)
 
     def values(rng, k):
         return s.contains(rng.standard_normal((k, s.dim))).astype(float)
 
-    return mc_mean(values, budget, seed=seed, threads=threads)
+    return route(mode, closed_form, lambda: mc_mean(values, budget, seed=seed, threads=threads))
 
 
 # ---------------------------------------------------------------------------

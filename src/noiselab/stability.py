@@ -33,6 +33,7 @@ from .gauss import (
     make_seedseq,
     mc_mean,
     noisy_copies,
+    route,
     spawn_rngs,
 )
 from .partitions import (
@@ -68,22 +69,21 @@ def agreement_values(p: PartitionSpec, q: PartitionSpec, rho):
 
 def noise_stability(s: SetSpec, rho, budget: int = 1_000_000, *, seed=0,
                     threads: int = 1, mode: str = "auto") -> Estimate:
-    """P((X, Y) in s x s) for a rho-correlated Gaussian pair."""
+    """P((X, Y) in s x s) for a rho-correlated Gaussian pair; at rho = 0 the
+    deterministic route is the squared measure."""
     r = as_rho(rho)
-    if mode in ("auto", "quadrature"):
-        if r == 0.0:
-            mu = gaussian_measure(s, budget, seed=seed, threads=threads)
-            return Estimate(mu.value**2, 2 * mu.value * mu.std_error, mu.samples, mu.method)
-        exact = _set_stability_exact(s, r)
-        if exact is not None:
-            return exact
-        if mode == "quadrature":
-            raise DomainError("no quadrature route for this set")
+
+    def deterministic():
+        if r != 0.0:
+            return _set_stability_exact(s, r)
+        mu = gaussian_measure(s, budget, seed=seed, threads=threads, mode=mode)
+        return Estimate(mu.value**2, 2 * mu.value * mu.std_error, mu.samples, mu.method)
 
     def match(x, y):
         return (s.contains(x) & s.contains(y)).astype(float)
 
-    return mc_mean(_correlated_values(match, r, s.dim), budget, seed=seed, threads=threads)
+    return route(mode, deterministic, lambda: mc_mean(_correlated_values(match, r, s.dim), budget,
+                                                      seed=seed, threads=threads))
 
 
 def _set_stability_exact(s: SetSpec, rho: float) -> Estimate | None:
@@ -108,32 +108,23 @@ def _set_stability_exact(s: SetSpec, rho: float) -> Estimate | None:
 
 def partition_stability(p: PartitionSpec, rho, budget: int = 1_000_000, *, seed=0,
                         threads: int = 1, mode: str = "auto") -> Estimate:
-    """sum_i P((X, Y) in cell_i x cell_i), shared pairs across cells."""
+    """sum_i P((X, Y) in cell_i x cell_i), shared pairs across cells; at
+    rho = 0 the deterministic route sums squared cell measures."""
     r = as_rho(rho)
-    if r == 0.0:
-        return _stability_at_zero(p, budget, seed=seed, threads=threads)
-    if mode in ("auto", "quadrature"):
-        exact = partition_stability_quadrature(p, r)
-        if exact is not None:
-            return exact
-        if mode == "quadrature":
-            raise DomainError("no quadrature route for this partition")
-    return mc_mean(agreement_values(p, p, r), budget, seed=seed, threads=threads)
 
+    def deterministic():
+        if r != 0.0:
+            return partition_stability_quadrature(p, r)
+        # independence: the stability is the sum of the cells' squared measures
+        root = make_seedseq(seed).generate_state(1)[0]
+        cells = [noise_stability(c, 0.0, budget, seed=[root, k], threads=threads, mode=mode)
+                 for k, c in enumerate(p.cells)]
+        method = MONTE_CARLO if any(e.method == MONTE_CARLO for e in cells) else CLOSED_FORM
+        return Estimate(sum(e.value for e in cells), sum(e.std_error for e in cells),
+                        sum(e.samples for e in cells), method)
 
-def _stability_at_zero(p: PartitionSpec, budget, *, seed, threads) -> Estimate:
-    # independence: the stability is the sum of squared cell measures
-    total, err, samples = 0.0, 0.0, 0
-    method = CLOSED_FORM
-    root = make_seedseq(seed).generate_state(1)[0]
-    for k, cell in enumerate(p.cells):
-        mu = gaussian_measure(cell, budget, seed=[root, k], threads=threads)
-        total += mu.value**2
-        err += 2 * abs(mu.value) * mu.std_error
-        samples += mu.samples
-        if mu.method != CLOSED_FORM:
-            method = mu.method
-    return Estimate(total, err, samples, method)
+    return route(mode, deterministic,
+                 lambda: mc_mean(agreement_values(p, p, r), budget, seed=seed, threads=threads))
 
 
 def partition_stability_quadrature(p: PartitionSpec, rho: float) -> Estimate | None:
@@ -179,13 +170,8 @@ def bilinear_stability(p: PartitionSpec, q: PartitionSpec, rho,
     if p.m != q.m:
         raise DomainError("partitions must have the same cell count")
     check_measure_match(p, q, scale=measure_tol_scale, seed=seed)
-    if mode in ("auto", "quadrature"):
-        exact = _bilinear_quadrature(p, q, r)
-        if exact is not None:
-            return exact
-        if mode == "quadrature":
-            raise DomainError("no quadrature route for this pair")
-    return mc_mean(agreement_values(p, q, r), budget, seed=seed, threads=threads)
+    return route(mode, lambda: _bilinear_quadrature(p, q, r),
+                 lambda: mc_mean(agreement_values(p, q, r), budget, seed=seed, threads=threads))
 
 
 def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, scale: float = 1.0,
@@ -238,17 +224,16 @@ def _bilinear_quadrature(p: PartitionSpec, q: PartitionSpec, rho: float) -> Esti
 
 def cell_moment(s: SetSpec, budget: int = 400_000, *, seed=0, mode: str = "auto") -> VectorEstimate:
     """integral of x * gamma_d(x) over the cell."""
-    exact = _cell_moment_exact(s) if mode in ("auto", "quadrature") else None
-    if exact is not None:
-        return VectorEstimate(exact, np.full(s.dim, 1e-12), 0, QUADRATURE)
-    if mode == "quadrature":
-        raise DomainError("no quadrature route for this cell's moment")
+
+    def deterministic():
+        exact = _cell_moment_exact(s)
+        return None if exact is None else VectorEstimate(exact, np.full(s.dim, 1e-12), 0, QUADRATURE)
 
     def values(rng, k):
         x = rng.standard_normal((k, s.dim))
         return x * s.contains(x).astype(float)[:, None]
 
-    return mc_mean(values, budget, seed=seed)
+    return route(mode, deterministic, lambda: mc_mean(values, budget, seed=seed))
 
 
 def _cell_moment_exact(s: SetSpec) -> np.ndarray | None:
@@ -283,26 +268,27 @@ def propeller_functional(p: PartitionSpec, budget: int = 1_000_000, *, seed=0,
     are estimated without plug-in bias by cross products of moments from
     independent batch pairs, with the standard error taken across pairs.
     """
-    if mode in ("auto", "quadrature"):
+
+    def deterministic():
         moments = [_cell_moment_exact(c) for c in p.cells]
-        if all(m is not None for m in moments):
-            val = float(sum(float(m @ m) for m in moments))
-            return Estimate(val, 1e-10, 0, QUADRATURE)
-        if mode == "quadrature":
-            raise DomainError("no quadrature route for this partition's moments")
-    n_batches += n_batches % 2
-    rngs = spawn_rngs(seed, n_batches)
-    per = max(budget // n_batches, 1)
-    moments = np.zeros((n_batches, p.m, p.dim))
-    for b, rng in enumerate(rngs):
-        x = rng.standard_normal((per, p.dim))
-        idx = p.membership(x)
-        for i in range(p.m):
-            moments[b, i] = x[idx == i].sum(axis=0) / per
-    pair_vals = np.einsum("pid,pid->p", moments[0::2], moments[1::2])
-    value = float(pair_vals.mean())
-    se = float(pair_vals.std(ddof=1) / math.sqrt(len(pair_vals)))
-    return Estimate(value, se, per * n_batches, MONTE_CARLO)
+        if any(m is None for m in moments):
+            return None
+        return Estimate(float(sum(float(m @ m) for m in moments)), 1e-10, 0, QUADRATURE)
+
+    def sampled():
+        batches = n_batches + n_batches % 2
+        per = max(budget // batches, 1)
+        moments = np.zeros((batches, p.m, p.dim))
+        for b, rng in enumerate(spawn_rngs(seed, batches)):
+            x = rng.standard_normal((per, p.dim))
+            idx = p.membership(x)
+            for i in range(p.m):
+                moments[b, i] = x[idx == i].sum(axis=0) / per
+        pair_vals = np.einsum("pid,pid->p", moments[0::2], moments[1::2])
+        se = float(pair_vals.std(ddof=1) / math.sqrt(len(pair_vals)))
+        return Estimate(float(pair_vals.mean()), se, per * batches, MONTE_CARLO)
+
+    return route(mode, deterministic, sampled)
 
 
 def half_space_stability_closed_form(measure: float, rho) -> float:

@@ -54,6 +54,7 @@ from .gauss import (
     ou_gradient_quadrature,
     ou_rho_derivative_exact,
     ou_rho_derivative_heat,
+    route,
 )
 from .partitions import BoundarySample, Facet, PartitionSpec
 from .stability import (
@@ -161,42 +162,52 @@ def _on_facet(field, facet: Facet, pts: np.ndarray, sign: float = 1.0) -> np.nda
     return field.values(pts, np.tile(sign * facet.normal, (pts.shape[0], 1)))
 
 
-def _facet_s_quadrature(facet: Facet, sign: float, rho: float, field, x: np.ndarray,
-                        *, budget: int = 20_000, seed=0) -> tuple[float, float]:
-    """(integral over the facet of f(y, sign*N) K_rho(y, x) dy, error figure)."""
-    sig2 = 1.0 - rho * rho
-    if facet.mass == 0.0:
-        return 0.0, 0.0
+def _facet_s(facet: Facet, sign: float, rho: float, field, x: np.ndarray, *, mode: str,
+             budget: int, seed) -> Estimate:
+    """The integral over the facet of f(y, sign*N) K_rho(y, x) dy, by a rule for
+    point, interval and (for a constant field) unconstrained facets, or by
+    Gaussian-importance Monte Carlo whose error adds the facet mass's own."""
 
-    if facet.kind == "point":
-        y = facet.base_point[None, :]
-        return float(_on_facet(field, facet, y, sign)[0] * mehler_kernel(y, x, rho)[0]), 1e-15
+    def deterministic():
+        sig2 = 1.0 - rho * rho
+        if facet.mass == 0.0:
+            return Estimate(0.0, 0.0, 0, QUADRATURE)
 
-    const = _field_const_on_facet(field, facet, sign)
-    if const is not None and not facet.constraints:
-        # unconstrained hyperplane: tangential Gaussian integrates out
-        u = (facet.offset - rho * float(facet.normal @ x)) / math.sqrt(sig2)
-        val = const * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi * sig2)
-        return val, 1e-14
+        if facet.kind == "point":
+            y = facet.base_point[None, :]
+            val = float(_on_facet(field, facet, y, sign)[0] * mehler_kernel(y, x, rho)[0])
+            return Estimate(val, 1e-15, 0, QUADRATURE)
 
-    if facet.kind == "interval":
-        lo = max(facet._lo, -40.0)
-        hi = min(facet._hi, 40.0)
+        const = _field_const_on_facet(field, facet, sign)
+        if const is not None and not facet.constraints:
+            # unconstrained hyperplane: tangential Gaussian integrates out
+            u = (facet.offset - rho * float(facet.normal @ x)) / math.sqrt(sig2)
+            val = const * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi * sig2)
+            return Estimate(val, 1e-14, 0, QUADRATURE)
 
-        def integrand(t):
-            y = (facet.base_point + t * facet.tangents[0])[None, :]
-            return float(_on_facet(field, facet, y, sign)[0] * mehler_kernel(y, x, rho)[0])
+        if facet.kind == "interval":
+            lo = max(facet._lo, -40.0)
+            hi = min(facet._hi, 40.0)
 
-        val, err = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return float(val), float(err) + 1e-14
+            def integrand(t):
+                y = (facet.base_point + t * facet.tangents[0])[None, :]
+                return float(_on_facet(field, facet, y, sign)[0] * mehler_kernel(y, x, rho)[0])
 
-    # no deterministic rule: Gaussian-importance Monte Carlo on the facet
-    rng = np.random.default_rng(make_seedseq(seed))
-    pts = facet.sample(rng, budget)
-    gam = np.exp(-0.5 * np.sum(pts * pts, axis=1)) * (2 * math.pi) ** (-facet.dim / 2)
-    vals = _on_facet(field, facet, pts, sign) * mehler_kernel(pts, x, rho) / gam
-    se = float(np.std(vals, ddof=1) / math.sqrt(budget))
-    return facet.mass * float(np.mean(vals)), facet.mass * se
+            val, err = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
+            return Estimate(float(val), float(err) + 1e-14, 0, QUADRATURE)
+        return None
+
+    def sampled():
+        rng = np.random.default_rng(make_seedseq(seed))
+        pts = facet.sample(rng, budget)
+        gam = np.exp(-0.5 * np.sum(pts * pts, axis=1)) * (2 * math.pi) ** (-facet.dim / 2)
+        vals = _on_facet(field, facet, pts, sign) * mehler_kernel(pts, x, rho) / gam
+        mean = float(np.mean(vals))
+        se = float(np.std(vals, ddof=1) / math.sqrt(budget)) if budget > 1 else 0.0
+        return Estimate(facet.mass * mean, facet.mass * se + abs(mean) * facet.mass_err, budget,
+                        MONTE_CARLO)
+
+    return route(mode, deterministic, sampled)
 
 
 def s_operator(boundary, rho, field, x) -> Estimate:
@@ -234,33 +245,21 @@ def sij_operator(p: PartitionSpec, rho, i: int, j: int, field, x, *,
     """S_ij(f)(x): the boundary-of-cell-i minus boundary-of-cell-j operator.
 
     Integrates f(y, N(y)) K_rho(y, x) over each cell's full reduced boundary
-    with its exterior normal orientation and takes the difference.
+    with its exterior normal orientation and takes the difference.  ``mode``
+    (see :func:`noiselab.gauss.route`) picks each facet's route; the result
+    reports Monte Carlo and its draws when any facet was sampled.
     """
     r = as_rho(rho, nonzero=True)
     xv = check_point(x, p.dim)
     value, err, n_samp = 0.0, 0.0, 0
-    used_mc = False
     for cell, cell_sign in ((i, 1.0), (j, -1.0)):
         for k, (facet, sign) in enumerate(p.cell_boundary(cell)):
-            if mode in ("auto", "quadrature"):
-                v, e = _facet_s_quadrature(facet, sign, r, field, xv,
-                                           budget=budget, seed=[seed, cell, k])
-            else:
-                v, e = _facet_s_mc(facet, sign, r, field, xv, budget, [seed, cell, k])
-                used_mc = True
-                n_samp += budget
-            value += cell_sign * v
-            err += e
-    return Estimate(value, err, n_samp, MONTE_CARLO if used_mc else QUADRATURE)
-
-
-def _facet_s_mc(facet, sign, rho, field, x, budget, seed):
-    rng = np.random.default_rng(make_seedseq(seed))
-    pts = facet.sample(rng, budget)
-    gam = np.exp(-0.5 * np.sum(pts * pts, axis=1)) * (2 * math.pi) ** (-facet.dim / 2)
-    vals = _on_facet(field, facet, pts, sign) * mehler_kernel(pts, x, rho) / gam
-    se = float(np.std(vals, ddof=1) / math.sqrt(budget)) if budget > 1 else 0.0
-    return facet.mass * float(np.mean(vals)), facet.mass * se + abs(float(np.mean(vals))) * facet.mass_err
+            est = _facet_s(facet, sign, r, field, xv, mode=mode, budget=budget,
+                           seed=[seed, cell, k])
+            value += cell_sign * est.value
+            err += est.std_error
+            n_samp += est.samples
+    return Estimate(value, err, n_samp, MONTE_CARLO if n_samp else QUADRATURE)
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +268,29 @@ def _facet_s_mc(facet, sign, rho, field, x, budget, seed):
 
 def t_difference(p: PartitionSpec, i: int, j: int, rho, x, *, budget: int = 200_000,
                  seed=0, mode: str = "auto") -> Estimate:
-    """T_rho(1_i - 1_j)(x): the exact route of both cells when ``mode`` is
-    "auto" or "exact", Monte Carlo otherwise."""
+    """T_rho(1_i - 1_j)(x) by :func:`ou_apply`, with its ``mode``."""
     xv = check_point(x, p.dim)
     return ou_apply(SignedDifference(p.cells[i], p.cells[j]), rho, xv, budget, seed=seed,
-                    mode=mode if mode in ("auto", "exact") else MONTE_CARLO)
+                    mode=mode)
+
+
+def _gradient_quadrature_or_none(s, r: float, xv: np.ndarray) -> VectorEstimate | None:
+    # ou_gradient_quadrature raises where s has no exact T route; route() wants None
+    try:
+        return ou_gradient_quadrature(s, r, xv)
+    except DomainError:
+        return None
 
 
 def gradient_difference(p: PartitionSpec, i: int, j: int, rho, x, *,
                         budget: int = 200_000, seed=0, mode: str = "auto") -> VectorEstimate:
-    """grad T_rho(1_i - 1_j)(x); ``mode`` "auto" or "quadrature" tries the exact route."""
+    """grad T_rho(1_i - 1_j)(x): the exact route of both cells, or Monte Carlo
+    in moment form, as ``mode`` picks."""
     r = as_rho(rho, nonzero=True)
     xv = check_point(x, p.dim)
     diff = SignedDifference(p.cells[i], p.cells[j])
-    if mode in ("auto", "quadrature"):
-        try:
-            return ou_gradient_quadrature(diff, r, xv)
-        except DomainError:
-            if mode == "quadrature":
-                raise
-    return ou_gradient(diff, r, xv, budget, seed=seed)
+    return route(mode, lambda: _gradient_quadrature_or_none(diff, r, xv),
+                 lambda: ou_gradient(diff, r, xv, budget, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +444,12 @@ def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
 
     The left side uses the surface operator and the gradient norm; the right
     side's rho-derivative comes from an independent estimator: the exact
-    route's central difference in rho, else (or when ``rhs_mode`` asks for
-    Monte Carlo) the heat identity.
+    route's central difference in rho, or the heat identity by Monte Carlo,
+    as ``rhs_mode`` (default ``mode``; see :func:`noiselab.gauss.route`) picks.
     """
     r = as_rho(rho, nonzero=True)
     field = RadialField()
     diff = SignedDifference(p.cells[i], p.cells[j])
-    rho_mode = rhs_mode or mode
     sample = p.boundary_sample(i, j, n_points, seed=seed)
     lhs = np.empty(len(sample))
     rhs = np.empty(len(sample))
@@ -459,11 +460,8 @@ def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
         xn = float(x @ sample.normals[k])
         s_est = sij_operator(p, r, i, j, field, x, mode=mode, seed=[seed, 5, k])
         g = gradient_difference(p, i, j, r, x, budget=budget, seed=[seed, 6, k], mode=mode).norm_estimate()
-        dr = ou_rho_derivative_exact(diff, r, x) if rho_mode in ("auto", "exact") else None
-        if dr is None:
-            if rho_mode == "exact":
-                raise DomainError("no exact T route for these cells")
-            dr = ou_rho_derivative_heat(diff, r, x, budget, seed=[seed, 7, k])
+        dr = route(mode if rhs_mode is None else rhs_mode, lambda: ou_rho_derivative_exact(diff, r, x),
+                   lambda: ou_rho_derivative_heat(diff, r, x, budget, seed=[seed, 7, k]))
         lhs[k] = s_est.value - xn * g.value
         rhs[k] = coef * (xn * g.value + r * dr.value)
         tol = max(tol, s_est.std_error + abs(xn) * (1 + coef) * g.std_error + coef * r * dr.std_error)
@@ -570,7 +568,8 @@ def _cross_term(p: PartitionSpec, r: float, field, facet: Facet, seed):
         out = np.empty(pts.shape[0])
         for k in range(pts.shape[0]):
             out[k] = fv[k] * sum(
-                _facet_s_quadrature(f2, sign, r, field, pts[k], seed=[seed, gk])[0]
+                _facet_s(f2, sign, r, field, pts[k], mode="auto", budget=20_000,
+                         seed=[seed, gk]).value
                 for gk, (f2, sign) in enumerate(p.cell_boundary(0))
             )
         return out
@@ -587,8 +586,8 @@ def _second_variation_two_cells(p, r, field, *, budget, seed, mode) -> Estimate:
             fv = _on_facet(field, facet, pts)
             out = np.empty(pts.shape[0])
             for k in range(pts.shape[0]):
-                g = ou_gradient_quadrature(cell, r, pts[k]) if mode in ("auto", "quadrature") \
-                    else ou_gradient(cell, r, pts[k], budget, seed=[seed, 15, fk])
+                g = route(mode, lambda: _gradient_quadrature_or_none(cell, r, pts[k]),
+                          lambda: ou_gradient(cell, r, pts[k], budget, seed=[seed, 15, fk]))
                 out[k] = fv[k] ** 2 * g.norm_estimate().value
             return out
 
@@ -623,8 +622,9 @@ def _flow_difference(moved, quadrature, stencil, combine, *, h_s, budget: int, s
     over the (s, rho) points of ``stencil(step)``, with (p, q) = moved(s):
     ``quadrature(p, q, rho)`` Richardson-extrapolated from steps h and 2h, else
     shared-seed Monte Carlo with a coarser step and the standard error across
-    shards."""
-    if mode in ("auto", "quadrature"):
+    shards, as ``mode`` (see :func:`noiselab.gauss.route`) picks."""
+
+    def deterministic():
         values = {}
 
         def F(s, rr):
@@ -639,20 +639,22 @@ def _flow_difference(moved, quadrature, stencil, combine, *, h_s, budget: int, s
 
         h = h_s or H_S_QUADRATURE
         d_h = at(h)
-        if d_h is not None:  # Richardson extrapolation from steps h and 2h
-            d_2h = at(2 * h)
-            return Estimate(d_h + (d_h - d_2h) / 3.0, 2 * abs(d_h - d_2h) / 3.0 + 1e-5, 0,
-                            QUADRATURE)
-        if mode == "quadrature":
-            raise DomainError("no quadrature stability route for this partition")
-    h = h_s or H_S_MONTE_CARLO
-    # every grid point reuses the seed, so all see identical draws and the
-    # quotient's variance stays bounded as the steps shrink
-    shards = [mc_shard_means(agreement_values(*moved(s), rr), budget, seed=seed,
-                             n_shards=n_shards, threads=threads) for s, rr in stencil(h)]
-    diffs = combine(*(means for means, _ in shards), h)
-    se = float(diffs.std(ddof=1) / math.sqrt(n_shards))
-    return Estimate(float(diffs.mean()), se + h * h, n_shards * shards[0][1], MONTE_CARLO)
+        if d_h is None:
+            return None
+        d_2h = at(2 * h)  # Richardson extrapolation from steps h and 2h
+        return Estimate(d_h + (d_h - d_2h) / 3.0, 2 * abs(d_h - d_2h) / 3.0 + 1e-5, 0, QUADRATURE)
+
+    def sampled():
+        h = h_s or H_S_MONTE_CARLO
+        # every grid point reuses the seed, so all see identical draws and the
+        # quotient's variance stays bounded as the steps shrink
+        shards = [mc_shard_means(agreement_values(*moved(s), rr), budget, seed=seed,
+                                 n_shards=n_shards, threads=threads) for s, rr in stencil(h)]
+        diffs = combine(*(means for means, _ in shards), h)
+        se = float(diffs.std(ddof=1) / math.sqrt(n_shards))
+        return Estimate(float(diffs.mean()), se + h * h, n_shards * shards[0][1], MONTE_CARLO)
+
+    return route(mode, deterministic, sampled)
 
 
 def _second_difference(lo, mid, hi, step):

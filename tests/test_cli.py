@@ -148,3 +148,17 @@ class TestVerifyCommand:
         assert code == 5
         report = json.loads(out)
         assert report["pass"] is False
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "-inf", "0", "-1"])
+    def test_bad_tolerance_scale_exit_3(self, capsys, scale):
+        # inf would pass every scaled check and nan fail every one
+        code, out, err = run(capsys, "verify", "gaussian-core", "--budget", "50000",
+                             f"--tolerance-scale={scale}")
+        assert code == 3
+        assert out == "" and "--tolerance-scale" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_bad_threads_exit_3(self, capsys, halfspace_file, threads):
+        code, out, err = run(capsys, "stability", halfspace_file, f"--threads={threads}")
+        assert code == 3
+        assert out == "" and "--threads" in err

@@ -27,3 +27,29 @@ def test_no_imports_inside_function_bodies():
     found = [f"{p.name}:{line}" for p in SOURCES
              for line in sorted(set(_imports_inside_functions(ast.parse(p.read_text()))))]
     assert found == []
+
+
+def _mode_comparisons(tree, path):
+    """Comparisons of ``mode``, ``rhs_mode`` or any other ``*mode`` name with
+    anything but None (string literals, tuples of them, string constants),
+    outside ``gauss.route``."""
+    skip = set()
+    if path.name == "gauss.py":
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "route":
+                skip = {id(n) for n in ast.walk(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or id(node) in skip:
+            continue
+        operands = [node.left, *node.comparators]
+        reads_mode = any(isinstance(o, ast.Name) and o.id.endswith("mode") for o in operands)
+        if reads_mode and not any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+            yield node.lineno
+
+
+def test_mode_is_read_only_by_the_route_dispatcher():
+    # every mode= keyword picks its route in gauss.route; an inline comparison
+    # elsewhere is a second vocabulary that a misspelt mode can slip past
+    found = [f"{p.name}:{line}" for p in SOURCES
+             for line in _mode_comparisons(ast.parse(p.read_text()), p)]
+    assert found == []
