@@ -124,10 +124,18 @@ def check_point(x, d: int | None = None) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise DomainError("expected a single point (1-d coordinate array)")
+    return _check_batch(v, d)
+
+
+def _check_batch(x, d: int | None = None) -> np.ndarray:
+    """Coerce to a finite point (d,) or batch (n, d) of points, as floats."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2):
+        raise DomainError("expected a point or an (n, d) batch of points")
     if not np.all(np.isfinite(v)):
         raise DomainError("coordinates must be finite")
-    if d is not None and v.shape[0] != d:
-        raise DomainError(f"dimension mismatch: expected {d}, got {v.shape[0]}")
+    if d is not None and v.shape[-1] != d:
+        raise DomainError(f"dimension mismatch: expected {d}, got {v.shape[-1]}")
     return v
 
 
@@ -434,30 +442,31 @@ def ou_gradient(set_spec, rho, x, budget: int = 200_000, *, seed=0,
 
 
 def ou_gradient_quadrature(set_spec, rho, x, *, step: float = 3e-4) -> VectorEstimate:
-    """Deterministic gradient of T_rho 1_set for sets with an exact T route.
+    """Deterministic gradient of T_rho 1_set at one point or an (n, d) batch.
 
     Closed form for half-spaces; otherwise central differences of the exact
     T evaluation (error ~ step^2 plus quadrature noise / step), with the
-    whole 2d-point stencil evaluated in one batch.
+    2d-point stencils of all the points evaluated in one batch.
     """
     r = as_rho(rho, nonzero=True)
-    xv = check_point(x)
+    xv = _check_batch(x)
     grad = getattr(set_spec, "ou_gradient_exact", None)
     if grad is not None:
         res = grad(r, xv)
         if res is not None:
             g, err = res
-            return VectorEstimate(np.asarray(g, float), np.full(len(g), err), 0, CLOSED_FORM)
-    d = xv.shape[0]
+            return VectorEstimate(np.asarray(g, float), np.full(xv.shape, err), 0, CLOSED_FORM)
+    d = xv.shape[-1]
     shifts = step * np.eye(d)
+    stencil = np.concatenate([xv[..., None, :] + shifts, xv[..., None, :] - shifts], axis=-2)
     exact = getattr(set_spec, "ou_exact", None)
-    res = None if exact is None else exact(r, np.concatenate([xv + shifts, xv - shifts]))
+    res = None if exact is None else exact(r, stencil.reshape(-1, d))
     if res is None:
         raise DomainError("set does not support exact T_rho evaluation")
-    vals, _ = res
-    g = (vals[:d] - vals[d:]) / (2.0 * step)
+    vals = np.reshape(res[0], stencil.shape[:-1])
+    g = (vals[..., :d] - vals[..., d:]) / (2.0 * step)
     err = step**2 + 2e-12 / step
-    return VectorEstimate(g, np.full(d, err), 0, QUADRATURE)
+    return VectorEstimate(g, np.full(xv.shape, err), 0, QUADRATURE)
 
 
 def _moment_samples(set_spec, r: float, xv: np.ndarray, rng, k: int):

@@ -28,12 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri, owens_t
 
 from .gauss import (
     CLOSED_FORM,
-    TRUNCATION_RADIUS,
     DomainError,
     Estimate,
     check_point,
@@ -280,8 +278,8 @@ class HalfSpace(SetSpec):
 
     def ou_gradient_exact(self, rho, x):
         sig = math.sqrt(1.0 - rho * rho)
-        u = (self.offset - rho * float(self.normal @ x)) / sig
-        return -self.normal * norm_pdf(u) * rho / sig, 1e-14
+        u = (self.offset - rho * (np.asarray(x, dtype=float) @ self.normal)) / sig
+        return np.multiply.outer(norm_pdf(u), -self.normal) * rho / sig, 1e-14
 
     def translate(self, t):
         return HalfSpace(self.normal, self.offset + float(self.normal @ np.asarray(t, float)))
@@ -484,11 +482,11 @@ class ProductWithR(SetSpec):
         inner = getattr(self.base, "ou_gradient_exact", None)
         if inner is None:
             return None
-        res = inner(rho, np.asarray(x, float)[: self.base.dim])
+        res = inner(rho, np.asarray(x, float)[..., : self.base.dim])
         if res is None:
             return None
         g, err = res
-        return np.concatenate([g, np.zeros(self.extra)]), err
+        return np.concatenate([g, np.zeros(np.shape(g)[:-1] + (self.extra,))], axis=-1), err
 
     def translate(self, t):
         return ProductWithR(self.base.translate(np.asarray(t, float)[: self.base.dim]), self.extra)
@@ -638,6 +636,35 @@ class DilationFlowSet(SetSpec):
 # ---------------------------------------------------------------------------
 # facets and boundary sampling
 
+#: nodes of the coarse line rule (the fine one has twice as many) and its half-width
+#: in standard deviations, outside which the Gaussian mass is below 1e-32
+_LINE_NODES = 64
+_LINE_RADIUS = 12.0
+
+
+def _values_and_errors(out):
+    """An integrand returns its values, or (values, per-point error figures)."""
+    return out if isinstance(out, tuple) else (out, 0.0)
+
+
+def _line_rule(h, lo: float, hi: float, mu=0.0, sigma: float = 1.0):
+    """(integral over [lo, hi] of h(t) phi((t - mu)/sigma)/sigma dt, error figure),
+    by the line rule of :meth:`Facet.gauss_integral` on [lo, hi] cut to
+    mu +- _LINE_RADIUS sigma.  ``h`` gets both rules' nodes side by side in the
+    last axis of t, with one row per centre when ``mu`` is an array."""
+    mu = np.asarray(mu, dtype=float)
+    a = np.maximum(lo, mu - _LINE_RADIUS * sigma)
+    b = np.maximum(a, np.minimum(hi, mu + _LINE_RADIUS * sigma))
+    (tc, wc), (tf, wf) = _leggauss(_LINE_NODES), _leggauss(2 * _LINE_NODES)
+    half = 0.5 * (b - a)
+    t = (0.5 * (a + b))[..., None] + half[..., None] * np.concatenate([tc, tf])
+    vals, errs = _values_and_errors(h(t))
+    dens = half[..., None] * norm_pdf((t - mu[..., None]) / sigma) / sigma
+    coarse = (vals * dens)[..., :_LINE_NODES] @ wc
+    fine = (vals * dens)[..., _LINE_NODES:] @ wf
+    err = (np.abs(errs) * dens)[..., _LINE_NODES:] @ wf
+    return fine, np.abs(coarse - fine) + err
+
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -770,28 +797,29 @@ class Facet:
     def gauss_integral(self, h, *, budget: int = 20_000, seed=0) -> tuple[float, float]:
         """(integral of h * gamma_d over the facet, error figure).
 
-        Deterministic for point and interval facets, Monte Carlo otherwise.
-        ``h`` maps an (n, d) array of points to n values.
+        ``h`` maps an (n, d) array of points to n values, or to (values,
+        per-point error figures) whose Gaussian integral joins the error
+        figure.  On an interval facet this is phi(offset) times the line rule
+        in the tangent coordinate t: Gauss-Legendre on the interval cut to
+        |t| <= 12, ``h`` called once on the nodes of a 64- and a 128-node rule,
+        the 128-node value and the difference of the two as error figure.
+        Point facets are one evaluation; other facets are sampled.
         """
         if self.mass == 0.0:
             return 0.0, 0.0
         if self.kind == "point":
-            return self.mass * float(h(self.base_point[None, :])[0]), 1e-15
+            vals, errs = _values_and_errors(h(self.base_point[None, :]))
+            return self.mass * float(vals[0]), self.mass * float(np.max(errs)) + 1e-15
         if self.kind == "interval":
-            lo = max(self._lo, -TRUNCATION_RADIUS)
-            hi = min(self._hi, TRUNCATION_RADIUS)
-
-            def integrand(t):
-                p = self.base_point + t * self.tangents[0]
-                return float(h(p[None, :])[0]) * math.exp(-0.5 * t * t) / math.sqrt(_TWO_PI)
-
-            val, err = integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-            return float(norm_pdf(self.offset)) * val, float(norm_pdf(self.offset)) * err + 1e-14
+            val, err = _line_rule(lambda t: h(self.base_point + t[:, None] * self.tangents[0]),
+                                  self._lo, self._hi)
+            return float(norm_pdf(self.offset) * val), float(norm_pdf(self.offset) * err)
         rng = np.random.default_rng(make_seedseq(seed))
         pts = self.sample(rng, budget)
-        vals = np.asarray(h(pts), dtype=float)
+        vals, errs = _values_and_errors(h(pts))
+        mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(budget))
-        return self.mass * float(vals.mean()), self.mass * se + abs(float(vals.mean())) * self.mass_err
+        return self.mass * mean, self.mass * (se + float(np.mean(errs))) + abs(mean) * self.mass_err
 
     def extended(self, extra: int) -> "Facet":
         """The facet of the cylinder cell base x R^extra."""

@@ -27,15 +27,23 @@ the operator side against an independently estimated right-hand side and
 reports residuals with combined error figures.  Deterministic quadrature is
 preferred for the structured candidates in dimension <= 2, per the module's
 accuracy policy; Monte Carlo covers everything else.
+
+Integrals over line facets use one batched Gauss-Legendre rule against a
+Gaussian weight (see :meth:`Facet.gauss_integral`): a 64- and a 128-node rule
+in one call of the integrand, their difference plus the integrand's own
+per-point errors as the error figure.  S on a line is that rule with
+mu = rho <tau, x> and sigma = sqrt(1 - rho^2), so double-surface forms nest it,
+batched over the outer nodes; a form that sampled anything reports Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy import integrate
+from scipy.special import ndtr
 
 from .gauss import (
     MONTE_CARLO,
@@ -44,11 +52,13 @@ from .gauss import (
     Estimate,
     SignedDifference,
     VectorEstimate,
+    _check_batch,
     as_rho,
     check_point,
     make_seedseq,
     mc_shard_means,
     mehler_kernel,
+    norm_pdf,
     ou_apply,
     ou_gradient,
     ou_gradient_quadrature,
@@ -56,7 +66,7 @@ from .gauss import (
     ou_rho_derivative_heat,
     route,
 )
-from .partitions import BoundarySample, Facet, PartitionSpec
+from .partitions import BoundarySample, Facet, PartitionSpec, _line_rule
 from .stability import (
     _bilinear_quadrature,
     agreement_values,
@@ -144,12 +154,6 @@ def _field_const_on_facet(field, facet: Facet, sign: float):
     if isinstance(field, RadialField):
         # <y, sign * n> = sign * offset everywhere on the hyperplane
         return sign * facet.offset
-    if isinstance(field, DilationField):
-        # f = y_d <y, sign*n> = y_d * sign * offset varies with y_d unless it
-        # vanishes identically (interfaces through the origin)
-        if abs(facet.offset) < 1e-14:
-            return 0.0
-        return None
     return None
 
 
@@ -163,51 +167,63 @@ def _on_facet(field, facet: Facet, pts: np.ndarray, sign: float = 1.0) -> np.nda
 
 
 def _facet_s(facet: Facet, sign: float, rho: float, field, x: np.ndarray, *, mode: str,
-             budget: int, seed) -> Estimate:
-    """The integral over the facet of f(y, sign*N) K_rho(y, x) dy, by a rule for
-    point, interval and (for a constant field) unconstrained facets, or by
-    Gaussian-importance Monte Carlo whose error adds the facet mass's own."""
+             budget: int, seed) -> VectorEstimate:
+    """At each row of the (n, d) batch x, the integral over the facet of
+    f(y, sign*N) K_rho(y, x) dy: on an interval facet phi(u/sigma)/sigma times
+    the line rule, u = offset - rho <N, x>, or times Phi(b') - Phi(a') for a
+    field constant on the facet; else Gaussian-importance Monte Carlo whose
+    error adds the facet mass's own."""
 
     def deterministic():
-        sig2 = 1.0 - rho * rho
         if facet.mass == 0.0:
-            return Estimate(0.0, 0.0, 0, QUADRATURE)
-
-        if facet.kind == "point":
-            y = facet.base_point[None, :]
-            val = float(_on_facet(field, facet, y, sign)[0] * mehler_kernel(y, x, rho)[0])
-            return Estimate(val, 1e-15, 0, QUADRATURE)
-
+            return VectorEstimate(np.zeros(len(x)), np.zeros(len(x)), 0, QUADRATURE)
+        if facet.kind not in ("point", "interval"):
+            return None
+        sig = math.sqrt(1.0 - rho * rho)
+        # K_rho factors into a Gaussian across the facet's hyperplane and one along the line
+        scale = norm_pdf((facet.offset - rho * (x @ facet.normal)) / sig) / sig
         const = _field_const_on_facet(field, facet, sign)
-        if const is not None and not facet.constraints:
-            # unconstrained hyperplane: tangential Gaussian integrates out
-            u = (facet.offset - rho * float(facet.normal @ x)) / math.sqrt(sig2)
-            val = const * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi * sig2)
-            return Estimate(val, 1e-14, 0, QUADRATURE)
+        if facet.kind == "point":
+            val, err = _on_facet(field, facet, facet.base_point[None, :], sign)[0], 1e-15
+        elif const is not None:
+            mu = rho * (x @ facet.tangents[0])
+            val, err = const * (ndtr((facet._hi - mu) / sig) - ndtr((facet._lo - mu) / sig)), 1e-15
+        else:
+            def h(t):
+                y = facet.base_point + t[..., None] * facet.tangents[0]
+                return _on_facet(field, facet, y.reshape(-1, facet.dim), sign).reshape(t.shape)
 
-        if facet.kind == "interval":
-            lo = max(facet._lo, -40.0)
-            hi = min(facet._hi, 40.0)
-
-            def integrand(t):
-                y = (facet.base_point + t * facet.tangents[0])[None, :]
-                return float(_on_facet(field, facet, y, sign)[0] * mehler_kernel(y, x, rho)[0])
-
-            val, err = integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-            return Estimate(float(val), float(err) + 1e-14, 0, QUADRATURE)
-        return None
+            val, err = _line_rule(h, facet._lo, facet._hi, rho * (x @ facet.tangents[0]), sig)
+        return VectorEstimate(scale * val, scale * err, 0, QUADRATURE)
 
     def sampled():
         rng = np.random.default_rng(make_seedseq(seed))
         pts = facet.sample(rng, budget)
         gam = np.exp(-0.5 * np.sum(pts * pts, axis=1)) * (2 * math.pi) ** (-facet.dim / 2)
-        vals = _on_facet(field, facet, pts, sign) * mehler_kernel(pts, x, rho) / gam
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(budget)) if budget > 1 else 0.0
-        return Estimate(facet.mass * mean, facet.mass * se + abs(mean) * facet.mass_err, budget,
-                        MONTE_CARLO)
+        fv = _on_facet(field, facet, pts, sign)
+        # one row of kernel values at a time: n x budget of them may not fit
+        mean, sd = np.array([(np.mean(vals), np.std(vals, ddof=1) if budget > 1 else 0.0)
+                             for vals in (fv * mehler_kernel(pts, xk, rho) / gam for xk in x)]).T
+        return VectorEstimate(facet.mass * mean,
+                              facet.mass * (sd / math.sqrt(budget)) + np.abs(mean) * facet.mass_err,
+                              budget, MONTE_CARLO)
 
     return route(mode, deterministic, sampled)
+
+
+def _s_values(p: PartitionSpec, r: float, cells, field, x: np.ndarray, *, mode: str, budget: int,
+              seed) -> VectorEstimate:
+    """At each row of the (n, d) batch x, the sum over (cell, cell_sign) in
+    ``cells`` of cell_sign times S(f) over the cell's boundary with its
+    exterior normal; Monte Carlo with its draws when any facet was sampled."""
+    value, err, n_samp = 0.0, 0.0, 0
+    for cell, cell_sign in cells:
+        for k, (facet, sign) in enumerate(p.cell_boundary(cell)):
+            est = _facet_s(facet, sign, r, field, x, mode=mode, budget=budget, seed=[seed, cell, k])
+            value = value + cell_sign * est.value
+            err = err + est.std_error
+            n_samp += est.samples
+    return VectorEstimate(value, err, n_samp, MONTE_CARLO if n_samp else QUADRATURE)
 
 
 def s_operator(boundary, rho, field, x) -> Estimate:
@@ -251,15 +267,9 @@ def sij_operator(p: PartitionSpec, rho, i: int, j: int, field, x, *,
     """
     r = as_rho(rho, nonzero=True)
     xv = check_point(x, p.dim)
-    value, err, n_samp = 0.0, 0.0, 0
-    for cell, cell_sign in ((i, 1.0), (j, -1.0)):
-        for k, (facet, sign) in enumerate(p.cell_boundary(cell)):
-            est = _facet_s(facet, sign, r, field, xv, mode=mode, budget=budget,
-                           seed=[seed, cell, k])
-            value += cell_sign * est.value
-            err += est.std_error
-            n_samp += est.samples
-    return Estimate(value, err, n_samp, MONTE_CARLO if n_samp else QUADRATURE)
+    s = _s_values(p, r, ((i, 1.0), (j, -1.0)), field, xv[None, :], mode=mode, budget=budget,
+                  seed=seed)
+    return Estimate(float(s.value[0]), float(s.std_error[0]), s.samples, s.method)
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +284,33 @@ def t_difference(p: PartitionSpec, i: int, j: int, rho, x, *, budget: int = 200_
                     mode=mode)
 
 
-def _gradient_quadrature_or_none(s, r: float, xv: np.ndarray) -> VectorEstimate | None:
-    # ou_gradient_quadrature raises where s has no exact T route; route() wants None
-    try:
-        return ou_gradient_quadrature(s, r, xv)
-    except DomainError:
-        return None
+def _gradient(s, r: float, xv: np.ndarray, *, budget: int, seed, mode: str) -> VectorEstimate:
+    """grad T_rho 1_s at a point or each row of an (n, d) batch: the exact route in
+    one batch, or Monte Carlo point by point with one seed, as ``mode`` picks."""
+
+    def deterministic():
+        try:  # it raises where s has no exact T route; route() wants None
+            return ou_gradient_quadrature(s, r, xv)
+        except DomainError:
+            return None
+
+    def sampled():
+        ests = [ou_gradient(s, r, x, budget, seed=seed) for x in np.atleast_2d(xv)]
+        return VectorEstimate(np.reshape([e.value for e in ests], xv.shape),
+                              np.reshape([e.std_error for e in ests], xv.shape),
+                              sum(e.samples for e in ests), MONTE_CARLO)
+
+    return route(mode, deterministic, sampled)
 
 
 def gradient_difference(p: PartitionSpec, i: int, j: int, rho, x, *,
                         budget: int = 200_000, seed=0, mode: str = "auto") -> VectorEstimate:
-    """grad T_rho(1_i - 1_j)(x): the exact route of both cells, or Monte Carlo
-    in moment form, as ``mode`` picks."""
+    """grad T_rho(1_i - 1_j) at x, one point or an (n, d) batch: the exact
+    route of both cells, or Monte Carlo in moment form, as ``mode`` picks."""
     r = as_rho(rho, nonzero=True)
-    xv = check_point(x, p.dim)
-    diff = SignedDifference(p.cells[i], p.cells[j])
-    return route(mode, lambda: _gradient_quadrature_or_none(diff, r, xv),
-                 lambda: ou_gradient(diff, r, xv, budget, seed=seed))
+    xv = _check_batch(x, p.dim)
+    return _gradient(SignedDifference(p.cells[i], p.cells[j]), r, xv, budget=budget, seed=seed,
+                     mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +435,15 @@ def translation_eigen_residual(p: PartitionSpec, rho, v, i: int, j: int,
     """Residual of S_ij(<v,N>) = <v,N_ij> (1/rho) ||grad T_rho(1_i - 1_j)||."""
     r = as_rho(rho, nonzero=True)
     vv = check_point(v, p.dim)
-    field = TranslationField(vv)
     sample = p.boundary_sample(i, j, n_points, seed=seed)
-    lhs = np.empty(len(sample))
-    rhs = np.empty(len(sample))
-    tol = 0.0
-    for k in range(len(sample)):
-        x = sample.points[k]
-        s_est = sij_operator(p, r, i, j, field, x, mode=mode, seed=[seed, 3, k])
-        g = gradient_difference(p, i, j, r, x, budget=budget, seed=[seed, 4, k], mode=mode)
-        gn = g.norm_estimate()
-        lhs[k] = s_est.value
-        rhs[k] = float(vv @ sample.normals[k]) / r * gn.value
-        tol = max(tol, s_est.std_error + abs(float(vv @ sample.normals[k])) / r * gn.std_error)
-    return ResidualReport(float(np.abs(lhs - rhs).max()), 3 * tol + 1e-9, lhs, rhs,
-                          sample.points, (i, j))
+    lhs = _s_values(p, r, ((i, 1.0), (j, -1.0)), TranslationField(vv), sample.points, mode=mode,
+                    budget=budget, seed=[seed, 3])
+    g = _gradient_norms(SignedDifference(p.cells[i], p.cells[j]), r, sample.points, budget=budget,
+                        seed=[seed, 4], mode=mode)
+    vn = sample.normals @ vv / r
+    err = lhs.std_error + np.abs(vn) * g.std_error
+    return ResidualReport(float(np.abs(lhs.value - vn * g.value).max()), 3 * float(err.max()) + 1e-9,
+                          lhs.value, vn * g.value, sample.points, (i, j))
 
 
 def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
@@ -448,24 +462,21 @@ def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
     as ``rhs_mode`` (default ``mode``; see :func:`noiselab.gauss.route`) picks.
     """
     r = as_rho(rho, nonzero=True)
-    field = RadialField()
     diff = SignedDifference(p.cells[i], p.cells[j])
     sample = p.boundary_sample(i, j, n_points, seed=seed)
-    lhs = np.empty(len(sample))
-    rhs = np.empty(len(sample))
-    tol = 0.0
+    s_est = _s_values(p, r, ((i, 1.0), (j, -1.0)), RadialField(), sample.points, mode=mode,
+                      budget=budget, seed=[seed, 5])
+    g = _gradient_norms(diff, r, sample.points, budget=budget, seed=[seed, 6], mode=mode)
+    dr = [route(mode if rhs_mode is None else rhs_mode, lambda: ou_rho_derivative_exact(diff, r, x),
+                lambda: ou_rho_derivative_heat(diff, r, x, budget, seed=[seed, 7, k]))
+          for k, x in enumerate(sample.points)]
+    dr_value, dr_err = np.array([(e.value, e.std_error) for e in dr]).T
     coef = 1.0 / (r * r) - 1.0
-    for k in range(len(sample)):
-        x = sample.points[k]
-        xn = float(x @ sample.normals[k])
-        s_est = sij_operator(p, r, i, j, field, x, mode=mode, seed=[seed, 5, k])
-        g = gradient_difference(p, i, j, r, x, budget=budget, seed=[seed, 6, k], mode=mode).norm_estimate()
-        dr = route(mode if rhs_mode is None else rhs_mode, lambda: ou_rho_derivative_exact(diff, r, x),
-                   lambda: ou_rho_derivative_heat(diff, r, x, budget, seed=[seed, 7, k]))
-        lhs[k] = s_est.value - xn * g.value
-        rhs[k] = coef * (xn * g.value + r * dr.value)
-        tol = max(tol, s_est.std_error + abs(xn) * (1 + coef) * g.std_error + coef * r * dr.std_error)
-    return ResidualReport(float(np.abs(lhs - rhs).max()), 3 * tol + 1e-9, lhs, rhs,
+    xn = np.einsum("ij,ij->i", sample.points, sample.normals)
+    lhs = s_est.value - xn * g.value
+    rhs = coef * (xn * g.value + r * dr_value)
+    err = s_est.std_error + np.abs(xn) * (1 + coef) * g.std_error + coef * r * dr_err
+    return ResidualReport(float(np.abs(lhs - rhs).max()), 3 * float(err.max()) + 1e-9, lhs, rhs,
                           sample.points, (i, j))
 
 
@@ -473,32 +484,46 @@ def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
 # second variations
 
 
-def _translation_form(pairs, r: float, vv: np.ndarray, *, budget: int, seed, mode: str,
-                      tags: tuple[int, int]) -> tuple[float, float]:
-    """Sum over (own, other) in ``pairs`` and interfaces Sigma_ij of ``own`` of
-    the integral of ||grad T_rho(1_{other_i} - 1_{other_j})|| <v, N_ij>^2 dgamma,
-    with its error figure."""
-    total, err = 0.0, 0.0
+def _gradient_norms(s, r: float, pts: np.ndarray, *, budget: int, seed, mode: str) -> VectorEstimate:
+    """||grad T_rho 1_s|| at each row of pts, with first-order error propagation."""
+    g = _gradient(s, r, pts, budget=budget, seed=seed, mode=mode)
+    return VectorEstimate(np.linalg.norm(g.value, axis=1), np.sqrt(np.sum(g.std_error**2, axis=1)),
+                          g.samples, g.method)
+
+
+def _form(field, terms) -> Estimate:
+    """The sum over (c, facet, k, values, budget, seed) in ``terms`` of c times
+    :meth:`Facet.gauss_integral` of f^k values(points), f the field on the facet;
+    the errors of the VectorEstimate ``values`` returns, times |f|^k, join the
+    error figure, and any draws (a sampled facet's among them) make it Monte Carlo."""
+    total, err, draws = 0.0, 0.0, []
+    for c, facet, k, values, budget, seed in terms:
+
+        def h(pts):
+            w, est = _on_facet(field, facet, pts) ** k, values(pts)
+            draws.append(est.samples)
+            return w * est.value, np.abs(w) * est.std_error
+
+        v, e = facet.gauss_integral(h, budget=budget, seed=seed)
+        total, err = total + c * v, err + abs(c) * e
+        draws.append(0 if facet.kind in ("point", "interval") else budget)
+    return Estimate(total, err, sum(draws), MONTE_CARLO if sum(draws) else QUADRATURE)
+
+
+def _translation_form(pairs, r: float, vv: np.ndarray, coef: float, *, budget: int, seed,
+                      mode: str, tags: tuple[int, int]) -> Estimate:
+    """coef times the sum over (own, other) in ``pairs`` and interfaces Sigma_ij
+    of ``own`` of the integral of ||grad T_rho(1_{other_i} - 1_{other_j})|| <v, N_ij>^2
+    dgamma."""
+    terms = []
     for own, other in pairs:
         for (i, j), facets in own.all_interfaces().items():
-            for fk, facet in enumerate(facets):
-                vn2 = float(facet.normal @ vv) ** 2
-                if vn2 == 0.0 or facet.mass == 0.0:
-                    continue
-
-                def h(pts):
-                    return np.array([
-                        vn2 * gradient_difference(other, i, j, r, x, budget=budget,
-                                                  seed=[seed, tags[0], fk], mode=mode)
-                        .norm_estimate().value
-                        for x in pts
-                    ])
-
-                val, e = facet.gauss_integral(h, budget=max(budget // 1000, 200),
-                                              seed=[seed, tags[1], fk])
-                total += val
-                err += e
-    return total, err
+            diff = SignedDifference(other.cells[i], other.cells[j])
+            terms += [(coef, facet, 2, partial(_gradient_norms, diff, r, budget=budget, mode=mode,
+                                                seed=[seed, tags[0], fk]),
+                       max(budget // 1000, 200), [seed, tags[1], fk])
+                      for fk, facet in enumerate(facets) if facet.normal @ vv != 0.0 and facet.mass]
+    return _form(TranslationField(vv), terms)
 
 
 def second_variation_translation(p: PartitionSpec, rho, v, *, budget: int = 100_000,
@@ -512,10 +537,8 @@ def second_variation_translation(p: PartitionSpec, rho, v, *, budget: int = 100_
     r = as_rho(rho, nonzero=True)
     vv = check_point(v, p.dim)
     check_volume_condition(p, TranslationField(vv), rho=r, policy=volume_policy, seed=seed)
-    total, err = _translation_form(((p, p),), r, vv, budget=budget, seed=seed, mode=mode,
-                                   tags=(8, 9))
-    coef = 1.0 / r - 1.0
-    return Estimate(coef * total, abs(coef) * (err + 1e-9), 0, QUADRATURE)
+    return _translation_form(((p, p),), r, vv, 1.0 / r - 1.0, budget=budget, seed=seed, mode=mode,
+                             tags=(8, 9))
 
 
 def second_variation_general(p: PartitionSpec, rho, field, *, budget: int = 200_000,
@@ -525,91 +548,34 @@ def second_variation_general(p: PartitionSpec, rho, field, *, budget: int = 200_
 
     Two cells: integral over Sigma x Sigma of G f f minus the gradient-norm
     term, for the first cell's single boundary.  More cells: the sum over
-    interfaces of S_ij(f) f_ij minus gradient-norm terms.
+    interfaces of S_ij(f) f_ij minus gradient-norm terms.  S and the gradients
+    follow ``mode``; the result reports Monte Carlo and its draws when any of
+    them was sampled.
     """
     r = as_rho(rho, nonzero=True)
     check_volume_condition(p, field, rho=r, policy=volume_policy, seed=seed)
-    if p.m == 2:
-        return _second_variation_two_cells(p, r, field, budget=budget, seed=seed, mode=mode)
-    total, err = 0.0, 0.0
+    terms = []
     for (i, j), facets in p.all_interfaces().items():
+        # two cells: S over cell 0's boundary and the gradient of T_rho 1_0, so
+        # a field given without regard to the normal's orientation counts once
+        cells = ((0, 1.0),) if p.m == 2 else ((i, 1.0), (j, -1.0))
+        s = p.cells[0] if p.m == 2 else SignedDifference(p.cells[i], p.cells[j])
         for fk, facet in enumerate(facets):
-
-            def h_cross(pts):
-                out = np.empty(pts.shape[0])
-                fv = _on_facet(field, facet, pts)
-                for k in range(pts.shape[0]):
-                    out[k] = fv[k] * sij_operator(p, r, i, j, field, pts[k],
-                                                  mode=mode, seed=[seed, 10, fk]).value
-                return out
-
-            def h_grad(pts):
-                fv = _on_facet(field, facet, pts)
-                return np.array([
-                    fv[k] ** 2 * gradient_difference(p, i, j, r, pts[k], budget=budget,
-                                                     seed=[seed, 11, fk], mode=mode)
-                    .norm_estimate().value
-                    for k in range(pts.shape[0])
-                ])
-
-            v1, e1 = facet.gauss_integral(h_cross, budget=max(budget // 1000, 200), seed=[seed, 12, fk])
-            v2, e2 = facet.gauss_integral(h_grad, budget=max(budget // 1000, 200), seed=[seed, 13, fk])
-            total += v1 - v2
-            err += e1 + e2
-    return Estimate(total, err + 1e-9, 0, QUADRATURE)
-
-
-def _cross_term(p: PartitionSpec, r: float, field, facet: Facet, seed):
-    """x -> f(x) S(f)(x) on ``facet``, with S integrated over the whole
-    boundary of cell 0 by facet quadrature."""
-
-    def h(pts):
-        fv = _on_facet(field, facet, pts)
-        out = np.empty(pts.shape[0])
-        for k in range(pts.shape[0]):
-            out[k] = fv[k] * sum(
-                _facet_s(f2, sign, r, field, pts[k], mode="auto", budget=20_000,
-                         seed=[seed, gk]).value
-                for gk, (f2, sign) in enumerate(p.cell_boundary(0))
-            )
-        return out
-
-    return h
-
-
-def _second_variation_two_cells(p, r, field, *, budget, seed, mode) -> Estimate:
-    cell = p.cells[0]
-    total, toterr = 0.0, 0.0
-    for fk, facet in enumerate(p.interface_facets(0, 1)):
-
-        def h_grad(pts):
-            fv = _on_facet(field, facet, pts)
-            out = np.empty(pts.shape[0])
-            for k in range(pts.shape[0]):
-                g = route(mode, lambda: _gradient_quadrature_or_none(cell, r, pts[k]),
-                          lambda: ou_gradient(cell, r, pts[k], budget, seed=[seed, 15, fk]))
-                out[k] = fv[k] ** 2 * g.norm_estimate().value
-            return out
-
-        v1, e1 = facet.gauss_integral(_cross_term(p, r, field, facet, [seed, 14]),
-                                      budget=max(budget // 1000, 200), seed=[seed, 16, fk])
-        v2, e2 = facet.gauss_integral(h_grad, budget=max(budget // 1000, 200), seed=[seed, 17, fk])
-        total += v1 - v2
-        toterr += e1 + e2
-    return Estimate(total, toterr + 1e-9, 0, QUADRATURE)
+            facet_budget = max(budget // 1000, 200)
+            terms += [(1.0, facet, 1, partial(_s_values, p, r, cells, field, mode=mode, budget=budget,
+                                              seed=[seed, 10, fk]), facet_budget, [seed, 12, fk]),
+                      (-1.0, facet, 2, partial(_gradient_norms, s, r, budget=budget, mode=mode,
+                                               seed=[seed, 11, fk]), facet_budget, [seed, 13, fk])]
+    return _form(field, terms)
 
 
 def g_form_value(p: PartitionSpec, rho, field, *, seed=0) -> Estimate:
     """The double-surface term alone: integral of G(x,y) f(x) f(y) over
     Sigma x Sigma for the first cell's boundary (positive semidefinite)."""
     r = as_rho(rho, nonzero=True)
-    total, toterr = 0.0, 0.0
-    for fk, facet in enumerate(p.interface_facets(0, 1)):
-        v1, e1 = facet.gauss_integral(_cross_term(p, r, field, facet, [seed, 18]), budget=2000,
-                                      seed=[seed, 19, fk])
-        total += v1
-        toterr += e1
-    return Estimate(total, toterr + 1e-9, 0, QUADRATURE)
+    cross = partial(_s_values, p, r, ((0, 1.0),), field, mode="auto", budget=20_000, seed=[seed, 18])
+    return _form(field, [(1.0, facet, 1, cross, 2000, [seed, 19, fk])
+                         for fk, facet in enumerate(p.interface_facets(0, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -755,10 +721,8 @@ def bilinear_translation_form(p: PartitionSpec, q: PartitionSpec, rho, v, *,
     """
     r = as_rho(rho, nonzero=True)
     vv = check_point(v, p.dim)
-    total, err = _translation_form(((p, q), (q, p)), r, vv, budget=budget, seed=seed, mode=mode,
-                                   tags=(20, 21))
-    coef = -1.0 / r + 1.0
-    return Estimate(coef * total, abs(coef) * (err + 1e-9), 0, QUADRATURE)
+    return _translation_form(((p, q), (q, p)), r, vv, -1.0 / r + 1.0, budget=budget, seed=seed,
+                             mode=mode, tags=(20, 21))
 
 
 @dataclass(frozen=True)
@@ -793,19 +757,17 @@ def bilinear_variation_suite(p: PartitionSpec, q: PartitionSpec, rho, *,
     min_inner, max_tan = np.inf, 0.0
     for (i, j) in q.all_interfaces():
         sample = q.boundary_sample(i, j, n_points, seed=[seed, 22, i, j])
-        for k in range(len(sample)):
-            x = sample.points[k]
-            nprime = sample.normals[k]
-            s_est = sij_operator(p, r, i, j, field, x, mode=mode, seed=[seed, 23, k])
-            g = gradient_difference(p, i, j, r, x, budget=budget, seed=[seed, 24, k], mode=mode)
-            gn = g.norm_estimate()
-            rhs = -float(vv @ nprime) / r * gn.value
-            max_res = max(max_res, abs(s_est.value - rhs))
-            tol = max(tol, s_est.std_error + abs(float(vv @ nprime)) / r * gn.std_error)
-            inner = float(g.value @ nprime)
-            tang = float(np.linalg.norm(g.value - inner * nprime))
-            min_inner = min(min_inner, inner)
-            max_tan = max(max_tan, tang + float(np.sum(g.std_error)))
+        s_est = _s_values(p, r, ((i, 1.0), (j, -1.0)), field, sample.points, mode=mode,
+                          budget=budget, seed=[seed, 23])
+        g = gradient_difference(p, i, j, r, sample.points, budget=budget, seed=[seed, 24], mode=mode)
+        gn, gn_err = np.linalg.norm(g.value, axis=1), np.sqrt(np.sum(g.std_error**2, axis=1))
+        vn = sample.normals @ vv / r
+        max_res = max(max_res, float(np.abs(s_est.value + vn * gn).max()))
+        tol = max(tol, float((s_est.std_error + np.abs(vn) * gn_err).max()))
+        inner = np.einsum("ij,ij->i", g.value, sample.normals)
+        tang = np.linalg.norm(g.value - inner[:, None] * sample.normals, axis=1)
+        min_inner = min(min_inner, float(inner.min()))
+        max_tan = max(max_tan, float((tang + g.std_error.sum(axis=1)).max()))
     closed = bilinear_translation_form(p, q, r, vv, budget=budget, seed=seed, mode=mode)
     fd = bilinear_second_derivative(p, q, r, vv, budget=budget, seed=seed, mode=mode)
     return BilinearReport(max_res, 3 * tol + 1e-9, float(min_inner), float(max_tan), closed, fd)

@@ -275,6 +275,28 @@ class TestBatchContract:
             assert np.max(np.abs(batch - [v for v, _ in singles])) <= 1e-15
             assert err == singles[0][1]
 
+    @pytest.mark.parametrize("cell", [
+        *_exact_cells(),
+        SignedDifference(*halfspace_partition([1.0, 0.0], 0.5).cells),
+        SignedDifference(*simplex_cone_partition(3).cells[:2]),
+    ], ids=lambda c: type(c).__name__)
+    def test_gradient_batch_equals_stacked_single_points(self, cell):
+        # closed-form gradients (half-spaces, and products, complements and
+        # signed differences of them) and the central-difference stencil alike
+        dim = cell.a.dim if isinstance(cell, SignedDifference) else cell.dim
+        pts = np.random.default_rng(13).standard_normal((7, dim))
+        exact = getattr(cell, "ou_gradient_exact", None)
+        for rho in (-0.6, 0.3, 0.9):
+            batch = ou_gradient_quadrature(cell, rho, pts)
+            assert batch.value.shape == batch.std_error.shape == pts.shape
+            singles = [ou_gradient_quadrature(cell, rho, x) for x in pts]
+            assert np.max(np.abs(batch.value - [g.value for g in singles])) <= 1e-15
+            assert np.array_equal(batch.std_error, [g.std_error for g in singles])
+            assert {g.method for g in singles} == {batch.method}
+            res = None if exact is None else exact(rho, pts)
+            if res is not None:
+                assert np.max(np.abs(res[0] - [exact(rho, x)[0] for x in pts])) <= 1e-15
+
     def test_no_exact_route_declines_batches(self):
         ball = OracleSet(lambda pts: np.sum(pts * pts, axis=1) <= 1.0, 2)
         pts = np.zeros((3, 2))

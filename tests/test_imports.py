@@ -29,6 +29,26 @@ def test_no_imports_inside_function_bodies():
     assert found == []
 
 
+def _scipy_integrate_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+            yield node.lineno
+
+
+def test_no_scipy_integrate():
+    # facet integrals are batched fixed rules; an adaptive scalar quad would
+    # call its integrand one point at a time
+    found = [f"{p.name}:{line}" for p in SOURCES
+             for line in _scipy_integrate_imports(ast.parse(p.read_text()))]
+    assert found == []
+
+
 def _mode_comparisons(tree, path):
     """Comparisons of ``mode``, ``rhs_mode`` or any other ``*mode`` name with
     anything but None (string literals, tuples of them, string constants),

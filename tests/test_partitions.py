@@ -18,6 +18,7 @@ from noiselab.partitions import (
     CoverageError,
     EmptyInterfaceError,
     ExplicitCell,
+    Facet,
     HalfSpace,
     OracleSet,
     PartitionSpec,
@@ -181,6 +182,56 @@ class TestShiftedSectorMachinery:
         for rho in (0.25, 0.5, 0.8):
             val = shifted_sector_stability(np.zeros(2), -math.pi / 2, math.pi / 2, rho)
             assert val == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi), abs=1e-9)
+
+
+def _moments(a, b):
+    """integral over [a, b] of t^k phi(t) for k = 0, 1, 2, and of e^t phi(t)."""
+    pa, pb = (0.0 if math.isinf(t) else math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
+              for t in (a, b))
+    ta, tb = (0.0 if math.isinf(t) else t for t in (a, b))
+    m0 = float(ndtr(b) - ndtr(a))
+    return [m0, pa - pb, ta * pa - tb * pb + m0,
+            math.exp(0.5) * float(ndtr(b - 1.0) - ndtr(a - 1.0))]
+
+
+class TestFacetLineRule:
+    """Facet.gauss_integral on line facets: one batched call of h, against
+    closed Gaussian moments."""
+
+    # (facet, tangent-coordinate interval): a whole line, a ray and a bounded
+    # interval, on the line x1 = 0.3 with tangent e2
+    LINES = {
+        "line": (Facet([1.0, 0.0], 0.3, [[0.0, 1.0]]), (-math.inf, math.inf)),
+        "ray": (Facet([1.0, 0.0], 0.3, [[0.0, 1.0]], [([0.0, -1.0], -0.5)]), (0.5, math.inf)),
+        "interval": (Facet([1.0, 0.0], 0.3, [[0.0, 1.0]],
+                           [([0.0, 1.0], 0.7), ([0.0, -1.0], 1.0)]), (-1.0, 0.7)),
+    }
+    INTEGRANDS = [lambda t: np.ones_like(t), lambda t: t, lambda t: t * t, np.exp]
+
+    @pytest.mark.parametrize("kind", sorted(LINES))
+    def test_moments(self, kind):
+        facet, (a, b) = self.LINES[kind]
+        assert facet.kind == "interval"
+        phi_offset = math.exp(-0.5 * 0.3**2) / math.sqrt(2 * math.pi)
+        for g, moment in zip(self.INTEGRANDS, _moments(a, b)):
+            calls = []
+
+            def h(pts, g=g):
+                calls.append(pts.shape)
+                return g(pts[:, 1])
+
+            val, err = facet.gauss_integral(h)
+            assert len(calls) == 1 and calls[0][1] == 2
+            # the rule's error figure covers its error (the rounding of the
+            # Gauss-Legendre weights) up to the rounding of the sum itself
+            assert abs(val - phi_offset * moment) <= err + 1e-16
+            assert err <= 1e-14
+
+    def test_per_point_errors_join_the_error_figure(self):
+        facet, (a, b) = self.LINES["interval"]
+        val, err = facet.gauss_integral(lambda pts: (np.ones(len(pts)), np.full(len(pts), 0.01)))
+        assert val == pytest.approx(facet.mass, abs=1e-15)
+        assert err == pytest.approx(0.01 * facet.mass, rel=1e-12)
 
 
 class TestBoundarySampling:

@@ -14,9 +14,11 @@ from noiselab.gauss import (
 )
 from noiselab.partitions import (
     ConeCell,
+    Facet,
     PartitionSpec,
     halfspace_partition,
     perturbed_simplex_cones,
+    sector_partition,
     simplex_cone_partition,
     simplex_generators,
 )
@@ -136,6 +138,22 @@ class TestSurfaceOperator:
         quad = sij_operator(p, 0.5, 0, 1, field, x)
         mc = sij_operator(p, 0.5, 0, 1, field, x, mode="monte-carlo", budget=100_000, seed=9)
         assert abs(quad.value - mc.value) <= 3 * mc.std_error + 1e-8
+
+    @pytest.mark.parametrize("field", [
+        TranslationField([0.3, -0.8]),
+        DilationField(),
+        NormalScalarField(lambda pts, nms: np.sin(pts[:, 0]) + pts[:, 1] ** 2),
+    ], ids=["constant", "dilation", "callback"])
+    def test_sij_line_rule_on_shifted_sectors_matches_mc(self, field):
+        # ray facets from a shifted apex: the closed form for a constant
+        # field, the batched line rule otherwise
+        p = sector_partition([0.3, 2.1, 4.4]).translated([0.25, -0.4])
+        x = np.array([0.5, 0.1])
+        quad = sij_operator(p, 0.6, 0, 1, field, x)
+        mc = sij_operator(p, 0.6, 0, 1, field, x, mode="monte-carlo", budget=200_000, seed=31)
+        assert quad.method == "quadrature" and quad.std_error <= 1e-12
+        assert mc.method == "monte-carlo"
+        assert abs(quad.value - mc.value) <= 4 * mc.std_error
 
     def test_sampled_facets_report_monte_carlo(self):
         # shifted cones in R^3 have only generic facets, which no rule covers:
@@ -347,6 +365,65 @@ class TestSecondVariationGeneral:
         p = simplex_cone_partition(3)
         est = second_variation_general(p, 0.5, DilationField(), seed=28)
         assert abs(est.value) <= 3 * est.std_error + 1e-12
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 0.9999])
+    def test_g_form_hermite_closed_form(self, rho):
+        # f = He_k(x2) on the line x1 = 0: S(f) = phi(0)/sigma rho^k He_k there,
+        # so the form is phi(0)^2 k! rho^k / sqrt(1 - rho^2); at rho = 0.9999
+        # the kernel is about 0.014 wide
+        p = halfspace_partition([1.0, 0.0], 0.0)
+        hermite = {1: lambda t: t, 2: lambda t: t * t - 1.0, 3: lambda t: t**3 - 3.0 * t}
+        for k, he in hermite.items():
+            est = g_form_value(p, rho, NormalScalarField(lambda pts, nms, he=he: he(pts[:, 1])))
+            expect = PHI0**2 * math.factorial(k) * rho**k / math.sqrt(1.0 - rho * rho)
+            assert abs(est.value - expect) <= 1e-12
+            assert est.method == "quadrature"
+
+    def test_sampled_gradients_report_monte_carlo(self):
+        # the exact gradients give 0.0894702; sampled ones move the value (by
+        # 8.7e-5 at budget 200,000), so they must make the form Monte Carlo
+        # and their standard errors must cover the move
+        p = halfspace_partition([1.0, 0.0], 0.2)
+        field = TranslationField([1.0, 0.0])
+        exact = second_variation_general(p, 0.5, field, seed=15, volume_policy="skip")
+        mc = second_variation_general(p, 0.5, field, mode="monte-carlo", budget=50_000, seed=15,
+                                      volume_policy="skip")
+        assert exact.method == "quadrature" and exact.std_error <= 1e-13
+        assert exact.value == pytest.approx(0.0894702, abs=1e-7)
+        assert mc.method == "monte-carlo" and mc.samples >= 50_000
+        assert abs(mc.value - exact.value) <= mc.std_error
+
+    @pytest.mark.parametrize("form", [
+        lambda p, mode: second_variation_translation(p, 0.5, [1.0, 0.0], budget=50_000, seed=16,
+                                                     mode=mode, volume_policy="skip"),
+        lambda p, mode: bilinear_translation_form(p, p.negated(), 0.5, [1.0, 0.0], budget=50_000,
+                                                  seed=16, mode=mode),
+    ], ids=["translation", "bilinear"])
+    def test_translation_forms_with_sampled_gradients(self, form):
+        p = halfspace_partition([1.0, 0.0], 0.2)
+        exact, mc = form(p, "auto"), form(p, "monte-carlo")
+        assert exact.method == "quadrature" and exact.samples == 0
+        assert mc.method == "monte-carlo" and mc.samples >= 50_000
+        assert abs(mc.value - exact.value) <= 3 * mc.std_error
+
+    def test_two_cell_form_samples_s_in_monte_carlo_mode(self, monkeypatch):
+        # the G-form's S follows the caller's mode: "monte-carlo" samples the
+        # facets of S (the outer line rule and the gradients draw no facet points)
+        sampled = []
+        real_sample = Facet.sample
+
+        def counting_sample(self, rng, n):
+            sampled.append(n)
+            return real_sample(self, rng, n)
+
+        monkeypatch.setattr(Facet, "sample", counting_sample)
+        p = halfspace_partition([1.0, 0.0], 0.2)
+        field = TranslationField([1.0, 0.0])
+        second_variation_general(p, 0.5, field, budget=20_000, seed=3, volume_policy="skip")
+        assert sampled == []
+        second_variation_general(p, 0.5, field, mode="monte-carlo", budget=20_000, seed=3,
+                                 volume_policy="skip")
+        assert sampled == [20_000]
 
     def test_g_form_positivity(self):
         # the double-surface kernel form is positive semidefinite
