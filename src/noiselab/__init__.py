@@ -56,6 +56,7 @@ from .stability import (
     noise_stability,
     partition_stability,
     propeller_functional,
+    stability_sweep,
 )
 from .variation import (
     DilationField,

@@ -3,7 +3,10 @@
 Subcommands:
 
   stability  PARTITION.json   one partition-stability estimate (JSON/CSV)
-  sweep      PARTITION.json   stability over a rho grid (CSV)
+  sweep      PARTITION.json   stability over a rho grid (CSV); one Monte Carlo
+                              pair stream serves the whole grid, and the row
+                              at rho equals `stability --rho rho` at the same
+                              seed and budget
   plurality                   discrete plurality stability table (CSV)
   verify     SUITE            run a named identity-verification suite and
                               exit nonzero if any residual exceeds tolerance
@@ -43,6 +46,7 @@ from .stability import (
     partition_stability,
     propeller_functional,
     sheppard_half_space,
+    stability_sweep,
 )
 from .variation import (
     DilationField,
@@ -201,12 +205,12 @@ def cmd_sweep(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     p = _load_partition(args.partition)
     grid = _parse_grid(args.rho_grid)
-    rows = []
-    for r in grid:
-        est = partition_stability(p, r, args.budget, seed=seed, threads=args.threads)
-        rows.append({"rho": f"{r:.12g}", "value": f"{est.value:.12g}",
-                     "std_error": f"{est.std_error:.6g}", "samples": est.samples,
-                     "method": est.method, "seed": seed})
+    # one call for the grid: the rhos it samples share one pair stream, and each
+    # row equals `stability --rho` at the same seed and budget
+    ests = stability_sweep(p, grid, args.budget, seed=seed, threads=args.threads)
+    rows = [{"rho": f"{r:.12g}", "value": f"{est.value:.12g}",
+             "std_error": f"{est.std_error:.6g}", "samples": est.samples,
+             "method": est.method, "seed": seed} for r, est in zip(grid, ests)]
     text = _rows_to_csv(rows, ["rho", "value", "std_error", "samples", "method", "seed"])
     if args.format == "json":
         report = _header(args, seed)

@@ -294,7 +294,9 @@ def mc_mean(values_fn, n: int, *, seed=0, threads: int = 1) -> Estimate | Vector
 def mc_shard_means(values_fn, n: int, *, seed=0, n_shards: int = 32, threads: int = 1):
     """Per-shard means of ``values_fn(rng, k)``, for correlated-difference work.
 
-    Returns (means, shard_size); n_shards * shard_size draws are made.  All
+    Returns (means, shard_size); n_shards * shard_size draws are made.  A
+    callback that returns k values gives n_shards means, one that returns a
+    (k, cols) array gives an (n_shards, cols) array of column means.  All
     shards share one root seed, so two calls with the same seed and budget see
     identical underlying draws; this is what makes shared-seed finite
     differences well-defined.
@@ -302,7 +304,8 @@ def mc_shard_means(values_fn, n: int, *, seed=0, n_shards: int = 32, threads: in
     if n <= 0:
         raise DomainError("Monte Carlo budget must be positive")
     shard = max(n // n_shards, 1)
-    means = _shard_loop(values_fn, spawn_rngs(seed, n_shards), [shard] * n_shards, np.mean, threads)
+    means = _shard_loop(values_fn, spawn_rngs(seed, n_shards), [shard] * n_shards,
+                        lambda vals: vals.mean(axis=0), threads)
     return np.asarray(means), shard
 
 

@@ -23,6 +23,7 @@ verification in dimension <= 2.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -821,6 +822,14 @@ class Facet:
         se = float(np.std(vals, ddof=1) / math.sqrt(budget))
         return self.mass * mean, self.mass * (se + float(np.mean(errs))) + abs(mean) * self.mass_err
 
+    def flipped(self) -> "Facet":
+        """The facet with its normal reversed.  Negating both the normal and
+        the offset leaves every quantity of the analysis unchanged to the
+        bit, so it is shared rather than recomputed."""
+        f = copy.copy(self)
+        f.normal, f.offset = -self.normal, -self.offset
+        return f
+
     def extended(self, extra: int) -> "Facet":
         """The facet of the cylinder cell base x R^extra."""
         d = self.dim
@@ -878,10 +887,19 @@ class PartitionSpec:
                 raise DomainError("all cells must share the partition dimension")
         self.m = len(self.cells)
         self._fast = self._detect_fast()
+        self._facets = {}  # (i, j) -> facets of Sigma_ij oriented from i into j
 
     # -- structure detection ---------------------------------------------------
     def _detect_fast(self):
-        cells, shift = self._unshifted_cells()
+        """(generators, shift, base_dim) when membership is one argmax of inner
+        products with the generators over the first base_dim coordinates:
+        maximal-inner-product cones, all shifted alike or not at all, or a
+        cylinder over such cones with one common number of extra coordinates."""
+        cells, base_dim = self.cells, self.dim
+        if all(isinstance(c, ProductWithR) for c in cells) and len({c.extra for c in cells}) == 1:
+            cells = [c.base for c in cells]
+            base_dim = cells[0].dim
+        cells, shift = _unshifted(cells, base_dim)
         if all(isinstance(c, ConeCell) for c in cells):
             z0 = cells[0].generators
             if (
@@ -889,15 +907,8 @@ class PartitionSpec:
                 and all(c.generators is z0 or np.array_equal(c.generators, z0) for c in cells)
                 and all(c.index == k for k, c in enumerate(cells))
             ):
-                return ("cone", z0, shift)
+                return z0, shift, base_dim
         return None
-
-    def _unshifted_cells(self):
-        if all(isinstance(c, ShiftedSet) for c in self.cells):
-            sh = self.cells[0].shift
-            if all(np.array_equal(c.shift, sh) for c in self.cells):
-                return [c.base for c in self.cells], sh
-        return self.cells, np.zeros(self.dim)
 
     # -- membership --------------------------------------------------------------
     def membership(self, points):
@@ -906,9 +917,14 @@ class PartitionSpec:
         pts = np.atleast_2d(pts)
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
-        if self._fast is not None and self._fast[0] == "cone":
-            _, z, shift = self._fast
-            idx = np.argmax((pts - shift) @ z.T, axis=1)
+        if self._fast is not None:
+            # the inner products of ConeCell.contains on the same coordinates, so
+            # the first maximum is the cell that claims the point first
+            z, shift, base_dim = self._fast
+            x = pts[:, :base_dim]
+            if shift.any():  # subtracting zero would only copy
+                x = x - shift
+            idx = np.argmax(x @ z.T, axis=1)
         else:
             claimed = np.zeros(pts.shape[0], dtype=bool)
             idx = np.full(pts.shape[0], -1, dtype=int)
@@ -941,18 +957,19 @@ class PartitionSpec:
         """Facets of Sigma_ij with normals oriented from cell i into cell j."""
         if not (0 <= i < self.m and 0 <= j < self.m) or i == j:
             raise DomainError("invalid interface indices")
-        facets = self._facets_low(min(i, j), max(i, j))
-        if i < j:
-            return facets
-        return [Facet(-f.normal, -f.offset, f.tangents, f.constraints) for f in facets]
+        # built once per orientation; the reversed one shares the analysis
+        if (i, j) not in self._facets:
+            self._facets[(i, j)] = (self._facets_low(i, j) if i < j
+                                    else [f.flipped() for f in self.interface_facets(j, i)])
+        return list(self._facets[(i, j)])
 
     def _facets_low(self, i: int, j: int) -> list[Facet]:
-        cells, shift = self._unshifted_cells()
+        cells, shift = _unshifted(self.cells, self.dim)
         if any(isinstance(c, OracleSet) for c in (cells[i], cells[j])):
             raise UnsupportedBoundaryError("oracle-kind cells carry no boundary description")
 
-        if self._fast is not None and self._fast[0] == "cone":
-            _, z, shift = self._fast
+        if self._fast is not None and self._fast[2] == self.dim:
+            z, shift, _ = self._fast
             w = z[j] - z[i]
             nw = float(np.linalg.norm(w))
             if nw < 1e-14:
@@ -1044,6 +1061,16 @@ class PartitionSpec:
     # -- serialization ------------------------------------------------------------
     def to_json(self) -> dict:
         return {"dimension": self.dim, "cells": [c.to_json() for c in self.cells]}
+
+
+def _unshifted(cells, dim: int):
+    """(bases, shift) when every cell is a ShiftedSet with one common shift,
+    else (cells, zero shift)."""
+    if all(isinstance(c, ShiftedSet) for c in cells):
+        sh = cells[0].shift
+        if all(np.array_equal(c.shift, sh) for c in cells):
+            return [c.base for c in cells], sh
+    return cells, np.zeros(dim)
 
 
 def _halfspace_side(cell):

@@ -7,11 +7,15 @@ stabilities are summed; the bilinear form pairs two partitions,
 sum_i P(X in p_i, Y in q_i).
 
 Monte Carlo estimates share one correlated-pair stream across all cells (one
-membership evaluation per point), so comparisons between candidate partitions
-run with positively correlated errors when they reuse a seed.  Closed forms
-and deterministic quadratures are used where the geometry allows: half-space
-pairs reduce to the bivariate normal CDF, planar sector-like partitions to
-the shifted-sector quadrature, and rho = 0 to sums of squared measures.
+membership evaluation per point) and across a whole rho grid: each shard
+draws X and Z once, classifies X once, and forms Y = rho X + sqrt(1 - rho^2) Z
+per rho, so a grid costs one pass and each of its values equals the one-rho
+estimate at the same seed and budget.  Comparisons between candidate
+partitions run with positively correlated errors when they reuse a seed.
+Closed forms and deterministic quadratures are used where the geometry
+allows: half-space pairs reduce to the bivariate normal CDF, planar
+sector-like partitions to the shifted-sector quadrature, and rho = 0 to sums
+of squared measures.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .gauss import (
     bivariate_normal_cdf,
     make_seedseq,
     mc_mean,
-    noisy_copies,
     route,
     spawn_rngs,
 )
@@ -49,22 +52,35 @@ from .partitions import (
     shifted_sector_stability,
 )
 
-def _correlated_values(membership_match, rho, d):
+def _pair_values(classify, match, rhos, d):
+    """Integrand of a correlated pair (X, Y) with one column per rho of ``rhos``:
+    ``match(classify(X), Y)``.  A shard draws X, then Z, as
+    :func:`noiselab.gauss.noisy_copies` does, classifies X once, and forms
+    Y = rho X + sqrt(1 - rho^2) Z with that function's expression, one Y at a
+    time, so each column is the one-rho integrand to the bit."""
+    rs = [float(r) for r in rhos]
+
     def values(rng, k):
         x = rng.standard_normal((k, d))
-        return membership_match(x, noisy_copies(rng, rho, x, k))
+        z = rng.standard_normal((k, d))
+        cx = classify(x)
+        out = np.empty((k, len(rs)))
+        for c, r in enumerate(rs):
+            out[:, c] = match(cx, r * x + math.sqrt(1.0 - r * r) * z)
+        return out
 
     return values
 
 
-def agreement_values(p: PartitionSpec, q: PartitionSpec, rho):
-    """Monte Carlo integrand of sum_i P(X in p_i, Y in q_i) for a
-    rho-correlated pair: 1 where X and Y fall in cells of the same index."""
+def _column(est: VectorEstimate, c: int) -> Estimate:
+    return Estimate(float(est.value[c]), float(est.std_error[c]), est.samples, est.method)
 
-    def match(x, y):
-        return (p.membership(x) == q.membership(y)).astype(float)
 
-    return _correlated_values(match, rho, p.dim)
+def agreement_values(p: PartitionSpec, q: PartitionSpec, rhos):
+    """Monte Carlo integrand of sum_i P(X in p_i, Y in q_i) for rho-correlated
+    pairs, one 0/1 column per rho of ``rhos``: 1 where X and Y fall in cells of
+    the same index.  X is classified once for all the rhos."""
+    return _pair_values(p.membership, lambda cx, y: cx == q.membership(y), rhos, p.dim)
 
 
 def noise_stability(s: SetSpec, rho, budget: int = 1_000_000, *, seed=0,
@@ -79,11 +95,11 @@ def noise_stability(s: SetSpec, rho, budget: int = 1_000_000, *, seed=0,
         mu = gaussian_measure(s, budget, seed=seed, threads=threads, mode=mode)
         return Estimate(mu.value**2, 2 * mu.value * mu.std_error, mu.samples, mu.method)
 
-    def match(x, y):
-        return (s.contains(x) & s.contains(y)).astype(float)
+    def sampled():
+        values = _pair_values(s.contains, lambda in_x, y: in_x & s.contains(y), [r], s.dim)
+        return _column(mc_mean(values, budget, seed=seed, threads=threads), 0)
 
-    return route(mode, deterministic, lambda: mc_mean(_correlated_values(match, r, s.dim), budget,
-                                                      seed=seed, threads=threads))
+    return route(mode, deterministic, sampled)
 
 
 def _set_stability_exact(s: SetSpec, rho: float) -> Estimate | None:
@@ -106,25 +122,49 @@ def _set_stability_exact(s: SetSpec, rho: float) -> Estimate | None:
     return None
 
 
+def stability_sweep(p: PartitionSpec, rhos, budget: int = 1_000_000, *, seed=0,
+                    threads: int = 1, mode: str = "auto") -> list[Estimate]:
+    """:func:`partition_stability` at every rho of ``rhos``, in order.
+
+    Each rho takes its own route: the quadrature, or at rho = 0 the sum of
+    squared cell measures.  The rhos left to sampling share one Monte Carlo
+    pair stream (one :func:`noiselab.gauss.mc_mean` call), so every row equals
+    the one-rho call at the same seed and budget, bit for bit.
+    """
+    rs = [as_rho(r) for r in rhos]
+    to_sample = []
+
+    def row(r):
+        def deterministic():
+            if r != 0.0:
+                return partition_stability_quadrature(p, r)
+            # independence: the stability is the sum of the cells' squared measures
+            root = make_seedseq(seed).generate_state(1)[0]
+            cells = [noise_stability(c, 0.0, budget, seed=[root, k], threads=threads, mode=mode)
+                     for k, c in enumerate(p.cells)]
+            method = MONTE_CARLO if any(e.method == MONTE_CARLO for e in cells) else CLOSED_FORM
+            return Estimate(sum(e.value for e in cells), sum(e.std_error for e in cells),
+                            sum(e.samples for e in cells), method)
+
+        def mark_sampled():
+            to_sample.append(r)  # the row stays None until the shared pass below
+
+        return route(mode, deterministic, mark_sampled)
+
+    rows = [row(r) for r in rs]
+    if to_sample:
+        cols = list(dict.fromkeys(to_sample))
+        est = mc_mean(agreement_values(p, p, cols), budget, seed=seed, threads=threads)
+        rows = [_column(est, cols.index(r)) if e is None else e for r, e in zip(rs, rows)]
+    return rows
+
+
 def partition_stability(p: PartitionSpec, rho, budget: int = 1_000_000, *, seed=0,
                         threads: int = 1, mode: str = "auto") -> Estimate:
     """sum_i P((X, Y) in cell_i x cell_i), shared pairs across cells; at
-    rho = 0 the deterministic route sums squared cell measures."""
-    r = as_rho(rho)
-
-    def deterministic():
-        if r != 0.0:
-            return partition_stability_quadrature(p, r)
-        # independence: the stability is the sum of the cells' squared measures
-        root = make_seedseq(seed).generate_state(1)[0]
-        cells = [noise_stability(c, 0.0, budget, seed=[root, k], threads=threads, mode=mode)
-                 for k, c in enumerate(p.cells)]
-        method = MONTE_CARLO if any(e.method == MONTE_CARLO for e in cells) else CLOSED_FORM
-        return Estimate(sum(e.value for e in cells), sum(e.std_error for e in cells),
-                        sum(e.samples for e in cells), method)
-
-    return route(mode, deterministic,
-                 lambda: mc_mean(agreement_values(p, p, r), budget, seed=seed, threads=threads))
+    rho = 0 the deterministic route sums squared cell measures.  The one-rho
+    case of :func:`stability_sweep`."""
+    return stability_sweep(p, [rho], budget, seed=seed, threads=threads, mode=mode)[0]
 
 
 def partition_stability_quadrature(p: PartitionSpec, rho: float) -> Estimate | None:
@@ -171,7 +211,8 @@ def bilinear_stability(p: PartitionSpec, q: PartitionSpec, rho,
         raise DomainError("partitions must have the same cell count")
     check_measure_match(p, q, scale=measure_tol_scale, seed=seed)
     return route(mode, lambda: _bilinear_quadrature(p, q, r),
-                 lambda: mc_mean(agreement_values(p, q, r), budget, seed=seed, threads=threads))
+                 lambda: _column(mc_mean(agreement_values(p, q, [r]), budget, seed=seed,
+                                         threads=threads), 0))
 
 
 def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, scale: float = 1.0,

@@ -612,13 +612,21 @@ def _flow_difference(moved, quadrature, stencil, combine, *, h_s, budget: int, s
 
     def sampled():
         h = h_s or H_S_MONTE_CARLO
+        points = stencil(h)
+        rhos_at = {}  # s -> the rhos of the stencil at that s
+        for s, rr in points:
+            rhos_at.setdefault(s, []).append(rr)
         # every grid point reuses the seed, so all see identical draws and the
-        # quotient's variance stays bounded as the steps shrink
-        shards = [mc_shard_means(agreement_values(*moved(s), rr), budget, seed=seed,
-                                 n_shards=n_shards, threads=threads) for s, rr in stencil(h)]
-        diffs = combine(*(means for means, _ in shards), h)
+        # quotient's variance stays bounded as the steps shrink; each flowed
+        # partition classifies X once for all its rhos
+        means = {}
+        for s, rrs in rhos_at.items():
+            cols, shard = mc_shard_means(agreement_values(*moved(s), rrs), budget, seed=seed,
+                                         n_shards=n_shards, threads=threads)
+            means.update(((s, rr), cols[:, c]) for c, rr in enumerate(rrs))
+        diffs = combine(*(means[pt] for pt in points), h)
         se = float(diffs.std(ddof=1) / math.sqrt(n_shards))
-        return Estimate(float(diffs.mean()), se + h * h, n_shards * shards[0][1], MONTE_CARLO)
+        return Estimate(float(diffs.mean()), se + h * h, n_shards * shard, MONTE_CARLO)
 
     return route(mode, deterministic, sampled)
 

@@ -6,7 +6,12 @@ import math
 import pytest
 
 from noiselab.cli import main
-from noiselab.partitions import halfspace_partition, partition_to_json, simplex_cone_partition
+from noiselab.partitions import (
+    cylinder_extend,
+    halfspace_partition,
+    partition_to_json,
+    simplex_cone_partition,
+)
 
 
 @pytest.fixture
@@ -92,6 +97,43 @@ class TestSweepCommand:
         _, out2, _ = run(capsys, "sweep", simplex3_file, "--rho-grid", "0.2,0.5",
                          "--seed", "5", "--budget", "50000")
         assert out1 == out2
+
+    #: recorded when every rho of a sweep drew its own pairs
+    MC_ROWS = {
+        "cones": ["-0.5,0.09574,0.000759712,150000,monte-carlo,17",
+                  "0.3,0.36634,0.00124402,150000,monte-carlo,17",
+                  "0.9,0.75098,0.00111657,150000,monte-carlo,17"],
+        "cylinder": ["-0.5,0.09594,0.000760421,150000,monte-carlo,17",
+                     "0.3,0.36572,0.00124357,150000,monte-carlo,17",
+                     "0.9,0.750686666667,0.00111701,150000,monte-carlo,17"],
+    }
+
+    @pytest.mark.parametrize("name", ["cones", "cylinder"])
+    def test_monte_carlo_sweep_in_r3_is_thread_independent(self, capsys, tmp_path, name):
+        # simplex cones in R^3 and their cylinder in R^5 have no deterministic
+        # route; 150,000 pairs make two shards, so two threads split the work
+        p = simplex_cone_partition(4)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(partition_to_json(
+            p if name == "cones" else cylinder_extend(p, 2))))
+        outs = [run(capsys, "sweep", str(path), "--rho-grid=-0.5,0.3,0.9", "--budget", "150000",
+                    "--seed", "17", "--threads", threads) for threads in ("1", "2")]
+        assert [code for code, _, _ in outs] == [0, 0]
+        assert outs[0][1] == outs[1][1]
+        lines = outs[0][1].strip().split("\n")
+        assert lines[0] == "rho,value,std_error,samples,method,seed"
+        assert lines[1:] == self.MC_ROWS[name]
+
+    def test_sweep_row_equals_stability_at_that_rho(self, capsys, tmp_path):
+        path = tmp_path / "cones.json"
+        path.write_text(json.dumps(partition_to_json(simplex_cone_partition(4))))
+        _, sweep, _ = run(capsys, "sweep", str(path), "--rho-grid=0.2,0.7", "--budget", "30000",
+                          "--seed", "9")
+        _, one, _ = run(capsys, "stability", str(path), "--rho", "0.7", "--budget", "30000",
+                        "--seed", "9")
+        est = json.loads(one)["result"]
+        assert sweep.strip().split("\n")[2] == (
+            f"0.7,{est['value']:.12g},{est['std_error']:.6g},30000,monte-carlo,9")
 
     def test_empty_grid_exit_3(self, capsys, halfspace_file):
         code, _, _ = run(capsys, "sweep", halfspace_file, "--rho-grid", "0.1:0.9:0")

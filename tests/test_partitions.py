@@ -42,6 +42,7 @@ from noiselab.partitions import (
     three_sectors_120,
 )
 from noiselab.stability import partition_stability
+from noiselab.variation import TranslationField, sij_operator
 
 
 class TestSimplexGenerators:
@@ -346,6 +347,112 @@ class TestCylinderExtension:
     def test_requires_positive_extra(self):
         with pytest.raises(DomainError):
             cylinder_extend(simplex_cone_partition(3), 0)
+
+
+def _first_claim(p, pts):
+    """Cell index by the first-claim rule, from each cell's own ``contains``."""
+    idx = np.full(pts.shape[0], -1)
+    for k in reversed(range(p.m)):
+        idx[p.cells[k].contains(pts)] = k
+    return idx
+
+
+class TestCylinderConeFastPath:
+    """Cylinders over cones classify by one argmax over the base coordinates."""
+
+    # exactly representable inner products, so grid points tie exactly
+    Z = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
+    SHIFT = np.array([0.5, -0.25, 1.0])
+    PARTITIONS = {
+        "cylinder": (cylinder_extend(cone_partition(Z), 2), np.zeros(3)),
+        "cylinder-over-shifted": (cylinder_extend(cone_partition(Z).translated(SHIFT), 1), SHIFT),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARTITIONS))
+    def test_membership_is_the_first_claim(self, name, monkeypatch):
+        p, shift = self.PARTITIONS[name]
+        rng = np.random.default_rng(44)
+        random_pts = rng.standard_normal((5000, p.dim))
+        # base coordinates on a quarter grid around the apex: many points on
+        # the interfaces, some on several at once (the apex lies on all)
+        tie_pts = np.hstack([rng.integers(-4, 5, size=(5000, 3)) / 4.0 + shift,
+                             rng.standard_normal((5000, p.dim - 3))])
+        expect = [_first_claim(p, pts) for pts in (random_pts, tie_pts)]
+        assert len(set(expect[1].tolist())) == 4
+
+        def no_cell_loop(self, points):
+            raise AssertionError("membership went cell by cell")
+
+        monkeypatch.setattr(ConeCell, "contains", no_cell_loop)
+        assert np.array_equal(p.membership(random_pts), expect[0])
+        assert np.array_equal(p.membership(tie_pts), expect[1])
+
+    def test_ties_go_to_the_lowest_index(self):
+        p, _ = self.PARTITIONS["cylinder"]
+        pts = np.array([[0.0, 0.0, 0.0, 3.0, -1.0],   # all four cells
+                        [1.0, 1.0, 0.0, 0.0, 0.0],    # cells 0 and 1
+                        [0.0, 2.0, 2.0, 0.0, 0.0],    # cells 1 and 2
+                        [-1.0, 1.0, -1.0, 0.0, 0.0]])  # cells 1 and 3
+        assert p.membership(pts).tolist() == [0, 0, 1, 1]
+
+    def test_boundary_sample_unchanged(self):
+        # recorded when cylinder membership still went cell by cell
+        bs = cylinder_extend(simplex_cone_partition(4), 2).boundary_sample(0, 1, 50, seed=3)
+        assert bs.points[0].tolist() == [0.15750719999198073, -0.43354046449430145,
+                                         -0.19648833547362146, -2.019986129147251,
+                                         -0.23193237764418947]
+        assert float(bs.weights.sum()) == 204.06742265459505
+        assert float(bs.points.sum()) == -47.848889263387534
+
+
+class TestFacetCache:
+    """Each oriented interface's facets are built once per partition."""
+
+    @staticmethod
+    def partition():
+        return simplex_cone_partition(3, 3).translated([0.2, -0.1, 0.3])
+
+    def test_facets_are_built_once(self, monkeypatch):
+        analyzed = []
+        original = Facet._analyze
+
+        def counted(self):
+            analyzed.append(self)
+            original(self)
+
+        monkeypatch.setattr(Facet, "_analyze", counted)
+        p = self.partition()
+        first = p.cell_boundary(0)
+        built = len(analyzed)
+        assert built == 3  # one facet per interface (0,1), (0,2), (1,2), each with its pilot
+        second = p.cell_boundary(0)
+        assert [(f, sign) for f, sign in second] == [(f, sign) for f, sign in first]
+        assert all(a is b for (a, _), (b, _) in zip(first, second))
+        p.all_interfaces()
+        reverse = p.interface_facets(1, 0)
+        assert p.interface_facets(1, 0)[0] is reverse[0]
+        assert len(analyzed) == built
+
+    def test_reversed_facet_equals_a_rebuilt_one(self):
+        p = self.partition()
+        (f,) = p.interface_facets(0, 1)
+        (g,) = p.interface_facets(1, 0)
+        rebuilt = Facet(-f.normal, -f.offset, f.tangents, f.constraints)
+        assert f.kind == g.kind == rebuilt.kind == "generic"
+        for attr in ("normal", "offset", "base_point", "mass", "mass_err", "_alpha", "_beta"):
+            assert np.array_equal(getattr(g, attr), getattr(rebuilt, attr)), attr
+        assert np.array_equal(g.normal, -f.normal)
+
+    def test_sij_values_unchanged(self):
+        # recorded when every call rebuilt the facets
+        p = self.partition()
+        x = np.array([0.1, 0.2, -0.3])
+        e01 = sij_operator(p, 0.5, 0, 1, TranslationField([1, 0, 0]), x)
+        e10 = sij_operator(p, 0.5, 1, 0, TranslationField([1, 0, 0]), x)
+        assert (e01.value, e01.std_error, e01.samples) == (
+            0.5786180523898468, 0.002275787602087709, 160000)
+        assert (e10.value, e10.std_error, e10.samples) == (
+            -0.5786180523898469, 0.0022757876020877096, 160000)
 
 
 class TestNegationAndRotation:

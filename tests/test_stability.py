@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
+import noiselab.stability as stability_module
 from noiselab.gauss import DomainError, sample_correlated_pair
 from noiselab.partitions import (
     Complement,
@@ -33,6 +34,7 @@ from noiselab.stability import (
     partition_stability_quadrature,
     propeller_functional,
     sheppard_half_space,
+    stability_sweep,
 )
 
 PROPELLER_BOUND = 9.0 / (8.0 * math.pi)
@@ -323,3 +325,61 @@ class TestSectorQuadratureNearOne:
         est = noise_stability(cell, rho)
         assert est.method == "quadrature"
         assert abs(est.value - val) <= est.std_error
+
+
+_R3_CONES = simplex_cone_partition(4)
+SWEEP_PARTITIONS = {
+    "simplex-cones-R3": _R3_CONES,
+    "shifted-cones-R3": _R3_CONES.translated([0.2, -0.1, 0.3]),
+    "cones-R3-x-R2": cylinder_extend(_R3_CONES, 2),
+    "half-space-pair-R3": halfspace_partition([1.0, 2.0, -0.5], 0.3),
+    "opposite-cones-R3": cone_partition([[0.6, 0.0, 0.8], [-0.6, 0.0, -0.8]]),
+    "planar-cones": simplex_cone_partition(3),
+    "sectors": three_sectors_120(),
+}
+#: 0, a negative rho and a duplicate
+SWEEP_GRID = [0.5, 0.0, -0.4, 0.9, 0.5]
+
+
+class TestStabilitySweep:
+    """A sweep row is the one-rho estimate at the same seed and budget, to the bit."""
+
+    @pytest.mark.parametrize("mode", ["auto", "monte-carlo"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SWEEP_PARTITIONS))
+    def test_rows_equal_the_one_rho_calls(self, name, threads, mode):
+        p = SWEEP_PARTITIONS[name]
+        # two shards (131072 + 8928 pairs), so two threads do split the work
+        rows = stability_sweep(p, SWEEP_GRID, 140_000, seed=21, threads=threads, mode=mode)
+        assert len(rows) == len(SWEEP_GRID)
+        for rho, row in zip(SWEEP_GRID, rows):
+            assert row == partition_stability(p, rho, 140_000, seed=21, threads=threads,
+                                              mode=mode)
+
+    def test_one_monte_carlo_pass_per_sweep(self, monkeypatch):
+        calls = []
+        original = stability_module.mc_mean
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stability_module, "mc_mean", counted)
+        rows = stability_sweep(_R3_CONES, [0.3, 0.6, 0.9], 50_000, seed=3)
+        assert calls == [50_000]
+        assert [r.method for r in rows] == ["monte-carlo"] * 3
+        assert all(r.samples == 50_000 for r in rows)
+
+    def test_modes_are_checked_per_row(self):
+        assert stability_sweep(_R3_CONES, [], 1000) == []
+        with pytest.raises(DomainError):
+            stability_sweep(_R3_CONES, [0.5], 1000, mode="quadrature")
+        with pytest.raises(DomainError):
+            stability_sweep(_R3_CONES, [0.5], 1000, mode="bogus")
+        with pytest.raises(DomainError):
+            stability_sweep(_R3_CONES, [0.5, 1.0], 1000)
+
+    def test_bilinear_on_one_partition_is_its_stability(self):
+        p = SWEEP_PARTITIONS["shifted-cones-R3"]
+        b = bilinear_stability(p, p, 0.4, 140_000, seed=10, threads=2, mode="monte-carlo")
+        assert b == partition_stability(p, 0.4, 140_000, seed=10, threads=2, mode="monte-carlo")

@@ -584,3 +584,20 @@ class TestSharedSeedBudget:
         assert fd.samples == 992
         assert stability_second_derivative(p, 0.5, TranslationField(z[0]), budget=40,
                                            mode="monte-carlo").samples == 32
+
+    def test_mixed_stencil_values_recorded_per_grid_point(self):
+        # recorded when each (s, rho) point of the stencil drew its own pairs;
+        # now each flowed partition serves both its rhos from one stream
+        p = simplex_cone_partition(3)
+        z = p.cells[0].generators
+        rep = hyperstability_probe(p, 0.5, TranslationField(z[0]), budget=20_000, seed=23,
+                                   mode="monte-carlo")
+        assert (rep.mixed_s_rho.value, rep.mixed_s_rho.std_error, rep.mixed_s_rho.samples) == (
+            -0.999999999999994, 1.2338119150962854, 20_000)
+        assert (rep.second_s.value, rep.second_s.std_error) == (
+            -0.05999999999999048, 0.5774950911431409)
+        q = simplex_cone_partition(4)
+        rep = hyperstability_probe(q, 0.5, TranslationField([1.0, 0.0, 0.0]), budget=20_000,
+                                   seed=3, mode="monte-carlo")
+        assert (rep.mixed_s_rho.value, rep.mixed_s_rho.std_error) == (
+            -1.999999999999953, 1.8690130505147597)
