@@ -350,9 +350,8 @@ class SignedDifference:
                 - np.asarray(self.b.contains(points), dtype=float))
 
     def _both(self, route: str, rho, x):
-        fa, fb = getattr(self.a, route, None), getattr(self.b, route, None)
-        ra = None if fa is None or fb is None else fa(rho, x)
-        rb = None if ra is None else fb(rho, x)
+        ra = getattr(self.a, route)(rho, x)
+        rb = None if ra is None else getattr(self.b, route)(rho, x)
         return None if rb is None else (ra[0] - rb[0], ra[1] + rb[1])
 
     def ou_exact(self, rho, x):
@@ -453,17 +452,14 @@ def ou_gradient_quadrature(set_spec, rho, x, *, step: float = 3e-4) -> VectorEst
     """
     r = as_rho(rho, nonzero=True)
     xv = _check_batch(x)
-    grad = getattr(set_spec, "ou_gradient_exact", None)
-    if grad is not None:
-        res = grad(r, xv)
-        if res is not None:
-            g, err = res
-            return VectorEstimate(np.asarray(g, float), np.full(xv.shape, err), 0, CLOSED_FORM)
+    res = set_spec.ou_gradient_exact(r, xv)
+    if res is not None:
+        g, err = res
+        return VectorEstimate(np.asarray(g, float), np.full(xv.shape, err), 0, CLOSED_FORM)
     d = xv.shape[-1]
     shifts = step * np.eye(d)
     stencil = np.concatenate([xv[..., None, :] + shifts, xv[..., None, :] - shifts], axis=-2)
-    exact = getattr(set_spec, "ou_exact", None)
-    res = None if exact is None else exact(r, stencil.reshape(-1, d))
+    res = set_spec.ou_exact(r, stencil.reshape(-1, d))
     if res is None:
         raise DomainError("set does not support exact T_rho evaluation")
     vals = np.reshape(res[0], stencil.shape[:-1])
@@ -521,12 +517,11 @@ def ou_rho_derivative_exact(set_spec, rho, x) -> Estimate | None:
     h = rho_step(r)
     if not (-1.0 < r - h and r + h < 1.0):
         raise DomainError("rho finite-difference step leaves (-1, 1)")
-    exact = getattr(set_spec, "ou_exact", None)
-    up = None if exact is None else exact(r + h, xv)
+    up = set_spec.ou_exact(r + h, xv)
     if up is None:
         return None
     vp, ep = up
-    vm, em = exact(r - h, xv)
+    vm, em = set_spec.ou_exact(r - h, xv)
     return Estimate((vp - vm) / (2.0 * h), h * h + (ep + em) / (2.0 * h), 0, QUADRATURE)
 
 

@@ -7,7 +7,8 @@ extra coordinates), complements, and raw indicator oracles.  A
 the measure-zero interfaces broken toward the lowest cell index.
 
 Interfaces between cells of the polyhedral kinds are finite unions of convex
-pieces of hyperplanes (facets).  Boundary sampling draws points from the
+pieces of hyperplanes (facets); those of half-space pairs and planar sectors
+are read off the two reductions below.  Boundary sampling draws points from the
 Gaussian density restricted to each facet, selecting facets proportionally to
 their Gaussian surface mass, and attaches importance weights in units of plain
 surface measure so that
@@ -15,10 +16,11 @@ surface measure so that
     integral_F h(y) dy      ~  sum_k  w_k h(y_k),
     integral_F h(y) gamma dy ~ sum_k  w_k gamma(y_k) h(y_k).
 
-Two-dimensional sector-like cells additionally expose exact routines (Gaussian
-mass and moment of a shifted sector in closed form via Owen's T function, and
-T_rho of their indicator); these power the quadrature modes used for identity
-verification in dimension <= 2.
+Every closed form (T_rho of the indicator, its gradient, the measure, the
+cell moment and the pair probability P(X in a, Y in b)) is written once in
+:class:`SetSpec` against the two reductions a cell kind may override,
+:meth:`SetSpec.halfspace` and :meth:`SetSpec.sector_decomposition`.  Other
+modules reach cells only through these methods.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .gauss import (
     CLOSED_FORM,
     DomainError,
     Estimate,
+    bivariate_normal_cdf,
     check_point,
     make_seedseq,
     mc_mean,
@@ -165,19 +168,19 @@ def shifted_sector_moment(apex, alpha: float, beta: float) -> np.ndarray:
 
 
 def shifted_sector_pair_stability(apex_a, alpha_a: float, beta_a: float,
-                                  apex_b, alpha_b: float, beta_b: float,
-                                  rho: float, n_theta: int = 48, n_r: int = 80) -> float:
+                                  apex_b, alpha_b: float, beta_b: float, rho: float) -> float:
     """integral over sector A of T_rho 1_B dgamma, for two shifted sectors.
 
-    Outer integral in polar coordinates around A's apex (Gauss-Legendre in
-    both angle and radius), inner T_rho 1_B by :func:`shifted_sector_mass`.
-    Intended for apexes within O(1) of the origin.
+    Outer integral in polar coordinates around A's apex (a 48-node
+    Gauss-Legendre rule per angular panel and an 80-node one in radius), inner
+    T_rho 1_B by :func:`shifted_sector_mass`.  Intended for apexes within O(1)
+    of the origin.
     """
     qa = check_point(apex_a, 2)
     qb = check_point(apex_b, 2)
     r_max = 14.0 + float(np.linalg.norm(qa))
-    theta, wt = _leg_panels(alpha_a, beta_a, n_theta)
-    tr, wr = _leggauss(n_r)
+    theta, wt = _leg_panels(alpha_a, beta_a, 48)
+    tr, wr = _leggauss(80)
     rr = 0.5 * r_max * (tr + 1.0)
     wr = 0.5 * r_max * wr
     u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -186,15 +189,13 @@ def shifted_sector_pair_stability(apex_a, alpha_a: float, beta_a: float,
     gam = np.exp(-0.5 * np.sum(flat * flat, axis=1)) / _TWO_PI
     sig = math.sqrt(1.0 - rho * rho)
     t_vals = shifted_sector_mass((qb[None, :] - rho * flat) / sig, alpha_b, beta_b)
-    vals = (gam * t_vals).reshape(len(theta), n_r) * rr[None, :]
+    vals = (gam * t_vals).reshape(len(theta), len(rr)) * rr[None, :]
     return float(wt @ vals @ wr)
 
 
-def shifted_sector_stability(apex, alpha: float, beta: float, rho: float,
-                             n_theta: int = 48, n_r: int = 80) -> float:
+def shifted_sector_stability(apex, alpha: float, beta: float, rho: float) -> float:
     """integral over C of T_rho 1_C dgamma for the shifted sector C."""
-    return shifted_sector_pair_stability(apex, alpha, beta, apex, alpha, beta, rho,
-                                         n_theta=n_theta, n_r=n_r)
+    return shifted_sector_pair_stability(apex, alpha, beta, apex, alpha, beta, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +203,24 @@ def shifted_sector_stability(apex, alpha: float, beta: float, rho: float,
 
 
 class SetSpec:
-    """Base class for measurable cells.  Subclasses are immutable."""
+    """Base class for measurable cells.  Subclasses are immutable and state
+    their shape only through the two reductions; each closed form below
+    declines with None where neither applies."""
 
     dim: int
 
     def contains(self, points) -> np.ndarray:
         raise NotImplementedError
+
+    def halfspace(self):
+        """(unit normal, offset) when the cell is {x: <normal, x> <= offset},
+        else None.  R^d is (0, +inf) and the empty set (0, -inf)."""
+        return None
+
+    def sector_decomposition(self):
+        """(apex, [(alpha, beta), ...]) when the cell is a union of planar
+        sectors in the first two coordinates (times R^(d-2)), else None."""
+        return None
 
     def gaussian_measure_exact(self):
         """(value, error_bound) when a deterministic measure is available:
@@ -220,18 +233,58 @@ class SetSpec:
         ``x`` is one point or an (n, d) batch; the value is a float for one
         point and n values for a batch.
         """
+        sig = math.sqrt(1.0 - rho * rho)
+        hs = self.halfspace()
+        if hs is not None:
+            n, a = hs
+            val = ndtr((a - rho * (np.asarray(x, dtype=float) @ n)) / sig)
+            return (float(val) if np.ndim(val) == 0 else val), 1e-15
         deco = self.sector_decomposition()
         if deco is not None:
             apex, arcs = deco
-            sig = math.sqrt(1.0 - rho * rho)
-            q = (apex - rho * x) / sig
-            val = sum(shifted_sector_mass(q, a, b) for a, b in arcs)
-            return val, SECTOR_MASS_ERR
+            q = (apex - rho * np.asarray(x, dtype=float)[..., :2]) / sig
+            return sum(shifted_sector_mass(q, a, b) for a, b in arcs), SECTOR_MASS_ERR
         return None
 
-    def sector_decomposition(self):
-        """(apex, [(alpha, beta), ...]) for planar sector-like cells, else None."""
+    def ou_gradient_exact(self, rho: float, x: np.ndarray):
+        """(grad T_rho 1_set(x), error_bound) in closed form for half-spaces,
+        else None; ``x`` as in :meth:`ou_exact`."""
+        hs = self.halfspace()
+        if hs is None:
+            return None
+        n, a = hs
+        sig = math.sqrt(1.0 - rho * rho)
+        u = (a - rho * (np.asarray(x, dtype=float) @ n)) / sig
+        return np.multiply.outer(norm_pdf(u), -n) * rho / sig, 1e-14
+
+    def moment_exact(self):
+        """integral of x * gamma_d(x) over the cell in closed form, else None."""
+        hs = self.halfspace()
+        if hs is not None:
+            n, a = hs
+            return -n * (math.exp(-0.5 * a * a) / math.sqrt(_TWO_PI))
+        deco = self.sector_decomposition()
+        if deco is not None:
+            apex, arcs = deco
+            planar = np.sum([shifted_sector_moment(apex, a, b) for a, b in arcs], axis=0)
+            return np.concatenate([planar, np.zeros(self.dim - 2)])
         return None
+
+    def pair_exact(self, other: "SetSpec", rho: float):
+        """(P(X in self, Y in other), error_bound) for a rho-correlated pair
+        when both cells are half-spaces or both are planar sectors, else None."""
+        ha, hb = self.halfspace(), other.halfspace()
+        if ha is not None and hb is not None:
+            (na, a), (nb, b) = ha, hb
+            # <na, X> and <nb, Y> are standard normals with correlation rho <na, nb>
+            return bivariate_normal_cdf(a, b, rho * float(np.clip(na @ nb, -1.0, 1.0))), 1e-10
+        da, db = self.sector_decomposition(), other.sector_decomposition()
+        if da is None or db is None:
+            return None
+        (qa, arcs_a), (qb, arcs_b) = da, db
+        pairs = [(arc_a, arc_b) for arc_a in arcs_a for arc_b in arcs_b]
+        return (sum(shifted_sector_pair_stability(qa, *arc_a, qb, *arc_b, rho)
+                    for arc_a, arc_b in pairs), 1e-9 * len(pairs))
 
     def translate(self, t) -> "SetSpec":
         return ShiftedSet(self, np.asarray(t, dtype=float))
@@ -269,18 +322,8 @@ class HalfSpace(SetSpec):
         out = pts @ self.normal <= self.offset
         return bool(out[0]) if single else out
 
-    def gaussian_measure_exact(self):
-        return float(ndtr(self.offset)), 0.0
-
-    def ou_exact(self, rho, x):
-        sig = math.sqrt(1.0 - rho * rho)
-        val = ndtr((self.offset - rho * (np.asarray(x, dtype=float) @ self.normal)) / sig)
-        return (float(val) if np.ndim(val) == 0 else val), 1e-15
-
-    def ou_gradient_exact(self, rho, x):
-        sig = math.sqrt(1.0 - rho * rho)
-        u = (self.offset - rho * (np.asarray(x, dtype=float) @ self.normal)) / sig
-        return np.multiply.outer(norm_pdf(u), -self.normal) * rho / sig, 1e-14
+    def halfspace(self):
+        return self.normal, self.offset
 
     def translate(self, t):
         return HalfSpace(self.normal, self.offset + float(self.normal @ np.asarray(t, float)))
@@ -427,19 +470,10 @@ class ExplicitCell(SetSpec):
             out &= pts @ h.normal <= h.offset
         return bool(out[0]) if single else out
 
-    def gaussian_measure_exact(self):
+    def halfspace(self):
         if not self.halfspaces:
-            return 1.0, 0.0
-        if len(self.halfspaces) == 1:
-            return self.halfspaces[0].gaussian_measure_exact()
-        return None
-
-    def ou_exact(self, rho, x):
-        if not self.halfspaces:
-            return (1.0 if np.ndim(x) == 1 else np.ones(len(x))), 0.0
-        if len(self.halfspaces) == 1:
-            return self.halfspaces[0].ou_exact(rho, x)
-        return None
+            return np.zeros(self.dim), math.inf
+        return self.halfspaces[0].halfspace() if len(self.halfspaces) == 1 else None
 
     def translate(self, t):
         return ExplicitCell([h.translate(t) for h in self.halfspaces], dim=self.dim)
@@ -473,21 +507,12 @@ class ProductWithR(SetSpec):
         out = self.base.contains(pts[:, : self.base.dim])
         return bool(np.atleast_1d(out)[0]) if single else np.atleast_1d(out)
 
-    def gaussian_measure_exact(self):
-        return self.base.gaussian_measure_exact()
+    def halfspace(self):
+        hs = self.base.halfspace()
+        return None if hs is None else (np.concatenate([hs[0], np.zeros(self.extra)]), hs[1])
 
-    def ou_exact(self, rho, x):
-        return self.base.ou_exact(rho, np.asarray(x, float)[..., : self.base.dim])
-
-    def ou_gradient_exact(self, rho, x):
-        inner = getattr(self.base, "ou_gradient_exact", None)
-        if inner is None:
-            return None
-        res = inner(rho, np.asarray(x, float)[..., : self.base.dim])
-        if res is None:
-            return None
-        g, err = res
-        return np.concatenate([g, np.zeros(np.shape(g)[:-1] + (self.extra,))], axis=-1), err
+    def sector_decomposition(self):
+        return self.base.sector_decomposition()
 
     def translate(self, t):
         return ProductWithR(self.base.translate(np.asarray(t, float)[: self.base.dim]), self.extra)
@@ -508,38 +533,15 @@ class Complement(SetSpec):
         out = self.base.contains(points)
         return (not out) if isinstance(out, bool) else ~out
 
-    def gaussian_measure_exact(self):
-        res = self.base.gaussian_measure_exact()
-        if res is None:
-            return None
-        v, e = res
-        return 1.0 - v, e
-
-    def ou_exact(self, rho, x):
-        res = self.base.ou_exact(rho, x)
-        if res is None:
-            return None
-        v, e = res
-        return 1.0 - v, e
-
-    def ou_gradient_exact(self, rho, x):
-        inner = getattr(self.base, "ou_gradient_exact", None)
-        if inner is None:
-            return None
-        res = inner(rho, x)
-        if res is None:
-            return None
-        g, err = res
-        return -np.asarray(g), err
+    def halfspace(self):
+        hs = self.base.halfspace()
+        return None if hs is None else (-hs[0], -hs[1])
 
     def sector_decomposition(self):
         deco = self.base.sector_decomposition()
-        if deco is None:
+        if deco is None or len(deco[1]) != 1:
             return None
-        apex, arcs = deco
-        if len(arcs) != 1:
-            return None
-        a, b = arcs[0]
+        apex, [(a, b)] = deco
         return apex, [(b, a + _TWO_PI)]
 
     def translate(self, t):
@@ -568,12 +570,13 @@ class ShiftedSet(SetSpec):
         out = self.base.contains(pts - self.shift)
         return bool(np.atleast_1d(out)[0]) if single else np.atleast_1d(out)
 
+    def halfspace(self):
+        hs = self.base.halfspace()
+        return None if hs is None else (hs[0], hs[1] + float(hs[0] @ self.shift))
+
     def sector_decomposition(self):
         deco = self.base.sector_decomposition()
-        if deco is None:
-            return None
-        apex, arcs = deco
-        return apex + self.shift, arcs
+        return None if deco is None else (deco[0] + self.shift[:2], deco[1])
 
     def translate(self, t):
         return ShiftedSet(self.base, self.shift + np.asarray(t, dtype=float))
@@ -626,12 +629,8 @@ class DilationFlowSet(SetSpec):
 
     def sector_decomposition(self):
         deco = self.base.sector_decomposition()
-        if deco is None:
-            return None
-        apex, arcs = deco
-        if float(np.linalg.norm(apex)) < 1e-12:
-            return deco  # cones with apex at the origin are flow-invariant
-        return None
+        # cones with apex at the origin are flow-invariant
+        return deco if deco is not None and float(np.linalg.norm(deco[0])) < 1e-12 else None
 
 
 # ---------------------------------------------------------------------------
@@ -964,10 +963,6 @@ class PartitionSpec:
         return list(self._facets[(i, j)])
 
     def _facets_low(self, i: int, j: int) -> list[Facet]:
-        cells, shift = _unshifted(self.cells, self.dim)
-        if any(isinstance(c, OracleSet) for c in (cells[i], cells[j])):
-            raise UnsupportedBoundaryError("oracle-kind cells carry no boundary description")
-
         if self._fast is not None and self._fast[2] == self.dim:
             z, shift, _ = self._fast
             w = z[j] - z[i]
@@ -983,27 +978,27 @@ class PartitionSpec:
                 cons.append((c, float(c @ shift)))
             return [Facet(n, float(n @ shift), _tangent_basis(n), cons)]
 
+        cells, shift = _unshifted(self.cells, self.dim)
         if all(isinstance(c, ProductWithR) for c in cells):
             extra = cells[0].extra
             if all(c.extra == extra for c in cells):
-                base = PartitionSpec([c.base for c in cells])
+                # a cylinder shifted by t is its base shifted by t's first coordinates
+                base = PartitionSpec([c.base.translate(shift[: c.base.dim]) for c in cells])
                 return [f.extended(extra) for f in base._facets_low(i, j)]
 
         if self.m == 2:
-            info_i = _halfspace_side(cells[i])
-            info_j = _halfspace_side(cells[j])
-            if info_i is not None and info_j is not None:
-                n_i, a_i, le_i = info_i
-                n_j, a_j, le_j = info_j
-                same = np.allclose(n_i, n_j) and abs(a_i - a_j) < 1e-12 and le_i != le_j
-                opp = np.allclose(n_i, -n_j) and abs(a_i + a_j) < 1e-12 and le_i == le_j
-                if same or opp:
-                    n = n_i if le_i else -n_i
-                    a = (a_i if le_i else -a_i) + float((n_i if le_i else -n_i) @ shift)
-                    return [Facet(n, a, _tangent_basis(n))]
+            # complementary half-spaces {<n, x> <= a} and {<-n, x> <= -a}
+            hs_i, hs_j = self.cells[i].halfspace(), self.cells[j].halfspace()
+            if hs_i is not None and hs_j is not None:
+                (n_i, a_i), (n_j, a_j) = hs_i, hs_j
+                if np.allclose(n_i, -n_j) and abs(a_i + a_j) < 1e-12:
+                    return [Facet(n_i, a_i, _tangent_basis(n_i))]
 
-        if all(isinstance(c, Sector2D) for c in cells):
-            return _sector_facets(cells, shift, i, j)
+        # planar sectors, one arc per cell, around one common apex
+        decos = [c.sector_decomposition() for c in self.cells] if self.dim == 2 else [None]
+        if all(d is not None and len(d[1]) == 1 and np.array_equal(d[0], decos[0][0])
+               for d in decos):
+            return _sector_facets([d[1][0] for d in decos], decos[0][0], i, j)
 
         raise UnsupportedBoundaryError(
             f"no facet rule for cells {type(self.cells[i]).__name__}/{type(self.cells[j]).__name__}"
@@ -1073,15 +1068,6 @@ def _unshifted(cells, dim: int):
     return cells, np.zeros(dim)
 
 
-def _halfspace_side(cell):
-    """(normal, offset, is_le) when the cell is a half-space or its complement."""
-    if isinstance(cell, HalfSpace):
-        return cell.normal, cell.offset, True
-    if isinstance(cell, Complement) and isinstance(cell.base, HalfSpace):
-        return cell.base.normal, cell.base.offset, False
-    return None
-
-
 def _unit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)])
 
@@ -1091,19 +1077,19 @@ def _same_angle(a: float, b: float) -> bool:
     return min(d, _TWO_PI - d) < 1e-12
 
 
-def _sector_facets(cells, shift, i, j) -> list[Facet]:
-    si, sj = cells[i], cells[j]
+def _sector_facets(arcs, apex, i, j) -> list[Facet]:
+    (start_i, end_i), (start_j, end_j) = arcs[i], arcs[j]
     facets = []
 
     def ray(theta, ccw_cell_is_j):
         u = _unit(theta)
         n = _unit(theta + math.pi / 2) if ccw_cell_is_j else _unit(theta - math.pi / 2)
-        return Facet(n, float(n @ shift), u[None, :], [(-u, float(-u @ shift))])
+        return Facet(n, float(n @ apex), u[None, :], [(-u, float(-u @ apex))])
 
-    if _same_angle(si.end, sj.start):
-        facets.append(ray(si.end, True))
-    if _same_angle(sj.end, si.start):
-        facets.append(ray(si.start, False))
+    if _same_angle(end_i, start_j):
+        facets.append(ray(end_i, True))
+    if _same_angle(end_j, start_i):
+        facets.append(ray(start_i, False))
     if not facets:
         raise EmptyInterfaceError(f"sectors {i} and {j} are not adjacent")
     return facets

@@ -12,10 +12,16 @@ draws X and Z once, classifies X once, and forms Y = rho X + sqrt(1 - rho^2) Z
 per rho, so a grid costs one pass and each of its values equals the one-rho
 estimate at the same seed and budget.  Comparisons between candidate
 partitions run with positively correlated errors when they reuse a seed.
-Closed forms and deterministic quadratures are used where the geometry
-allows: half-space pairs reduce to the bivariate normal CDF, planar
-sector-like partitions to the shifted-sector quadrature, and rho = 0 to sums
-of squared measures.
+
+Every deterministic route is a sum of pair probabilities P(X in a, Y in b)
+over cell pairs, taken from :meth:`noiselab.partitions.SetSpec.pair_exact`
+(the bivariate normal CDF for two half-spaces, the shifted-sector quadrature
+for two planar sectors): over (s, s) for a set, (p_i, p_i) for a partition
+and (p_i, q_i) for a bilinear form.  At rho = 0 the stability is the sum of
+the squared cell measures when every cell has a closed-form measure; otherwise
+rho = 0 is sampled like any other rho.  A partition takes these routes only
+when its cell measures add up to 1, so cells that overlap are sampled by first
+claim.  This module knows no cell kind.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .gauss import (
     CLOSED_FORM,
@@ -36,21 +42,10 @@ from .gauss import (
     bivariate_normal_cdf,
     make_seedseq,
     mc_mean,
+    mc_shard_means,
     route,
-    spawn_rngs,
 )
-from .partitions import (
-    Complement,
-    ExplicitCell,
-    PartitionSpec,
-    ProductWithR,
-    SetSpec,
-    _halfspace_side,
-    gaussian_measure,
-    shifted_sector_moment,
-    shifted_sector_pair_stability,
-    shifted_sector_stability,
-)
+from .partitions import PartitionSpec, SetSpec, gaussian_measure
 
 def _pair_values(classify, match, rhos, d):
     """Integrand of a correlated pair (X, Y) with one column per rho of ``rhos``:
@@ -83,43 +78,53 @@ def agreement_values(p: PartitionSpec, q: PartitionSpec, rhos):
     return _pair_values(p.membership, lambda cx, y: cx == q.membership(y), rhos, p.dim)
 
 
+def _pair_sum(pairs, rho: float) -> Estimate | None:
+    """sum of P(X in a, Y in b) over the cell pairs (a, b), or None when a pair
+    has no deterministic route."""
+    total, err = 0.0, 0.0
+    for a, b in pairs:
+        res = a.pair_exact(b, rho)
+        if res is None:
+            return None
+        total, err = total + res[0], err + res[1]
+    return Estimate(total, err, 0, QUADRATURE)
+
+
+def _closed_measures(cells):
+    """The cells' closed-form measures as (value, error) pairs, or None unless
+    every cell has one."""
+    measures = [c.gaussian_measure_exact() for c in cells]
+    return None if any(m is None for m in measures) else measures
+
+
+def _tiles(measures) -> bool:
+    """Whether closed-form cell measures add up to 1, as when the cells meet
+    only on measure-zero sets; the per-cell routes hold only then."""
+    return measures is not None and abs(sum(v for v, _ in measures) - 1.0) <= 1e-9
+
+
+def _stability_exact(cells, rho: float, measures) -> Estimate | None:
+    """The pair sum, or at rho = 0, where X and Y are independent, the sum of
+    the cells' squared closed-form ``measures`` (None when they have none)."""
+    if rho != 0.0:
+        return _pair_sum(zip(cells, cells), rho)
+    if measures is None:
+        return None
+    return Estimate(sum(v**2 for v, _ in measures), sum(2 * v * e for v, e in measures),
+                    0, CLOSED_FORM)
+
+
 def noise_stability(s: SetSpec, rho, budget: int = 1_000_000, *, seed=0,
                     threads: int = 1, mode: str = "auto") -> Estimate:
     """P((X, Y) in s x s) for a rho-correlated Gaussian pair; at rho = 0 the
-    deterministic route is the squared measure."""
+    deterministic route is the squared closed-form measure."""
     r = as_rho(rho)
-
-    def deterministic():
-        if r != 0.0:
-            return _set_stability_exact(s, r)
-        mu = gaussian_measure(s, budget, seed=seed, threads=threads, mode=mode)
-        return Estimate(mu.value**2, 2 * mu.value * mu.std_error, mu.samples, mu.method)
 
     def sampled():
         values = _pair_values(s.contains, lambda in_x, y: in_x & s.contains(y), [r], s.dim)
         return _column(mc_mean(values, budget, seed=seed, threads=threads), 0)
 
-    return route(mode, deterministic, sampled)
-
-
-def _set_stability_exact(s: SetSpec, rho: float) -> Estimate | None:
-    side = _halfspace_side(s)
-    if side is not None:
-        n, a, le = side
-        inside = bivariate_normal_cdf(a, a, rho)
-        if le:
-            return Estimate(inside, 1e-10, 0, QUADRATURE)
-        return Estimate(1.0 - 2.0 * ndtr(a) + inside, 1e-10, 0, QUADRATURE)
-    deco = s.sector_decomposition()
-    if deco is not None:
-        apex, arcs = deco
-        if len(arcs) == 1:
-            a, b = arcs[0]
-            val = shifted_sector_stability(apex, a, b, rho)
-            return Estimate(val, 1e-9, 0, QUADRATURE)
-    if isinstance(s, ProductWithR):
-        return _set_stability_exact(s.base, rho)
-    return None
+    return route(mode, lambda: _stability_exact([s], r, _closed_measures([s])), sampled)
 
 
 def stability_sweep(p: PartitionSpec, rhos, budget: int = 1_000_000, *, seed=0,
@@ -127,29 +132,22 @@ def stability_sweep(p: PartitionSpec, rhos, budget: int = 1_000_000, *, seed=0,
     """:func:`partition_stability` at every rho of ``rhos``, in order.
 
     Each rho takes its own route: the quadrature, or at rho = 0 the sum of
-    squared cell measures.  The rhos left to sampling share one Monte Carlo
-    pair stream (one :func:`noiselab.gauss.mc_mean` call), so every row equals
-    the one-rho call at the same seed and budget, bit for bit.
+    squared closed-form cell measures.  The rhos left to sampling, rho = 0
+    included, share one Monte Carlo pair stream (one
+    :func:`noiselab.gauss.mc_mean` call), so every row equals the one-rho call
+    at the same seed and budget, bit for bit.
     """
     rs = [as_rho(r) for r in rhos]
+    measures = _closed_measures(p.cells)
+    tiles = _tiles(measures)
     to_sample = []
 
     def row(r):
-        def deterministic():
-            if r != 0.0:
-                return partition_stability_quadrature(p, r)
-            # independence: the stability is the sum of the cells' squared measures
-            root = make_seedseq(seed).generate_state(1)[0]
-            cells = [noise_stability(c, 0.0, budget, seed=[root, k], threads=threads, mode=mode)
-                     for k, c in enumerate(p.cells)]
-            method = MONTE_CARLO if any(e.method == MONTE_CARLO for e in cells) else CLOSED_FORM
-            return Estimate(sum(e.value for e in cells), sum(e.std_error for e in cells),
-                            sum(e.samples for e in cells), method)
-
         def mark_sampled():
             to_sample.append(r)  # the row stays None until the shared pass below
 
-        return route(mode, deterministic, mark_sampled)
+        return route(mode, lambda: _stability_exact(p.cells, r, measures) if tiles else None,
+                     mark_sampled)
 
     rows = [row(r) for r in rs]
     if to_sample:
@@ -162,66 +160,43 @@ def stability_sweep(p: PartitionSpec, rhos, budget: int = 1_000_000, *, seed=0,
 def partition_stability(p: PartitionSpec, rho, budget: int = 1_000_000, *, seed=0,
                         threads: int = 1, mode: str = "auto") -> Estimate:
     """sum_i P((X, Y) in cell_i x cell_i), shared pairs across cells; at
-    rho = 0 the deterministic route sums squared cell measures.  The one-rho
-    case of :func:`stability_sweep`."""
+    rho = 0 the deterministic route sums squared closed-form cell measures.
+    The one-rho case of :func:`stability_sweep`."""
     return stability_sweep(p, [rho], budget, seed=seed, threads=threads, mode=mode)[0]
 
 
 def partition_stability_quadrature(p: PartitionSpec, rho: float) -> Estimate | None:
-    """Deterministic stability for the structured partition families.
-
-    Handles cylinders over a supported base, half-space pairs in any
-    dimension, and planar partitions whose cells are (shifted) sectors.
-    """
-    cells = p.cells
-    if all(isinstance(c, ProductWithR) for c in cells):
-        extra = cells[0].extra
-        if all(c.extra == extra for c in cells):
-            return partition_stability_quadrature(PartitionSpec([c.base for c in cells]), rho)
-    if p.m == 2:
-        si = _halfspace_side(cells[0])
-        sj = _halfspace_side(cells[1])
-        if si is not None and sj is not None:
-            n, a, le = si if si[2] else sj
-            inside = bivariate_normal_cdf(a, a, rho)
-            val = 1.0 - 2.0 * ndtr(a) + 2.0 * inside
-            return Estimate(val, 2e-10, 0, QUADRATURE)
-    decos = [c.sector_decomposition() for c in cells]
-    if p.dim == 2 and all(d is not None and len(d[1]) == 1 for d in decos):
-        total = 0.0
-        for apex, arcs in decos:
-            a, b = arcs[0]
-            total += shifted_sector_stability(apex, a, b, rho)
-        return Estimate(total, 1e-9 * p.m, 0, QUADRATURE)
-    return None
+    """Deterministic stability: the sum over cells of P(X in p_i, Y in p_i),
+    or None when a cell is neither a half-space nor a planar sector."""
+    return _pair_sum(zip(p.cells, p.cells), rho) if _tiles(_closed_measures(p.cells)) else None
 
 
 def bilinear_stability(p: PartitionSpec, q: PartitionSpec, rho,
                        budget: int = 1_000_000, *, seed=0, threads: int = 1,
-                       mode: str = "auto", measure_tol_scale: float = 1.0) -> Estimate:
+                       mode: str = "auto") -> Estimate:
     """sum_i P(X in p_i, Y in q_i) for a rho-correlated pair.
 
     Requires matching dimension and cell count, and matching cell measures
-    within 3 * combined standard error (scaled by ``measure_tol_scale``).
+    within 3 * combined standard error.
     """
     r = as_rho(rho)
     if p.dim != q.dim:
         raise DomainError("partitions must share a dimension")
     if p.m != q.m:
         raise DomainError("partitions must have the same cell count")
-    check_measure_match(p, q, scale=measure_tol_scale, seed=seed)
+    check_measure_match(p, q, seed=seed)
     return route(mode, lambda: _bilinear_quadrature(p, q, r),
                  lambda: _column(mc_mean(agreement_values(p, q, [r]), budget, seed=seed,
                                          threads=threads), 0))
 
 
-def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, scale: float = 1.0,
-                        budget: int = 400_000, seed=0) -> None:
+def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, budget: int = 400_000,
+                        seed=0) -> None:
     root = make_seedseq(seed).generate_state(1)[0]
     for k, (a, b) in enumerate(zip(p.cells, q.cells)):
         ma = gaussian_measure(a, budget, seed=[root, 1, k])
         mb = gaussian_measure(b, budget, seed=[root, 2, k])
-        tol = scale * (3.0 * (ma.std_error + mb.std_error) + 1e-9)
+        tol = 3.0 * (ma.std_error + mb.std_error) + 1e-9
         if abs(ma.value - mb.value) > tol:
             raise DomainError(
                 f"cell {k} measures differ: {ma.value:.6f} vs {mb.value:.6f} (tol {tol:.2g})"
@@ -229,34 +204,8 @@ def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, scale: float = 1.
 
 
 def _bilinear_quadrature(p: PartitionSpec, q: PartitionSpec, rho: float) -> Estimate | None:
-    if p.dim == 2:
-        dp = [c.sector_decomposition() for c in p.cells]
-        dq = [c.sector_decomposition() for c in q.cells]
-        if all(d is not None and len(d[1]) == 1 for d in dp + dq):
-            total = 0.0
-            for (qa, arcs_a), (qb, arcs_b) in zip(dp, dq):
-                (a0, a1), (b0, b1) = arcs_a[0], arcs_b[0]
-                total += shifted_sector_pair_stability(qa, a0, a1, qb, b0, b1, rho)
-            return Estimate(total, 1e-9 * p.m, 0, QUADRATURE)
-    if p.m != 2:
-        return None
-    sp = [_halfspace_side(c) for c in p.cells]
-    sq = [_halfspace_side(c) for c in q.cells]
-    if any(s is None for s in sp + sq):
-        return None
-    # orient both partitions by their first cell: cell0 = {s*(n.x - a) <= 0}
-    def oriented(side):
-        n, a, le = side
-        return (n, a) if le else (-n, -a)
-
-    n1, a1 = oriented(sp[0])
-    n2, a2 = oriented(sq[0])
-    rc = rho * float(n1 @ n2)
-    if abs(rc) >= 1.0:
-        rc = math.copysign(1.0 - 1e-15, rc)
-    inside = bivariate_normal_cdf(a1, a2, rc)
-    val = inside + 1.0 - float(ndtr(a1)) - float(ndtr(a2)) + inside
-    return Estimate(val, 2e-10, 0, QUADRATURE)
+    tiles = _tiles(_closed_measures(p.cells)) and _tiles(_closed_measures(q.cells))
+    return _pair_sum(zip(p.cells, q.cells), rho) if tiles else None
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +216,7 @@ def cell_moment(s: SetSpec, budget: int = 400_000, *, seed=0, mode: str = "auto"
     """integral of x * gamma_d(x) over the cell."""
 
     def deterministic():
-        exact = _cell_moment_exact(s)
+        exact = s.moment_exact()
         return None if exact is None else VectorEstimate(exact, np.full(s.dim, 1e-12), 0, QUADRATURE)
 
     def values(rng, k):
@@ -277,57 +226,35 @@ def cell_moment(s: SetSpec, budget: int = 400_000, *, seed=0, mode: str = "auto"
     return route(mode, deterministic, lambda: mc_mean(values, budget, seed=seed))
 
 
-def _cell_moment_exact(s: SetSpec) -> np.ndarray | None:
-    side = _halfspace_side(s)
-    if side is not None:
-        n, a, le = side
-        phi_a = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
-        return -n * phi_a if le else n * phi_a
-    deco = s.sector_decomposition()
-    if deco is not None:
-        apex, arcs = deco
-        return np.sum([shifted_sector_moment(apex, a, b) for a, b in arcs], axis=0)
-    if isinstance(s, ProductWithR):
-        inner = _cell_moment_exact(s.base)
-        if inner is not None:
-            return np.concatenate([inner, np.zeros(s.extra)])
-    if isinstance(s, ExplicitCell) and not s.halfspaces:
-        return np.zeros(s.dim)  # odd symmetry of the moment over R^d
-    if isinstance(s, Complement):
-        inner = _cell_moment_exact(s.base)
-        if inner is not None:
-            return -inner
-    return None
-
-
 def propeller_functional(p: PartitionSpec, budget: int = 1_000_000, *, seed=0,
-                         mode: str = "auto", n_batches: int = 32) -> Estimate:
+                         mode: str = "auto") -> Estimate:
     """sum_i || integral_{cell_i} x gamma(x) dx ||^2.
 
     Exact for half-spaces and planar sector-like cells.  In Monte Carlo mode
     one shared Gaussian stream feeds every cell's moment; the squared norms
     are estimated without plug-in bias by cross products of moments from
-    independent batch pairs, with the standard error taken across pairs.
+    independent shard pairs, with the standard error taken across pairs.
     """
 
     def deterministic():
-        moments = [_cell_moment_exact(c) for c in p.cells]
-        if any(m is None for m in moments):
+        moments = [c.moment_exact() for c in p.cells]
+        if any(m is None for m in moments) or not _tiles(_closed_measures(p.cells)):
             return None
         return Estimate(float(sum(float(m @ m) for m in moments)), 1e-10, 0, QUADRATURE)
 
+    def values(rng, k):
+        # column block i holds x where x falls in cell i and 0 elsewhere
+        x = rng.standard_normal((k, p.dim))
+        out = np.zeros((k, p.m, p.dim))
+        out[np.arange(k), p.membership(x)] = x
+        return out.reshape(k, -1)
+
     def sampled():
-        batches = n_batches + n_batches % 2
-        per = max(budget // batches, 1)
-        moments = np.zeros((batches, p.m, p.dim))
-        for b, rng in enumerate(spawn_rngs(seed, batches)):
-            x = rng.standard_normal((per, p.dim))
-            idx = p.membership(x)
-            for i in range(p.m):
-                moments[b, i] = x[idx == i].sum(axis=0) / per
+        means, shard = mc_shard_means(values, budget, seed=seed)
+        moments = means.reshape(len(means), p.m, p.dim)
         pair_vals = np.einsum("pid,pid->p", moments[0::2], moments[1::2])
         se = float(pair_vals.std(ddof=1) / math.sqrt(len(pair_vals)))
-        return Estimate(float(pair_vals.mean()), se, per * batches, MONTE_CARLO)
+        return Estimate(float(pair_vals.mean()), se, shard * len(means), MONTE_CARLO)
 
     return route(mode, deterministic, sampled)
 

@@ -26,7 +26,8 @@ from .partitions import halfspace_partition, simplex_cone_partition
 from .stability import partition_stability
 
 EXACT_TABLE_LIMIT = 10_000_000
-EXACT_PAIR_LIMIT = 100_000_000
+#: largest n * m^(n+1) that exact stability may cost (see _exact_affordable)
+EXACT_PAIR_LIMIT = 6_000_000
 SIMPLEX_TOL = 1e-12
 
 
@@ -126,10 +127,17 @@ def discrete_noise_stability(f, rho: float) -> float:
     raise DomainError("expected a DiscreteFunction; use coordinate_stability for raw tables")
 
 
+def _exact_affordable(m: int, n: int) -> bool:
+    """Whether exact S_rho of an m^n table is within the limit: the noise
+    operator costs n * m^(n+1) per coordinate, and the limit is where the
+    exact plurality row (its table included) stops beating the sampled one."""
+    return n * m ** (n + 1) <= EXACT_PAIR_LIMIT
+
+
 def coordinate_stability(table, m: int, n: int, rho: float) -> float:
     """Exact S_rho g for one real-valued table g."""
-    if m ** (2 * n) > EXACT_PAIR_LIMIT:
-        raise DomainError("pair enumeration exceeds the exact-mode limit; use the MC variant")
+    if not _exact_affordable(m, n):
+        raise DomainError("exact stability exceeds the exact-mode cost limit; use the MC variant")
     g = np.asarray(table, dtype=float)
     return float(np.mean(g * apply_noise(g, m, n, rho)))
 
@@ -206,7 +214,7 @@ def plurality_stability_table(m: int, rho: float, n_list, samples: int = 200_000
     """
     rows = []
     for k, n in enumerate(n_list):
-        if m ** (2 * n) <= EXACT_PAIR_LIMIT and m**n <= EXACT_TABLE_LIMIT:
+        if _exact_affordable(m, n):
             val = discrete_noise_stability(plurality(m, n), rho)
             rows.append({"m": m, "n": n, "rho": rho, "value": val,
                          "std_error": 0.0, "method": "exact"})

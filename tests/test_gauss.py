@@ -36,15 +36,24 @@ from noiselab.partitions import (
     ExplicitCell,
     HalfSpace,
     OracleSet,
+    PartitionSpec,
     ProductWithR,
     Sector2D,
     ShiftedSet,
     _leggauss,
     cylinder_extend,
     halfspace_partition,
+    gaussian_measure,
     perturbed_simplex_cones,
     sector_partition,
     simplex_cone_partition,
+)
+from noiselab.stability import (
+    bilinear_stability,
+    cell_moment,
+    noise_stability,
+    partition_stability,
+    propeller_functional,
 )
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -334,6 +343,160 @@ class TestBatchContract:
             t[0] = 0.0
         ref_t, ref_w = np.polynomial.legendre.leggauss(48)
         assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
+
+
+def _reduction_cells():
+    """_exact_cells() plus the empty cell and cylinders of complements."""
+    hs = HalfSpace([0.6, -0.8], 0.3)
+    cone = simplex_cone_partition(3).cells[0]
+    return [*_exact_cells(), Complement(ExplicitCell([], dim=2)),
+            ProductWithR(Complement(hs), 1), ProductWithR(Complement(cone), 1)]
+
+
+#: T_rho 1_C(x) and the noise stability at rho = 0.6, x = linspace(-0.7, 0.5, d),
+#: for the cells of _exact_cells(), recorded before the closed forms were
+#: rewritten against the two reductions (None: that stability was sampled)
+_RECORDED = [
+    (0.8389129404891691, 0.47731801941294605), (0.2385532391775399, 0.22431374035136276),
+    (0.34241659148431747, 0.1947034844453047), (0.5467215443407989, 0.2535457211421276),
+    (1.0, None), (0.8389129404891691, None),
+    (0.5248085699962464, 0.1947034844453047), (0.7356527078843225, 0.47731801941294605),
+    (0.1610870595108309, 0.24149517503504092), (0.6575834085156825, 0.5280368177786381),
+    (0.3246641159274619, 0.20826465750678647), (0.34241659148431747, 0.1947034844453047),
+]
+
+
+class TestReductions:
+    """The five closed forms (T_rho, its gradient, the measure, the moment and
+    the pair probability), written once against SetSpec.halfspace() and
+    SetSpec.sector_decomposition(), on every cell kind."""
+
+    @pytest.mark.parametrize("cell", _reduction_cells(), ids=lambda c: type(c).__name__)
+    def test_closed_forms_against_monte_carlo(self, cell):
+        x = np.linspace(-0.7, 0.5, cell.dim)
+        n = 40_000
+        for rho in (-0.5, 0.6):
+            t = ou_apply(cell, rho, x)
+            mc = ou_apply(cell, rho, x, n, seed=1, mode="monte-carlo")
+            assert t.method == "quadrature"
+            assert abs(t.value - mc.value) <= 4 * mc.std_error + 1e-12
+            g = ou_gradient_quadrature(cell, rho, x)
+            mc = ou_gradient(cell, rho, x, n, seed=2)
+            assert np.all(np.abs(g.value - mc.value) <= 4 * mc.std_error + 1e-6)
+            st = noise_stability(cell, rho)
+            mc = noise_stability(cell, rho, n, seed=3, mode="monte-carlo")
+            assert st.method == "quadrature"
+            assert abs(st.value - mc.value) <= 4 * mc.std_error + 1e-12
+        mu = gaussian_measure(cell)
+        mc = gaussian_measure(cell, n, seed=4, mode="monte-carlo")
+        assert mu.method == "closed-form"
+        assert abs(mu.value - mc.value) <= 4 * mc.std_error + 1e-15
+        mom = cell_moment(cell)
+        mc = cell_moment(cell, n, seed=5, mode="monte-carlo")
+        assert mom.method == "quadrature"
+        assert np.all(np.abs(mom.value - mc.value) <= 4 * mc.std_error + 1e-12)
+
+    @pytest.mark.parametrize("cell, recorded", list(zip(_exact_cells(), _RECORDED)),
+                             ids=lambda c: type(c).__name__)
+    def test_values_do_not_move(self, cell, recorded):
+        t, st = recorded
+        x = np.linspace(-0.7, 0.5, cell.dim)
+        assert cell.ou_exact(0.6, x)[0] == pytest.approx(t, abs=1e-15)
+        if st is not None:
+            assert noise_stability(cell, 0.6).value == pytest.approx(st, abs=1e-15)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 2.0, math.pi])
+    def test_pair_of_halfspaces_is_sheppard(self, theta):
+        # half-planes through 0 with normals theta apart: <n_a, X> and <n_b, Y>
+        # have correlation rho cos(theta)
+        a = HalfSpace([1.0, 0.0], 0.0)
+        b = ExplicitCell([HalfSpace([math.cos(theta), math.sin(theta)], 0.0)])
+        for rho in (-0.9, 0.3, 0.99):
+            val, _ = a.pair_exact(b, rho)
+            assert val == pytest.approx(0.25 + math.asin(rho * math.cos(theta)) / (2 * math.pi),
+                                        abs=1e-15)
+
+    @pytest.mark.parametrize("a, b", [
+        (HalfSpace([0.6, -0.8], 0.3), Complement(ExplicitCell([HalfSpace([1.0, 0.5], -0.2)]))),
+        (ProductWithR(HalfSpace([1.0, 0.0], 0.4), 1), HalfSpace([0.2, -0.5, 1.0], -0.4)),
+        (ExplicitCell([], dim=2), HalfSpace([0.6, -0.8], 0.3)),
+        (simplex_cone_partition(3).cells[0], ShiftedSet(Sector2D(0.4, 2.9), [0.3, -0.2])),
+        (Complement(simplex_cone_partition(3).cells[1]), Sector2D(-1.0, 0.5)),
+        (ProductWithR(simplex_cone_partition(3).cells[0], 1),
+         ProductWithR(Complement(simplex_cone_partition(3).cells[2]), 1)),
+    ], ids=lambda c: type(c).__name__)
+    def test_pair_probability_against_monte_carlo(self, a, b):
+        n = 200_000
+        for rho in (-0.5, 0.6):
+            val, err = a.pair_exact(b, rho)
+            x, y = sample_correlated_pair(rho, a.dim, n, seed=7)
+            hits = a.contains(x) & b.contains(y)
+            assert abs(val - hits.mean()) <= 4 * hits.std(ddof=1) / math.sqrt(n) + err
+
+    def test_mixed_kinds_decline(self):
+        hs, cone = HalfSpace([1.0, 0.0], 0.0), simplex_cone_partition(3).cells[0]
+        assert hs.pair_exact(cone, 0.5) is None and cone.pair_exact(hs, 0.5) is None
+        assert ConeCell(np.eye(3), 0).pair_exact(ConeCell(np.eye(3), 0), 0.5) is None
+
+    @pytest.mark.parametrize("base", [
+        HalfSpace([0.6, -0.8], 0.3), HalfSpace([0.2, -0.5, 1.0], -0.4),
+        ExplicitCell([HalfSpace([0.6, -0.8], 0.3)]), ProductWithR(HalfSpace([1.0, -2.0], 0.7), 2),
+        ExplicitCell([], dim=2),
+    ], ids=lambda c: type(c).__name__)
+    def test_complement_is_the_flipped_halfspace(self, base):
+        comp = Complement(base)
+        n, a = base.halfspace()
+        nc, ac = comp.halfspace()
+        assert np.array_equal(nc, -n) and ac == -a
+        pts = np.random.default_rng(17).standard_normal((9, base.dim))
+        for rho in (-0.9, 0.0, 0.5, 0.99):
+            t, tc = base.ou_exact(rho, pts)[0], comp.ou_exact(rho, pts)[0]
+            assert np.max(np.abs(tc - (1.0 - t))) <= 1e-15
+            g, gc = base.ou_gradient_exact(rho, pts)[0], comp.ou_gradient_exact(rho, pts)[0]
+            assert np.array_equal(gc, -g)
+        assert np.array_equal(comp.moment_exact(), -base.moment_exact())
+
+    def test_widened_coverage(self):
+        hs = HalfSpace([0.6, -0.8], 0.3)
+        one = ExplicitCell([hs])
+        pts = np.random.default_rng(18).standard_normal((5, 2))
+        for rho in (-0.5, 0.6):
+            assert noise_stability(one, rho, mode="quadrature") == noise_stability(hs, rho)
+            g = ou_gradient_quadrature(one, rho, pts)
+            assert g.method == "closed-form"
+            assert np.array_equal(g.value, ou_gradient_quadrature(hs, rho, pts).value)
+        mom = cell_moment(one, mode="quadrature")
+        assert np.array_equal(mom.value, cell_moment(hs).value)
+        everything = ExplicitCell([], dim=2)
+        for cell, value in ((everything, 1.0), (Complement(everything), 0.0)):
+            assert noise_stability(cell, 0.6, mode="quadrature").value == value
+            g = ou_gradient_quadrature(cell, 0.6, pts)
+            assert g.method == "closed-form" and not g.value.any()
+
+    @pytest.mark.parametrize("p", [
+        PartitionSpec([HalfSpace([1.0, 0.0], 0.0), ExplicitCell([], dim=2)]),
+        PartitionSpec([Sector2D(0.0, 2 * math.pi), Sector2D(0.0, math.pi)]),
+    ], ids=["halfspace-then-all", "full-then-half-sector"])
+    def test_overlapping_cells_are_sampled(self, p):
+        # the second cell overlaps the first, so by first claim it holds only
+        # the rest; a sum of per-cell closed forms would count the overlap twice
+        for rho in (0.0, 0.5):
+            auto = partition_stability(p, rho, 20_000, seed=8)
+            assert auto == partition_stability(p, rho, 20_000, seed=8, mode="monte-carlo")
+            with pytest.raises(DomainError):
+                partition_stability(p, rho, mode="quadrature")
+        with pytest.raises(DomainError):
+            bilinear_stability(p, p, 0.5, mode="quadrature")
+        auto = propeller_functional(p, 20_000, seed=8)
+        assert auto == propeller_functional(p, 20_000, seed=8, mode="monte-carlo")
+
+    def test_cylinder_bilinear_equals_the_base_pair(self):
+        p = simplex_cone_partition(3)
+        q = p.negated()
+        base = bilinear_stability(p, q, 0.5)
+        cyl = bilinear_stability(cylinder_extend(p, 2), cylinder_extend(q, 2), 0.5)
+        assert base.method == cyl.method == "quadrature"
+        assert abs(cyl.value - base.value) <= 1e-12
 
 
 class TestOuRhoDerivative:

@@ -73,3 +73,30 @@ def test_mode_is_read_only_by_the_route_dispatcher():
     found = [f"{p.name}:{line}" for p in SOURCES
              for line in _mode_comparisons(ast.parse(p.read_text()), p)]
     assert found == []
+
+
+CELL_NAMES = {"HalfSpace", "ConeCell", "Sector2D", "ExplicitCell", "ProductWithR", "Complement",
+              "ShiftedSet", "DilationFlowSet", "OracleSet", "_halfspace_side"}
+
+
+def _cell_references(tree):
+    """Cell classes imported by name or reached as a module attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            continue
+        for name in sorted(names & CELL_NAMES):
+            yield node.lineno, name
+
+
+def test_only_partitions_knows_cell_kinds():
+    # every closed form reaches a cell through SetSpec.halfspace() and
+    # SetSpec.sector_decomposition(), so no other module branches on a cell
+    # class; __init__ only re-exports the public classes
+    found = [f"{p.name}:{line} {name}" for p in SOURCES
+             if p.name not in ("partitions.py", "__init__.py")
+             for line, name in _cell_references(ast.parse(p.read_text()))]
+    assert found == []

@@ -24,6 +24,7 @@ from noiselab.partitions import (
     PartitionSpec,
     ProductWithR,
     Sector2D,
+    ShiftedSet,
     UnsupportedBoundaryError,
     cone_partition,
     cylinder_extend,
@@ -347,6 +348,66 @@ class TestCylinderExtension:
     def test_requires_positive_extra(self):
         with pytest.raises(DomainError):
             cylinder_extend(simplex_cone_partition(3), 0)
+
+
+class TestShiftedInterfaces:
+    """Partitions of ShiftedSet cells, as partition_from_json builds for kind
+    "shifted": every facet moves with the common shift."""
+
+    N, A = np.array([0.6, 0.8]), 0.3
+
+    @staticmethod
+    def _assert_same_facets(p, q, i, j):
+        got, want = p.interface_facets(i, j), q.interface_facets(i, j)
+        assert len(got) == len(want)
+        for f, g in zip(got, want):
+            assert np.allclose(f.normal, g.normal) and f.offset == pytest.approx(g.offset, abs=1e-12)
+            assert len(f.constraints) == len(g.constraints)
+            assert all(np.allclose(u, v) and b == pytest.approx(e, abs=1e-12)
+                       for (u, b), (v, e) in zip(f.constraints, g.constraints))
+
+    def test_halfspace_pair_offset_is_a_plus_n_dot_t(self):
+        t = np.array([0.5, -1.25])
+        h = HalfSpace(self.N, self.A)
+        p = PartitionSpec([ShiftedSet(h, t), ShiftedSet(Complement(h), t)])
+        (f,) = p.interface_facets(0, 1)
+        assert np.allclose(f.normal, self.N)
+        assert f.offset == pytest.approx(self.A + self.N @ t, abs=1e-15)
+        self._assert_same_facets(p, halfspace_partition(self.N, self.A).translated(t), 0, 1)
+
+    def test_shifted_halfspace_closed_forms_follow_the_shift(self):
+        t = np.array([0.5, -1.25])
+        s = ShiftedSet(HalfSpace(self.N, self.A), t)
+        v, _ = s.gaussian_measure_exact()
+        assert v == pytest.approx(float(ndtr(self.A + self.N @ t)), abs=1e-15)
+        assert s.contains(t + self.A * self.N - 1e-9 * self.N)
+        assert not s.contains(t + self.A * self.N + 1e-9 * self.N)
+
+    def test_cylinder_pair_offset_uses_the_base_coordinates_of_the_shift(self):
+        t = np.array([0.5, -1.25, 2.0])
+        h = HalfSpace(self.N, self.A)
+        p = PartitionSpec([ShiftedSet(ProductWithR(c, 1), t) for c in (h, Complement(h))])
+        (f,) = p.interface_facets(0, 1)
+        assert np.allclose(f.normal, [0.6, 0.8, 0.0])
+        assert f.offset == pytest.approx(self.A + self.N @ t[:2], abs=1e-15)
+
+    def test_sector_rule_reads_the_sector_decomposition(self):
+        # a complement of a sector is the sector over the rest of the circle
+        t = np.array([0.4, -0.7])
+        s = Sector2D(0.0, math.pi)
+        p = PartitionSpec([ShiftedSet(s, t), ShiftedSet(Complement(s), t)])
+        assert len(p.interface_facets(0, 1)) == 2
+        self._assert_same_facets(p, sector_partition([0.0, math.pi]).translated(t), 0, 1)
+
+    @pytest.mark.parametrize("base", [sector_partition([0.3, 2.0, 4.1]),
+                                      simplex_cone_partition(3)],
+                             ids=["sectors", "cones"])
+    def test_shifted_cylinder_facets_equal_the_translated_ones(self, base):
+        t = np.array([0.4, -0.7, 1.5])
+        cyl = cylinder_extend(base, 1)
+        shifted = PartitionSpec([ShiftedSet(c, t) for c in cyl.cells])
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            self._assert_same_facets(shifted, cyl.translated(t), i, j)
 
 
 def _first_claim(p, pts):

@@ -249,8 +249,20 @@ class TestStabilityTable:
         # opposing half-lines at rho = 0.5 score 2/3
         assert bench["value"] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
+    def test_exact_rows_follow_the_cost(self):
+        # 9 * 3^10 and 7 * 4^8 multiply-adds fit the exact-mode limit
+        for m, n in ((3, 9), (4, 7)):
+            row = plurality_stability_table(m, 0.4, [n], benchmark_budget=1_000)[0]
+            mc = plurality_stability_mc(m, n, 0.4, 200_000, seed=14)
+            assert row["method"] == "exact"
+            assert abs(row["value"] - mc.value) <= 4 * mc.std_error
+        # 11 * 3^12 fits; 12 * 3^13, where tabulating plurality costs more
+        # than the sampled row, does not
+        rows = plurality_stability_table(3, 0.4, [11, 12], samples=1_000, benchmark_budget=1_000)
+        assert [r["method"] for r in rows[:2]] == ["exact", "monte-carlo"]
+
     def test_large_n_uses_monte_carlo(self):
-        rows = plurality_stability_table(3, 0.4, [12], samples=50_000, seed=13,
+        rows = plurality_stability_table(3, 0.4, [14], samples=50_000, seed=13,
                                          benchmark_budget=50_000)
         assert rows[0]["method"] == "monte-carlo"
         assert rows[0]["std_error"] > 0
@@ -275,9 +287,10 @@ class TestOneCopyPerRule:
         assert discrete_noise_stability(f, 0.4) == total == 0.4589945679012346
 
     def test_pair_limit_guard(self):
-        f = DiscreteFunction(3, 9, np.full((3**9, 3), 1.0 / 3))  # 3^18 > the pair limit
+        # exact stability costs n * m^(n+1) multiply-adds: 14 * 3^15 > the limit,
+        # and the guard refuses before it reads the table
         with pytest.raises(DomainError):
-            discrete_noise_stability(f, 0.4)
+            coordinate_stability(np.zeros(1), 3, 14, 0.4)
 
     def test_seeded_chain_estimates(self):
         # literals recorded before the chain estimators used the shared mean;
