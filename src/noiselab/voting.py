@@ -9,13 +9,25 @@ classical binary operator at m = 2.  Both weights are nonnegative exactly for
 -1/(m-1) < rho < 1.
 
 Noise stability of a simplex-valued f is S_rho f = sum_i S_rho f_i with
-S_rho g = E[g(w) g(d)] over the joint vote/noisy-vote chain; exact values
-come from applying the single-vote kernel along each tensor axis, Monte Carlo
-from sampling the chain.
+S_rho g = E[g(w) g(d)] over the joint vote/noisy-vote chain.  Exact values of
+a tabulated f come from applying the single-vote kernel along each tensor
+axis; Monte Carlo comes from sampling the chain.
+
+Plurality depends on a profile only through its vote histogram, so its exact
+stability also has a route that builds no m^n table.  Given hist(w) = c, the
+noisy histogram hist(d) has the generating function prod_a (K_a . x)^(c_a),
+where K_a is row a of the noise kernel.  The route evaluates that product on
+the (n+1)^(m-1) DFT grid for each histogram up to relabelling of candidates
+(a partition of n into at most m parts), pairs it with the DFT of plurality's
+values on the grid, and weights each histogram by its orbit size times its
+multinomial probability.  The plurality table takes whichever exact route
+costs less and samples only when both refuse.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +40,14 @@ from .stability import partition_stability
 EXACT_TABLE_LIMIT = 10_000_000
 #: largest n * m^(n+1) that exact stability may cost (see _exact_affordable)
 EXACT_PAIR_LIMIT = 6_000_000
+#: byte cap, at 16 bytes per grid point, on each (rows x half DFT grid) array
+#: of the histogram route: the m transformed plurality columns, and each block
+#: of histograms
+HISTOGRAM_BLOCK_BYTES = 16 << 20
+#: largest histograms * half grid * m that the histogram route may cost: about
+#: 17 ns a unit on 2 CPUs, so (3, 201) at 2.1e8 takes 3.5 s, where the sampled
+#: row it replaces holds samples x n votes (0.7 GB at (3, 101))
+HISTOGRAM_PAIR_LIMIT = 500_000_000
 SIMPLEX_TOL = 1e-12
 
 
@@ -119,8 +139,8 @@ def apply_noise(table, m: int, n: int, rho: float) -> np.ndarray:
 def discrete_noise_stability(f, rho: float) -> float:
     """Exact S_rho: E[g(w) g(d)] summed over simplex coordinates.
 
-    Accepts a DiscreteFunction (sums its coordinates) or a single real table
-    (pass m, n via a DiscreteFunction for validation-sensitive uses).
+    Accepts a DiscreteFunction only and raises DomainError on anything else;
+    coordinate_stability takes a single real table with its m and n.
     """
     if isinstance(f, DiscreteFunction):
         return sum(coordinate_stability(f.coordinate(j), f.m, f.n, rho) for j in range(f.m))
@@ -176,13 +196,112 @@ def plurality(m: int, n: int) -> DiscreteFunction:
 
 def plurality_values(m: int, profiles: np.ndarray) -> np.ndarray:
     """PLUR evaluated directly on a (k, n) array of profiles (oracle mode)."""
-    counts = np.stack([(profiles == c).sum(axis=1) for c in range(m)], axis=1)
+    return plurality_of_counts(np.stack([(profiles == c).sum(axis=1) for c in range(m)], axis=1))
+
+
+def plurality_of_counts(counts: np.ndarray) -> np.ndarray:
+    """PLUR of a (k, m) array of vote counts: the strict winner's basis
+    vector, or the uniform simplex point on any tie."""
     winners = counts == counts.max(axis=1)[:, None]
-    n_winners = winners.sum(axis=1)
-    vals = np.full((profiles.shape[0], m), 1.0 / m)
-    strict = n_winners == 1
+    vals = np.full(counts.shape, 1.0 / counts.shape[1])
+    strict = winners.sum(axis=1) == 1
     vals[strict] = winners[strict].astype(float)
     return vals
+
+
+def _histogram_count(m: int, n: int) -> int:
+    # partitions of n into at most m parts, counted as partitions with parts <= m
+    ways = [1] + [0] * n
+    for part in range(1, m + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
+
+
+def _histogram_cost(m: int, n: int) -> int | None:
+    """Histograms x half grid x m, the histogram route's cost, or None when it
+    refuses: the m transformed plurality columns must fit one block, and the
+    cost the pair limit."""
+    grid = (n + 1) ** (m - 2) * ((n + 1) // 2 + 1)
+    if 16 * grid * m > HISTOGRAM_BLOCK_BYTES:
+        return None
+    cost = _histogram_count(m, n) * grid * m
+    return cost if cost <= HISTOGRAM_PAIR_LIMIT else None
+
+
+def _sorted_histograms(m: int, n: int) -> np.ndarray:
+    """Every histogram of n votes over m candidates up to relabelling: the
+    partitions of n into at most m parts, largest first, zero-padded."""
+    out = []
+
+    def extend(prefix, left):
+        slots = m - len(prefix)
+        if slots == 0:
+            out.append(prefix)
+            return
+        for first in range(min(left, prefix[-1] if prefix else n), -(-left // slots) - 1, -1):
+            extend(prefix + (first,), left - first)
+
+    extend((), n)
+    return np.array(out)
+
+
+def _histogram_weight(c, m: int, n: int) -> float:
+    # P(hist(w) lands in the orbit of c): orbit size * multinomial / m^n
+    orbit = math.factorial(m)
+    for k in Counter(c).values():
+        orbit //= math.factorial(k)
+    ways = math.factorial(n)
+    for a in c:
+        ways //= math.factorial(a)
+    return orbit * ways / m**n
+
+
+def plurality_stability_histogram(m: int, n: int, rho: float) -> float:
+    """Exact S_rho PLUR_{m,n} from the vote histogram; no m^n table is built.
+
+    For each histogram c up to relabelling, E[PLUR(hist d) | c] is the
+    pairing of the generating function prod_a (K_a . x)^(c_a) on the DFT grid
+    with the DFT of plurality's values there.  Both are conjugate-symmetric,
+    so only the half grid of a real FFT is evaluated.  Histograms go in
+    blocks that keep each (rows x half grid) array under HISTOGRAM_BLOCK_BYTES.
+    """
+    if n < 1:
+        raise DomainError("need n >= 1 voters")
+    kernel = noise_kernel(m, rho)
+    if _histogram_cost(m, n) is None:
+        raise DomainError("the histogram route exceeds its cost limit; use the MC variant")
+    # plurality's values on the grid of noisy histograms (e_0..e_{m-2}, n - sum)
+    shape = (n + 1,) * (m - 1)
+    full = np.indices(shape).reshape(m - 1, -1)
+    counts = np.vstack([full, n - full.sum(axis=0)]).T
+    values = plurality_of_counts(counts) * (counts[:, -1] >= 0)[:, None]
+    spectrum = np.fft.rfftn(values.reshape(shape + (m,)), axes=tuple(range(m - 1)))
+    half = spectrum.shape[:-1]
+    # a real FFT keeps last-axis indices 0..(n+1)//2; all but 0 and (n+1)/2
+    # stand for a conjugate pair, which the real part counts twice
+    fold = np.full(half[-1], 2.0)
+    fold[0] = 1.0
+    if n % 2:
+        fold[-1] = 1.0
+    spectrum = (spectrum * (fold[:, None] / full.shape[1])).reshape(-1, m)
+    # |K_a . x| and arg(K_a . x) on the half grid, with x_{m-1} = 1
+    t = np.indices(half).reshape(m - 1, -1)
+    gen = kernel @ np.vstack([np.exp(2j * np.pi / (n + 1) * t), np.ones((1, t.shape[1]))])
+    log_modulus = np.log(np.maximum(np.abs(gen), np.finfo(float).tiny))
+    phase = np.angle(gen)
+    reps = _sorted_histograms(m, n)
+    weights = np.array([_histogram_weight(c, m, n) for c in reps.tolist()])
+    own = plurality_of_counts(reps)
+    block = HISTOGRAM_BLOCK_BYTES // (16 * t.shape[1])
+    total = 0.0
+    for s in range(0, len(reps), block):
+        c = reps[s:s + block].astype(float)
+        modulus, angle = np.exp(c @ log_modulus), c @ phase
+        expect = ((modulus * np.cos(angle)) @ spectrum.real
+                  - (modulus * np.sin(angle)) @ spectrum.imag)
+        total += float(weights[s:s + block] @ np.einsum("ij,ij->i", expect, own[s:s + block]))
+    return total
 
 
 def plurality_stability_mc(m: int, n: int, rho: float, samples: int = 200_000,
@@ -210,12 +329,14 @@ def plurality_stability_table(m: int, rho: float, n_list, samples: int = 200_000
 
     Rows carry (m, n, rho, value, std_error, method); the final row reports
     the simplex-cone partition stability at the same rho (the conjectured
-    large-n comparison point), with n = "limit".
+    large-n comparison point), with n = "limit".  Each row takes the cheaper
+    exact route, the histogram or the tensor contraction, and samples only
+    when both refuse.
     """
     rows = []
     for k, n in enumerate(n_list):
-        if _exact_affordable(m, n):
-            val = discrete_noise_stability(plurality(m, n), rho)
+        val = _exact_plurality_stability(m, n, rho)
+        if val is not None:
             rows.append({"m": m, "n": n, "rho": rho, "value": val,
                          "std_error": 0.0, "method": "exact"})
         else:
@@ -224,6 +345,17 @@ def plurality_stability_table(m: int, rho: float, n_list, samples: int = 200_000
                          "std_error": est.std_error, "method": est.method})
     rows.append(_continuous_benchmark(m, rho, benchmark_budget, seed))
     return rows
+
+
+def _exact_plurality_stability(m: int, n: int, rho: float) -> float | None:
+    """S_rho PLUR_{m,n} by the cheaper exact route, or None when both refuse."""
+    histogram = _histogram_cost(m, n)
+    tensor = n * m ** (n + 1) if _exact_affordable(m, n) else None
+    if histogram is not None and (tensor is None or histogram <= tensor):
+        return plurality_stability_histogram(m, n, rho)
+    if tensor is not None:
+        return discrete_noise_stability(plurality(m, n), rho)
+    return None
 
 
 def _continuous_benchmark(m: int, rho: float, budget: int, seed) -> dict:

@@ -155,6 +155,18 @@ class TestPluralityCommand:
         first = lines[1].split(",")
         assert float(first[3]) == pytest.approx(0.6, abs=1e-9)
 
+    def test_large_n_rows_are_exact(self, capsys):
+        code, out, _ = run(capsys, "plurality", "--m", "3", "--n-list", "1,11,51",
+                           "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["schema"] == "1"
+        assert [r["n"] for r in report["rows"]] == [1, 11, 51, "limit"]
+        assert all(set(r) == {"m", "n", "rho", "value", "std_error", "method"}
+                   for r in report["rows"])
+        assert [(r["method"], r["std_error"]) for r in report["rows"][:3]] == [("exact", 0.0)] * 3
+        assert report["rows"][-1]["method"].startswith("continuous-simplex-cones")
+
     def test_bad_n_list_exit(self, capsys):
         code, _, _ = run(capsys, "plurality", "--n-list", "1,x")
         assert code == 2

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noiselab import voting
 from noiselab.gauss import DomainError
 from noiselab.voting import (
     DiscreteFunction,
@@ -17,6 +19,7 @@ from noiselab.voting import (
     influence,
     noise_kernel,
     plurality,
+    plurality_stability_histogram,
     plurality_stability_mc,
     plurality_stability_table,
     plurality_values,
@@ -250,19 +253,19 @@ class TestStabilityTable:
         assert bench["value"] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
     def test_exact_rows_follow_the_cost(self):
-        # 9 * 3^10 and 7 * 4^8 multiply-adds fit the exact-mode limit
+        # exact by the cheaper route, which is the histogram for both
         for m, n in ((3, 9), (4, 7)):
             row = plurality_stability_table(m, 0.4, [n], benchmark_budget=1_000)[0]
             mc = plurality_stability_mc(m, n, 0.4, 200_000, seed=14)
             assert row["method"] == "exact"
             assert abs(row["value"] - mc.value) <= 4 * mc.std_error
-        # 11 * 3^12 fits; 12 * 3^13, where tabulating plurality costs more
-        # than the sampled row, does not
-        rows = plurality_stability_table(3, 0.4, [11, 12], samples=1_000, benchmark_budget=1_000)
+        # at m = 17 the histogram grid is far too large; 4 * 17^5 fits the
+        # tensor route, and 10 * 17^11 refuses both exact routes
+        rows = plurality_stability_table(17, 0.4, [4, 10], samples=1_000, benchmark_budget=1_000)
         assert [r["method"] for r in rows[:2]] == ["exact", "monte-carlo"]
 
     def test_large_n_uses_monte_carlo(self):
-        rows = plurality_stability_table(3, 0.4, [14], samples=50_000, seed=13,
+        rows = plurality_stability_table(17, 0.4, [10], samples=50_000, seed=13,
                                          benchmark_budget=50_000)
         assert rows[0]["method"] == "monte-carlo"
         assert rows[0]["std_error"] > 0
@@ -304,3 +307,55 @@ class TestOneCopyPerRule:
         assert est.std_error == pytest.approx(0.0007713256115966101, rel=1e-12)
         with pytest.raises(DomainError):
             plurality_stability_mc(3, 5, 0.4, 0)
+
+
+class TestHistogramRoute:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_the_tensor_contraction(self, m):
+        lo = -1.0 / (m - 1)
+        affordable = [n for n in range(1, 10) if voting._exact_affordable(m, n)]
+        assert affordable[-1] == {2: 9, 3: 9, 4: 8, 5: 7}[m]
+        for n in affordable:
+            f = plurality(m, n)
+            for rho in (lo + 1e-6, 0.6 * lo, 0.0, 0.4, 0.99):
+                tensor = discrete_noise_stability(f, rho)
+                assert abs(plurality_stability_histogram(m, n, rho) - tensor) <= 1e-13
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 150), (3, 11), (3, 51), (4, 21), (5, 12)])
+    def test_rho_zero_is_one_over_m(self, m, n):
+        assert abs(plurality_stability_histogram(m, n, 0.0) - 1.0 / m) <= 1e-14
+
+    @pytest.mark.parametrize("m,n", [(2, 150), (3, 51), (4, 21)])
+    def test_matches_the_sampler(self, m, n):
+        est = plurality_stability_mc(m, n, 0.4, 200_000, seed=[22, m, n])
+        assert abs(plurality_stability_histogram(m, n, 0.4) - est.value) <= 4 * est.std_error
+
+    def test_table_rows_build_no_plurality_table(self, monkeypatch):
+        def refuse(m, n):
+            raise AssertionError(f"plurality({m}, {n}) tabulated")
+
+        monkeypatch.setattr(voting, "plurality", refuse)
+        rows = plurality_stability_table(3, 0.4, [11, 51], benchmark_budget=1_000)
+        rows += plurality_stability_table(4, 0.4, [21], benchmark_budget=1_000)
+        assert [r["method"] for r in rows if r["n"] != "limit"] == ["exact"] * 3
+
+    def test_block_cap_bounds_memory(self, monkeypatch):
+        # (3, 51) has 243 sorted histograms on a 52 x 27 half grid; the small
+        # cap fits the three transformed columns and blocks of 3 histograms
+        whole = plurality_stability_histogram(3, 51, 0.4)
+        cap = 70_000
+        monkeypatch.setattr(voting, "HISTOGRAM_BLOCK_BYTES", cap)
+        tracemalloc.start()
+        try:
+            blocked = plurality_stability_histogram(3, 51, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(blocked - whole) <= 1e-15
+        assert peak <= 20 * cap
+
+    def test_refusals(self):
+        with pytest.raises(DomainError):
+            plurality_stability_histogram(17, 10, 0.4)  # the grid exceeds one block
+        with pytest.raises(DomainError):
+            plurality_stability_histogram(3, 5, -0.5)  # rho below -1/(m-1)
