@@ -574,13 +574,13 @@ def ou_rho_derivative(set_spec, rho, x, budget: int = 200_000, *, seed=0,
 # bivariate normal CDF oracle
 
 
-def _owens_t_ratio(h: np.ndarray, k: np.ndarray, r: float, s: float) -> np.ndarray:
+def _owens_t_ratio(h: np.ndarray, k: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """T(h, (k - r h)/(h s)), with T(0, +-inf) = +-1/4 taking the sign of k.
 
-    k - r h is formed as (k - h) + (1 - r) h, or as (k + h) - (1 + r) h when
+    k - r h is formed as (k - h) + (1 - r) h, or as (k + h) - (1 + r) h where
     r < 0, so it keeps its digits as rho -> +-1 with k near +-h.
     """
-    num = (k - h) + (1.0 - r) * h if r >= 0.0 else (k + h) - (1.0 + r) * h
+    num = np.where(r >= 0.0, (k - h) + (1.0 - r) * h, (k + h) - (1.0 + r) * h)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = owens_t(h, num / (h * s))
     return np.where(h == 0.0, 0.25 * np.sign(num), t)
@@ -596,22 +596,24 @@ def bivariate_normal_cdf(a, b, rho):
                - T(k, (h - rho k)/(k s)) - beta,
 
     where beta = 1/2 when h and k have opposite signs, or one is 0 and
-    h + k < 0, else 0.  ``a`` and ``b`` broadcast against each other; scalar
-    arguments give a float.
+    h + k < 0, else 0.  ``a``, ``b`` and ``rho`` broadcast against each other,
+    an array ``rho`` to the scalar values bit for bit; scalars give a float.
     """
-    r = as_rho(rho)
-    h, k = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    r = np.asarray(as_rho(rho) if np.ndim(rho) == 0 else rho, dtype=float)
+    if not np.all(np.abs(r) < 1.0):  # NaN fails too
+        raise DomainError("correlations must lie strictly in (-1, 1)")
+    h, k, r = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float), r)
     if np.isnan(h).any() or np.isnan(k).any():
         raise DomainError("arguments must not be NaN")
     # Gaussian mass beyond the radius is below double precision; clipping
     # also keeps infinite arguments out of the ratios
     h = np.clip(h, -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
     k = np.clip(k, -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
-    s = math.sqrt((1.0 - r) * (1.0 + r))  # no cancellation as |rho| -> 1
+    s = np.sqrt((1.0 - r) * (1.0 + r))  # no cancellation as |rho| -> 1
     # from the signs, not from h k, which can underflow to 0
     beta = 0.5 * np.where((h == 0.0) | (k == 0.0), h + k < 0.0, (h < 0.0) != (k < 0.0))
     val = (0.5 * (ndtr(h) + ndtr(k)) - _owens_t_ratio(h, k, r, s)
            - _owens_t_ratio(k, h, r, s) - beta)
-    val = np.where((h == 0.0) & (k == 0.0), 0.25 + math.asin(r) / (2.0 * math.pi), val)
+    val = np.where((h == 0.0) & (k == 0.0), 0.25 + np.arcsin(r) / (2.0 * math.pi), val)
     val = np.clip(val, 0.0, 1.0)
     return float(val) if val.ndim == 0 else val

@@ -74,6 +74,13 @@ class UnsupportedBoundaryError(ValueError):
 # G(beta) - G(alpha) + n/2, with n the number of sign changes of d on the arc.
 # Since grad gamma_2 = -x gamma_2, the moment is a sum over the two edge rays of
 # the inward normal times int_0^inf gamma_2(q + r u) dr = phi(d) Phi(-c).
+#
+# Pair probabilities follow Plackett's identity (Plackett 1954): d/drho
+# P(X in A, Y in B) = E <grad 1_A(X), grad 1_B(Y)>, a sum over edge rays e of A
+# and f of B of <N_e, N_f> phi_2(d_e, d_f; rho c) Phi_2(h_e, h_f; rho c), where
+# c = cos(t_e - t_f) and h are the apexes' c standardised given the d (variance
+# (1 - rho^2)/(1 - rho^2 c^2)).  Then P(rho) = gamma(A) gamma(B) +
+# int_0^{arcsin rho} cos(th) P'(sin th) dth, free of the 1/sqrt(1 - rho^2) edge.
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,25 +95,6 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _leg_panels(alpha: float, beta: float, nodes: int, max_width: float = math.pi / 2):
-    width = beta - alpha
-    n_panels = max(1, int(math.ceil(width / max_width)))
-    t, w = _leggauss(nodes)
-    edges = np.linspace(alpha, beta, n_panels + 1)
-    thetas, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        thetas.append(0.5 * (lo + hi) + half * t)
-        weights.append(half * w)
-    return np.concatenate(thetas), np.concatenate(weights)
-
-
-def _edge_coordinates(q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(c, d) = (<q, u(t)>, <q, u(t)^perp>) for a point q or an (n, 2) batch."""
-    ct, st = math.cos(t), math.sin(t)
-    return q[..., 0] * ct + q[..., 1] * st, q[..., 1] * ct - q[..., 0] * st
-
-
 def _edge_antiderivative(q: np.ndarray, t: float, inward: float):
     """G(t) at the edge ray t and whether d < 0 there.
 
@@ -114,7 +102,8 @@ def _edge_antiderivative(q: np.ndarray, t: float, inward: float):
     (``inward`` = -1) and +c at beta (``inward`` = +1).  The sign is read from
     the same d that goes into T, so the crossing count and T change together.
     """
-    c, d = _edge_coordinates(q, t)
+    ct, st = math.cos(t), math.sin(t)
+    c, d = q[:, 0] * ct + q[:, 1] * st, q[:, 1] * ct - q[:, 0] * st
     d = np.where(d == 0.0, np.copysign(0.0, inward * c), d)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = owens_t(d, c / d) + 0.5 * ndtr(d)
@@ -153,49 +142,67 @@ def shifted_sector_mass(apex, alpha: float, beta: float, nodes: int = 48):
 SECTOR_MASS_ERR = 1e-12
 
 
+def _sector_edges(apex, arcs):
+    """(t, s, c, d) of every edge ray of the sectors over ``arcs`` at ``apex``;
+    the ray at angle t has inward normal s u(t)^perp, s = 1 at alpha, -1 at beta."""
+    q, t = check_point(apex, 2), np.ravel(arcs).astype(float)
+    ct, st = np.cos(t), np.sin(t)
+    return t, 1.0 - 2.0 * (np.arange(t.size) % 2), q[0] * ct + q[1] * st, q[1] * ct - q[0] * st
+
+
 def shifted_sector_moment(apex, alpha: float, beta: float) -> np.ndarray:
-    """integral of x * gamma_2(x) over the shifted sector (the cell moment).
-
-    Closed form: with inward edge normals u(alpha + pi/2) and u(beta - pi/2),
-    the moment is the sum over both edge rays of normal * phi(d) Phi(-c).
-    """
-    q = check_point(apex, 2)
-    moment = np.zeros(2)
-    for t, normal in ((alpha, alpha + 0.5 * math.pi), (beta, beta - 0.5 * math.pi)):
-        c, d = _edge_coordinates(q, t)
-        moment += np.array([math.cos(normal), math.sin(normal)]) * (norm_pdf(d) * ndtr(-c))
-    return moment
+    """integral of x * gamma_2(x) over the shifted sector (the cell moment):
+    the sum over both edge rays of the inward normal times phi(d) Phi(-c)."""
+    t, s, c, d = _sector_edges(apex, [(alpha, beta)])
+    return (s * norm_pdf(d) * ndtr(-c)) @ np.stack([-np.sin(t), np.cos(t)], axis=1)
 
 
-def shifted_sector_pair_stability(apex_a, alpha_a: float, beta_a: float,
-                                  apex_b, alpha_b: float, beta_b: float, rho: float) -> float:
-    """integral over sector A of T_rho 1_B dgamma, for two shifted sectors.
-
-    Outer integral in polar coordinates around A's apex (a 48-node
-    Gauss-Legendre rule per angular panel and an 80-node one in radius), inner
-    T_rho 1_B by :func:`shifted_sector_mass`.  Intended for apexes within O(1)
-    of the origin.
-    """
-    qa = check_point(apex_a, 2)
-    qb = check_point(apex_b, 2)
-    r_max = 14.0 + float(np.linalg.norm(qa))
-    theta, wt = _leg_panels(alpha_a, beta_a, 48)
-    tr, wr = _leggauss(80)
-    rr = 0.5 * r_max * (tr + 1.0)
-    wr = 0.5 * r_max * wr
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    pts = qa[None, None, :] + rr[None, :, None] * u[:, None, :]
-    flat = pts.reshape(-1, 2)
-    gam = np.exp(-0.5 * np.sum(flat * flat, axis=1)) / _TWO_PI
-    sig = math.sqrt(1.0 - rho * rho)
-    t_vals = shifted_sector_mass((qb[None, :] - rho * flat) / sig, alpha_b, beta_b)
-    vals = (gam * t_vals).reshape(len(theta), len(rr)) * rr[None, :]
-    return float(wt @ vals @ wr)
+#: rounding error per unit of term magnitudes; Phi_2 was within 16 ulps of Phi(a) + Phi(b)
+_ROUNDING = 64 * float(np.finfo(float).eps)
 
 
-def shifted_sector_stability(apex, alpha: float, beta: float, rho: float) -> float:
-    """integral over C of T_rho 1_C dgamma for the shifted sector C."""
-    return shifted_sector_pair_stability(apex, alpha, beta, apex, alpha, beta, rho)
+def _plackett_integrand(edges_a, edges_b, theta):
+    """cos(th) P'(sin th) at each angle of ``theta``, and the summed magnitudes
+    of its terms: one bivariate normal CDF call for all edge pairs and angles."""
+    ta, sa, ca, da = (v[:, None, None] for v in edges_a)
+    tb, sb, cb, db = (v[None, :, None] for v in edges_b)
+    c, sn = np.cos(ta - tb), np.sin(ta - tb)  # <N_e, N_f> = s_e s_f c
+    r, cos_t = np.sin(theta), np.cos(theta)
+    rc, det = r * c, sn * sn + (c * cos_t) ** 2  # 1 - (rho c)^2, no cancellation
+    root = np.sqrt(det)
+    terms = (sa * sb * c * cos_t / (_TWO_PI * root)
+             * np.exp(-0.5 * (db * db + (da - rc * db) ** 2 / det)))
+    h_a = (r * sn * (db - rc * da) / det - ca) * root / cos_t
+    h_b = (-r * sn * (da - rc * db) / det - cb) * root / cos_t
+    vals = terms * bivariate_normal_cdf(h_a, h_b, rc)
+    return vals.sum(axis=(0, 1)), np.abs(terms).sum(axis=(0, 1))
+
+
+def _graded_panels(theta_end: float) -> np.ndarray:
+    """0, +-(pi/2 - pi/4), +-(pi/2 - pi/8), ... short of ``theta_end``, then
+    ``theta_end``: the integrand varies on the scale of the distance to +-pi/2."""
+    gaps = math.pi * 0.5 ** np.arange(2, 60)
+    inner = np.copysign(0.5 * math.pi - gaps[gaps > 0.5 * math.pi - abs(theta_end)], theta_end)
+    return np.concatenate([[0.0], inner, [theta_end]])
+
+
+def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
+    """(P(X in A, Y in B), error bound) for a rho-correlated pair and the unions
+    A and B of sectors over the arcs at the apexes, by Plackett's identity: one
+    batch of 16- and 32-node Gauss-Legendre rules on the graded panels, with
+    their difference plus the rounding of the terms' magnitudes as the bound."""
+    cuts = _graded_panels(math.asin(rho))
+    half = 0.5 * np.diff(cuts)[:, None]
+    (t16, w16), (t32, w32) = _leggauss(16), _leggauss(32)
+    theta = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * np.concatenate([t16, t32])
+    vals, mags = (v.reshape(theta.shape) * half for v in _plackett_integrand(
+        _sector_edges(apex_a, arcs_a), _sector_edges(apex_b, arcs_b), theta.ravel()))
+    coarse, fine = vals[:, :16] @ w16, vals[:, 16:] @ w32
+    mass_a, mass_b = (sum(shifted_sector_mass(q, a, b) for a, b in arcs)
+                      for q, arcs in ((apex_a, arcs_a), (apex_b, arcs_b)))
+    magnitude = len(arcs_a) + len(arcs_b) + np.abs(mags[:, 16:] @ w32).sum()  # 1 per mass
+    return (mass_a * mass_b + float(fine.sum()),
+            float(np.abs(coarse - fine).sum() + _ROUNDING * magnitude))
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +283,14 @@ class SetSpec:
         ha, hb = self.halfspace(), other.halfspace()
         if ha is not None and hb is not None:
             (na, a), (nb, b) = ha, hb
-            # <na, X> and <nb, Y> are standard normals with correlation rho <na, nb>
-            return bivariate_normal_cdf(a, b, rho * float(np.clip(na @ nb, -1.0, 1.0))), 1e-10
+            # <na, X> and <nb, Y> are standard normals with correlation rho <na, nb>, and
+            # Owen's terms for Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))
+            return (bivariate_normal_cdf(a, b, rho * float(np.clip(na @ nb, -1.0, 1.0))),
+                    2.0 * _ROUNDING * float(ndtr(a) + ndtr(b)))
         da, db = self.sector_decomposition(), other.sector_decomposition()
         if da is None or db is None:
             return None
-        (qa, arcs_a), (qb, arcs_b) = da, db
-        pairs = [(arc_a, arc_b) for arc_a in arcs_a for arc_b in arcs_b]
-        return (sum(shifted_sector_pair_stability(qa, *arc_a, qb, *arc_b, rho)
-                    for arc_a, arc_b in pairs), 1e-9 * len(pairs))
+        return shifted_sector_pair_stability(*da, *db, rho)
 
     def translate(self, t) -> "SetSpec":
         return ShiftedSet(self, np.asarray(t, dtype=float))
@@ -359,20 +365,12 @@ class ConeCell(SetSpec):
         return bool(out[0]) if single else out
 
     def sector_decomposition(self):
-        if self.dim != 2:
-            return None
-        arc = self._angular_arc()
-        if arc is None:
-            return None
-        return np.zeros(2), [arc]
+        arc = self._arc if self.dim == 2 else None
+        return None if arc is None else (np.zeros(2), [arc])
 
-    def _angular_arc(self):
-        cached = getattr(self, "_arc_cache", False)
-        if cached is not False:
-            return cached
-        arc = self._compute_arc()
-        object.__setattr__(self, "_arc_cache", arc)
-        return arc
+    @functools.cached_property
+    def _arc(self):
+        return self._compute_arc()
 
     def _compute_arc(self):
         # The cell is the intersection of the half-planes <u, z_i - z_j> >= 0.

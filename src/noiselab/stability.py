@@ -15,8 +15,8 @@ partitions run with positively correlated errors when they reuse a seed.
 
 Every deterministic route is a sum of pair probabilities P(X in a, Y in b)
 over cell pairs, taken from :meth:`noiselab.partitions.SetSpec.pair_exact`
-(the bivariate normal CDF for two half-spaces, the shifted-sector quadrature
-for two planar sectors): over (s, s) for a set, (p_i, p_i) for a partition
+(the bivariate normal CDF for two half-spaces, Plackett's identity in
+arcsin(rho) for two planar sectors): over (s, s) for a set, (p_i, p_i) for a partition
 and (p_i, q_i) for a bilinear form.  At rho = 0 the stability is the sum of
 the squared cell measures when every cell has a closed-form measure; otherwise
 rho = 0 is sampled like any other rho.  A partition takes these routes only

@@ -618,6 +618,26 @@ class TestBivariateNormalCdf:
         with pytest.raises(DomainError):
             bivariate_normal_cdf(np.array([0.0, np.nan]), 0.0, 0.3)
 
+    def test_array_rho_equals_scalar_rho(self):
+        # rho near +-1 and at 0, h = k = 0, tiny and infinite arguments, and
+        # h and k of opposite signs, all in one call
+        rho = [-0.9999999, -0.999, -0.5, 0.0, 1e-12, 0.3, 0.999, 0.9999999]
+        args = [-np.inf, -3.0, -0.7, -1e-170, 0.0, 1e-200, 0.4, 2.5]
+        h, k, r = np.meshgrid(args, args, rho, indexing="ij")
+        batch = bivariate_normal_cdf(h, k, r)
+        assert batch.shape == h.shape
+        scalars = [bivariate_normal_cdf(float(a), float(b), float(c))
+                   for a, b, c in zip(h.ravel(), k.ravel(), r.ravel())]
+        assert np.array_equal(batch.ravel(), scalars)
+        # a rho vector broadcasts against scalar arguments
+        assert np.array_equal(bivariate_normal_cdf(0.4, -0.7, np.array(rho)),
+                              [bivariate_normal_cdf(0.4, -0.7, c) for c in rho])
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0, np.nan, np.inf])
+    def test_array_rho_outside_the_open_interval_is_rejected(self, rho):
+        with pytest.raises(DomainError):
+            bivariate_normal_cdf(0.0, 0.0, np.array([0.5, rho]))
+
 
 class TestConcurrency:
     def test_thread_pool_reduction_deterministic(self):

@@ -37,7 +37,7 @@ from noiselab.partitions import (
     sector_partition,
     shifted_sector_mass,
     shifted_sector_moment,
-    shifted_sector_stability,
+    shifted_sector_pair_stability,
     simplex_cone_partition,
     simplex_generators,
     three_sectors_120,
@@ -182,7 +182,8 @@ class TestShiftedSectorMachinery:
     def test_stability_matches_sheppard_for_halfplane(self):
         # independent oracle: measure-1/2 half-space stability 1/4 + asin(rho)/(2 pi)
         for rho in (0.25, 0.5, 0.8):
-            val = shifted_sector_stability(np.zeros(2), -math.pi / 2, math.pi / 2, rho)
+            half = [(-math.pi / 2, math.pi / 2)]
+            val, _ = shifted_sector_pair_stability(np.zeros(2), half, np.zeros(2), half, rho)
             assert val == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi), abs=1e-9)
 
 
@@ -514,6 +515,39 @@ class TestFacetCache:
             0.5786180523898468, 0.002275787602087709, 160000)
         assert (e10.value, e10.std_error, e10.samples) == (
             -0.5786180523898469, 0.0022757876020877096, 160000)
+
+
+class TestSectorPairBatching:
+    """pair_exact on two single-arc sectors is one batched rule: one bivariate
+    normal CDF call over every edge-ray pair and every node, and one mass per cell."""
+
+    @pytest.mark.parametrize("rho", [0.5, -0.98, 0.9999])
+    def test_one_bivariate_normal_call(self, monkeypatch, rho):
+        sizes, masses = [], []
+        bvn, mass = partitions_module.bivariate_normal_cdf, partitions_module.shifted_sector_mass
+
+        def counted_bvn(a, b, r):
+            sizes.append(np.size(a))
+            return bvn(a, b, r)
+
+        def counted_mass(*args, **kwargs):
+            masses.append(args)
+            return mass(*args, **kwargs)
+
+        monkeypatch.setattr(partitions_module, "bivariate_normal_cdf", counted_bvn)
+        monkeypatch.setattr(partitions_module, "shifted_sector_mass", counted_mass)
+        a, b = ShiftedSet(Sector2D(0.1, 2.0), [0.3, -0.2]), Complement(Sector2D(-1.0, 0.5))
+        val, err = a.pair_exact(b, rho)
+        panels = len(partitions_module._graded_panels(math.asin(rho))) - 1
+        # 2 x 2 edge-ray pairs at the 16 + 32 nodes of every panel
+        assert sizes == [2 * 2 * panels * 48]
+        assert len(masses) <= 2
+        assert 0.0 < err <= 1e-13
+
+    def test_panels_are_graded_toward_the_ends(self):
+        counts = {rho: len(partitions_module._graded_panels(math.asin(rho))) - 1
+                  for rho in (0.0, 0.5, 0.7, 0.98, -0.98, 0.9999)}
+        assert counts == {0.0: 1, 0.5: 1, 0.7: 1, 0.98: 3, -0.98: 3, 0.9999: 7}
 
 
 class TestNegationAndRotation:

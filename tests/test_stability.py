@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
+import noiselab.partitions as partitions_module
 import noiselab.stability as stability_module
 from noiselab.gauss import DomainError, sample_correlated_pair
 from noiselab.partitions import (
@@ -286,12 +287,44 @@ class TestClosedFormOracle:
             assert est.value <= bench + slack
 
 
-def _angle_difference_density(delta, rho):
-    # density of angle(Y) - angle(X) for a rho-correlated pair in R^2
-    b = rho * math.cos(delta)
-    s = 1.0 - b * b
-    return ((1.0 - rho * rho) / (2 * math.pi * s)
-            * (1.0 + b * (math.pi / 2 + math.asin(b)) / math.sqrt(s)))
+def _mp_angle_difference_density(delta, rho):
+    # density of angle(Y) - angle(X) for a rho-correlated pair in R^2, in mpmath
+    b = rho * mpmath.cos(delta)
+    s = 1 - b * b
+    return (1 - rho * rho) / (2 * mpmath.pi * s) * (1 + b * (mpmath.pi / 2 + mpmath.asin(b))
+                                                   / mpmath.sqrt(s))
+
+
+def _mp_sector_pair(arc_a, arc_b, rho):
+    """P(X in A, Y in B) for sectors with apex 0 over the two arcs: the angle of X
+    is uniform and independent of the angle difference, so this is (1/2pi) times
+    the integral of the angle-difference density against the length of the part
+    of A that the difference carries into B.  The length is linear between the
+    kinks, which bound the pieces of the mpmath quadrature."""
+    with mpmath.workdps(20):
+        tau, r = 2 * mpmath.pi, mpmath.mpf(rho)
+        (a1, b1), (a2, b2) = ([mpmath.mpf(x) for x in arc] for arc in (arc_a, arc_b))
+
+        def overlap(d):
+            return sum(max(0, min(b1, b2 - d + k * tau) - max(a1, a2 - d + k * tau))
+                       for k in range(-3, 4))
+
+        kinks = {(x + mpmath.pi) % tau - mpmath.pi for x in (a2 - a1, a2 - b1, b2 - a1, b2 - b1)}
+        pieces = sorted(kinks | {-mpmath.pi, mpmath.mpf(0), mpmath.pi})
+        return float(mpmath.quad(lambda d: _mp_angle_difference_density(d, r) * overlap(d),
+                                 pieces) / tau)
+
+
+def _mp_bivariate_normal(a, b, rho):
+    """Phi_2(a, b; rho) as the mpmath integral of phi(t) Phi((b - rho t)/sqrt(1 - rho^2))
+    over t <= a; the inner CDF steps at t = b/rho as |rho| -> 1."""
+    with mpmath.workdps(20):
+        a, b, r = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(rho)
+        s = mpmath.sqrt(1 - r * r)
+        step = b / r
+        knees = sorted({step + k * s for k in (-8, -1, 0, 1, 8)})
+        pieces = [-mpmath.inf] + [t for t in knees if t < a] + [a]
+        return float(mpmath.quad(lambda t: mpmath.npdf(t) * mpmath.ncdf((b - r * t) / s), pieces))
 
 
 class TestSectorQuadratureNearOne:
@@ -307,24 +340,116 @@ class TestSectorQuadratureNearOne:
     def test_simplex_cones_match_the_angle_difference_integral(self, rho):
         # the angle of X is uniform and independent of the angle difference, so
         # three 120-degree cells give P(same cell) = (3/pi) int_0^w f(t) (w - t) dt
-        w = 2 * math.pi / 3
-        val, _ = integrate.quad(lambda t: _angle_difference_density(t, rho) * (w - t), 0.0, w,
-                                epsabs=1e-15, epsrel=1e-13, limit=400)
+        with mpmath.workdps(20):
+            w = 2 * mpmath.pi / 3
+            val = mpmath.quad(lambda t: _mp_angle_difference_density(t, mpmath.mpf(rho)) * (w - t),
+                              [0, w])
+            oracle = float(3 * val / mpmath.pi)
         est = partition_stability(simplex_cone_partition(3), rho)
         assert est.method == "quadrature"
-        assert abs(est.value - 3.0 * val / math.pi) <= est.std_error
+        assert abs(est.value - oracle) <= est.std_error
 
     @pytest.mark.parametrize("rho", [0.98, 0.995])
     def test_shifted_half_plane_as_a_sector(self, rho):
         # x <= 4 as the sector with apex (4, 0) over [pi/2, 3 pi/2]
         cell = ShiftedSet(Sector2D(math.pi / 2, 3 * math.pi / 2), [4.0, 0.0])
-        s = math.sqrt(1.0 - rho * rho)
-        val, _ = integrate.quad(lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
-                                * ndtr((4.0 - rho * t) / s), -40.0, 4.0,
-                                epsabs=1e-15, epsrel=1e-13, limit=400)
         est = noise_stability(cell, rho)
         assert est.method == "quadrature"
-        assert abs(est.value - val) <= est.std_error
+        assert abs(est.value - _mp_bivariate_normal(4.0, 4.0, rho)) <= est.std_error
+
+
+def _half_plane(apex, alpha):
+    """The sector over [alpha, alpha + pi] at ``apex``, and its (normal, offset)
+    as the half-plane {x: <normal, x> <= offset}."""
+    normal = -np.array([math.cos(alpha + math.pi / 2), math.sin(alpha + math.pi / 2)])
+    return ShiftedSet(Sector2D(alpha, alpha + math.pi), apex), normal, float(normal @ apex)
+
+
+DOMAIN_RHOS = [sign * r for r in (0.9, 0.99, 0.999, 0.9999, 0.99999) for sign in (1, -1)]
+NARROW = Sector2D(0.3, 0.3 + 1e-3)
+WIDE = Sector2D(2.9, 0.4 + 2 * math.pi)  # wider than pi
+PARALLEL = (Sector2D(0.0, 1.0), ShiftedSet(Sector2D(0.0, 1.0), [0.0, 0.3]))
+
+
+class TestSectorPairsOverTheDomain:
+    """pair_exact on planar sectors over rho in +-{0.9, ..., 0.99999}: the value is
+    within its reported error of an independent oracle, and that error is at
+    most 1e-13."""
+
+    @staticmethod
+    def check(a, b, rho, oracle, slack=0.0):
+        val, err = a.pair_exact(b, rho)
+        assert err <= 1e-13
+        assert abs(val - oracle) <= err + slack
+        return val, err
+
+    @pytest.mark.parametrize("rho", DOMAIN_RHOS)
+    def test_centered_half_plane_is_sheppard(self, rho):
+        half = Sector2D(-math.pi / 2, math.pi / 2)
+        law = math.asin(rho) / (2 * math.pi)
+        self.check(half, half, rho, 0.25 + law)
+        self.check(half, Complement(half), rho, 0.25 - law)
+
+    @pytest.mark.parametrize("rho", DOMAIN_RHOS)
+    @pytest.mark.parametrize("a, b", [(NARROW, NARROW), (WIDE, WIDE), (WIDE, Complement(WIDE)),
+                                      (Complement(WIDE), Complement(WIDE))],
+                             ids=["narrow", "wide", "wide-complement", "complement"])
+    def test_centered_sectors_match_the_angle_difference_integral(self, a, b, rho):
+        (_, [arc_a]), (_, [arc_b]) = a.sector_decomposition(), b.sector_decomposition()
+        self.check(a, b, rho, _mp_sector_pair(arc_a, arc_b, rho))
+
+    @pytest.mark.parametrize("rho", DOMAIN_RHOS)
+    def test_half_space_pairs_earn_their_error(self, rho):
+        # the bound scales with the terms of Owen's formula, Phi(a) + Phi(b)
+        errors = [self.check(HalfSpace([1.0, 0.0], a), HalfSpace([0.6, 0.8], b), rho,
+                             _mp_bivariate_normal(a, b, 0.6 * rho))[1]
+                  for a, b in [(0.3, -0.4), (-6.0, -5.0), (2.0, 7.0)]]
+        assert errors[1] < 1e-6 * errors[0] and errors[0] < errors[2]
+
+    @pytest.mark.parametrize("rho", DOMAIN_RHOS)
+    def test_shifted_half_planes_match_the_line_integral(self, rho):
+        a, na, oa = _half_plane(np.array([0.3, -0.2]), 0.7)
+        b, nb, ob = _half_plane(np.array([-0.5, 1.0]), 0.7 + 2.5)
+        far, nf, of = _half_plane(np.array([4.0, 0.0]), math.pi / 2)
+        self.check(a, b, rho, _mp_bivariate_normal(oa, ob, rho * float(na @ nb)))
+        self.check(a, a, rho, _mp_bivariate_normal(oa, oa, rho))
+        self.check(far, far, rho, _mp_bivariate_normal(of, of, rho))
+        self.check(Complement(far), Complement(far), rho, _mp_bivariate_normal(-of, -of, rho))
+
+    @pytest.mark.parametrize("rho", DOMAIN_RHOS)
+    @pytest.mark.parametrize("a, b", [PARALLEL, (ShiftedSet(Sector2D(0.1, 2.0), [0.3, -0.2]),) * 2,
+                                      (NARROW, ShiftedSet(WIDE, [0.2, 0.1]))],
+                             ids=["parallel-edges", "shifted", "narrow-wide-shifted"])
+    def test_shifted_sectors_against_monte_carlo(self, a, b, rho):
+        n = 200_000
+        x, y = sample_correlated_pair(rho, 2, n, seed=[31, round(1e5 * abs(rho)), rho > 0])
+        hits = a.contains(x) & b.contains(y)
+        self.check(a, b, rho, hits.mean(), 4 * math.sqrt(max(hits.var(ddof=1), 1e-12) / n))
+
+    @pytest.mark.parametrize("rho", [0.5, -0.9, 0.99, 0.9999, -0.99999])
+    @pytest.mark.parametrize("a, b", [PARALLEL, (WIDE, NARROW),
+                                      (ShiftedSet(WIDE, [0.3, -0.2]), Complement(NARROW))],
+                             ids=["parallel-edges", "wide-narrow", "shifted-complement"])
+    def test_derivative_is_the_richardson_limit(self, a, b, rho):
+        # P'(rho) = cos(th) P'(sin th) / cos(th) against Richardson-extrapolated
+        # central differences of P with steps h and 2h
+        edges = [partitions_module._sector_edges(*c.sector_decomposition()) for c in (a, b)]
+        theta = math.asin(rho)
+        exact = float(partitions_module._plackett_integrand(*edges, np.array([theta]))[0][0]
+                      / math.cos(theta))
+        h = 0.01 * (1.0 - abs(rho))
+
+        def central(step):
+            (up, e_up), (dn, e_dn) = a.pair_exact(b, rho + step), a.pair_exact(b, rho - step)
+            return (up - dn) / (2 * step), (e_up + e_dn) / (2 * step)
+
+        (d1, e1), (d2, e2), (d4, _) = central(h), central(2 * h), central(4 * h)
+        richardson, coarser = (4 * d1 - d2) / 3, (4 * d2 - d4) / 3
+        # the values' reported errors through the differences, plus the
+        # extrapolation's residual against the one from steps 2h and 4h
+        tol = (4 * e1 + e2) / 3 + abs(richardson - coarser)
+        assert abs(exact - richardson) <= tol
+        assert tol <= 1e-6 * max(1.0, abs(exact))
 
 
 _R3_CONES = simplex_cone_partition(4)
