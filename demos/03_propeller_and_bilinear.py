@@ -29,12 +29,13 @@ print(f"  sectors : {est.value:.9f}")
 est = propeller_functional(halfspace_partition([1.0, 0.0], 0.0))
 print(f"  opposing half-planes: {est.value:.9f}  (= 1/pi)")
 rng = np.random.default_rng(3)
-print("  random 4-cell cone partitions of R^3 stay below:")
+print("  random 4-cell cone partitions of R^3 stay below (closed forms: solid")
+print("  angles and facet wedge angles):")
 for k in range(4):
     gens = rng.standard_normal((4, 3))
     gens /= np.linalg.norm(gens, axis=1, keepdims=True)
-    est = propeller_functional(cone_partition(gens), 200_000, seed=k)
-    print(f"    partition {k}: {est.value:.4f} +- {est.std_error:.4f}")
+    est = propeller_functional(cone_partition(gens))
+    print(f"    partition {k}: {est.value:.12f} +- {est.std_error:.1e}  ({est.method})")
 print()
 
 rho = 0.5

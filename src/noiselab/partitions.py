@@ -8,7 +8,7 @@ the measure-zero interfaces broken toward the lowest cell index.
 
 Interfaces between cells of the polyhedral kinds are finite unions of convex
 pieces of hyperplanes (facets); those of half-space pairs and planar sectors
-are read off the two reductions below.  Boundary sampling draws points from the
+are read off the first two reductions below.  Boundary sampling draws points from the
 Gaussian density restricted to each facet, selecting facets proportionally to
 their Gaussian surface mass, and attaches importance weights in units of plain
 surface measure so that
@@ -18,9 +18,10 @@ surface measure so that
 
 Every closed form (T_rho of the indicator, its gradient, the measure, the
 cell moment and the pair probability P(X in a, Y in b)) is written once in
-:class:`SetSpec` against the two reductions a cell kind may override,
-:meth:`SetSpec.halfspace` and :meth:`SetSpec.sector_decomposition`.  Other
-modules reach cells only through these methods.
+:class:`SetSpec` against the three reductions a cell kind may override,
+:meth:`SetSpec.halfspace`, :meth:`SetSpec.sector_decomposition` and
+:meth:`SetSpec.cone_normals`.  Other modules reach cells only through these
+methods.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
+from .cones import central_cone, feasible_arc
 from .gauss import (
     CLOSED_FORM,
+    ROUNDING,
     DomainError,
     Estimate,
     bivariate_normal_cdf,
@@ -150,15 +153,20 @@ def _sector_edges(apex, arcs):
     return t, 1.0 - 2.0 * (np.arange(t.size) % 2), q[0] * ct + q[1] * st, q[1] * ct - q[0] * st
 
 
+def _sector_moment(apex, arcs):
+    """(moment, error) of the union of sectors over ``arcs`` at ``apex``: the
+    sum over edge rays of the inward normal times phi(d) Phi(-c).  c and d carry
+    about |q| ulps, which move phi(d) and Phi(-c) by |q| (1 + |c| + |d|) ulps
+    relative, so each term's magnitude is weighted by that factor."""
+    t, s, c, d = _sector_edges(apex, arcs)
+    terms, normals = s * norm_pdf(d) * ndtr(-c), np.stack([-np.sin(t), np.cos(t)], axis=1)
+    cond = 1 + np.hypot(c, d) * (1 + np.abs(c) + np.abs(d))
+    return terms @ normals, ROUNDING * (np.abs(terms) * cond) @ np.abs(normals)
+
+
 def shifted_sector_moment(apex, alpha: float, beta: float) -> np.ndarray:
-    """integral of x * gamma_2(x) over the shifted sector (the cell moment):
-    the sum over both edge rays of the inward normal times phi(d) Phi(-c)."""
-    t, s, c, d = _sector_edges(apex, [(alpha, beta)])
-    return (s * norm_pdf(d) * ndtr(-c)) @ np.stack([-np.sin(t), np.cos(t)], axis=1)
-
-
-#: rounding error per unit of term magnitudes; Phi_2 was within 16 ulps of Phi(a) + Phi(b)
-_ROUNDING = 64 * float(np.finfo(float).eps)
+    """integral of x * gamma_2(x) over the shifted sector (the cell moment)."""
+    return _sector_moment(apex, [(alpha, beta)])[0]
 
 
 def _plackett_integrand(edges_a, edges_b, theta):
@@ -202,7 +210,7 @@ def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
                       for q, arcs in ((apex_a, arcs_a), (apex_b, arcs_b)))
     magnitude = len(arcs_a) + len(arcs_b) + np.abs(mags[:, 16:] @ w32).sum()  # 1 per mass
     return (mass_a * mass_b + float(fine.sum()),
-            float(np.abs(coarse - fine).sum() + _ROUNDING * magnitude))
+            float(np.abs(coarse - fine).sum() + ROUNDING * magnitude))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +219,11 @@ def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
 
 class SetSpec:
     """Base class for measurable cells.  Subclasses are immutable and state
-    their shape only through the two reductions; each closed form below
-    declines with None where neither applies."""
+    their shape only through three reductions: :meth:`halfspace`,
+    :meth:`sector_decomposition` and :meth:`cone_normals`.  Each closed form
+    below is written once against them, tried in that order, and declines
+    with None where none applies; a central cone in R^3 has its measure and
+    moment but no T_rho at rho != 0 and no pair probability."""
 
     dim: int
 
@@ -229,10 +240,23 @@ class SetSpec:
         sectors in the first two coordinates (times R^(d-2)), else None."""
         return None
 
+    def cone_normals(self):
+        """(k, 3) outward unit normals N when the cell is the central cone
+        {x: N x[:3] <= 0} (times R^(d-3)), else None."""
+        return None
+
+    @functools.cached_property
+    def _cone(self):
+        """:func:`noiselab.cones.central_cone` of :meth:`cone_normals`, once per cell."""
+        normals = self.cone_normals()
+        return None if normals is None else central_cone(normals)
+
     def gaussian_measure_exact(self):
         """(value, error_bound) when a deterministic measure is available:
-        T_0 1_set is the constant gamma(set)."""
-        return self.ou_exact(0.0, np.zeros(self.dim))
+        T_0 1_set is the constant gamma(set), and a central cone's measure is
+        its solid angle over 4 pi."""
+        res = self.ou_exact(0.0, np.zeros(self.dim))
+        return res if res is not None or self._cone is None else self._cone[:2]
 
     def ou_exact(self, rho: float, x: np.ndarray):
         """(T_rho 1_set(x), error_bound) when a deterministic route exists.
@@ -265,17 +289,23 @@ class SetSpec:
         return np.multiply.outer(norm_pdf(u), -n) * rho / sig, 1e-14
 
     def moment_exact(self):
-        """integral of x * gamma_d(x) over the cell in closed form, else None."""
+        """(integral of x * gamma_d(x) over the cell, componentwise error bound)
+        in closed form, else None.  The error is the rounding of the terms'
+        magnitudes; phi(a) carries a^2 ulps through exp(-a^2/2)."""
         hs = self.halfspace()
         if hs is not None:
             n, a = hs
-            return -n * (math.exp(-0.5 * a * a) / math.sqrt(_TWO_PI))
-        deco = self.sector_decomposition()
+            phi = float(norm_pdf(a))
+            return -n * phi, ROUNDING * np.abs(n) * (phi * (1 + a * a) if phi else 0)
+        deco, cone = self.sector_decomposition(), self._cone
         if deco is not None:
-            apex, arcs = deco
-            planar = np.sum([shifted_sector_moment(apex, a, b) for a, b in arcs], axis=0)
-            return np.concatenate([planar, np.zeros(self.dim - 2)])
-        return None
+            value, err = _sector_moment(*deco)
+        elif cone is not None:
+            value, err = cone[2:]
+        else:
+            return None
+        pad = np.zeros(self.dim - value.shape[0])
+        return np.concatenate([value, pad]), np.concatenate([err, pad])
 
     def pair_exact(self, other: "SetSpec", rho: float):
         """(P(X in self, Y in other), error_bound) for a rho-correlated pair
@@ -286,7 +316,7 @@ class SetSpec:
             # <na, X> and <nb, Y> are standard normals with correlation rho <na, nb>, and
             # Owen's terms for Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))
             return (bivariate_normal_cdf(a, b, rho * float(np.clip(na @ nb, -1.0, 1.0))),
-                    2.0 * _ROUNDING * float(ndtr(a) + ndtr(b)))
+                    2.0 * ROUNDING * float(ndtr(a) + ndtr(b)))
         da, db = self.sector_decomposition(), other.sector_decomposition()
         if da is None or db is None:
             return None
@@ -364,44 +394,38 @@ class ConeCell(SetSpec):
         out = dots[:, self.index] >= dots.max(axis=1)
         return bool(out[0]) if single else out
 
+    @functools.cached_property
+    def _outward(self):
+        """The nonzero z_j - z_i: the cell is {x: <x, w> <= 0} for each row w
+        (z_i itself, and any generator identical to it, constrains nothing)."""
+        w = self.generators - self.generators[self.index]
+        return w[np.any(w != 0.0, axis=1)]
+
+    def halfspace(self):
+        return self._halfspace
+
+    @functools.cached_property
+    def _halfspace(self):
+        w = self._outward
+        if w.shape[0] == 0:
+            return np.zeros(self.dim), math.inf
+        if np.any(w != w[0]):
+            return None
+        return w[0] / float(np.linalg.norm(w[0])), 0.0
+
     def sector_decomposition(self):
         arc = self._arc if self.dim == 2 else None
         return None if arc is None else (np.zeros(2), [arc])
 
     @functools.cached_property
     def _arc(self):
-        return self._compute_arc()
-
-    def _compute_arc(self):
-        # The cell is the intersection of the half-planes <u, z_i - z_j> >= 0.
-        # Each is an arc of width pi centred on the angle of z_i - z_j, so the
-        # cell's edges are among those angles +- pi/2, and a midpoint test per
-        # gap between consecutive candidate edges decides which gaps it covers.
         z = self.generators
-        w = z[self.index] - np.delete(z, self.index, axis=0)
-        w = w[np.any(w != 0.0, axis=1)]  # an identical generator constrains nothing
-        if w.shape[0] == 0:
-            return (0.0, _TWO_PI)
-        centre = np.arctan2(w[:, 1], w[:, 0])
-        edges = np.mod(np.concatenate([centre - math.pi / 2, centre + math.pi / 2]), _TWO_PI)
-        edges = np.sort(np.where(edges < _TWO_PI, edges, 0.0))  # mod may round up to 2 pi
-        ends = np.append(edges[1:], edges[0] + _TWO_PI)
-        mid = 0.5 * (edges + ends)
-        slack = np.stack([np.cos(mid), np.sin(mid)], axis=-1) @ w.T
-        feas = (slack.min(axis=1) >= 0) & (ends > edges)  # an empty gap is only a boundary point
-        if feas.all():
-            return (0.0, _TWO_PI)
-        if not feas.any():
+        return feasible_arc(z[self.index] - np.delete(z, self.index, axis=0))
+
+    def cone_normals(self):
+        if self.dim != 3:
             return None
-        starts = np.flatnonzero(feas & ~np.roll(feas, 1))
-        stops = np.flatnonzero(feas & ~np.roll(feas, -1))
-        if len(starts) != 1:
-            raise DomainError("cone cell is not a single angular arc")
-        alpha = float(edges[starts[0]])
-        beta = float(ends[stops[0]])
-        if beta < alpha:
-            beta += _TWO_PI
-        return (alpha, beta)
+        return self._outward / np.linalg.norm(self._outward, axis=1, keepdims=True)
 
     def translate(self, t):
         return ShiftedSet(self, np.asarray(t, dtype=float))
@@ -511,6 +535,9 @@ class ProductWithR(SetSpec):
 
     def sector_decomposition(self):
         return self.base.sector_decomposition()
+
+    def cone_normals(self):
+        return self.base.cone_normals()
 
     def translate(self, t):
         return ProductWithR(self.base.translate(np.asarray(t, float)[: self.base.dim]), self.extra)

@@ -35,6 +35,7 @@ from .gauss import (
     CLOSED_FORM,
     MONTE_CARLO,
     QUADRATURE,
+    ROUNDING,
     DomainError,
     Estimate,
     VectorEstimate,
@@ -213,11 +214,13 @@ def _bilinear_quadrature(p: PartitionSpec, q: PartitionSpec, rho: float) -> Esti
 
 
 def cell_moment(s: SetSpec, budget: int = 400_000, *, seed=0, mode: str = "auto") -> VectorEstimate:
-    """integral of x * gamma_d(x) over the cell."""
+    """integral of x * gamma_d(x) over the cell: the closed form of
+    :meth:`noiselab.partitions.SetSpec.moment_exact` with its rounding bound
+    where one exists, else Monte Carlo."""
 
     def deterministic():
         exact = s.moment_exact()
-        return None if exact is None else VectorEstimate(exact, np.full(s.dim, 1e-12), 0, QUADRATURE)
+        return None if exact is None else VectorEstimate(*exact, 0, QUADRATURE)
 
     def values(rng, k):
         x = rng.standard_normal((k, s.dim))
@@ -230,17 +233,23 @@ def propeller_functional(p: PartitionSpec, budget: int = 1_000_000, *, seed=0,
                          mode: str = "auto") -> Estimate:
     """sum_i || integral_{cell_i} x gamma(x) dx ||^2.
 
-    Exact for half-spaces and planar sector-like cells.  In Monte Carlo mode
-    one shared Gaussian stream feeds every cell's moment; the squared norms
-    are estimated without plug-in bias by cross products of moments from
-    independent shard pairs, with the standard error taken across pairs.
+    Deterministic when every cell has a closed-form moment (half-spaces,
+    planar sectors and central cones in R^3) and the closed-form measures add
+    up to 1.  A moment m with componentwise error e moves the squared norm by
+    at most sum_c (2 |m_c| + e_c) e_c, which joins the rounding of the sum.
+    In Monte Carlo mode one shared Gaussian stream feeds every cell's moment;
+    the squared norms are estimated without plug-in bias by cross products of
+    moments from independent shard pairs, with the standard error taken
+    across pairs.
     """
 
     def deterministic():
         moments = [c.moment_exact() for c in p.cells]
         if any(m is None for m in moments) or not _tiles(_closed_measures(p.cells)):
             return None
-        return Estimate(float(sum(float(m @ m) for m in moments)), 1e-10, 0, QUADRATURE)
+        value = sum(float(m @ m) for m, _ in moments)
+        err = sum(float((2 * np.abs(m) + e) @ e) for m, e in moments)
+        return Estimate(value, err + ROUNDING * value, 0, QUADRATURE)
 
     def values(rng, k):
         # column block i holds x where x falls in cell i and 0 elsewhere

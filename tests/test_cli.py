@@ -5,9 +5,12 @@ import math
 
 import pytest
 
+import noiselab.cli as cli_module
+import noiselab.stability as stability_module
 from noiselab.cli import main
 from noiselab.partitions import (
     cylinder_extend,
+    gaussian_measure,
     halfspace_partition,
     partition_to_json,
     simplex_cone_partition,
@@ -195,6 +198,28 @@ class TestVerifyCommand:
         assert "three-sectors-equality" in names
         eq = next(c for c in report["checks"] if c["check"] == "three-sectors-equality")
         assert eq["target"] == pytest.approx(9.0 / (8.0 * math.pi), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [4242, 20240901])
+    def test_propeller_suite_draws_no_sample(self, capsys, monkeypatch, seed):
+        # the ten random 4-cone partitions of R^3 take the closed forms
+        calls = []
+
+        def recording(p, *args, **kwargs):
+            calls.append((p, stability_module.propeller_functional(p, *args, **kwargs)))
+            return calls[-1][1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the propeller suite drew a sample")
+
+        monkeypatch.setattr(cli_module, "propeller_functional", recording)
+        monkeypatch.setattr(stability_module, "mc_shard_means", refuse)
+        code, out, _ = run(capsys, "verify", "propeller", "--seed", str(seed))
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert len(calls) == 11
+        for p, est in calls:
+            assert est.method == "quadrature" and est.samples == 0 and est.std_error <= 1e-13
+            total = sum(gaussian_measure(c, mode="quadrature").value for c in p.cells)
+            assert abs(total - 1.0) <= 1e-13
 
     def test_tolerance_failure_exit_5(self, capsys):
         code, out, _ = run(capsys, "verify", "gaussian-core", "--budget", "50000",

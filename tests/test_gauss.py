@@ -369,7 +369,9 @@ _RECORDED = [
 class TestReductions:
     """The five closed forms (T_rho, its gradient, the measure, the moment and
     the pair probability), written once against SetSpec.halfspace() and
-    SetSpec.sector_decomposition(), on every cell kind."""
+    SetSpec.sector_decomposition(), on every cell kind.  The measure and
+    moment of central cones in R^3 (SetSpec.cone_normals()) are tested in
+    test_cones.py."""
 
     @pytest.mark.parametrize("cell", _reduction_cells(), ids=lambda c: type(c).__name__)
     def test_closed_forms_against_monte_carlo(self, cell):
@@ -454,7 +456,8 @@ class TestReductions:
             assert np.max(np.abs(tc - (1.0 - t))) <= 1e-15
             g, gc = base.ou_gradient_exact(rho, pts)[0], comp.ou_gradient_exact(rho, pts)[0]
             assert np.array_equal(gc, -g)
-        assert np.array_equal(comp.moment_exact(), -base.moment_exact())
+        (mom, err), (mom_c, err_c) = base.moment_exact(), comp.moment_exact()
+        assert np.array_equal(mom_c, -mom) and np.array_equal(err_c, err)
 
     def test_widened_coverage(self):
         hs = HalfSpace([0.6, -0.8], 0.3)

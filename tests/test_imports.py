@@ -93,10 +93,77 @@ def _cell_references(tree):
 
 
 def test_only_partitions_knows_cell_kinds():
-    # every closed form reaches a cell through SetSpec.halfspace() and
-    # SetSpec.sector_decomposition(), so no other module branches on a cell
-    # class; __init__ only re-exports the public classes
+    # every closed form reaches a cell through SetSpec.halfspace(),
+    # SetSpec.sector_decomposition() and SetSpec.cone_normals(), so no other
+    # module branches on a cell class; __init__ only re-exports the public classes
     found = [f"{p.name}:{line} {name}" for p in SOURCES
              if p.name not in ("partitions.py", "__init__.py")
              for line, name in _cell_references(ast.parse(p.read_text()))]
     assert found == []
+
+
+def _functions(tree):
+    """Every function definition by name, methods and nested functions included."""
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def _error_slots(func, slots):
+    """The expressions a function hands on as error figures: the ``slots`` of
+    every tuple it returns, and the second argument of every Estimate or
+    VectorEstimate it builds."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple):
+            yield from (node.value.elts[k] for k in slots if k < len(node.value.elts))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("Estimate", "VectorEstimate")):
+            if len(node.args) > 1 and not isinstance(node.args[1], ast.Starred):
+                yield node.args[1]
+            yield from (kw.value for kw in node.keywords if kw.arg == "std_error")
+
+
+def _float_literals(expr, func):
+    """Nonzero float constants in ``expr`` and in whatever ``func`` assigns to
+    the names it reads, followed transitively."""
+    assigned = {}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        assigned.setdefault(name.id, []).append(node.value)
+    seen, todo = set(), [expr]
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value:
+                yield node.lineno
+            elif isinstance(node, ast.Name) and node.id in assigned and node.id not in seen:
+                seen.add(node.id)
+                todo.extend(assigned[node.id])
+
+
+#: (module, function, error slots of its returned tuples): the cell-moment and
+#: propeller routes and the closed forms they return
+MOMENT_ROUTES = [
+    ("stability.py", "cell_moment", ()),
+    ("stability.py", "propeller_functional", ()),
+    ("partitions.py", "moment_exact", (1,)),
+    ("partitions.py", "_sector_moment", (1,)),
+    ("cones.py", "central_cone", (1, 3)),
+]
+
+
+def test_no_float_literal_is_a_moment_error_figure():
+    # each figure comes from the magnitudes of the terms it bounds; a literal
+    # such as 1e-12 would be a promise that no computation checks
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    found = []
+    for module, name, slots in MOMENT_ROUTES:
+        func = _functions(trees[module])[name]
+        for expr in _error_slots(func, slots):
+            found += [f"{module}:{line}" for line in _float_literals(expr, func)]
+    assert found == []
+
+
+def test_the_float_literal_check_catches_a_constant():
+    func = ast.parse("def f(m):\n    err = 1e-12\n    return Estimate(m, err + 0.0, 0, 'q')\n")
+    assert [line for expr in _error_slots(func.body[0], ()) for line in _float_literals(expr, func)] == [2]

@@ -677,7 +677,7 @@ class TestConeArcs:
     ])
     def test_closed_form_matches_old_scan(self, name, partition):
         for cell, old in zip(partition.cells, OLD_SCAN_ARCS[name]):
-            arc = cell._compute_arc()
+            arc = cell._arc
             if old is None:
                 assert arc is None
             else:

@@ -12,10 +12,11 @@ import pytest
 from noiselab.gauss import DomainError, ou_apply
 from noiselab.partitions import (
     HalfSpace,
-    cone_partition,
     gaussian_measure,
     halfspace_partition,
+    cone_partition,
     simplex_cone_partition,
+    simplex_generators,
     three_sectors_120,
 )
 from noiselab.stability import (
@@ -36,9 +37,10 @@ from noiselab.variation import (
 )
 
 P2 = simplex_cone_partition(3)      # planar cones: sector routes throughout
-P3 = simplex_cone_partition(4, 3)   # cones in R^3: no deterministic T route
+P3 = simplex_cone_partition(4, 3)   # cones in R^3: measures and moments, no T route
+P4 = simplex_cone_partition(5, 4)   # cones in R^4: no deterministic route at all
+WEDGES = cone_partition(simplex_generators(3, 3))  # three wedges in R^3: no T route
 HALF = halfspace_partition([1.0, 0.0], 0.2)
-SLAB = cone_partition(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))  # two cones in R^3
 X2 = np.array([0.3, -0.2])
 X3 = np.array([0.3, -0.2, 0.1])
 N = 20_000
@@ -62,7 +64,10 @@ ENTRY_POINTS = {
         lambda m: ou_apply(_callable_4d, 0.5, np.zeros(4), N, seed=1, mode=m)),
     "gaussian_measure": (
         lambda m: gaussian_measure(P2.cells[0], N, seed=2, mode=m),
-        lambda m: gaussian_measure(P3.cells[0], N, seed=2, mode=m)),
+        lambda m: gaussian_measure(P4.cells[0], N, seed=2, mode=m)),
+    "gaussian_measure-cones-R3": (
+        lambda m: gaussian_measure(P3.cells[0], N, seed=2, mode=m),
+        lambda m: gaussian_measure(P4.cells[0], N, seed=2, mode=m)),
     "noise_stability": (
         lambda m: noise_stability(P2.cells[0], 0.5, N, seed=3, mode=m),
         lambda m: noise_stability(P3.cells[0], 0.5, N, seed=3, mode=m)),
@@ -74,10 +79,16 @@ ENTRY_POINTS = {
         lambda m: bilinear_stability(P3, P3, 0.4, N, seed=5, mode=m)),
     "cell_moment": (
         lambda m: cell_moment(three_sectors_120().cells[0], N, seed=6, mode=m),
-        lambda m: cell_moment(P3.cells[0], N, seed=6, mode=m)),
+        lambda m: cell_moment(P4.cells[0], N, seed=6, mode=m)),
+    "cell_moment-cones-R3": (
+        lambda m: cell_moment(P3.cells[0], N, seed=6, mode=m),
+        lambda m: cell_moment(P4.cells[0], N, seed=6, mode=m)),
     "propeller_functional": (
         lambda m: propeller_functional(three_sectors_120(), N, seed=7, mode=m),
-        lambda m: propeller_functional(P3, N, seed=7, mode=m)),
+        lambda m: propeller_functional(P4, N, seed=7, mode=m)),
+    "propeller_functional-cones-R3": (
+        lambda m: propeller_functional(P3, N, seed=7, mode=m),
+        lambda m: propeller_functional(P4, N, seed=7, mode=m)),
     "t_difference": (
         lambda m: t_difference(P2, 0, 1, 0.5, X2, budget=N, seed=8, mode=m),
         lambda m: t_difference(P3, 0, 1, 0.5, X3, budget=N, seed=8, mode=m)),
@@ -92,11 +103,15 @@ ENTRY_POINTS = {
     "dilation_eigen_residual-rhs_mode": (
         lambda m: dilation_eigen_residual(P2, 0.5, 0, 1, 2, budget=N, seed=11, rhs_mode=m),
         lambda m: dilation_eigen_residual(P3, 0.5, 0, 1, 2, budget=N, seed=11, rhs_mode=m)),
-    "second_variation_general-two-cells": (
+    # every two-cell partition with interfaces is made of half-spaces or planar
+    # sectors, so the uncovered input has three cells; every node of its
+    # sampled facets samples S again, hence the smaller budget
+    "second_variation_general": (
         lambda m: second_variation_general(HALF, 0.5, TranslationField([1.0, 0.0]), budget=N,
                                            seed=12, mode=m, volume_policy="skip"),
-        lambda m: second_variation_general(SLAB, 0.5, TranslationField([1.0, 0.0, 0.0]),
-                                           budget=N, seed=12, mode=m, volume_policy="skip")),
+        lambda m: second_variation_general(WEDGES, 0.5, TranslationField([1.0, 0.0, 0.0]),
+                                           budget=N // 10, seed=12, mode=m,
+                                           volume_policy="skip")),
     "stability_second_derivative": (
         lambda m: stability_second_derivative(P2, 0.5, TranslationField([1.0, 0.0]), budget=N,
                                               seed=13, mode=m),
@@ -142,7 +157,9 @@ class TestModeContract:
 
 def test_monte_carlo_samples_where_a_route_exists():
     # the deterministic route exists but "monte-carlo" still samples
-    for name in ("ou_apply-set", "gaussian_measure", "sij_operator", "propeller_functional"):
+    for name in ("ou_apply-set", "gaussian_measure", "sij_operator", "propeller_functional",
+                 "gaussian_measure-cones-R3", "cell_moment-cones-R3",
+                 "propeller_functional-cones-R3"):
         covered, _ = ENTRY_POINTS[name]
         assert covered("monte-carlo").method == "monte-carlo", name
 
@@ -153,15 +170,17 @@ class TestRhoZero:
     rho = 0 is sampled like any other rho."""
 
     @pytest.mark.parametrize("stability, arg", [(noise_stability, P2.cells[0]),
-                                                (partition_stability, P2)])
+                                                (partition_stability, P2),
+                                                (noise_stability, P3.cells[0]),
+                                                (partition_stability, P3)])
     def test_closed_form_measures(self, stability, arg):
         est = stability(arg, 0.0, N, seed=3, mode="auto")
         assert est.method == "closed-form"
         assert _fields(est) == _fields(stability(arg, 0.0, N, seed=3, mode="quadrature"))
         assert stability(arg, 0.0, N, seed=3, mode="monte-carlo").samples == N
 
-    @pytest.mark.parametrize("stability, arg", [(noise_stability, P3.cells[0]),
-                                                (partition_stability, P3)])
+    @pytest.mark.parametrize("stability, arg", [(noise_stability, P4.cells[0]),
+                                                (partition_stability, P4)])
     def test_sampled_measures(self, stability, arg):
         with pytest.raises(DomainError):
             stability(arg, 0.0, N, seed=3, mode="quadrature")
