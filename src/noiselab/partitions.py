@@ -37,13 +37,17 @@ from scipy.special import ndtr, ndtri, owens_t
 from .cones import central_cone, feasible_arc
 from .gauss import (
     CLOSED_FORM,
+    MONTE_CARLO,
+    QUADRATURE,
     ROUNDING,
     DomainError,
     Estimate,
+    VectorEstimate,
     bivariate_normal_cdf,
     check_point,
     make_seedseq,
     mc_mean,
+    mehler_kernel,
     norm_pdf,
     route,
 )
@@ -253,16 +257,15 @@ class SetSpec:
 
     def gaussian_measure_exact(self):
         """(value, error_bound) when a deterministic measure is available:
-        T_0 1_set is the constant gamma(set), and a central cone's measure is
-        its solid angle over 4 pi."""
-        res = self.ou_exact(0.0, np.zeros(self.dim))
-        return res if res is not None or self._cone is None else self._cone[:2]
+        T_0 1_set is the constant gamma(set)."""
+        return self.ou_exact(0.0, np.zeros(self.dim))
 
     def ou_exact(self, rho: float, x: np.ndarray):
         """(T_rho 1_set(x), error_bound) when a deterministic route exists.
 
         ``x`` is one point or an (n, d) batch; the value is a float for one
-        point and n values for a batch.
+        point and n values for a batch.  At rho = 0 a central cone gives its
+        measure, the solid angle over 4 pi.
         """
         sig = math.sqrt(1.0 - rho * rho)
         hs = self.halfspace()
@@ -275,6 +278,9 @@ class SetSpec:
             apex, arcs = deco
             q = (apex - rho * np.asarray(x, dtype=float)[..., :2]) / sig
             return sum(shifted_sector_mass(q, a, b) for a, b in arcs), SECTOR_MASS_ERR
+        if rho == 0.0 and self._cone is not None:
+            value, err = self._cone[:2]
+            return (value if np.ndim(x) == 1 else np.full(len(x), value)), err
         return None
 
     def ou_gradient_exact(self, rho: float, x: np.ndarray):
@@ -673,10 +679,12 @@ def _values_and_errors(out):
 
 
 def _line_rule(h, lo: float, hi: float, mu=0.0, sigma: float = 1.0):
-    """(integral over [lo, hi] of h(t) phi((t - mu)/sigma)/sigma dt, error figure),
-    by the line rule of :meth:`Facet.gauss_integral` on [lo, hi] cut to
-    mu +- _LINE_RADIUS sigma.  ``h`` gets both rules' nodes side by side in the
-    last axis of t, with one row per centre when ``mu`` is an array."""
+    """(integral over [lo, hi] of h(t) phi((t - mu)/sigma)/sigma dt, error figure)
+    by Gauss-Legendre on [lo, hi] cut to mu +- _LINE_RADIUS sigma: the value of
+    the 2 _LINE_NODES-node rule, and as error figure its difference from the
+    _LINE_NODES-node rule plus the rule's integral of any per-node error figures
+    h returns.  ``h`` gets both rules' nodes side by side in the last axis of
+    t, with one row per centre when ``mu`` is an array."""
     mu = np.asarray(mu, dtype=float)
     a = np.maximum(lo, mu - _LINE_RADIUS * sigma)
     b = np.maximum(a, np.minimum(hi, mu + _LINE_RADIUS * sigma))
@@ -730,9 +738,8 @@ class Facet:
         self.mass_err = 0.0
         if k == 0:
             self.kind = "point"
-            self.mass = float(norm_pdf(self.offset))
-            return
-        if k == 1:
+        elif k == 1:
+            self.kind = "interval"
             lo, hi = -np.inf, np.inf
             empty = False
             for a, b in zip(self._alpha, self._beta):
@@ -744,29 +751,22 @@ class Facet:
                     hi = min(hi, b / a)
                 else:
                     lo = max(lo, b / a)
-            if empty or lo >= hi:
-                self.kind = "interval"
-                self._lo, self._hi = 0.0, 0.0
-                self.mass = 0.0
-                return
-            self.kind = "interval"
-            self._lo, self._hi = lo, hi
-            self.mass = float(norm_pdf(self.offset)) * float(ndtr(hi) - ndtr(lo))
-            return
-        homogeneous = all(abs(b) < 1e-12 for b in self._beta)
-        if k == 2 and homogeneous:
+            self._lo, self._hi = (0.0, 0.0) if empty or lo >= hi else (lo, hi)
+        elif k == 2 and all(abs(b) < 1e-12 for b in self._beta):
             self.kind = "planar-cone"
-            self._arcs = self._feasible_arcs()
-            total = sum(b - a for a, b in self._arcs)
-            self.mass = float(norm_pdf(self.offset)) * total / _TWO_PI
+            arc = feasible_arc(-self._alpha.reshape(-1, 2))
+            self._arcs = [] if arc is None else [arc]
+        across, along, _ = self._mass_factors(0.0, np.zeros(self.dim))
+        if along is not None:
+            self.mass = float(across * along)
             return
         # generic: pilot estimate of the acceptance fraction
         rng = np.random.default_rng(np.random.SeedSequence(123456789))
         n_pilot = 200_000
         u = rng.standard_normal((n_pilot, k))
         acc = float(np.mean(self._feasible(u)))
-        self.mass = float(norm_pdf(self.offset)) * acc
-        self.mass_err = float(norm_pdf(self.offset)) * math.sqrt(max(acc * (1 - acc), 0.0) / n_pilot)
+        self.mass = float(across) * acc
+        self.mass_err = float(across) * math.sqrt(max(acc * (1 - acc), 0.0) / n_pilot)
 
     def _feasible(self, u: np.ndarray) -> np.ndarray:
         ok = np.ones(u.shape[0], dtype=bool)
@@ -774,23 +774,22 @@ class Facet:
             ok &= u @ a <= b + 1e-14
         return ok
 
-    def _feasible_arcs(self):
-        cands = [0.0]
-        for a in self._alpha:
-            th = math.atan2(a[1], a[0])
-            cands.extend([th + math.pi / 2, th - math.pi / 2])
-        cands = sorted(c % _TWO_PI for c in cands)
-        cands.append(cands[0] + _TWO_PI)
-        arcs = []
-        for lo, hi in zip(cands[:-1], cands[1:]):
-            mid = 0.5 * (lo + hi)
-            u = np.array([[math.cos(mid), math.sin(mid)]])
-            if self._feasible(u)[0] and hi - lo > 1e-14:
-                if arcs and abs(arcs[-1][1] - lo) < 1e-12:
-                    arcs[-1] = (arcs[-1][0], hi)
-                else:
-                    arcs.append((lo, hi))
-        return arcs
+    def _mass_factors(self, rho: float, x: np.ndarray):
+        """(across, along, along_err): the facet's mass under N(rho x, (1 - rho^2) I),
+        at a point x or each row of a batch, is the density across the
+        hyperplane times the probability along it, which is None on generic
+        facets and a sector mass with apex -rho T x / sigma on planar cones."""
+        sig = math.sqrt(1.0 - rho * rho)
+        across = norm_pdf((self.offset - rho * (x @ self.normal)) / sig) / sig
+        if self.kind == "point":
+            return across, 1.0, 1e-15
+        if self.kind == "interval":
+            mu = rho * (x @ self.tangents[0])
+            return across, ndtr((self._hi - mu) / sig) - ndtr((self._lo - mu) / sig), 1e-15
+        if self.kind == "planar-cone":
+            apex = -rho * (x @ self.tangents.T) / sig
+            return across, sum(shifted_sector_mass(apex, a, b) for a, b in self._arcs), SECTOR_MASS_ERR
+        return across, None, 0.0
 
     # -- sampling and integration --------------------------------------------
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -819,32 +818,64 @@ class Facet:
             got += take
         return out
 
-    def gauss_integral(self, h, *, budget: int = 20_000, seed=0) -> tuple[float, float]:
-        """(integral of h * gamma_d over the facet, error figure).
+    def gauss_integral(self, h, rho: float = 0.0, x=None, *, mode: str = "auto",
+                       budget: int = 20_000, seed=0):
+        """The integral over the facet of h against N(rho x, (1 - rho^2) I), the
+        kernel K_rho(x, .) of the surface operator (gamma_d at rho = 0).
 
-        ``h`` maps an (n, d) array of points to n values, or to (values,
-        per-point error figures) whose Gaussian integral joins the error
-        figure.  On an interval facet this is phi(offset) times the line rule
-        in the tangent coordinate t: Gauss-Legendre on the interval cut to
-        |t| <= 12, ``h`` called once on the nodes of a 64- and a 128-node rule,
-        the 128-node value and the difference of the two as error figure.
-        Point facets are one evaluation; other facets are sampled.
+        ``h`` is a number (a constant integrand) or maps an (n, d) array of
+        points to n values, or to (values, per-point error figures) whose
+        integral joins the error figure.  ``x`` is one point or an (m, d)
+        batch, and the result a :class:`VectorEstimate` that reports whether
+        it sampled; with ``x`` None it is the pair (value, error figure) of
+        the gamma_d integral.  ``mode`` picks the route (see
+        :func:`noiselab.gauss.route`).  Deterministic routes: a constant times
+        the closed-form mass (point, interval and planar-cone facets), h at a
+        point facet, and on an interval facet :func:`_line_rule` in the
+        tangent coordinate.  The sampled route draws ``budget`` points from
+        gamma_d on the facet, weights them by the kernel over gamma_d, and
+        adds the facet mass's own error.
         """
+        point = np.zeros(self.dim) if x is None else np.asarray(x, dtype=float)
+        shape = point.shape[:-1]
+        sig = math.sqrt(1.0 - rho * rho)
+        across, along, along_err = self._mass_factors(rho, point)
+
+        def on_line(t):
+            vals, errs = _values_and_errors(h(self.base_point + t.reshape(-1, 1) * self.tangents[0]))
+            return np.reshape(vals, t.shape), (np.reshape(errs, t.shape) if np.ndim(errs) else errs)
+
+        def deterministic():
+            if not callable(h):
+                return None if along is None else VectorEstimate(
+                    across * (h * along), across * abs(h) * along_err, 0, QUADRATURE)
+            if self.kind == "point":
+                vals, errs = _values_and_errors(h(self.base_point[None, :]))
+                val, err = vals[0], np.max(errs) + 1e-15
+            elif self.kind == "interval":
+                val, err = _line_rule(on_line, self._lo, self._hi, rho * (point @ self.tangents[0]), sig)
+            else:
+                return None
+            return VectorEstimate(across * val, across * err, 0, QUADRATURE)
+
+        def sampled():
+            pts = self.sample(np.random.default_rng(make_seedseq(seed)), budget)
+            vals, errs = _values_and_errors(h(pts)) if callable(h) else (np.full(budget, float(h)), 0.0)
+            gam = np.exp(-0.5 * np.sum(pts * pts, axis=1)) * (2 * math.pi) ** (-self.dim / 2)
+            # K_0 is gamma_d itself; otherwise one row of kernel values at a time
+            rows = ([(vals, errs)] * len(np.atleast_2d(point)) if rho == 0.0 else
+                    ((vals * k / gam, errs * k / gam if np.any(errs) else 0.0)
+                     for k in (mehler_kernel(pts, xk, rho) for xk in np.atleast_2d(point))))
+            mean, sd, err = np.array([(np.mean(v), np.std(v, ddof=1) if budget > 1 else 0.0,
+                                       np.mean(e)) for v, e in rows]).T.reshape(3, *shape)
+            return VectorEstimate(self.mass * mean, self.mass * (sd / math.sqrt(budget) + err)
+                                  + np.abs(mean) * self.mass_err, budget, MONTE_CARLO)
+
         if self.mass == 0.0:
-            return 0.0, 0.0
-        if self.kind == "point":
-            vals, errs = _values_and_errors(h(self.base_point[None, :]))
-            return self.mass * float(vals[0]), self.mass * float(np.max(errs)) + 1e-15
-        if self.kind == "interval":
-            val, err = _line_rule(lambda t: h(self.base_point + t[:, None] * self.tangents[0]),
-                                  self._lo, self._hi)
-            return float(norm_pdf(self.offset) * val), float(norm_pdf(self.offset) * err)
-        rng = np.random.default_rng(make_seedseq(seed))
-        pts = self.sample(rng, budget)
-        vals, errs = _values_and_errors(h(pts))
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(budget))
-        return self.mass * mean, self.mass * (se + float(np.mean(errs))) + abs(mean) * self.mass_err
+            est = VectorEstimate(np.zeros(shape), np.zeros(shape), 0, QUADRATURE)
+        else:
+            est = route(mode, deterministic, sampled)
+        return (float(est.value), float(est.std_error)) if x is None else est
 
     def flipped(self) -> "Facet":
         """The facet with its normal reversed.  Negating both the normal and

@@ -24,16 +24,16 @@ where the eigenvalue changes sign.
 
 Each identity check pairs a surface-quadrature (or Monte Carlo) evaluation of
 the operator side against an independently estimated right-hand side and
-reports residuals with combined error figures.  Deterministic quadrature is
-preferred for the structured candidates in dimension <= 2, per the module's
-accuracy policy; Monte Carlo covers everything else.
+reports residuals with combined error figures.
 
-Integrals over line facets use one batched Gauss-Legendre rule against a
-Gaussian weight (see :meth:`Facet.gauss_integral`): a 64- and a 128-node rule
-in one call of the integrand, their difference plus the integrand's own
-per-point errors as the error figure.  S on a line is that rule with
-mu = rho <tau, x> and sigma = sqrt(1 - rho^2), so double-surface forms nest it,
-batched over the outer nodes; a form that sampled anything reports Monte Carlo.
+Every facet integral goes through :meth:`Facet.gauss_integral`, which picks
+the facet's route; this module only says whether the field is constant on the
+facet.  S(f) on a facet is its integral against N(rho x, (1 - rho^2) I): a
+constant field times the facet's closed-form Gaussian mass (points, lines and
+the planar-cone facets of cones in R^3), other fields by the batched line rule
+on lines, and sampled elsewhere.  Double-surface forms nest S in the gamma_d
+integral of the outer facet, batched over its nodes; a form that sampled
+anything reports Monte Carlo.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gauss import (
     MONTE_CARLO,
@@ -55,10 +54,8 @@ from .gauss import (
     _check_batch,
     as_rho,
     check_point,
-    make_seedseq,
     mc_shard_means,
     mehler_kernel,
-    norm_pdf,
     ou_apply,
     ou_gradient,
     ou_gradient_quadrature,
@@ -66,7 +63,7 @@ from .gauss import (
     ou_rho_derivative_heat,
     route,
 )
-from .partitions import BoundarySample, Facet, PartitionSpec, _line_rule
+from .partitions import BoundarySample, Facet, PartitionSpec
 from .stability import (
     _bilinear_quadrature,
     agreement_values,
@@ -147,16 +144,6 @@ class NormalScalarField:
         raise DomainError("normal-scalar fields carry no coordinate flow")
 
 
-def _field_const_on_facet(field, facet: Facet, sign: float):
-    """The field's value when it is constant on the facet, else None."""
-    if isinstance(field, TranslationField):
-        return sign * float(facet.normal @ field.v)
-    if isinstance(field, RadialField):
-        # <y, sign * n> = sign * offset everywhere on the hyperplane
-        return sign * facet.offset
-    return None
-
-
 # ---------------------------------------------------------------------------
 # surface operator
 
@@ -166,49 +153,16 @@ def _on_facet(field, facet: Facet, pts: np.ndarray, sign: float = 1.0) -> np.nda
     return field.values(pts, np.tile(sign * facet.normal, (pts.shape[0], 1)))
 
 
-def _facet_s(facet: Facet, sign: float, rho: float, field, x: np.ndarray, *, mode: str,
-             budget: int, seed) -> VectorEstimate:
-    """At each row of the (n, d) batch x, the integral over the facet of
-    f(y, sign*N) K_rho(y, x) dy: on an interval facet phi(u/sigma)/sigma times
-    the line rule, u = offset - rho <N, x>, or times Phi(b') - Phi(a') for a
-    field constant on the facet; else Gaussian-importance Monte Carlo whose
-    error adds the facet mass's own."""
-
-    def deterministic():
-        if facet.mass == 0.0:
-            return VectorEstimate(np.zeros(len(x)), np.zeros(len(x)), 0, QUADRATURE)
-        if facet.kind not in ("point", "interval"):
-            return None
-        sig = math.sqrt(1.0 - rho * rho)
-        # K_rho factors into a Gaussian across the facet's hyperplane and one along the line
-        scale = norm_pdf((facet.offset - rho * (x @ facet.normal)) / sig) / sig
-        const = _field_const_on_facet(field, facet, sign)
-        if facet.kind == "point":
-            val, err = _on_facet(field, facet, facet.base_point[None, :], sign)[0], 1e-15
-        elif const is not None:
-            mu = rho * (x @ facet.tangents[0])
-            val, err = const * (ndtr((facet._hi - mu) / sig) - ndtr((facet._lo - mu) / sig)), 1e-15
-        else:
-            def h(t):
-                y = facet.base_point + t[..., None] * facet.tangents[0]
-                return _on_facet(field, facet, y.reshape(-1, facet.dim), sign).reshape(t.shape)
-
-            val, err = _line_rule(h, facet._lo, facet._hi, rho * (x @ facet.tangents[0]), sig)
-        return VectorEstimate(scale * val, scale * err, 0, QUADRATURE)
-
-    def sampled():
-        rng = np.random.default_rng(make_seedseq(seed))
-        pts = facet.sample(rng, budget)
-        gam = np.exp(-0.5 * np.sum(pts * pts, axis=1)) * (2 * math.pi) ** (-facet.dim / 2)
-        fv = _on_facet(field, facet, pts, sign)
-        # one row of kernel values at a time: n x budget of them may not fit
-        mean, sd = np.array([(np.mean(vals), np.std(vals, ddof=1) if budget > 1 else 0.0)
-                             for vals in (fv * mehler_kernel(pts, xk, rho) / gam for xk in x)]).T
-        return VectorEstimate(facet.mass * mean,
-                              facet.mass * (sd / math.sqrt(budget)) + np.abs(mean) * facet.mass_err,
-                              budget, MONTE_CARLO)
-
-    return route(mode, deterministic, sampled)
+def _facet_field(field, facet: Facet, sign: float):
+    """The field on the facet with normal sign * N, as an integrand of
+    :meth:`Facet.gauss_integral`: its value where it is constant there, else
+    a function of the points."""
+    if isinstance(field, TranslationField):
+        return sign * float(facet.normal @ field.v)
+    if isinstance(field, RadialField):
+        # <y, sign * n> = sign * offset everywhere on the hyperplane
+        return sign * facet.offset
+    return partial(_on_facet, field, facet, sign=sign)
 
 
 def _s_values(p: PartitionSpec, r: float, cells, field, x: np.ndarray, *, mode: str, budget: int,
@@ -219,7 +173,8 @@ def _s_values(p: PartitionSpec, r: float, cells, field, x: np.ndarray, *, mode: 
     value, err, n_samp = 0.0, 0.0, 0
     for cell, cell_sign in cells:
         for k, (facet, sign) in enumerate(p.cell_boundary(cell)):
-            est = _facet_s(facet, sign, r, field, x, mode=mode, budget=budget, seed=[seed, cell, k])
+            est = facet.gauss_integral(_facet_field(field, facet, sign), r, x, mode=mode,
+                                       budget=budget, seed=[seed, cell, k])
             value = value + cell_sign * est.value
             err = err + est.std_error
             n_samp += est.samples
@@ -372,7 +327,7 @@ def cell_volume_rates(p: PartitionSpec, field) -> tuple[np.ndarray, np.ndarray]:
     errs = np.zeros(p.m)
     for i in range(p.m):
         for facet, sign in p.cell_boundary(i):
-            v, e = facet.gauss_integral(lambda pts: _on_facet(field, facet, pts, sign))
+            v, e = facet.gauss_integral(_facet_field(field, facet, sign))
             rates[i] += v
             errs[i] += e
     return rates, errs
@@ -493,9 +448,10 @@ def _gradient_norms(s, r: float, pts: np.ndarray, *, budget: int, seed, mode: st
 
 def _form(field, terms) -> Estimate:
     """The sum over (c, facet, k, values, budget, seed) in ``terms`` of c times
-    :meth:`Facet.gauss_integral` of f^k values(points), f the field on the facet;
-    the errors of the VectorEstimate ``values`` returns, times |f|^k, join the
-    error figure, and any draws (a sampled facet's among them) make it Monte Carlo."""
+    :meth:`Facet.gauss_integral` of f^k values(points) against gamma_d, f the
+    field on the facet; the errors of the VectorEstimate ``values`` returns,
+    times |f|^k, join the error figure, and any draws (a sampled facet's among
+    them) make it Monte Carlo."""
     total, err, draws = 0.0, 0.0, []
     for c, facet, k, values, budget, seed in terms:
 
@@ -504,9 +460,9 @@ def _form(field, terms) -> Estimate:
             draws.append(est.samples)
             return w * est.value, np.abs(w) * est.std_error
 
-        v, e = facet.gauss_integral(h, budget=budget, seed=seed)
-        total, err = total + c * v, err + abs(c) * e
-        draws.append(0 if facet.kind in ("point", "interval") else budget)
+        est = facet.gauss_integral(h, 0.0, np.zeros(facet.dim), budget=budget, seed=seed)
+        total, err = total + c * float(est.value), err + abs(c) * float(est.std_error)
+        draws.append(est.samples)
     return Estimate(total, err, sum(draws), MONTE_CARLO if sum(draws) else QUADRATURE)
 
 

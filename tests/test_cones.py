@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from noiselab.gauss import ou_apply
 from noiselab.partitions import (
     ConeCell,
     HalfSpace,
@@ -290,6 +291,14 @@ class TestAgainstMonteCarlo:
             m, me = _moment(cell)
             mc = cell_moment(cell, 2_000_000, seed=[58, seed, k], mode="monte-carlo")
             assert np.all(np.abs(m - mc.value) <= 4 * mc.std_error) and np.all(me <= BOUND)
+
+
+class TestRhoZero:
+    def test_t0_of_a_cone_is_its_measure(self):
+        # T_0 1_C is the constant gamma(C), with no sampling
+        est = ou_apply(simplex_cone_partition(4).cells[0], 0.0, np.zeros(3), mode="quadrature")
+        assert abs(est.value - 0.25) <= est.std_error <= BOUND
+        assert est.samples == 0
 
 
 class TestHalfSpacesInR3:

@@ -167,3 +167,28 @@ def test_no_float_literal_is_a_moment_error_figure():
 def test_the_float_literal_check_catches_a_constant():
     func = ast.parse("def f(m):\n    err = 1e-12\n    return Estimate(m, err + 0.0, 0, 'q')\n")
     assert [line for expr in _error_slots(func.body[0], ()) for line in _float_literals(expr, func)] == [2]
+
+
+FACET_INTERNALS = {"_lo", "_hi", "mass_err"}
+
+
+def _facet_internals(tree):
+    """Comparisons of a ``.kind`` attribute, reads of a facet's interval ends or
+    pilot mass error, and calls of its sampler."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            if any(isinstance(o, ast.Attribute) and o.attr == "kind"
+                   for o in [node.left, *node.comparators]):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in FACET_INTERNALS:
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "sample"):
+            yield node.lineno
+
+
+def test_variation_leaves_facet_integrals_to_facets():
+    # Facet.gauss_integral picks each facet's route (closed form, line rule or
+    # sampling) and carries its error figures; variation supplies the integrand
+    path = next(p for p in SOURCES if p.name == "variation.py")
+    assert sorted(set(_facet_internals(ast.parse(path.read_text())))) == []

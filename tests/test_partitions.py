@@ -237,6 +237,36 @@ class TestFacetLineRule:
         assert err == pytest.approx(0.01 * facet.mass, rel=1e-12)
 
 
+class TestPlanarConeFacetArcs:
+    """Facets of cones in R^3 take their arc from cones.feasible_arc: one arc
+    per facet, also where it crosses angle 0 of the facet's tangent frame."""
+
+    ROTATION = random_orthogonal(3, np.random.default_rng(5))
+    WEDGE = math.acos(-1.0 / 3.0)  # angle of every facet of the regular simplex cones
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_one_arc_per_facet(self, rotated):
+        p = simplex_cone_partition(4)
+        if rotated:  # (0, 2) and (1, 2) crossed angle 0 and had two arcs
+            p = p.rotated(self.ROTATION)
+        for (i, j), facets in p.all_interfaces().items():
+            (facet,) = facets
+            assert facet.kind == "planar-cone"
+            ((alpha, beta),) = facet._arcs
+            assert beta - alpha == pytest.approx(self.WEDGE, abs=1e-14), (i, j)
+            assert facet.mass == pytest.approx(self.WEDGE / (2 * math.pi) ** 1.5, rel=1e-14)
+
+    def test_one_arc_facets_sample_as_before(self):
+        # recorded when the facets took their arcs from their own scan
+        s = simplex_cone_partition(4).boundary_sample(0, 1, 3, seed=3)
+        assert s.points.tolist() == [
+            [0.3994329259067549, -0.6647479457654231, -0.9329837578615964],
+            [0.4559030308371585, -1.859909694831639, 0.036297571483005046],
+            [0.25968011701693267, -0.5901296853722597, -0.448590782695471]]
+        assert s.weights == pytest.approx([1.329456256329999, 3.986991816385533,
+                                           0.8669991221406106], rel=1e-14)
+
+
 class TestBoundarySampling:
     def test_halfspace_pair_hyperplane(self):
         p = halfspace_partition([1.0, 0.0], 0.0)

@@ -39,10 +39,12 @@ from noiselab.variation import (
 P2 = simplex_cone_partition(3)      # planar cones: sector routes throughout
 P3 = simplex_cone_partition(4, 3)   # cones in R^3: measures and moments, no T route
 P4 = simplex_cone_partition(5, 4)   # cones in R^4: no deterministic route at all
-WEDGES = cone_partition(simplex_generators(3, 3))  # three wedges in R^3: no T route
+# three wedges in R^3, shifted off the origin: no T route and only generic facets
+SHIFTED_WEDGES = cone_partition(simplex_generators(3, 3)).translated([0.2, -0.1, 0.3])
 HALF = halfspace_partition([1.0, 0.0], 0.2)
 X2 = np.array([0.3, -0.2])
 X3 = np.array([0.3, -0.2, 0.1])
+X4 = np.array([0.3, -0.2, 0.1, 0.2])
 N = 20_000
 
 
@@ -98,18 +100,24 @@ ENTRY_POINTS = {
     "sij_operator": (
         lambda m: sij_operator(P2, 0.5, 0, 1, TranslationField([1.0, 0.0]), X2, budget=N,
                                seed=10, mode=m),
+        lambda m: sij_operator(P4, 0.5, 0, 1, TranslationField([1.0, 0.0, 0.0, 0.0]), X4,
+                               budget=N, seed=10, mode=m)),
+    "sij_operator-cones-R3": (
         lambda m: sij_operator(P3, 0.5, 0, 1, TranslationField([1.0, 0.0, 0.0]), X3,
+                               budget=N, seed=10, mode=m),
+        lambda m: sij_operator(P4, 0.5, 0, 1, TranslationField([1.0, 0.0, 0.0, 0.0]), X4,
                                budget=N, seed=10, mode=m)),
     "dilation_eigen_residual-rhs_mode": (
         lambda m: dilation_eigen_residual(P2, 0.5, 0, 1, 2, budget=N, seed=11, rhs_mode=m),
         lambda m: dilation_eigen_residual(P3, 0.5, 0, 1, 2, budget=N, seed=11, rhs_mode=m)),
     # every two-cell partition with interfaces is made of half-spaces or planar
-    # sectors, so the uncovered input has three cells; every node of its
-    # sampled facets samples S again, hence the smaller budget
+    # sectors, so the uncovered input has three cells, shifted so that no facet
+    # is a planar cone (S of a translation would be exact there); every node of
+    # its sampled facets samples S again, hence the smaller budget
     "second_variation_general": (
         lambda m: second_variation_general(HALF, 0.5, TranslationField([1.0, 0.0]), budget=N,
                                            seed=12, mode=m, volume_policy="skip"),
-        lambda m: second_variation_general(WEDGES, 0.5, TranslationField([1.0, 0.0, 0.0]),
+        lambda m: second_variation_general(SHIFTED_WEDGES, 0.5, TranslationField([1.0, 0.0, 0.0]),
                                            budget=N // 10, seed=12, mode=m,
                                            volume_policy="skip")),
     "stability_second_derivative": (
@@ -159,7 +167,7 @@ def test_monte_carlo_samples_where_a_route_exists():
     # the deterministic route exists but "monte-carlo" still samples
     for name in ("ou_apply-set", "gaussian_measure", "sij_operator", "propeller_functional",
                  "gaussian_measure-cones-R3", "cell_moment-cones-R3",
-                 "propeller_functional-cones-R3"):
+                 "propeller_functional-cones-R3", "sij_operator-cones-R3"):
         covered, _ = ENTRY_POINTS[name]
         assert covered("monte-carlo").method == "monte-carlo", name
 

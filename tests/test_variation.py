@@ -16,8 +16,10 @@ from noiselab.partitions import (
     ConeCell,
     Facet,
     PartitionSpec,
+    cone_partition,
     halfspace_partition,
     perturbed_simplex_cones,
+    random_orthogonal,
     sector_partition,
     simplex_cone_partition,
     simplex_generators,
@@ -169,6 +171,33 @@ class TestSurfaceOperator:
         assert auto.std_error > 2e-3
         with pytest.raises(DomainError):
             sij_operator(p, 0.5, 0, 1, field, x, mode="quadrature")
+
+
+class TestPlanarConeFacets:
+    """A field constant on a facet of a cone in R^3 has S in closed form: the
+    constant times the facet's Gaussian mass under N(rho x, (1 - rho^2) I)."""
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_constant_field_against_monte_carlo(self, rotated, rho):
+        p = simplex_cone_partition(4)
+        if rotated:
+            p = p.rotated(random_orthogonal(3, np.random.default_rng(5)))
+        field, x = TranslationField([0.6, -0.3, 0.2]), np.array([0.3, -0.2, 0.1])
+        exact = sij_operator(p, rho, 0, 1, field, x)
+        assert exact.method == "quadrature" and exact.samples == 0
+        assert exact.std_error <= 1e-11
+        mc = sij_operator(p, rho, 0, 1, field, x, mode="monte-carlo", budget=400_000, seed=7)
+        assert mc.method == "monte-carlo"
+        assert abs(exact.value - mc.value) <= 4 * mc.std_error
+
+    def test_two_halfspaces_take_s_in_closed_form(self):
+        # the plane through the origin is one planar-cone facet; S of the
+        # translation field is exact, and only the outer facet integrals sample
+        p = cone_partition([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        est = second_variation_general(p, 0.5, TranslationField([1.0, 0.0, 0.0]), budget=20_000,
+                                       seed=12, volume_policy="skip")
+        assert est.samples == 2 * 200
 
 
 class TestTranslationEigenIdentity:
