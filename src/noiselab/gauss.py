@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 from scipy.special import ndtr, owens_t
@@ -353,11 +354,9 @@ class SignedDifference:
         rb = None if ra is None else getattr(self.b, route)(rho, x)
         return None if rb is None else (ra[0] - rb[0], ra[1] + rb[1])
 
-    def ou_exact(self, rho, x):
-        return self._both("ou_exact", rho, x)
-
-    def ou_gradient_exact(self, rho, x):
-        return self._both("ou_gradient_exact", rho, x)
+    ou_exact = partialmethod(_both, "ou_exact")
+    ou_gradient_exact = partialmethod(_both, "ou_gradient_exact")
+    ou_drho_exact = partialmethod(_both, "ou_drho_exact")
 
 
 def _eval_on_points(f, pts: np.ndarray) -> np.ndarray:
@@ -442,29 +441,14 @@ def ou_gradient(set_spec, rho, x, budget: int = 200_000, *, seed=0,
     return mc_mean(values, budget, seed=seed, threads=threads)
 
 
-def ou_gradient_quadrature(set_spec, rho, x, *, step: float = 3e-4) -> VectorEstimate:
-    """Deterministic gradient of T_rho 1_set at one point or an (n, d) batch.
-
-    Closed form for half-spaces; otherwise central differences of the exact
-    T evaluation (error ~ step^2 plus quadrature noise / step), with the
-    2d-point stencils of all the points evaluated in one batch.
-    """
-    r = as_rho(rho, nonzero=True)
-    xv = _check_batch(x)
-    res = set_spec.ou_gradient_exact(r, xv)
-    if res is not None:
-        g, err = res
-        return VectorEstimate(np.asarray(g, float), np.full(xv.shape, err), 0, CLOSED_FORM)
-    d = xv.shape[-1]
-    shifts = step * np.eye(d)
-    stencil = np.concatenate([xv[..., None, :] + shifts, xv[..., None, :] - shifts], axis=-2)
-    res = set_spec.ou_exact(r, stencil.reshape(-1, d))
+def ou_gradient_quadrature(set_spec, rho, x) -> VectorEstimate:
+    """Closed-form gradient of T_rho 1_set at one point or an (n, d) batch: the
+    set's ``ou_gradient_exact`` (rho/sigma times its moment at the shifted apex)
+    with its rounding bound; raises :class:`DomainError` where it has none."""
+    res = set_spec.ou_gradient_exact(as_rho(rho, nonzero=True), _check_batch(x))
     if res is None:
-        raise DomainError("set does not support exact T_rho evaluation")
-    vals = np.reshape(res[0], stencil.shape[:-1])
-    g = (vals[..., :d] - vals[..., d:]) / (2.0 * step)
-    err = step**2 + 2e-12 / step
-    return VectorEstimate(g, np.full(xv.shape, err), 0, QUADRATURE)
+        raise DomainError("set has no closed-form gradient of T_rho")
+    return VectorEstimate(*res, 0, CLOSED_FORM)
 
 
 def _moment_samples(set_spec, r: float, xv: np.ndarray, rng, k: int):
@@ -504,24 +488,20 @@ class RhoDerivative:
 
 
 def rho_step(rho: float) -> float:
-    """Central-difference step in rho keeping rho +- h inside (-1, 1)."""
+    """Step in rho of the sampled central difference of :func:`ou_rho_derivative`."""
     return max(1e-4, 1e-3 * (1.0 - abs(rho)))
 
 
-def ou_rho_derivative_exact(set_spec, rho, x) -> Estimate | None:
-    """Central difference in rho of the exact T_rho route, or None when the
-    set has no exact route.  Two evaluations, at rho +- h."""
-    r = as_rho(rho, nonzero=True)
-    xv = check_point(x)
-    h = rho_step(r)
-    if not (-1.0 < r - h and r + h < 1.0):
-        raise DomainError("rho finite-difference step leaves (-1, 1)")
-    up = set_spec.ou_exact(r + h, xv)
-    if up is None:
+def ou_rho_derivative_exact(set_spec, rho, x) -> Estimate | VectorEstimate | None:
+    """Closed-form d/drho T_rho 1_set at one point (an :class:`Estimate`) or each
+    row of an (n, d) batch (a :class:`VectorEstimate`): the set's ``ou_drho_exact``
+    (-<M, dq'/drho>, M its moment at the shifted apex q'), else None."""
+    xv = _check_batch(x)
+    res = set_spec.ou_drho_exact(as_rho(rho, nonzero=True), xv)
+    if res is None:
         return None
-    vp, ep = up
-    vm, em = set_spec.ou_exact(r - h, xv)
-    return Estimate((vp - vm) / (2.0 * h), h * h + (ep + em) / (2.0 * h), 0, QUADRATURE)
+    return (VectorEstimate(*res, 0, CLOSED_FORM) if xv.ndim == 2
+            else Estimate(float(res[0]), float(res[1]), 0, CLOSED_FORM))
 
 
 def ou_rho_derivative_heat(set_spec, rho, x, budget: int = 200_000, *, seed=0,
@@ -542,23 +522,24 @@ def ou_rho_derivative(set_spec, rho, x, budget: int = 200_000, *, seed=0,
                       threads: int = 1) -> RhoDerivative:
     """Estimate d/drho T_rho 1_set(x) two independent ways.
 
-    (a) central finite differences of T_rho in rho (exact T route when the
-        set provides one, otherwise Monte Carlo with shared draws), and
+    (a) :func:`ou_rho_derivative_exact` where the set has the closed form, else
+        a shared-draw Monte Carlo central difference in rho (:func:`rho_step`), and
     (b) the heat identity of :func:`ou_rho_derivative_heat`.
 
-    Both results are returned so callers can cross-validate.  Rejects rho = 0
-    and steps that leave (-1, 1).
+    Both results are returned so callers can cross-validate.  Rejects rho = 0,
+    and on the sampled route steps that leave (-1, 1).
     """
     r = as_rho(rho, nonzero=True)
     xv = check_point(x)
     fd = ou_rho_derivative_exact(set_spec, r, xv)
     if fd is None:
-        d = xv.shape[0]
         h = rho_step(r)
+        if not (-1.0 < r - h and r + h < 1.0):
+            raise DomainError("rho finite-difference step leaves (-1, 1)")
         s_p, s_m = math.sqrt(1 - (r + h) ** 2), math.sqrt(1 - (r - h) ** 2)
 
         def diff_values(rng, k):
-            z = rng.standard_normal((k, d))
+            z = rng.standard_normal((k, xv.shape[0]))
             up = set_spec.contains((r + h) * xv + s_p * z).astype(float)
             dn = set_spec.contains((r - h) * xv + s_m * z).astype(float)
             return (up - dn) / (2.0 * h)

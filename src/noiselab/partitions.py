@@ -16,8 +16,8 @@ surface measure so that
     integral_F h(y) dy      ~  sum_k  w_k h(y_k),
     integral_F h(y) gamma dy ~ sum_k  w_k gamma(y_k) h(y_k).
 
-Every closed form (T_rho of the indicator, its gradient, the measure, the
-cell moment and the pair probability P(X in a, Y in b)) is written once in
+Every closed form (T_rho of the indicator, its gradient and d/drho, the
+measure, the cell moment and P(X in a, Y in b)) is written once in
 :class:`SetSpec` against the three reductions a cell kind may override,
 :meth:`SetSpec.halfspace`, :meth:`SetSpec.sector_decomposition` and
 :meth:`SetSpec.cone_normals`.  Other modules reach cells only through these
@@ -40,9 +40,11 @@ from .gauss import (
     MONTE_CARLO,
     QUADRATURE,
     ROUNDING,
+    TRUNCATION_RADIUS,
     DomainError,
     Estimate,
     VectorEstimate,
+    _check_batch,
     bivariate_normal_cdf,
     check_point,
     make_seedseq,
@@ -53,6 +55,7 @@ from .gauss import (
 )
 
 _TWO_PI = 2.0 * math.pi
+_TINY = np.finfo(float).tiny
 
 
 class CoverageError(ValueError):
@@ -150,27 +153,17 @@ SECTOR_MASS_ERR = 1e-12
 
 
 def _sector_edges(apex, arcs):
-    """(t, s, c, d) of every edge ray of the sectors over ``arcs`` at ``apex``;
-    the ray at angle t has inward normal s u(t)^perp, s = 1 at alpha, -1 at beta."""
-    q, t = check_point(apex, 2), np.ravel(arcs).astype(float)
+    """(t, s, c, d) of every edge ray of the sectors over ``arcs`` at ``apex`` or
+    each row of an (n, 2) batch; the ray at angle t has inward normal s u(t)^perp."""
+    q, t = _check_batch(apex, 2)[..., None, :], np.ravel(arcs).astype(float)
     ct, st = np.cos(t), np.sin(t)
-    return t, 1.0 - 2.0 * (np.arange(t.size) % 2), q[0] * ct + q[1] * st, q[1] * ct - q[0] * st
-
-
-def _sector_moment(apex, arcs):
-    """(moment, error) of the union of sectors over ``arcs`` at ``apex``: the
-    sum over edge rays of the inward normal times phi(d) Phi(-c).  c and d carry
-    about |q| ulps, which move phi(d) and Phi(-c) by |q| (1 + |c| + |d|) ulps
-    relative, so each term's magnitude is weighted by that factor."""
-    t, s, c, d = _sector_edges(apex, arcs)
-    terms, normals = s * norm_pdf(d) * ndtr(-c), np.stack([-np.sin(t), np.cos(t)], axis=1)
-    cond = 1 + np.hypot(c, d) * (1 + np.abs(c) + np.abs(d))
-    return terms @ normals, ROUNDING * (np.abs(terms) * cond) @ np.abs(normals)
+    return (t, 1.0 - 2.0 * (np.arange(t.size) % 2), q[..., 0] * ct + q[..., 1] * st,
+            q[..., 1] * ct - q[..., 0] * st)
 
 
 def shifted_sector_moment(apex, alpha: float, beta: float) -> np.ndarray:
     """integral of x * gamma_2(x) over the shifted sector (the cell moment)."""
-    return _sector_moment(apex, [(alpha, beta)])[0]
+    return Sector2D(alpha, beta).translate(apex).moment_exact()[0]
 
 
 def _plackett_integrand(edges_a, edges_b, theta):
@@ -226,8 +219,9 @@ class SetSpec:
     their shape only through three reductions: :meth:`halfspace`,
     :meth:`sector_decomposition` and :meth:`cone_normals`.  Each closed form
     below is written once against them, tried in that order, and declines
-    with None where none applies; a central cone in R^3 has its measure and
-    moment but no T_rho at rho != 0 and no pair probability."""
+    with None where none applies.  The moment, grad T_rho and d/drho T_rho all
+    read :meth:`_shifted_moment`, the moment at the shifted apex.  A central
+    cone in R^3 has its measure and moment, but nothing at rho != 0."""
 
     dim: int
 
@@ -283,35 +277,63 @@ class SetSpec:
             return (value if np.ndim(x) == 1 else np.full(len(x), value)), err
         return None
 
-    def ou_gradient_exact(self, rho: float, x: np.ndarray):
-        """(grad T_rho 1_set(x), error_bound) in closed form for half-spaces,
-        else None; ``x`` as in :meth:`ou_exact`."""
-        hs = self.halfspace()
-        if hs is None:
+    def _shifted_moment(self, rho: float, x):
+        """(M, M_err, D, D_err) at a point x or each row of an (n, d) batch, else
+        None.  T_rho 1_set(x) is the mass of the half-space or sectors moved to
+        q' = (apex - rho x)/sigma; M, the moved set's moment, is minus its
+        gradient in q', so grad_x T = (rho/sigma) M and D = d/drho T = -<M,
+        dq'/drho>.  An edge with inward normal N, d = <q', N> and density
+        (phi(d), times Phi(-c) on a ray) adds it times N to M and times <N,
+        x/sigma - rho q'/sigma^2> to D.  q' carries about s = (|apex| + |rho x|)
+        /sigma ulps, which move a density by s (|d| + lambda(c)) ulps relative,
+        lambda(c) = phi(c)/Phi(-c) <= (c + sqrt(c^2 + 4))/2, and D's factor by
+        s |rho|/sigma^2; an underflowing density is off by the smallest normal."""
+        sig, x = math.sqrt(sig2 := (1 - rho) * (1 + rho)), np.asarray(x, dtype=float)
+        if (hs := self.halfspace()) is not None:
+            (n, a), xr, lam = hs, x, 0
+            # clipped so that R^d and the empty cell (offsets +-inf) give phi(d) = 0 at a finite d
+            d = np.clip((rho * np.einsum("...j,j->...", x, n) - a) / sig, -TRUNCATION_RADIUS,
+                        TRUNCATION_RADIUS)[..., None]
+            normals, terms, apex = -n[None, :], norm_pdf(d), abs(a) if math.isfinite(a) else 0
+        elif (deco := self.sector_decomposition()) is not None:
+            xr, apex = x[..., :2], math.hypot(*deco[0])
+            t, s, c, d = _sector_edges((deco[0] - rho * xr) / sig, deco[1])
+            normals = np.stack([-np.sin(t), np.cos(t)] + [np.zeros_like(t)] * (self.dim - 2), axis=1)
+            terms, lam = s * norm_pdf(d) * ndtr(-c), (c + np.sqrt(c * c + 4)) / 2
+        else:
             return None
-        n, a = hs
-        sig = math.sqrt(1.0 - rho * rho)
-        u = (a - rho * (np.asarray(x, dtype=float) @ n)) / sig
-        return np.multiply.outer(norm_pdf(u), -n) * rho / sig, 1e-14
+        size = (apex + abs(rho) * np.linalg.norm(xr, axis=-1, keepdims=True)) / sig
+        along = np.einsum("...j,kj->...k", x, normals) / sig
+        rel = (mags := np.abs(terms) + _TINY) * (1 + size * (np.abs(d) + lam))
+        # einsum, not matmul, so that a batch gives the bits of its single points
+        return (np.einsum("...k,kj->...j", terms, normals),
+                ROUNDING * np.einsum("...k,kj->...j", rel, np.abs(normals)),
+                np.sum(terms * (along - rho * d / sig2), axis=-1),
+                ROUNDING * np.sum(rel * (np.abs(along) + np.abs(rho * d) / sig2)
+                                  + mags * abs(rho) * size / sig2, axis=-1))
+
+    def ou_gradient_exact(self, rho: float, x: np.ndarray):
+        """(grad T_rho 1_set(x), componentwise error bound), else None; ``x`` as
+        in :meth:`ou_exact`: (rho/sigma) M of :meth:`_shifted_moment`."""
+        res, k = self._shifted_moment(rho, x), rho / math.sqrt((1 - rho) * (1 + rho))
+        return None if res is None else (k * res[0], abs(k) * res[1])
+
+    def ou_drho_exact(self, rho: float, x: np.ndarray):
+        """(d/drho T_rho 1_set(x), error bound) = D of :meth:`_shifted_moment`,
+        else None; ``x`` as in :meth:`ou_exact`."""
+        res = self._shifted_moment(rho, x)
+        return None if res is None else res[2:]
 
     def moment_exact(self):
         """(integral of x * gamma_d(x) over the cell, componentwise error bound)
-        in closed form, else None.  The error is the rounding of the terms'
-        magnitudes; phi(a) carries a^2 ulps through exp(-a^2/2)."""
-        hs = self.halfspace()
-        if hs is not None:
-            n, a = hs
-            phi = float(norm_pdf(a))
-            return -n * phi, ROUNDING * np.abs(n) * (phi * (1 + a * a) if phi else 0)
-        deco, cone = self.sector_decomposition(), self._cone
-        if deco is not None:
-            value, err = _sector_moment(*deco)
-        elif cone is not None:
-            value, err = cone[2:]
-        else:
+        in closed form, else None: M of :meth:`_shifted_moment` at rho = 0, or
+        the central cone's moment in R^3."""
+        res = self._shifted_moment(0.0, np.zeros(self.dim))
+        if res is not None:
+            return res[:2]
+        if self._cone is None:
             return None
-        pad = np.zeros(self.dim - value.shape[0])
-        return np.concatenate([value, pad]), np.concatenate([err, pad])
+        return tuple(np.pad(v, (0, self.dim - 3)) for v in self._cone[2:])
 
     def pair_exact(self, other: "SetSpec", rho: float):
         """(P(X in self, Y in other), error_bound) for a rho-correlated pair
@@ -825,10 +847,9 @@ class Facet:
 
         ``h`` is a number (a constant integrand) or maps an (n, d) array of
         points to n values, or to (values, per-point error figures) whose
-        integral joins the error figure.  ``x`` is one point or an (m, d)
-        batch, and the result a :class:`VectorEstimate` that reports whether
-        it sampled; with ``x`` None it is the pair (value, error figure) of
-        the gamma_d integral.  ``mode`` picks the route (see
+        integral joins the error figure.  ``x`` is one point (default the
+        origin) or an (m, d) batch, and the result a :class:`VectorEstimate`
+        that reports whether it sampled.  ``mode`` picks the route (see
         :func:`noiselab.gauss.route`).  Deterministic routes: a constant times
         the closed-form mass (point, interval and planar-cone facets), h at a
         point facet, and on an interval facet :func:`_line_rule` in the
@@ -872,10 +893,8 @@ class Facet:
                                   + np.abs(mean) * self.mass_err, budget, MONTE_CARLO)
 
         if self.mass == 0.0:
-            est = VectorEstimate(np.zeros(shape), np.zeros(shape), 0, QUADRATURE)
-        else:
-            est = route(mode, deterministic, sampled)
-        return (float(est.value), float(est.std_error)) if x is None else est
+            return VectorEstimate(np.zeros(shape), np.zeros(shape), 0, QUADRATURE)
+        return route(mode, deterministic, sampled)
 
     def flipped(self) -> "Facet":
         """The facet with its normal reversed.  Negating both the normal and

@@ -244,18 +244,20 @@ def _gradient(s, r: float, xv: np.ndarray, *, budget: int, seed, mode: str) -> V
     one batch, or Monte Carlo point by point with one seed, as ``mode`` picks."""
 
     def deterministic():
-        try:  # it raises where s has no exact T route; route() wants None
+        try:  # it raises where s has no closed-form gradient; route() wants None
             return ou_gradient_quadrature(s, r, xv)
         except DomainError:
             return None
 
-    def sampled():
-        ests = [ou_gradient(s, r, x, budget, seed=seed) for x in np.atleast_2d(xv)]
-        return VectorEstimate(np.reshape([e.value for e in ests], xv.shape),
-                              np.reshape([e.std_error for e in ests], xv.shape),
-                              sum(e.samples for e in ests), MONTE_CARLO)
+    return route(mode, deterministic, lambda: _stacked(
+        [ou_gradient(s, r, x, budget, seed=seed) for x in np.atleast_2d(xv)], xv.shape))
 
-    return route(mode, deterministic, sampled)
+
+def _stacked(ests, shape) -> VectorEstimate:
+    """Monte Carlo estimates made point by point, as one of the given shape."""
+    return VectorEstimate(np.reshape([e.value for e in ests], shape),
+                          np.reshape([e.std_error for e in ests], shape),
+                          sum(e.samples for e in ests), MONTE_CARLO)
 
 
 def gradient_difference(p: PartitionSpec, i: int, j: int, rho, x, *,
@@ -323,13 +325,11 @@ def cell_volume_rates(p: PartitionSpec, field) -> tuple[np.ndarray, np.ndarray]:
     rate_i = sum over the cell's boundary of the gamma-weighted integral of
     the field's exterior-normal component.
     """
-    rates = np.zeros(p.m)
-    errs = np.zeros(p.m)
+    rates, errs = np.zeros((2, p.m))
     for i in range(p.m):
         for facet, sign in p.cell_boundary(i):
-            v, e = facet.gauss_integral(_facet_field(field, facet, sign))
-            rates[i] += v
-            errs[i] += e
+            est = facet.gauss_integral(_facet_field(field, facet, sign))
+            rates[i], errs[i] = rates[i] + est.value, errs[i] + est.std_error
     return rates, errs
 
 
@@ -412,9 +412,9 @@ def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
                               + rho d/drho T_rho(1_i-1_j)(x) ).
 
     The left side uses the surface operator and the gradient norm; the right
-    side's rho-derivative comes from an independent estimator: the exact
-    route's central difference in rho, or the heat identity by Monte Carlo,
-    as ``rhs_mode`` (default ``mode``; see :func:`noiselab.gauss.route`) picks.
+    side's rho-derivative comes from an independent estimator: the closed form
+    in one call over the whole sample, or the heat identity by Monte Carlo per
+    point, as ``rhs_mode`` (default ``mode``; see :func:`noiselab.gauss.route`) picks.
     """
     r = as_rho(rho, nonzero=True)
     diff = SignedDifference(p.cells[i], p.cells[j])
@@ -422,15 +422,15 @@ def dilation_eigen_residual(p: PartitionSpec, rho, i: int, j: int,
     s_est = _s_values(p, r, ((i, 1.0), (j, -1.0)), RadialField(), sample.points, mode=mode,
                       budget=budget, seed=[seed, 5])
     g = _gradient_norms(diff, r, sample.points, budget=budget, seed=[seed, 6], mode=mode)
-    dr = [route(mode if rhs_mode is None else rhs_mode, lambda: ou_rho_derivative_exact(diff, r, x),
-                lambda: ou_rho_derivative_heat(diff, r, x, budget, seed=[seed, 7, k]))
-          for k, x in enumerate(sample.points)]
-    dr_value, dr_err = np.array([(e.value, e.std_error) for e in dr]).T
+    dr = route(mode if rhs_mode is None else rhs_mode,
+               lambda: ou_rho_derivative_exact(diff, r, sample.points),
+               lambda: _stacked([ou_rho_derivative_heat(diff, r, x, budget, seed=[seed, 7, k])
+                                 for k, x in enumerate(sample.points)], len(sample.points)))
     coef = 1.0 / (r * r) - 1.0
     xn = np.einsum("ij,ij->i", sample.points, sample.normals)
     lhs = s_est.value - xn * g.value
-    rhs = coef * (xn * g.value + r * dr_value)
-    err = s_est.std_error + np.abs(xn) * (1 + coef) * g.std_error + coef * r * dr_err
+    rhs = coef * (xn * g.value + r * dr.value)
+    err = s_est.std_error + np.abs(xn) * (1 + coef) * g.std_error + coef * r * dr.std_error
     return ResidualReport(float(np.abs(lhs - rhs).max()), 3 * float(err.max()) + 1e-9, lhs, rhs,
                           sample.points, (i, j))
 
@@ -460,7 +460,7 @@ def _form(field, terms) -> Estimate:
             draws.append(est.samples)
             return w * est.value, np.abs(w) * est.std_error
 
-        est = facet.gauss_integral(h, 0.0, np.zeros(facet.dim), budget=budget, seed=seed)
+        est = facet.gauss_integral(h, budget=budget, seed=seed)
         total, err = total + c * float(est.value), err + abs(c) * float(est.std_error)
         draws.append(est.samples)
     return Estimate(total, err, sum(draws), MONTE_CARLO if sum(draws) else QUADRATURE)

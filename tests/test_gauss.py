@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,6 @@ from noiselab.partitions import (
     cylinder_extend,
     halfspace_partition,
     gaussian_measure,
-    perturbed_simplex_cones,
     sector_partition,
     simplex_cone_partition,
 )
@@ -249,7 +249,7 @@ class TestOuGradient:
         assert np.all(np.abs(est.value) <= 3 * est.std_error + 1e-12)
 
     def test_matches_quadrature_gradient(self):
-        # the Monte Carlo moment form against central differences of exact T
+        # the Monte Carlo moment form against the closed form
         cone = simplex_cone_partition(3).cells[0]
         x = np.array([0.6, 0.4])
         mc = ou_gradient(cone, 0.5, x, budget=2_000_000, seed=8)
@@ -290,8 +290,7 @@ class TestBatchContract:
         SignedDifference(*simplex_cone_partition(3).cells[:2]),
     ], ids=lambda c: type(c).__name__)
     def test_gradient_batch_equals_stacked_single_points(self, cell):
-        # closed-form gradients (half-spaces, and products, complements and
-        # signed differences of them) and the central-difference stencil alike
+        # the closed form of every reduction, and of signed differences of them
         dim = cell.a.dim if isinstance(cell, SignedDifference) else cell.dim
         pts = np.random.default_rng(13).standard_normal((7, dim))
         exact = getattr(cell, "ou_gradient_exact", None)
@@ -311,24 +310,6 @@ class TestBatchContract:
         pts = np.zeros((3, 2))
         assert ball.ou_exact(0.5, pts) is None
         assert ConeCell(np.eye(3), 0).ou_exact(0.5, np.zeros((3, 3))) is None
-
-    @pytest.mark.parametrize("cell", [
-        *simplex_cone_partition(3).cells,
-        perturbed_simplex_cones(3).cells[0],
-        ShiftedSet(simplex_cone_partition(3).cells[1], [0.4, 0.1]),
-    ])
-    def test_gradient_stencil_matches_per_axis_loop(self, cell):
-        step = 3e-4
-        for rho, x in ((0.5, [0.6, 0.4]), (-0.3, [-0.2, 1.1]), (0.9, [0.05, -0.7])):
-            xv = np.asarray(x)
-            loop = np.empty(2)
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = step
-                loop[k] = (cell.ou_exact(rho, xv + e)[0] - cell.ou_exact(rho, xv - e)[0]) / (2 * step)
-            est = ou_gradient_quadrature(cell, rho, xv, step=step)
-            assert est.method == "quadrature"
-            assert np.max(np.abs(est.value - loop)) <= 1e-12
 
     def test_gradient_without_exact_route_raises(self):
         ball = OracleSet(lambda pts: np.sum(pts * pts, axis=1) <= 1.0, 2)
@@ -528,7 +509,8 @@ class TestOuRhoDerivative:
             3 * (res.finite_difference.std_error + res.divergence_form.std_error)
         )
 
-    def test_exact_route_evaluates_only_at_the_stencil(self):
+    def test_exact_route_is_the_closed_form(self):
+        # no T_rho evaluation: the finite difference of the parent is gone
         calls = []
 
         class Counted(HalfSpace):
@@ -538,13 +520,10 @@ class TestOuRhoDerivative:
 
         hs = Counted([1.0, 0.0], 1.0)
         res = ou_rho_derivative(hs, 0.5, [1.0, 0.0], budget=1000, seed=8)
-        h = 1e-3 * 0.5
-        assert calls == [0.5 + h, 0.5 - h]
-        plain = HalfSpace([1.0, 0.0], 1.0)
-        vp, ep = plain.ou_exact(0.5 + h, np.array([1.0, 0.0]))
-        vm, em = plain.ou_exact(0.5 - h, np.array([1.0, 0.0]))
-        assert res.finite_difference.value == (vp - vm) / (2.0 * h)
-        assert res.finite_difference.method == "quadrature"
+        assert calls == []
+        assert res.finite_difference == ou_rho_derivative_exact(HalfSpace([1.0, 0.0], 1.0), 0.5,
+                                                                [1.0, 0.0])
+        assert res.finite_difference.method == "closed-form"
 
     def test_laplacian_moment_form(self):
         # Lap T on the full space vanishes
@@ -556,6 +535,144 @@ class TestOuRhoDerivative:
         hs = HalfSpace([1.0], 0.0)
         with pytest.raises(DomainError):
             ou_rho_derivative(hs, 0.0, [0.0])
+
+
+def _mp_derivatives(cell, rho, x):
+    """(grad, d/drho) of T_rho 1_cell at x in 40 digits, from the cell's
+    half-space or sectors with the float inputs taken as exact: T is the mass
+    of the reduction moved to q' = (apex - rho x)/sigma, whose x- and
+    rho-derivatives are the edges' densities phi(d) Phi(-c) against the
+    motion of each edge."""
+    if isinstance(cell, SignedDifference):
+        (ga, da), (gb, db) = _mp_derivatives(cell.a, rho, x), _mp_derivatives(cell.b, rho, x)
+        return [u - v for u, v in zip(ga, gb)], da - db
+    with mpmath.workdps(40):
+        r, xs = mpmath.mpf(rho), [mpmath.mpf(float(v)) for v in x]
+        sig = mpmath.sqrt(1 - r * r)
+        hs = cell.halfspace()
+        if hs is not None:
+            n, a = hs
+            if math.isinf(a):
+                return [mpmath.mpf(0)] * len(xs), mpmath.mpf(0)
+            xn = mpmath.fsum(mpmath.mpf(float(v)) * w for v, w in zip(n, xs))
+            u = (mpmath.mpf(a) - r * xn) / sig
+            dens = mpmath.npdf(u)
+            return ([-mpmath.mpf(float(v)) * dens * r / sig for v in n],
+                    dens * (-xn / sig + r * u / sig**2))
+        apex, arcs = cell.sector_decomposition()
+        q = [(mpmath.mpf(float(apex[k])) - r * xs[k]) / sig for k in range(2)]
+        grad, rate = [mpmath.mpf(0)] * len(xs), mpmath.mpf(0)
+        for arc in arcs:
+            for t, s in zip(arc, (1, -1)):  # inward normal s (-sin t, cos t)
+                ct, st = mpmath.cos(mpmath.mpf(t)), mpmath.sin(mpmath.mpf(t))
+                c, d = q[0] * ct + q[1] * st, q[1] * ct - q[0] * st
+                dens = s * mpmath.npdf(d) * mpmath.ncdf(-c)
+                grad[0] -= dens * st * r / sig
+                grad[1] += dens * ct * r / sig
+                rate += dens * ((ct * xs[1] - st * xs[0]) / sig - r * d / sig**2)
+        return grad, rate
+
+
+_FAR = np.array([4.8, -6.4])  # an apex at |q| = 8
+#: every cell kind of _exact_cells(), the empty cell, arcs 1e-3 wide and wider
+#: than pi, apexes at |q| = 8, and signed differences
+MOMENT_CELLS = [
+    *_exact_cells(), Complement(ExplicitCell([], dim=2)),
+    Sector2D(0.4, 0.401), ShiftedSet(Sector2D(0.4, 0.401), _FAR),
+    ShiftedSet(Sector2D(0.4, 4.0), -_FAR), ProductWithR(Complement(ShiftedSet(Sector2D(-2.0, 0.5), _FAR)), 1),
+    SignedDifference(*simplex_cone_partition(3).cells[:2]),
+    SignedDifference(*halfspace_partition([0.6, -0.8], 0.3).cells),
+]
+MOMENT_RHOS = [0.3, -0.3, 0.9, -0.9, 0.9999, -0.9999]
+
+
+def _dim(cell):
+    return cell.a.dim if isinstance(cell, SignedDifference) else cell.dim
+
+
+def _moment_points(dim):
+    """Near the origin, at the measured point, and at the far apex and its mirror."""
+    pts = np.array([[0.0, 0.0], [0.3, -0.4], [-1.07, 1.16], _FAR, -_FAR])
+    return np.hstack([pts, np.full((len(pts), dim - 2), 0.2)])
+
+
+class TestShiftedMomentRoutes:
+    """grad T_rho 1_A = (rho/sigma) M(q') and d/drho T_rho 1_A = -<M(q'), dq'/drho>,
+    with M the cell's moment at the shifted apex q' = (apex - rho x)/sigma."""
+
+    @pytest.mark.parametrize("rho", MOMENT_RHOS)
+    @pytest.mark.parametrize("cell", MOMENT_CELLS, ids=lambda c: type(c).__name__)
+    def test_within_the_reported_error_of_mpmath(self, cell, rho):
+        sig = math.sqrt(1 - rho * rho)
+        for x in _moment_points(_dim(cell)):
+            g, dr = ou_gradient_quadrature(cell, rho, x), ou_rho_derivative_exact(cell, rho, x)
+            assert g.method == dr.method == "closed-form"
+            ref_g, ref_dr = _mp_derivatives(cell, rho, x)
+            assert np.all(np.abs(g.value - np.array(ref_g, dtype=float)) <= g.std_error)
+            assert abs(dr.value - float(ref_dr)) <= dr.std_error
+            # the figures are the rounding of the terms' magnitudes, which grow
+            # like 1/sigma for the gradient and 1/sigma^2 for d/drho, weighted by
+            # the (|apex| + |rho x|)/sigma ulps of the shifted apex
+            assert np.all(g.std_error * sig <= 1e-11) and dr.std_error * sig * sig <= 1e-11
+
+    @pytest.mark.parametrize("rho", MOMENT_RHOS)
+    @pytest.mark.parametrize("cell", MOMENT_CELLS, ids=lambda c: type(c).__name__)
+    def test_the_richardson_limit_of_t(self, cell, rho):
+        # central differences of ou_exact in each coordinate of x (step h = 1e-3
+        # sigma) and in rho (h = 1e-3 sigma^2), from steps h and 2h
+        # extrapolated; the values' reported errors through the differences
+        # plus the extrapolation's residual against the one from steps 2h and
+        # 4h bound the difference
+        pts, sig = _moment_points(_dim(cell)), math.sqrt(1 - rho * rho)
+
+        def central(shift, h):  # shift(step) -> (rho, x) of the forward points
+            def at(step):
+                (up, e_up), (dn, e_dn) = (cell.ou_exact(*shift(sign * step)) for sign in (1, -1))
+                return (up - dn) / (2 * step), (e_up + e_dn) / (2 * step)
+
+            (d1, e1), (d2, e2), (d4, _) = at(h), at(2 * h), at(4 * h)
+            richardson = (4 * d1 - d2) / 3
+            return richardson, (4 * e1 + e2) / 3 + np.abs(richardson - (4 * d2 - d4) / 3)
+
+        grad = ou_gradient_quadrature(cell, rho, pts).value
+        for k in range(pts.shape[1]):
+            fd, tol = central(lambda step: (rho, pts + step * np.eye(pts.shape[1])[k]), 1e-3 * sig)
+            assert np.all(np.abs(grad[:, k] - fd) <= tol) and np.all(tol * sig <= 1e-7)
+        fd, tol = central(lambda step: (rho + step, pts), 1e-3 * sig * sig)
+        assert np.all(np.abs(ou_rho_derivative_exact(cell, rho, pts).value - fd) <= tol)
+        assert np.all(tol * sig * sig <= 1e-7)
+
+    @pytest.mark.parametrize("cell", MOMENT_CELLS, ids=lambda c: type(c).__name__)
+    def test_batch_equals_stacked_single_points(self, cell):
+        pts = _moment_points(_dim(cell))
+        for rho in MOMENT_RHOS:
+            batch = ou_rho_derivative_exact(cell, rho, pts)
+            assert isinstance(batch, VectorEstimate) and batch.value.shape == (len(pts),)
+            singles = [ou_rho_derivative_exact(cell, rho, x) for x in pts]
+            assert all(isinstance(e, Estimate) for e in singles)
+            assert np.array_equal(batch.value, [e.value for e in singles])
+            assert np.array_equal(batch.std_error, [e.std_error for e in singles])
+            grad = ou_gradient_quadrature(cell, rho, pts)
+            assert np.array_equal(grad.value, [ou_gradient_quadrature(cell, rho, x).value for x in pts])
+
+    @pytest.mark.parametrize("cell", [ExplicitCell([], dim=2), Complement(ExplicitCell([], dim=2)),
+                                      ProductWithR(ExplicitCell([], dim=2), 1)],
+                             ids=["R^2", "empty", "R^3"])
+    def test_whole_space_and_empty_cell_give_exact_zeros(self, cell):
+        # phi(+-inf) = 0 against factors that grow without bound: no NaN
+        pts = _moment_points(cell.dim)
+        for rho in MOMENT_RHOS:
+            for est in (ou_gradient_quadrature(cell, rho, pts), ou_rho_derivative_exact(cell, rho, pts)):
+                assert not np.any(est.value) and np.all(np.isfinite(est.std_error))
+                assert np.all(est.std_error <= 1e-300)
+
+    def test_measured_rho_derivative(self):
+        # the rho-stencil returned -0.88678636984 +- 2e-8 here, 3.0e-7 off
+        cell = simplex_cone_partition(3).cells[0]
+        est = ou_rho_derivative_exact(cell, 0.9, [-1.07, 1.16])
+        assert abs(est.value + 0.88678666977) <= 1e-11
+        assert abs(est.value - float(_mp_derivatives(cell, 0.9, [-1.07, 1.16])[1])) <= est.std_error
+        assert est.std_error <= 1e-12
 
 
 class TestBivariateNormalCdf:

@@ -141,13 +141,17 @@ def _float_literals(expr, func):
                 todo.extend(assigned[node.id])
 
 
-#: (module, function, error slots of its returned tuples): the cell-moment and
-#: propeller routes and the closed forms they return
+#: (module, function, error slots of its returned tuples): the cell-moment,
+#: propeller, gradient and d/drho routes and the closed forms they return
 MOMENT_ROUTES = [
     ("stability.py", "cell_moment", ()),
     ("stability.py", "propeller_functional", ()),
     ("partitions.py", "moment_exact", (1,)),
-    ("partitions.py", "_sector_moment", (1,)),
+    ("partitions.py", "_shifted_moment", (1, 3)),
+    ("partitions.py", "ou_gradient_exact", (1,)),
+    ("partitions.py", "ou_drho_exact", (1,)),
+    ("gauss.py", "ou_gradient_quadrature", ()),
+    ("gauss.py", "ou_rho_derivative_exact", ()),
     ("cones.py", "central_cone", (1, 3)),
 ]
 
@@ -161,6 +165,24 @@ def test_no_float_literal_is_a_moment_error_figure():
         func = _functions(trees[module])[name]
         for expr in _error_slots(func, slots):
             found += [f"{module}:{line}" for line in _float_literals(expr, func)]
+    assert found == []
+
+
+def _reads_ou_exact(func):
+    """Lines where ``func`` reaches ``ou_exact``, as an attribute or by name."""
+    for node in ast.walk(func):
+        if ((isinstance(node, ast.Attribute) and node.attr == "ou_exact")
+                or (isinstance(node, ast.Constant) and node.value == "ou_exact")):
+            yield node.lineno
+
+
+def test_no_route_differences_t():
+    # the gradient and d/drho of T_rho 1_A are closed forms in the cell's moment
+    # at the shifted apex; neither route may evaluate T itself, so no stencil
+    # in x or rho can come back
+    funcs = _functions(ast.parse(next(p for p in SOURCES if p.name == "gauss.py").read_text()))
+    found = [f"{name}:{line}" for name in ("ou_gradient_quadrature", "ou_rho_derivative_exact")
+             for line in _reads_ou_exact(funcs[name])]
     assert found == []
 
 

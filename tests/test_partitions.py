@@ -223,7 +223,8 @@ class TestFacetLineRule:
                 calls.append(pts.shape)
                 return g(pts[:, 1])
 
-            val, err = facet.gauss_integral(h)
+            est = facet.gauss_integral(h)
+            val, err = est.value, est.std_error
             assert len(calls) == 1 and calls[0][1] == 2
             # the rule's error figure covers its error (the rounding of the
             # Gauss-Legendre weights) up to the rounding of the sum itself
@@ -232,9 +233,9 @@ class TestFacetLineRule:
 
     def test_per_point_errors_join_the_error_figure(self):
         facet, (a, b) = self.LINES["interval"]
-        val, err = facet.gauss_integral(lambda pts: (np.ones(len(pts)), np.full(len(pts), 0.01)))
-        assert val == pytest.approx(facet.mass, abs=1e-15)
-        assert err == pytest.approx(0.01 * facet.mass, rel=1e-12)
+        est = facet.gauss_integral(lambda pts: (np.ones(len(pts)), np.full(len(pts), 0.01)))
+        assert est.value == pytest.approx(facet.mass, abs=1e-15)
+        assert est.std_error == pytest.approx(0.01 * facet.mass, rel=1e-12)
 
 
 class TestPlanarConeFacetArcs:

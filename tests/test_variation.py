@@ -9,13 +9,10 @@ from scipy.special import ndtr
 from noiselab.gauss import (
     DomainError,
     SignedDifference,
-    ou_rho_derivative_exact,
     ou_rho_derivative_heat,
 )
 from noiselab.partitions import (
-    ConeCell,
     Facet,
-    PartitionSpec,
     cone_partition,
     halfspace_partition,
     perturbed_simplex_cones,
@@ -24,6 +21,7 @@ from noiselab.partitions import (
     simplex_cone_partition,
     simplex_generators,
 )
+import noiselab.variation as variation_module
 from noiselab.variation import (
     DilationField,
     NormalScalarField,
@@ -84,28 +82,6 @@ class TestFirstVariation:
         rep = first_variation_constancy(p, 0.5, 0, 1, 10, budget=100_000, seed=4,
                                         mode="monte-carlo")
         assert abs(rep.mean) <= 3 * rep.pointwise_error
-
-
-class TestRhoDerivativeDifference:
-    def test_exact_route_makes_four_evaluations(self):
-        calls = []
-
-        class Counted(ConeCell):
-            def ou_exact(self, rho, x):
-                calls.append(rho)
-                return super().ou_exact(rho, x)
-
-        z = simplex_generators(3, 2)
-        p = PartitionSpec([Counted(z, k) for k in range(3)])
-        x = np.array([0.3, -0.4])
-        rho, h = 0.6, 1e-3 * 0.4
-        est = ou_rho_derivative_exact(SignedDifference(p.cells[0], p.cells[1]), rho, x)
-        assert sorted(calls) == [rho - h, rho - h, rho + h, rho + h]
-        ci, cj = simplex_cone_partition(3).cells[:2]
-        up = ci.ou_exact(rho + h, x)[0] - cj.ou_exact(rho + h, x)[0]
-        dn = ci.ou_exact(rho - h, x)[0] - cj.ou_exact(rho - h, x)[0]
-        assert est.value == (up - dn) / (2 * h)
-        assert est.method == "quadrature"
 
 
 class TestSurfaceOperator:
@@ -256,6 +232,23 @@ class TestDilationEigenIdentity:
         rep = dilation_eigen_residual(p, 0.5, 0, 1, 20, seed=16)
         assert rep.max_residual <= rep.tolerance
         assert np.max(np.abs(rep.lhs)) <= 1e-10
+
+    def test_cones_near_rho_one(self):
+        # the rho-stencil of the parent stepped out of (-1, 1) here and raised
+        rep = dilation_eigen_residual(simplex_cone_partition(3), 0.9999, 0, 1, 8, mode="quadrature")
+        assert rep.max_residual <= 1e-12 and rep.max_residual <= rep.tolerance
+
+    def test_closed_form_rhs_is_one_batched_call(self, monkeypatch):
+        calls = []
+        real = variation_module.ou_rho_derivative_exact
+
+        def counted(set_spec, rho, x):
+            calls.append(np.shape(x))
+            return real(set_spec, rho, x)
+
+        monkeypatch.setattr(variation_module, "ou_rho_derivative_exact", counted)
+        rep = dilation_eigen_residual(halfspace_partition([1.0, 0.0], 1.0), 0.5, 0, 1, 8, seed=15)
+        assert calls == [(8, 2)] and rep.max_residual <= 1e-12
 
     def test_cones_against_independent_mc_estimator(self):
         p = simplex_cone_partition(3)
