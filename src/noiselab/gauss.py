@@ -247,7 +247,8 @@ def _shard_loop(values_fn, rngs, sizes, reduce, threads: int = 1) -> list:
     or the order of the results.
     """
     def run(idx):
-        return reduce(np.asarray(values_fn(rngs[idx], sizes[idx]), dtype=float))
+        vals = np.asarray(values_fn(rngs[idx], sizes[idx]))
+        return reduce(vals if vals.dtype == bool else vals.astype(float, copy=False))
 
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -256,6 +257,11 @@ def _shard_loop(values_fn, rngs, sizes, reduce, threads: int = 1) -> list:
 
 
 def _sums(vals):
+    """Column sums of the values and of their squares; 0/1 draws given as bools
+    are counted, which are the same sums exactly."""
+    if vals.dtype == bool:
+        hits = np.count_nonzero(vals, axis=0).astype(float)
+        return hits, hits
     return vals.sum(axis=0), (vals * vals).sum(axis=0)
 
 

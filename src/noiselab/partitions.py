@@ -261,7 +261,7 @@ class SetSpec:
         point and n values for a batch.  At rho = 0 a central cone gives its
         measure, the solid angle over 4 pi.
         """
-        sig = math.sqrt(1.0 - rho * rho)
+        sig = math.sqrt((1.0 - rho) * (1.0 + rho))  # no cancellation as |rho| -> 1
         hs = self.halfspace()
         if hs is not None:
             n, a = hs
@@ -949,7 +949,9 @@ def _tangent_basis(normal: np.ndarray) -> np.ndarray:
 
 
 class PartitionSpec:
-    """Ordered cells covering R^d; ties go to the lowest index."""
+    """Ordered cells covering R^d; ties go to the lowest index.  ``argmax_form``
+    is (generators, shift, base_dim) when membership is one argmax of inner
+    products (see :meth:`_detect_argmax_form`), else None."""
 
     def __init__(self, cells, dimension: int | None = None):
         if not cells:
@@ -960,11 +962,11 @@ class PartitionSpec:
             if c.dim != self.dim:
                 raise DomainError("all cells must share the partition dimension")
         self.m = len(self.cells)
-        self._fast = self._detect_fast()
+        self.argmax_form = self._detect_argmax_form()
         self._facets = {}  # (i, j) -> facets of Sigma_ij oriented from i into j
 
     # -- structure detection ---------------------------------------------------
-    def _detect_fast(self):
+    def _detect_argmax_form(self):
         """(generators, shift, base_dim) when membership is one argmax of inner
         products with the generators over the first base_dim coordinates:
         maximal-inner-product cones, all shifted alike or not at all, or a
@@ -991,10 +993,10 @@ class PartitionSpec:
         pts = np.atleast_2d(pts)
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
-        if self._fast is not None:
+        if self.argmax_form is not None:
             # the inner products of ConeCell.contains on the same coordinates, so
             # the first maximum is the cell that claims the point first
-            z, shift, base_dim = self._fast
+            z, shift, base_dim = self.argmax_form
             x = pts[:, :base_dim]
             if shift.any():  # subtracting zero would only copy
                 x = x - shift
@@ -1038,8 +1040,8 @@ class PartitionSpec:
         return list(self._facets[(i, j)])
 
     def _facets_low(self, i: int, j: int) -> list[Facet]:
-        if self._fast is not None and self._fast[2] == self.dim:
-            z, shift, _ = self._fast
+        if self.argmax_form is not None and self.argmax_form[2] == self.dim:
+            z, shift, _ = self.argmax_form
             w = z[j] - z[i]
             nw = float(np.linalg.norm(w))
             if nw < 1e-14:
@@ -1265,7 +1267,7 @@ def gaussian_measure(s: SetSpec, budget: int = 200_000, *, seed=0, threads: int 
         return None if res is None else Estimate(float(res[0]), float(res[1]), 0, CLOSED_FORM)
 
     def values(rng, k):
-        return s.contains(rng.standard_normal((k, s.dim))).astype(float)
+        return s.contains(rng.standard_normal((k, s.dim)))
 
     return route(mode, closed_form, lambda: mc_mean(values, budget, seed=seed, threads=threads))
 

@@ -6,11 +6,17 @@ rho-correlated standard Gaussian pair, equivalently the integral of
 stabilities are summed; the bilinear form pairs two partitions,
 sum_i P(X in p_i, Y in q_i).
 
-Monte Carlo estimates share one correlated-pair stream across all cells (one
-membership evaluation per point) and across a whole rho grid: each shard
-draws X and Z once, classifies X once, and forms Y = rho X + sqrt(1 - rho^2) Z
-per rho, so a grid costs one pass and each of its values equals the one-rho
-estimate at the same seed and budget.  Comparisons between candidate
+Monte Carlo estimates share one correlated-pair stream across all cells and
+across a whole rho grid: each shard draws X and then Z once, so a grid costs
+one pass and each of its values equals the one-rho estimate at the same seed
+and budget.  Two partitions whose membership is one argmax of inner products
+(:attr:`noiselab.partitions.PartitionSpec.argmax_form`) are counted in score
+space: the scores of Y = rho X + sqrt(1 - rho^2) Z are rho <z, X> +
+sqrt(1 - rho^2) <z, Z> - <z, c>, so X and Z are drawn over the base
+coordinates only and projected once per shard, and each rho costs a few
+passes over an (m, k) score array, with no Y and no argmax.  Two equal
+scores, a null event, count for every tied cell rather than the first.  Other
+partitions classify X once and form each Y.  Comparisons between candidate
 partitions run with positively correlated errors when they reuse a seed.
 
 Every deterministic route is a sum of pair probabilities P(X in a, Y in b)
@@ -48,9 +54,10 @@ from .gauss import (
 )
 from .partitions import PartitionSpec, SetSpec, gaussian_measure
 
+
 def _pair_values(classify, match, rhos, d):
-    """Integrand of a correlated pair (X, Y) with one column per rho of ``rhos``:
-    ``match(classify(X), Y)``.  A shard draws X, then Z, as
+    """Integrand of a correlated pair (X, Y) with one bool column per rho of
+    ``rhos``: ``match(classify(X), Y)``.  A shard draws X, then Z, as
     :func:`noiselab.gauss.noisy_copies` does, classifies X once, and forms
     Y = rho X + sqrt(1 - rho^2) Z with that function's expression, one Y at a
     time, so each column is the one-rho integrand to the bit."""
@@ -60,12 +67,66 @@ def _pair_values(classify, match, rhos, d):
         x = rng.standard_normal((k, d))
         z = rng.standard_normal((k, d))
         cx = classify(x)
-        out = np.empty((k, len(rs)))
+        out = np.empty((k, len(rs)), dtype=bool)
         for c, r in enumerate(rs):
             out[:, c] = match(cx, r * x + math.sqrt(1.0 - r * r) * z)
         return out
 
     return values
+
+
+def _score_values(p: PartitionSpec, q: PartitionSpec, rhos):
+    """:func:`agreement_values` of two argmax partitions, in score space.
+
+    With generators Z_p, Z_q, shifts c_p, c_q and the first ``base_dim``
+    coordinates of X and Z (drawn as :func:`_pair_values` draws them, over
+    those coordinates only), X is in the cell of the largest entry of
+    Z_p X - Z_p c_p.  Y = rho X + sigma Z, sigma = sqrt(1 - rho^2) > 0, is in
+    the cell of the largest of its scores over sigma, (rho/sigma) Z_q X +
+    Z_q Z - Z_q c_q/sigma.  Both projections of Z_q are formed once per shard
+    in (m, k) layout, each rho adds them into one reused buffer, and a pair
+    agrees where the rows that attain the column maxima of X and of Y meet.
+    A tie, which needs two scores equal (a null event with distinct
+    generators), lights every tied row rather than the first."""
+    zp, cp, d = p.argmax_form
+    zq, cq, _ = q.argmax_form
+    same = zp is zq or np.array_equal(zp, zq)
+    off_p = zp @ cp if cp.any() else None
+    off_q = zq @ cq if cq.any() else None
+    steps = []
+    for r in rhos:
+        s = math.sqrt(1.0 - r * r)
+        steps.append((r / s, None if off_q is None else off_q[:, None] / s))
+
+    def values(rng, k):
+        x = rng.standard_normal((k, d))
+        px = zq @ x.T
+        sx = px if same else zp @ x.T
+        del x
+        if off_p is not None:
+            sx = sx - off_p[:, None]
+        hot_x = sx == sx.max(axis=0)
+        del sx
+        pz = zq @ rng.standard_normal((k, d)).T
+        buf, top = np.empty_like(px), np.empty(k)
+        hot = np.empty(px.shape, dtype=bool)
+        out = np.empty((len(steps), k), dtype=bool)
+        for c, (t, off) in enumerate(steps):
+            np.multiply(px, t, out=buf)
+            buf += pz
+            if off is not None:
+                buf -= off
+            np.equal(buf, buf.max(axis=0, out=top), out=hot)
+            hot &= hot_x
+            np.logical_or.reduce(hot, axis=0, out=out[c])
+        return out.T
+
+    return values
+
+
+def _distinct(z: np.ndarray) -> bool:
+    """Whether the rows of z differ pairwise, so that scores tie only on a null set."""
+    return np.count_nonzero((z[:, None, :] == z[None, :, :]).all(axis=2)) == len(z)
 
 
 def _column(est: VectorEstimate, c: int) -> Estimate:
@@ -74,8 +135,14 @@ def _column(est: VectorEstimate, c: int) -> Estimate:
 
 def agreement_values(p: PartitionSpec, q: PartitionSpec, rhos):
     """Monte Carlo integrand of sum_i P(X in p_i, Y in q_i) for rho-correlated
-    pairs, one 0/1 column per rho of ``rhos``: 1 where X and Y fall in cells of
-    the same index.  X is classified once for all the rhos."""
+    pairs, one bool column per rho of ``rhos``: True where X and Y fall in
+    cells of the same index.  Two argmax partitions with one ``base_dim``, one
+    cell count and distinct generators take :func:`_score_values`; any other
+    pair classifies X once for all the rhos and each Y by ``membership``."""
+    fp, fq = p.argmax_form, q.argmax_form
+    if (fp is not None and fq is not None and fp[2] == fq[2] and p.m == q.m
+            and _distinct(fp[0]) and _distinct(fq[0])):
+        return _score_values(p, q, rhos)
     return _pair_values(p.membership, lambda cx, y: cx == q.membership(y), rhos, p.dim)
 
 

@@ -290,18 +290,25 @@ def first_variation_constancy(p: PartitionSpec, rho, i: int, j: int,
 
     On a stability-critical partition the sampled values are constant up to
     estimator error; a perturbed partition shows deviations far beyond it.
+    The values are the closed form in one call over the whole sample, or
+    :func:`t_difference` by Monte Carlo per point (seed ``[seed, k]`` at point
+    k), as ``mode`` (see :func:`noiselab.gauss.route`) picks.
     """
-    as_rho(rho, nonzero=True)
+    r = as_rho(rho, nonzero=True)
     sample = p.boundary_sample(i, j, n_points, seed=seed)
-    vals = np.empty(len(sample))
-    err = 0.0
-    for k in range(len(sample)):
-        est = t_difference(p, i, j, rho, sample.points[k], budget=budget,
-                           seed=[seed, k], mode=mode)
-        vals[k] = est.value
-        err = max(err, est.std_error)
-    mean = float(vals.mean())
-    return ConstancyReport(mean, float(np.abs(vals - mean).max()), err, vals, sample.points)
+
+    def deterministic():
+        res = SignedDifference(p.cells[i], p.cells[j]).ou_exact(r, sample.points)
+        return None if res is None else VectorEstimate(
+            np.asarray(res[0], dtype=float), np.full(len(sample), res[1], dtype=float), 0,
+            QUADRATURE)
+
+    est = route(mode, deterministic, lambda: _stacked(
+        [t_difference(p, i, j, r, x, budget=budget, seed=[seed, k], mode=MONTE_CARLO)
+         for k, x in enumerate(sample.points)], len(sample)))
+    mean = float(est.value.mean())
+    return ConstancyReport(mean, float(np.abs(est.value - mean).max()),
+                           float(est.std_error.max()), est.value, sample.points)
 
 
 def first_variation_constants(p: PartitionSpec, rho, *, n_probe: int = 6,

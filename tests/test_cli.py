@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import noiselab.cli as cli_module
@@ -101,15 +102,11 @@ class TestSweepCommand:
                          "--seed", "5", "--budget", "50000")
         assert out1 == out2
 
-    #: recorded when every rho of a sweep drew its own pairs
-    MC_ROWS = {
-        "cones": ["-0.5,0.09574,0.000759712,150000,monte-carlo,17",
-                  "0.3,0.36634,0.00124402,150000,monte-carlo,17",
-                  "0.9,0.75098,0.00111657,150000,monte-carlo,17"],
-        "cylinder": ["-0.5,0.09594,0.000760421,150000,monte-carlo,17",
-                     "0.3,0.36572,0.00124357,150000,monte-carlo,17",
-                     "0.9,0.750686666667,0.00111701,150000,monte-carlo,17"],
-    }
+    #: recorded when every rho of a sweep drew its own pairs; the cylinder
+    #: draws only the three coordinates its cells read, so it gives these rows too
+    MC_ROWS = ["-0.5,0.09574,0.000759712,150000,monte-carlo,17",
+               "0.3,0.36634,0.00124402,150000,monte-carlo,17",
+               "0.9,0.75098,0.00111657,150000,monte-carlo,17"]
 
     @pytest.mark.parametrize("name", ["cones", "cylinder"])
     def test_monte_carlo_sweep_in_r3_is_thread_independent(self, capsys, tmp_path, name):
@@ -125,7 +122,26 @@ class TestSweepCommand:
         assert outs[0][1] == outs[1][1]
         lines = outs[0][1].strip().split("\n")
         assert lines[0] == "rho,value,std_error,samples,method,seed"
-        assert lines[1:] == self.MC_ROWS[name]
+        assert lines[1:] == self.MC_ROWS
+
+    def test_cylinder_sweep_agrees_with_a_five_dimensional_sampler(self, capsys, tmp_path):
+        # pairs drawn in all of R^5 and classified by one argmax against the
+        # generators padded with zeros, independently of noiselab's sampler
+        p = simplex_cone_partition(4)
+        path = tmp_path / "cylinder.json"
+        path.write_text(json.dumps(partition_to_json(cylinder_extend(p, 2))))
+        _, out, _ = run(capsys, "sweep", str(path), "--rho-grid=-0.5,0.3,0.9", "--budget",
+                        "150000", "--seed", "17")
+        z = np.hstack([p.cells[0].generators, np.zeros((4, 2))])
+        rng = np.random.default_rng(2024)
+        x, noise = rng.standard_normal((2, 300_000, 5))
+        cell_x = np.argmax(x @ z.T, axis=1)
+        for line in out.strip().split("\n")[1:]:
+            rho, value, se = (float(v) for v in line.split(",")[:3])
+            y = rho * x + math.sqrt(1 - rho * rho) * noise
+            hits = cell_x == np.argmax(y @ z.T, axis=1)
+            ref, ref_se = hits.mean(), hits.std(ddof=1) / math.sqrt(len(hits))
+            assert abs(value - ref) <= 4 * (se + ref_se)
 
     def test_sweep_row_equals_stability_at_that_rho(self, capsys, tmp_path):
         path = tmp_path / "cones.json"

@@ -188,6 +188,16 @@ class TestOuApply:
         est = ou_apply(hs, 0.45, x, budget=400_000, mode="monte-carlo", seed=11)
         assert abs(est.value - exact) <= 3 * est.std_error
 
+    @pytest.mark.parametrize("rho", [0.9999, 0.99999, -0.9999])
+    def test_halfspace_near_the_ends_within_its_quoted_error(self, rho):
+        # sigma from 1 - rho^2 lost digits here: 5.0e-14 off against a quoted 1e-15
+        xs = np.linspace(-0.02, 0.02, 81)
+        vals, err = HalfSpace([1.0, 0.0], 0.0).ou_exact(rho, np.stack([xs, 0.3 + 0 * xs], 1))
+        with mpmath.workdps(40):
+            r = mpmath.mpf(rho)
+            refs = [mpmath.ncdf(-r * mpmath.mpf(float(x)) / mpmath.sqrt(1 - r * r)) for x in xs]
+        assert np.all(np.abs(vals - np.array(refs, dtype=float)) <= err)
+
     def test_indicator_range(self):
         p = simplex_cone_partition(3)
         rng = np.random.default_rng(3)

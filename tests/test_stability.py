@@ -9,9 +9,10 @@ from scipy.special import ndtr, ndtri
 
 import noiselab.partitions as partitions_module
 import noiselab.stability as stability_module
-from noiselab.gauss import DomainError, sample_correlated_pair
+from noiselab.gauss import DomainError, mc_mean, mc_shard_means, sample_correlated_pair
 from noiselab.partitions import (
     Complement,
+    ConeCell,
     ExplicitCell,
     HalfSpace,
     PartitionSpec,
@@ -24,9 +25,11 @@ from noiselab.partitions import (
     random_orthogonal,
     sector_partition,
     simplex_cone_partition,
+    simplex_generators,
     three_sectors_120,
 )
 from noiselab.stability import (
+    agreement_values,
     bilinear_stability,
     cell_moment,
     half_space_stability_closed_form,
@@ -37,6 +40,7 @@ from noiselab.stability import (
     sheppard_half_space,
     stability_sweep,
 )
+from noiselab.variation import TranslationField, stability_second_derivative
 
 PROPELLER_BOUND = 9.0 / (8.0 * math.pi)
 
@@ -508,3 +512,95 @@ class TestStabilitySweep:
         p = SWEEP_PARTITIONS["shifted-cones-R3"]
         b = bilinear_stability(p, p, 0.4, 140_000, seed=10, threads=2, mode="monte-carlo")
         assert b == partition_stability(p, 0.4, 140_000, seed=10, threads=2, mode="monte-carlo")
+
+
+_SHIFTED_R3 = SWEEP_PARTITIONS["shifted-cones-R3"]
+#: argmax partition pairs; the negated cones have their own generators
+KERNEL_PAIRS = {
+    "shifted-cones-R3": (_SHIFTED_R3, _SHIFTED_R3),
+    "simplex-cones-R3": (_R3_CONES, _R3_CONES),
+    "cones-vs-negated-R3": (_R3_CONES, _R3_CONES.negated()),
+    "planar-vs-shifted": (simplex_cone_partition(3),
+                          simplex_cone_partition(3).translated([0.3, -0.2])),
+}
+
+
+class TestScoreKernel:
+    """Argmax partitions are counted in score space: on identical draws the
+    agreements are the membership path's, and no membership call is made."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_PAIRS))
+    def test_agreements_match_the_membership_path(self, name):
+        p, q = KERNEL_PAIRS[name]
+        rhos = [0.0, -0.4, 0.9, 0.3]
+        kernel = agreement_values(p, q, rhos)(np.random.default_rng(1), 50_000)
+        member = stability_module._pair_values(p.membership, lambda cx, y: cx == q.membership(y),
+                                               rhos, p.dim)(np.random.default_rng(1), 50_000)
+        assert kernel.dtype == bool and kernel.shape == (50_000, 4)
+        assert np.array_equal(kernel, member)
+
+    def test_bilinear_against_the_negated_cones_is_the_membership_estimate(self):
+        p, q = KERNEL_PAIRS["cones-vs-negated-R3"]
+        est = bilinear_stability(p, q, 0.35, 300_000, seed=11, mode="monte-carlo")
+        member = mc_mean(stability_module._pair_values(
+            p.membership, lambda cx, y: cx == q.membership(y), [0.35], p.dim), 300_000, seed=11)
+        assert (est.value, est.std_error) == (member.value[0], member.std_error[0])
+        # recorded on the membership path
+        assert (est.value, est.std_error) == (0.13693666666666668, 0.000627655452033612)
+
+    def test_seeded_shard_means_and_second_difference_do_not_move(self):
+        # recorded on the membership path
+        means, shard = mc_shard_means(agreement_values(_SHIFTED_R3, _SHIFTED_R3, [0.3, 0.9]),
+                                      64_000, seed=8, n_shards=4)
+        assert shard == 16_000 and means.tolist() == [
+            [0.380625, 0.7564375], [0.3789375, 0.7559375], [0.3735, 0.7544375],
+            [0.3751875, 0.75375]]
+        est = stability_second_derivative(_R3_CONES, 0.5, TranslationField([1.0, 0.5, 0.0]),
+                                          budget=400_000, seed=5, mode="monte-carlo")
+        assert (est.value, est.std_error, est.samples) == (
+            0.026999999999998546, 0.1313128174347715, 400_000)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_PAIRS))
+    def test_threads_do_not_change_a_value(self, name):
+        p, q = KERNEL_PAIRS[name]
+        one, two = (mc_mean(agreement_values(p, q, [-0.3, 0.6]), 140_000, seed=2, threads=t)
+                    for t in (1, 2))
+        assert np.array_equal(one.value, two.value)
+        assert np.array_equal(one.std_error, two.std_error)
+        field = TranslationField(np.eye(p.dim)[0])
+        one, two = (stability_second_derivative(p, 0.6, field, budget=64_000, seed=3, n_shards=4,
+                                                threads=t, mode="monte-carlo") for t in (1, 2))
+        assert one == two
+
+    def test_argmax_partitions_make_no_membership_call(self, monkeypatch):
+        calls = []
+        original = PartitionSpec.membership
+
+        def counted(self, points):
+            calls.append(len(points))
+            return original(self, points)
+
+        monkeypatch.setattr(PartitionSpec, "membership", counted)
+        stability_sweep(_R3_CONES, [0.3, 0.9], 50_000, seed=1)
+        stability_sweep(cylinder_extend(_R3_CONES, 2), [0.3, 0.9], 50_000, seed=1)
+        bilinear_stability(*KERNEL_PAIRS["cones-vs-negated-R3"], 0.4, 50_000, seed=2,
+                           mode="monte-carlo")
+        stability_second_derivative(_R3_CONES, 0.5, TranslationField([1.0, 0.5, 0.0]),
+                                    budget=32_000, seed=3, mode="monte-carlo")
+        assert calls == []
+        # cells that are not one argmax still classify every X and Y
+        partition_stability(three_sectors_120(), 0.5, 1_000, seed=4, mode="monte-carlo")
+        assert calls == [1_000, 1_000]
+
+    def test_duplicate_generators_keep_first_claim(self, monkeypatch):
+        # a repeated generator makes a null cell, whose ties have full measure
+        # and go to the first copy; score space would light both copies
+        z = simplex_generators(3, 2)
+        dup = PartitionSpec([ConeCell(np.vstack([z, z[:1]]), k) for k in range(4)])
+        other = PartitionSpec([ConeCell(np.vstack([z, -z[:1]]), k) for k in range(4)])
+        for p, q in ((dup, dup), (other, dup), (dup, other)):
+            vals = agreement_values(p, q, [0.5])(np.random.default_rng(5), 1_000)
+            member = stability_module._pair_values(
+                p.membership, lambda cx, y: cx == q.membership(y), [0.5], 2)(
+                np.random.default_rng(5), 1_000)
+            assert np.array_equal(vals, member)

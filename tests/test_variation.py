@@ -83,6 +83,31 @@ class TestFirstVariation:
                                         mode="monte-carlo")
         assert abs(rep.mean) <= 3 * rep.pointwise_error
 
+    @pytest.mark.parametrize("p", [perturbed_simplex_cones(3, angle_deg=5.0),
+                                   halfspace_partition([1.0, 2.0], 0.3)],
+                             ids=["perturbed-cones", "halfspaces"])
+    def test_one_batched_call_gives_the_per_point_values(self, monkeypatch, p):
+        calls = []
+        original = variation_module.t_difference
+        monkeypatch.setattr(variation_module, "t_difference",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        rep = first_variation_constancy(p, 0.7, 0, 1, 40, seed=5)
+        assert calls == []  # the closed form took the whole sample at once
+        monkeypatch.undo()
+        singles = [t_difference(p, 0, 1, 0.7, x) for x in rep.points]
+        assert all(e.method == "quadrature" for e in singles)
+        assert np.allclose(rep.values, [e.value for e in singles], rtol=0, atol=1e-15)
+        assert rep.pointwise_error == max(e.std_error for e in singles)
+
+    def test_monte_carlo_keeps_the_per_point_seeds(self):
+        p = simplex_cone_partition(3)
+        rep = first_variation_constancy(p, 0.5, 0, 1, 3, budget=20_000, seed=6,
+                                        mode="monte-carlo")
+        singles = [t_difference(p, 0, 1, 0.5, x, budget=20_000, seed=[6, k], mode="monte-carlo")
+                   for k, x in enumerate(rep.points)]
+        assert rep.values.tolist() == [e.value for e in singles]
+        assert rep.pointwise_error == max(e.std_error for e in singles)
+
 
 class TestSurfaceOperator:
     def test_halfspace_normalization(self):
