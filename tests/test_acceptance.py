@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Every tolerance is pinned here; Monte Carlo checks use frozen seeds so
-a green run stays green.
+lines.  Criteria 1 and 3-7 judge through `noiselab.checks`, as `noiselab
+verify` does, at larger inputs; 2, 8 and 9 pin their own tolerances.  Monte
+Carlo checks use frozen seeds so a green run stays green.
 """
 
 import math
@@ -10,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from noiselab import checks
+from noiselab.checks import PROPELLER_BOUND
 from noiselab.gauss import bivariate_normal_cdf
 from noiselab.partitions import (
     cone_partition,
@@ -49,7 +52,11 @@ from noiselab.voting import (
     plurality,
 )
 
-PROPELLER_BOUND = 9.0 / (8.0 * math.pi)
+
+def _passes(record):
+    """Assert one `noiselab.checks` record, showing it on failure."""
+    assert record["pass"], record
+    return record
 
 
 class _Clock:
@@ -74,18 +81,13 @@ def test_criterion_1_propeller_equality_and_bound():
     with _Clock("criterion 1: propeller equality and 3d bound", 2):
         exact = propeller_functional(three_sectors_120())
         assert exact.method == "quadrature"
-        assert abs(exact.value - PROPELLER_BOUND) <= 1e-3
-        rng = np.random.default_rng(101)
-        worst_margin = math.inf
-        for k in range(50):
-            gens = rng.standard_normal((4, 3))
-            gens /= np.linalg.norm(gens, axis=1, keepdims=True)
-            est = propeller_functional(cone_partition(gens), 200_000, seed=[102, k])
-            margin = PROPELLER_BOUND - (est.value + 3 * est.std_error)
-            worst_margin = min(worst_margin, margin)
-            assert est.value + 3 * est.std_error < PROPELLER_BOUND
+        _passes(checks.near("three-sectors-equality", exact, PROPELLER_BOUND))
+        gens = np.random.default_rng(101).standard_normal((50, 4, 3))
+        ests = [propeller_functional(cone_partition(g / np.linalg.norm(g, axis=1, keepdims=True)),
+                                     200_000, seed=[102, k]) for k, g in enumerate(gens)]
+        worst = _passes(checks.below("random-3d-cones-below-bound", ests, PROPELLER_BOUND))
         print(f"    sectors: {exact.value:.9f} vs bound {PROPELLER_BOUND:.9f}; "
-              f"worst 3d margin {worst_margin:.4f}")
+              f"worst 3d margin {-worst['residual']:.4f}")
 
 
 def test_criterion_2_sheppard_agreement():
@@ -105,101 +107,79 @@ def test_criterion_3_first_variation_constancy():
         p = simplex_cone_partition(3)
         for rho in (0.3, 0.7):
             rep = first_variation_constancy(p, rho, 0, 1, 200, seed=104)
-            assert rep.max_deviation <= 3 * rep.pointwise_error, (
-                f"rho={rho}: deviation {rep.max_deviation:.2e} vs "
-                f"3*SE {3 * rep.pointwise_error:.2e}"
-            )
-        control = first_variation_constancy(
-            perturbed_simplex_cones(3, angle_deg=5.0), 0.3, 0, 1, 200, seed=105
-        )
-        assert control.max_deviation > 3 * control.pointwise_error
-        print(f"    cones deviation <= {3 * rep.pointwise_error:.1e}; "
+            rec = _passes(checks.constancy(f"rho={rho}", rep))
+        control = first_variation_constancy(perturbed_simplex_cones(3, angle_deg=5.0), 0.3, 0, 1,
+                                            200, seed=105)
+        _passes(checks.deviates("perturbed", control))
+        print(f"    cones deviation <= {rec['tolerance']:.1e}; "
               f"perturbed control {control.max_deviation:.2e}")
 
 
 def test_criterion_4_translation_eigen_identity():
     with _Clock("criterion 4: translation almost-eigenfunction identity", 5):
-        for a in (0.0, 0.5):
-            for rho in (0.3, 0.7):
-                p = halfspace_partition([1.0, 0.0], a)
-                rep = translation_eigen_residual(p, rho, [1.0, 0.0], 0, 1, 25, seed=106)
-                assert rep.max_residual <= 1e-6, f"half-space a={a} rho={rho}"
+        recs = [checks.identity(f"half-space a={a} rho={rho}", translation_eigen_residual(
+            halfspace_partition([1.0, 0.0], a), rho, [1.0, 0.0], 0, 1, 25, seed=106))
+            for a in (0.0, 0.5) for rho in (0.3, 0.7)]
         p3 = simplex_cone_partition(3)
         z = simplex_generators(3, 2)
-        worst = 0.0
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            rep = translation_eigen_residual(p3, 0.5, z[0], i, j, 25, seed=107)
-            assert rep.max_residual <= rep.tolerance
-            worst = max(worst, rep.max_residual)
-        mc = translation_eigen_residual(p3, 0.5, z[0], 0, 1, 6, seed=108,
-                                        mode="monte-carlo", budget=60_000)
-        assert mc.max_residual <= mc.tolerance
-        print(f"    half-space residuals <= 1e-6; cone residuals <= {worst:.2e}; "
-              f"MC route within {mc.tolerance:.2e}")
+        recs += [checks.identity(f"cones {i}{j}", translation_eigen_residual(
+            p3, 0.5, z[0], i, j, 25, seed=107)) for (i, j) in ((0, 1), (0, 2), (1, 2))]
+        worst = max(_passes(r)["value"] for r in recs)
+        mc = _passes(checks.identity("cones MC", translation_eigen_residual(
+            p3, 0.5, z[0], 0, 1, 6, seed=108, mode="monte-carlo", budget=60_000)))
+        print(f"    half-space and cone residuals <= {worst:.2e}; "
+              f"MC route within {mc['tolerance']:.2e}")
 
 
 def test_criterion_5_dilation_eigen_identity():
     with _Clock("criterion 5: dilation almost-eigenfunction identity", 10):
         p = simplex_cone_partition(3)
-        rep = dilation_eigen_residual(p, 0.5, 0, 1, 100, seed=109)
-        assert rep.max_residual <= rep.tolerance, (
-            f"residual {rep.max_residual:.2e} vs tol {rep.tolerance:.2e}"
-        )
+        rep = _passes(checks.identity("cones", dilation_eigen_residual(
+            p, 0.5, 0, 1, 100, seed=109)))
         # independent Monte Carlo estimator on the derivative side
-        mc = dilation_eigen_residual(p, 0.5, 0, 1, 10, budget=400_000, seed=110,
-                                     rhs_mode="monte-carlo")
-        assert mc.max_residual <= mc.tolerance
-        print(f"    100-point residual {rep.max_residual:.2e} <= {rep.tolerance:.2e}; "
-              f"independent-MC route {mc.max_residual:.2e} <= {mc.tolerance:.2e}")
+        mc = _passes(checks.identity("cones MC", dilation_eigen_residual(
+            p, 0.5, 0, 1, 10, budget=400_000, seed=110, rhs_mode="monte-carlo")))
+        print(f"    100-point residual {rep['value']:.2e} <= {rep['tolerance']:.2e}; "
+              f"independent-MC route {mc['value']:.2e} <= {mc['tolerance']:.2e}")
 
 
 def test_criterion_6_second_variation_consistency():
     with _Clock("criterion 6: translation second variation vs finite differences", 10):
-        cases = []
         z = simplex_generators(3, 2)
+        hp, p3 = halfspace_partition([1.0, 0.0], 0.0), simplex_cone_partition(3)
+        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        cases = [("m=2 normal", hp, e1), ("m=2 tangential", hp, e2),
+                 ("m=3 generator", p3, z[0]), ("m=3 oblique", p3, e2)]
         for rho in (0.3, 0.7):
-            cases.append(("m=2 normal", halfspace_partition([1.0, 0.0], 0.0),
-                          np.array([1.0, 0.0]), rho))
-            cases.append(("m=2 tangential", halfspace_partition([1.0, 0.0], 0.0),
-                          np.array([0.0, 1.0]), rho))
-            cases.append(("m=3 generator", simplex_cone_partition(3), z[0], rho))
-            cases.append(("m=3 oblique", simplex_cone_partition(3),
-                          np.array([0.0, 1.0]), rho))
-        for name, p, v, rho in cases:
-            closed = second_variation_translation(p, rho, v, seed=111)
-            fd = stability_second_derivative(p, rho, TranslationField(v))
-            tol = 3 * (2 * closed.std_error + fd.std_error)
-            assert abs(2 * closed.value - fd.value) <= tol, (
-                f"{name} rho={rho}: closed*2={2 * closed.value:.6e} fd={fd.value:.6e}"
-            )
+            for name, p, v in cases:
+                closed = second_variation_translation(p, rho, v, seed=111)
+                fd = stability_second_derivative(p, rho, TranslationField(v))
+                _passes(checks.agree(f"{name} rho={rho}", closed, fd, factor=2))
         # Monte Carlo oracle with shared seeds for one cone case
-        closed = second_variation_translation(simplex_cone_partition(3), 0.5, z[0], seed=112)
-        fd_mc = stability_second_derivative(simplex_cone_partition(3), 0.5,
-                                            TranslationField(z[0]), mode="monte-carlo",
+        closed = second_variation_translation(p3, 0.5, z[0], seed=112)
+        fd_mc = stability_second_derivative(p3, 0.5, TranslationField(z[0]), mode="monte-carlo",
                                             budget=3_000_000, seed=113)
-        assert abs(2 * closed.value - fd_mc.value) <= 3 * (2 * closed.std_error + fd_mc.std_error)
+        _passes(checks.agree("m=3 generator MC", closed, fd_mc, factor=2))
         print(f"    8 quadrature cases + shared-seed MC oracle agree "
               f"(last: {2 * closed.value:.5f} vs {fd_mc.value:.5f} +- {fd_mc.std_error:.5f})")
 
 
 def test_criterion_7_bilinear_suite():
     with _Clock("criterion 7: bilinear comparisons and identities", 5):
-        # containment comparison: equal pair beats the reflected pair
         for a in (0.0, 0.5):
             p = halfspace_partition([1.0], a)
-            same = bilinear_stability(p, p, 0.5)
-            opp = bilinear_stability(p, p.negated(), 0.5)
-            assert same.value > opp.value + 1e-6
+            _passes(checks.containment(f"a={a}", bilinear_stability(p, p, 0.5),
+                                       bilinear_stability(p, p.negated(), 0.5)))
         p = halfspace_partition([1.0], 0.0)
         q = p.negated()
         rep = bilinear_variation_suite(p, q, 0.5, v=[1.0], seed=114)
-        assert rep.eigen_max_residual <= 1e-6
-        assert rep.sign_min_normal_component > 0
+        eigen = _passes(checks.pair_eigen("pair-eigen-residual", rep))
+        _passes(checks.pair_sign("pair-sign-normal", rep))
         for rho in (0.3, 0.5, 0.7):
-            form = bilinear_translation_form(p, q, rho, [1.0], seed=115)
-            assert form.value < 0
-        print(f"    eigen residual {rep.eigen_max_residual:.2e} <= 1e-6; "
-              f"translation form negative on (0,1); containment direction holds")
+            _passes(checks.nonpositive(f"rho={rho}", bilinear_translation_form(p, q, rho, [1.0],
+                                                                              seed=115)))
+        print(f"    eigen residual {eigen['value']:.2e} <= {eigen['tolerance']:.0e}; "
+              f"translation form nonpositive on (0,1); containment direction holds")
 
 
 def test_criterion_8_discrete_plurality():

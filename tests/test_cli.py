@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import noiselab.cli as cli_module
+import noiselab.checks as checks_module
 import noiselab.stability as stability_module
 from noiselab.cli import main
 from noiselab.partitions import (
@@ -227,7 +227,7 @@ class TestVerifyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the propeller suite drew a sample")
 
-        monkeypatch.setattr(cli_module, "propeller_functional", recording)
+        monkeypatch.setattr(checks_module, "propeller_functional", recording)
         monkeypatch.setattr(stability_module, "mc_shard_means", refuse)
         code, out, _ = run(capsys, "verify", "propeller", "--seed", str(seed))
         assert code == 0 and json.loads(out)["pass"] is True

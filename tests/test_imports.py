@@ -214,3 +214,26 @@ def test_variation_leaves_facet_integrals_to_facets():
     # sampling) and carries its error figures; variation supplies the integrand
     path = next(p for p in SOURCES if p.name == "variation.py")
     assert sorted(set(_facet_internals(ast.parse(path.read_text())))) == []
+
+
+def _verify_path(funcs, name="cmd_verify", seen=None):
+    """``name`` and every function of the same module it calls by name, transitively."""
+    seen = set() if seen is None else seen
+    seen.add(name)
+    for node in ast.walk(funcs[name]):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in funcs and node.func.id not in seen):
+            _verify_path(funcs, node.func.id, seen)
+    return seen
+
+
+def test_cli_states_no_verify_criterion():
+    # every suite, comparison and tolerance lives in noiselab.checks; the CLI
+    # only parses, scales by --tolerance-scale, writes and sets the exit code
+    funcs = _functions(ast.parse(next(p for p in SOURCES if p.name == "cli.py").read_text()))
+    assert sorted(n for n in funcs if n.startswith("_suite_") or n == "_check") == []
+    path = _verify_path(funcs)
+    assert path >= {"cmd_verify", "_header", "_emit"}
+    found = [f"{name}:{node.lineno}" for name in sorted(path) for node in ast.walk(funcs[name])
+             if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert found == []
