@@ -2,10 +2,12 @@
 acceptance suite both build their pass/fail records here.
 
 A record {check, value, target, residual, tolerance, pass} passes when the
-residual |value - target| ("abs") or value - target ("le") is <= tolerance; a
-negative control ("ge", tolerance 0) passes when target - value < 0.  Each
-comparison states its one tolerance from the errors its inputs report, and
-`SUITES` builds each suite's records at the CLI's inputs.
+residual |value - target| ("abs") is <= tolerance.  A one-sided record carries
+tolerance 0 and passes on a strict inequality: "lt" when value < target,
+"gt" (a negative control) when value > target; its residual, value - target or
+target - value, is then < 0.  Each comparison states its one tolerance from
+the errors its inputs report, and `SUITES` builds each suite's records at the
+CLI's inputs.
 """
 
 from __future__ import annotations
@@ -44,22 +46,24 @@ PROPELLER_BOUND = 9.0 / (8.0 * math.pi)
 
 
 def check(name, value, tolerance, *, target=0.0, direction="abs") -> dict:
-    """One pass/fail record."""
-    res = {"abs": abs(value - target), "le": value - target, "ge": target - value}[direction]
-    ok = res < tolerance if direction == "ge" else res <= tolerance
+    """One pass/fail record; a one-sided ("lt", "gt") record must have tolerance 0."""
+    assert direction == "abs" or tolerance == 0.0, (name, direction, tolerance)
+    res = {"abs": abs(value - target), "lt": value - target, "gt": target - value}[direction]
+    ok = res <= tolerance if direction == "abs" else res < 0.0
     return {"check": name, "value": value, "target": target, "residual": res,
             "tolerance": tolerance, "pass": bool(ok)}
 
 
 def scaled(records, scale) -> list[dict]:
-    """Every nonzero tolerance times `scale`, judged again; a zero tolerance keeps its verdict."""
-    return [{**r, "tolerance": (tol := scale * r["tolerance"]), "pass": bool(r["residual"] <= tol)}
+    """Every record with a nonzero tolerance, hence an "abs" one, rebuilt by `check` at
+    `scale` times that tolerance; a zero tolerance does not scale and keeps its record."""
+    return [check(r["check"], r["value"], scale * r["tolerance"], target=r["target"])
             if r["tolerance"] else r for r in records]
 
 
 def exceeds(name, value, threshold) -> dict:
     """Negative control: `value` exceeds `threshold`."""
-    return check(name, value, 0.0, target=threshold, direction="ge")
+    return check(name, value, 0.0, target=threshold, direction="gt")
 
 
 def identity(name, rep) -> dict:
@@ -93,15 +97,15 @@ def agree(name, est, oracle, factor=1.0) -> dict:
                  3 * (factor * est.std_error + oracle.std_error))
 
 
-def nonpositive(name, est) -> dict:
-    """The estimate itself is at most 0."""
-    return check(name, est.value, 0.0, direction="le")
+def negative(name, est) -> dict:
+    """The estimate itself is below 0."""
+    return check(name, est.value, 0.0, direction="lt")
 
 
 def below(name, ests, bound) -> dict:
-    """Every estimate plus 3 SE stays at or below `bound`; the value is the worst."""
+    """Every estimate plus 3 SE stays below `bound`; the value is the worst."""
     return check(name, max(e.value + 3 * e.std_error for e in ests), 0.0, target=bound,
-                 direction="le")
+                 direction="lt")
 
 
 def pair_eigen(name, rep) -> dict:
@@ -165,7 +169,7 @@ def _bilinear(seed, budget):
     rep = bilinear_variation_suite(p, q, 0.5, v=[1.0], budget=budget, seed=[seed, 8])
     return [pair_eigen("pair-eigen-residual", rep),
             pair_sign("pair-sign-normal", rep),
-            nonpositive("translation-form-nonpositive", rep.translation_form),
+            negative("translation-form-nonpositive", rep.translation_form),
             agree("form-vs-fd", rep.translation_form, rep.translation_fd),
             containment("containment-direction", bilinear_stability(p, p, 0.5),
                         bilinear_stability(p, q, 0.5))]

@@ -51,7 +51,7 @@ SUITES = tuple(_SUITE_IMPL)
 def _add_common(sub):
     sub.add_argument("--rho", type=float, default=0.5)
     sub.add_argument("--budget", type=int, default=200_000)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--tolerance-scale", type=float, default=1.0)
@@ -108,9 +108,13 @@ class _ParseFailure(Exception):
     pass
 
 
-def _header(args) -> dict:
-    return {"schema": SCHEMA, "tool": f"noiselab {__version__}", "command": args.command,
-            "seed": args.seed}
+def _header(args, seed) -> dict:
+    return {
+        "schema": SCHEMA,
+        "tool": f"noiselab {__version__}",
+        "command": args.command,
+        "seed": seed,
+    }
 
 
 def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
@@ -123,21 +127,23 @@ def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def cmd_stability(args) -> int:
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     p = _load_partition(args.partition)
     if not -1.0 < args.rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
-    est = partition_stability(p, args.rho, args.budget, seed=args.seed, threads=args.threads)
-    report = _header(args)
+    est = partition_stability(p, args.rho, args.budget, seed=seed, threads=args.threads)
+    report = _header(args, seed)
     report["rho"] = args.rho
     report["result"] = est.as_dict()
     if args.per_cell:
-        report["cells"] = [noise_stability(c, args.rho, args.budget, seed=[args.seed, k],
-                                           threads=args.threads).as_dict()
-                           for k, c in enumerate(p.cells)]
+        report["cells"] = [
+            noise_stability(c, args.rho, args.budget, seed=[seed, k], threads=args.threads).as_dict()
+            for k, c in enumerate(p.cells)
+        ]
     if args.format == "json":
         _emit(json.dumps(report, indent=2) + "\n", args.output)
     else:
-        row = {"rho": args.rho, "seed": args.seed, **est.as_dict()}
+        row = {"rho": args.rho, "seed": seed, **est.as_dict()}
         _emit(_rows_to_csv([row], ["rho", "value", "std_error", "samples", "method", "seed"]),
               args.output)
     return EXIT_OK
@@ -162,17 +168,18 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     p = _load_partition(args.partition)
     grid = _parse_grid(args.rho_grid)
     # one call for the grid: the rhos it samples share one pair stream, and each
     # row equals `stability --rho` at the same seed and budget
-    ests = stability_sweep(p, grid, args.budget, seed=args.seed, threads=args.threads)
+    ests = stability_sweep(p, grid, args.budget, seed=seed, threads=args.threads)
     rows = [{"rho": f"{r:.12g}", "value": f"{est.value:.12g}",
              "std_error": f"{est.std_error:.6g}", "samples": est.samples,
-             "method": est.method, "seed": args.seed} for r, est in zip(grid, ests)]
+             "method": est.method, "seed": seed} for r, est in zip(grid, ests)]
     text = _rows_to_csv(rows, ["rho", "value", "std_error", "samples", "method", "seed"])
     if args.format == "json":
-        report = _header(args)
+        report = _header(args, seed)
         report["rows"] = rows
         text = json.dumps(report, indent=2) + "\n"
     _emit(text, args.output)
@@ -180,15 +187,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plurality(args) -> int:
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     try:
         n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
     except ValueError as exc:
         raise _ParseFailure(f"bad --n-list: {exc}") from exc
     if not n_list or any(n < 1 for n in n_list):
         raise DomainError("n-list must contain positive voter counts")
-    rows = plurality_stability_table(args.m, args.rho, n_list, args.samples, seed=args.seed)
+    rows = plurality_stability_table(args.m, args.rho, n_list, args.samples, seed=seed)
     if args.format == "json":
-        report = _header(args)
+        report = _header(args, seed)
         report["rows"] = rows
         _emit(json.dumps(report, indent=2) + "\n", args.output)
     else:
@@ -201,8 +209,9 @@ def cmd_verify(args) -> int:
     if args.suite not in _SUITE_IMPL:
         sys.stderr.write(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}\n")
         return EXIT_UNKNOWN_SUITE
-    records = checks.scaled(_SUITE_IMPL[args.suite](args.seed, args.budget), args.tolerance_scale)
-    report = _header(args)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    records = checks.scaled(_SUITE_IMPL[args.suite](seed, args.budget), args.tolerance_scale)
+    report = _header(args, seed)
     report["suite"] = args.suite
     report["checks"] = records
     report["pass"] = all(c["pass"] for c in records)

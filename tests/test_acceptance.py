@@ -176,10 +176,10 @@ def test_criterion_7_bilinear_suite():
         eigen = _passes(checks.pair_eigen("pair-eigen-residual", rep))
         _passes(checks.pair_sign("pair-sign-normal", rep))
         for rho in (0.3, 0.5, 0.7):
-            _passes(checks.nonpositive(f"rho={rho}", bilinear_translation_form(p, q, rho, [1.0],
-                                                                              seed=115)))
+            _passes(checks.negative(f"rho={rho}", bilinear_translation_form(p, q, rho, [1.0],
+                                                                           seed=115)))
         print(f"    eigen residual {eigen['value']:.2e} <= {eigen['tolerance']:.0e}; "
-              f"translation form nonpositive on (0,1); containment direction holds")
+              f"translation form negative on (0,1); containment direction holds")
 
 
 def test_criterion_8_discrete_plurality():

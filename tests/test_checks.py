@@ -49,16 +49,29 @@ def test_check_directions():
         "check": "a", "value": 1.5, "target": 1.0, "residual": 0.5, "tolerance": 0.5,
         "pass": True}
     assert not checks.check("a", 0.4, 0.5, target=1.0)["pass"]
-    assert checks.check("le", 1.4, 0.5, target=1.0, direction="le")["pass"]
-    assert checks.check("le", -9.0, 0.0, direction="le")["pass"]
-    assert not checks.check("le", 1.6, 0.5, target=1.0, direction="le")["pass"]
-    ge = checks.exceeds("ge", 2.0, 1.0)
-    assert ge["pass"] and ge["residual"] == -1.0 and ge["tolerance"] == 0.0
-    assert not checks.exceeds("ge", 0.5, 1.0)["pass"]
-    assert not checks.exceeds("ge", 1.0, 1.0)["pass"]
-    assert not checks.nonzero("exact zero", Estimate(0.0, 0.0, 0, "closed-form"))["pass"]
-    for direction in ("abs", "le", "ge"):
-        assert not checks.check("nan", math.nan, 1.0, direction=direction)["pass"]
+    lt = checks.check("lt", -9.0, 0.0, direction="lt")
+    assert lt["pass"] and lt["residual"] == -9.0
+    assert not checks.check("lt", 1.0, 0.0, target=1.0, direction="lt")["pass"]
+    gt = checks.exceeds("gt", 2.0, 1.0)
+    assert gt["pass"] and gt["residual"] == -1.0 and gt["tolerance"] == 0.0
+    assert not checks.exceeds("gt", 0.5, 1.0)["pass"]
+    assert not checks.exceeds("gt", 1.0, 1.0)["pass"]
+    for direction in ("lt", "gt"):
+        with pytest.raises(AssertionError):
+            checks.check("one-sided", 0.0, 0.5, direction=direction)
+    for direction, tol in (("abs", 1.0), ("lt", 0.0), ("gt", 0.0)):
+        assert not checks.check("nan", math.nan, tol, direction=direction)["pass"]
+
+
+def test_one_sided_comparisons_are_strict():
+    # an estimate sitting exactly on its bound, such as the 0.0 of an empty facet sum, fails
+    zero = Estimate(0.0, 0.0, 0, "closed-form")
+    assert not checks.nonzero("exact zero", zero)["pass"]
+    assert not checks.negative("translation-form-nonpositive", zero)["pass"]
+    assert checks.negative("form", Estimate(-1e-3, 1.0, 0, "monte-carlo"))["pass"]
+    ests = [Estimate(0.25, 0.125, 0, "monte-carlo"), Estimate(0.5, 0.125, 0, "monte-carlo")]
+    assert not checks.below("on the bound", ests, 0.875)["pass"]
+    assert checks.below("under the bound", ests, 0.876)["pass"]
 
 
 def test_scaled_multiplies_every_tolerance_and_rejudges():
@@ -69,6 +82,7 @@ def test_scaled_multiplies_every_tolerance_and_rejudges():
     assert [r["pass"] for r in out] == [True, True, True, False]
     assert [r["pass"] for r in checks.scaled(records, 0.1)] == [False, False, True, False]
     assert [r["pass"] for r in records] == [False, True, True, False]
+    assert out[:2] == [checks.check("a", 1.0, 2.0), checks.check("b", 0.1, 2.0)]
 
 
 def test_perturbed_flagged_fails_on_unperturbed_cones():
