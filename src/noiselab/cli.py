@@ -149,17 +149,25 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
+def _number(kind, text: str, flag: str):
+    """``kind(text)``; text it cannot read is a parse failure of ``flag``."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise _ParseFailure(f"bad {flag}: {exc}") from exc
+
+
 def _parse_grid(spec: str) -> list[float]:
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise DomainError("grid must be start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = (_number(k, t, "--rho-grid") for k, t in zip((float, float, int), parts))
         if count < 1:
             raise DomainError("empty rho grid")
         grid = list(np.linspace(start, stop, count))
     else:
-        grid = [float(t) for t in spec.split(",") if t.strip()]
+        grid = [_number(float, t, "--rho-grid") for t in spec.split(",") if t.strip()]
     if not grid:
         raise DomainError("empty rho grid")
     if any(not -1.0 < r < 1.0 for r in grid):
@@ -188,10 +196,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_plurality(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    try:
-        n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
-    except ValueError as exc:
-        raise _ParseFailure(f"bad --n-list: {exc}") from exc
+    n_list = [_number(int, t, "--n-list") for t in args.n_list.split(",") if t.strip()]
     if not n_list or any(n < 1 for n in n_list):
         raise DomainError("n-list must contain positive voter counts")
     rows = plurality_stability_table(args.m, args.rho, n_list, args.samples, seed=seed)

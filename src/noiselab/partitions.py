@@ -350,6 +350,29 @@ class SetSpec:
             return None
         return shifted_sector_pair_stability(*da, *db, rho)
 
+    def pair_drho_exact(self, other: "SetSpec", rho: float):
+        """(d/drho P(X in self, Y in other), error_bound) on the routes of :meth:`pair_exact`,
+        else None: c phi_2(a, b; r = rho c), c = <n_a, n_b>, whose exponent q carries q ulps
+        and, unless |c| = 1, moves by (1 + |a b| + 2 q)/(1 - r^2) per ulp of r; or the
+        Plackett integrand at theta = arcsin(rho) over cos(theta) for sectors."""
+        ha, hb = self.halfspace(), other.halfspace()
+        if ha is not None and hb is not None:
+            (na, a), (nb, b) = ha, hb
+            c = float(np.clip(na @ nb, -1, 1))
+            r, (a, b) = rho * c, np.clip([a, b], -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
+            # a^2 - 2 r a b + b^2, written to keep its digits as r -> +-1 with b near +-a
+            num = (a - b) ** 2 + 2 * (1 - r) * a * b if r >= 0 else (a + b) ** 2 - 2 * (1 + r) * a * b
+            q = num / (2 * (1 - r) * (1 + r))
+            val = c * math.exp(-q) / (_TWO_PI * math.sqrt((1 - r) * (1 + r)))
+            slope = 0 if abs(c) == 1 else abs(r) * (1 + abs(a * b) + 2 * q) / ((1 - r) * (1 + r))
+            return val, ROUNDING * abs(val) * (1 + q + slope)
+        da, db = self.sector_decomposition(), other.sector_decomposition()
+        if da is None or db is None:
+            return None
+        theta = math.asin(rho)
+        val, mag = _plackett_integrand(_sector_edges(*da), _sector_edges(*db), np.array([theta]))
+        return float(val[0]) / math.cos(theta), ROUNDING * float(mag[0]) / math.cos(theta)
+
     def translate(self, t) -> "SetSpec":
         return ShiftedSet(self, np.asarray(t, dtype=float))
 
@@ -801,13 +824,15 @@ class Facet:
         at a point x or each row of a batch, is the density across the
         hyperplane times the probability along it, which is None on generic
         facets and a sector mass with apex -rho T x / sigma on planar cones."""
-        sig = math.sqrt(1.0 - rho * rho)
+        sig = math.sqrt((1 - rho) * (1 + rho))  # no cancellation as |rho| -> 1
         across = norm_pdf((self.offset - rho * (x @ self.normal)) / sig) / sig
         if self.kind == "point":
             return across, 1.0, 1e-15
         if self.kind == "interval":
             mu = rho * (x @ self.tangents[0])
-            return across, ndtr((self._hi - mu) / sig) - ndtr((self._lo - mu) / sig), 1e-15
+            lo, hi = (self._lo - mu) / sig, (self._hi - mu) / sig
+            # from the tail the interval lies in, so that a far end cannot cancel it
+            return across, np.where(lo > 0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo)), 1e-15
         if self.kind == "planar-cone":
             apex = -rho * (x @ self.tangents.T) / sig
             return across, sum(shifted_sector_mass(apex, a, b) for a, b in self._arcs), SECTOR_MASS_ERR
@@ -859,7 +884,7 @@ class Facet:
         """
         point = np.zeros(self.dim) if x is None else np.asarray(x, dtype=float)
         shape = point.shape[:-1]
-        sig = math.sqrt(1.0 - rho * rho)
+        sig = math.sqrt((1 - rho) * (1 + rho))  # no cancellation as |rho| -> 1
         across, along, along_err = self._mass_factors(rho, point)
 
         def on_line(t):

@@ -146,12 +146,12 @@ def agreement_values(p: PartitionSpec, q: PartitionSpec, rhos):
     return _pair_values(p.membership, lambda cx, y: cx == q.membership(y), rhos, p.dim)
 
 
-def _pair_sum(pairs, rho: float) -> Estimate | None:
-    """sum of P(X in a, Y in b) over the cell pairs (a, b), or None when a pair
-    has no deterministic route."""
+def _pair_sum(pairs, rho: float, pair=SetSpec.pair_exact) -> Estimate | None:
+    """sum of ``pair``(a, b, rho), P(X in a, Y in b) or its d/drho, over the
+    cell pairs (a, b), or None when a pair has no deterministic route."""
     total, err = 0.0, 0.0
     for a, b in pairs:
-        res = a.pair_exact(b, rho)
+        res = pair(a, b, rho)
         if res is None:
             return None
         total, err = total + res[0], err + res[1]
@@ -236,7 +236,7 @@ def partition_stability(p: PartitionSpec, rho, budget: int = 1_000_000, *, seed=
 def partition_stability_quadrature(p: PartitionSpec, rho: float) -> Estimate | None:
     """Deterministic stability: the sum over cells of P(X in p_i, Y in p_i),
     or None when a cell is neither a half-space nor a planar sector."""
-    return _pair_sum(zip(p.cells, p.cells), rho) if _tiles(_closed_measures(p.cells)) else None
+    return _bilinear_quadrature(p, p, rho)
 
 
 def bilinear_stability(p: PartitionSpec, q: PartitionSpec, rho,
@@ -271,9 +271,12 @@ def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, budget: int = 400
             )
 
 
-def _bilinear_quadrature(p: PartitionSpec, q: PartitionSpec, rho: float) -> Estimate | None:
-    tiles = _tiles(_closed_measures(p.cells)) and _tiles(_closed_measures(q.cells))
-    return _pair_sum(zip(p.cells, q.cells), rho) if tiles else None
+def _bilinear_quadrature(p: PartitionSpec, q: PartitionSpec, rho: float,
+                         pair=SetSpec.pair_exact) -> Estimate | None:
+    """:func:`_pair_sum` over (p_i, q_i) when the closed-form cell measures of
+    both partitions tile, else None."""
+    tiles = _tiles(_closed_measures(p.cells)) and (q is p or _tiles(_closed_measures(q.cells)))
+    return _pair_sum(zip(p.cells, q.cells), rho, pair) if tiles else None
 
 
 # ---------------------------------------------------------------------------

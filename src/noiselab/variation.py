@@ -24,7 +24,9 @@ where the eigenvalue changes sign.
 
 Each identity check pairs a surface-quadrature (or Monte Carlo) evaluation of
 the operator side against an independently estimated right-hand side and
-reports residuals with combined error figures.
+reports residuals with combined error figures.  The finite-difference oracles
+difference in s only: the exact stability for d^2/ds^2, and its exact d/drho
+(Plackett's integrand) for the mixed derivative; Monte Carlo uses an (s, rho) grid.
 
 Every facet integral goes through :meth:`Facet.gauss_integral`, which picks
 the facet's route; this module only says whether the field is constant on the
@@ -63,21 +65,18 @@ from .gauss import (
     ou_rho_derivative_heat,
     route,
 )
-from .partitions import BoundarySample, Facet, PartitionSpec
-from .stability import (
-    _bilinear_quadrature,
-    agreement_values,
-    check_measure_match,
-    partition_stability_quadrature,
-)
+from .partitions import BoundarySample, Facet, PartitionSpec, SetSpec
+from .stability import _bilinear_quadrature, agreement_values, check_measure_match
 
 VOLUME_TOL = 1e-6
-#: default translation step for deterministic finite differences
+#: translation step of the deterministic finite differences
 H_S_QUADRATURE = 1e-3
-#: default translation step for Monte Carlo finite differences; indicator
+#: translation step of the Monte Carlo finite differences; indicator
 #: differencing needs a coarser step to keep the variance of the second
 #: difference under control (it scales like h^(-3))
 H_S_MONTE_CARLO = 0.05
+#: rho step of the Monte Carlo mixed difference, in units of 1 - |rho|
+H_RHO_MONTE_CARLO = 1e-3
 
 
 class VolumeConditionError(DomainError):
@@ -545,84 +544,74 @@ def g_form_value(p: PartitionSpec, rho, field, *, seed=0) -> Estimate:
 # finite-difference oracles and the mixed-derivative probe
 
 
-def _flow_difference(moved, quadrature, stencil, combine, *, h_s, budget: int, seed,
-                     mode: str, n_shards: int, threads: int = 1) -> Estimate:
-    """Difference quotient ``combine(*values, step)`` of sum_i P(X in p_i, Y in q_i)
-    over the (s, rho) points of ``stencil(step)``, with (p, q) = moved(s):
-    ``quadrature(p, q, rho)`` Richardson-extrapolated from steps h and 2h, else
-    shared-seed Monte Carlo with a coarser step and the standard error across
-    shards, as ``mode`` (see :func:`noiselab.gauss.route`) picks."""
+#: Richardson extrapolation of central differences in s from steps h and 2h: integer
+#: weights over 12 h^2 (order 0) or 12 h (order 1) on the values at s = k h, of the
+#: extrapolated difference and of its error term, 2/3 of the two differences' gap
+_RICHARDSON = ({-2: (-1, -2), -1: (16, 8), 0: (-30, -12), 1: (16, 8), 2: (-1, -2)},
+               {-2: (1, 2), -1: (-8, -4), 1: (8, 4), 2: (-1, -2)})
+
+
+def _flow_difference(moved, rho: float, order: int, *, budget: int, seed, mode: str,
+                     n_shards: int, threads: int = 1) -> Estimate:
+    """d^2/ds^2 (order 0) or d^2/(ds drho) (order 1) at s = 0 of sum_i P(X in p_i,
+    Y in q_i), (p, q) = moved(s), as ``mode`` (see :func:`noiselab.gauss.route`)
+    picks: :data:`_RICHARDSON` on the exact P (:meth:`SetSpec.pair_exact`) or
+    d/drho P (:meth:`SetSpec.pair_drho_exact`) with h = H_S_QUADRATURE, its error
+    term plus the values' errors through |weights| as the error figure; else
+    shared-seed Monte Carlo over an (s, rho) grid with steps H_S_MONTE_CARLO and
+    H_RHO_MONTE_CARLO (1 - |rho|), the standard error across shards plus h^2.
+    The mixed derivative needs rho -+ its rho step inside (0, 1) on both routes."""
+    hr = H_RHO_MONTE_CARLO * (1 - abs(rho))
+    if order and not (0.0 < rho - hr and rho + hr < 1.0):
+        raise DomainError("rho step leaves (0, 1)")
 
     def deterministic():
-        values = {}
-
-        def F(s, rr):
-            if (s, rr) not in values:  # second differences share the centre
-                est = quadrature(*moved(s), rr)
-                values[(s, rr)] = None if est is None else est.value
-            return values[(s, rr)]
-
-        def at(step):
-            vals = [F(s, rr) for s, rr in stencil(step)]
-            return None if any(v is None for v in vals) else combine(*vals, step)
-
-        h = h_s or H_S_QUADRATURE
-        d_h = at(h)
-        if d_h is None:
+        h, stencil = H_S_QUADRATURE, _RICHARDSON[order]
+        pair = (SetSpec.pair_exact, SetSpec.pair_drho_exact)[order]
+        ests = [_bilinear_quadrature(*moved(k * h), rho, pair) for k in stencil]
+        if any(e is None for e in ests):
             return None
-        d_2h = at(2 * h)  # Richardson extrapolation from steps h and 2h
-        return Estimate(d_h + (d_h - d_2h) / 3.0, 2 * abs(d_h - d_2h) / 3.0 + 1e-5, 0, QUADRATURE)
+        (w, gap), scale = np.array(list(stencil.values())).T, 12 * h ** (2 - order)
+        vals, errs = np.array([(e.value, e.std_error) for e in ests]).T
+        vals = vals - vals[0]  # the weights add up to 0, and nearby values subtract exactly
+        return Estimate(float(w @ vals) / scale, float(abs(gap @ vals) + np.abs(w) @ errs) / scale,
+                        0, QUADRATURE)
 
     def sampled():
-        h = h_s or H_S_MONTE_CARLO
-        points = stencil(h)
-        rhos_at = {}  # s -> the rhos of the stencil at that s
-        for s, rr in points:
-            rhos_at.setdefault(s, []).append(rr)
+        h = H_S_MONTE_CARLO
+        grid = ({s: [rho - hr, rho + hr] for s in (-h, h)} if order else
+                {-h: [rho], 0.0: [rho], h: [rho]})
         # every grid point reuses the seed, so all see identical draws and the
         # quotient's variance stays bounded as the steps shrink; each flowed
         # partition classifies X once for all its rhos
         means = {}
-        for s, rrs in rhos_at.items():
+        for s, rrs in grid.items():
             cols, shard = mc_shard_means(agreement_values(*moved(s), rrs), budget, seed=seed,
                                          n_shards=n_shards, threads=threads)
-            means.update(((s, rr), cols[:, c]) for c, rr in enumerate(rrs))
-        diffs = combine(*(means[pt] for pt in points), h)
+            means[s] = cols.T
+        if order:
+            (a, b), (c, d) = means[-h], means[h]
+            diffs = (d - b - c + a) / (4 * h * hr)
+        else:
+            diffs = (means[h][0] - 2 * means[0.0][0] + means[-h][0]) / (h * h)
         se = float(diffs.std(ddof=1) / math.sqrt(n_shards))
         return Estimate(float(diffs.mean()), se + h * h, n_shards * shard, MONTE_CARLO)
 
     return route(mode, deterministic, sampled)
 
 
-def _second_difference(lo, mid, hi, step):
-    return (hi - 2 * mid + lo) / (step * step)
+def _flowed(p: PartitionSpec, field):
+    """``moved`` of :func:`_flow_difference` for the stability of p under the field's flow."""
+    return lambda s: (field.flowed(p, s) if s else p,) * 2
 
 
-def _stability_flow_difference(p: PartitionSpec, field, stencil, combine, **route) -> Estimate:
-    """:func:`_flow_difference` for the stability of p under the field's flow."""
-
-    def moved(s):
-        ps = field.flowed(p, s) if s else p
-        return ps, ps
-
-    return _flow_difference(moved, lambda ps, _, rr: partition_stability_quadrature(ps, rr),
-                            stencil, combine, **route)
-
-
-def stability_second_derivative(p: PartitionSpec, rho, field, *, h_s: float | None = None,
-                                budget: int = 2_000_000, seed=0, mode: str = "auto",
-                                n_shards: int = 32, threads: int = 1) -> Estimate:
-    """d^2/ds^2 at s = 0 of the partition stability under the field's flow.
-
-    Deterministic route: Richardson-extrapolated central second differences of
-    the quadrature stability (step 1e-3).  Monte Carlo route: shared-seed
-    second differences with a coarser step, standard error across shards.
-    Note this is the full second derivative (no 1/2).
-    """
-    r = as_rho(rho)
-    return _stability_flow_difference(
-        p, field, lambda step: [(-step, r), (0.0, r), (step, r)], _second_difference, h_s=h_s,
-        budget=budget, seed=seed, mode=mode, n_shards=n_shards, threads=threads)
+def stability_second_derivative(p: PartitionSpec, rho, field, *, budget: int = 2_000_000,
+                                seed=0, mode: str = "auto", n_shards: int = 32,
+                                threads: int = 1) -> Estimate:
+    """d^2/ds^2 at s = 0 of the partition stability under the field's flow, by
+    :func:`_flow_difference`.  Note this is the full second derivative (no 1/2)."""
+    return _flow_difference(_flowed(p, field), as_rho(rho), 0, budget=budget, seed=seed, mode=mode,
+                            n_shards=n_shards, threads=threads)
 
 
 @dataclass(frozen=True)
@@ -632,34 +621,18 @@ class HyperstabilityReport:
 
 
 def hyperstability_probe(p: PartitionSpec, rho, field, *, budget: int = 2_000_000,
-                         seed=0, mode: str = "auto", h_s: float | None = None,
-                         h_rho: float | None = None, n_shards: int = 32,
+                         seed=0, mode: str = "auto", n_shards: int = 32,
                          threads: int = 1, volume_policy: str = "relaxed") -> HyperstabilityReport:
-    """Pure second s-derivative and mixed (s, rho) derivative of stability.
-
-    The mixed derivative is a central difference in rho of the central
-    difference in s, all grid points evaluated with shared seeds (Monte Carlo
-    mode) or by deterministic quadrature.  The probe is evaluated at the
-    given rho; steps must keep rho +- h_rho inside (0, 1).
+    """Pure second s-derivative and mixed (s, rho) derivative of stability, by
+    :func:`_flow_difference`.  A critical partition is hyperstable when it is
+    critical for d/drho too, and then the mixed derivative vanishes.  The
+    deterministic route differences the exact d/drho of stability in s only.
     """
     r = as_rho(rho, nonzero=True)
     check_volume_condition(p, field, rho=r, policy=volume_policy, seed=seed)
-    hr = h_rho or (1e-3 * (1.0 - abs(r)))
-    if not (0.0 < r - hr and r + hr < 1.0):
-        raise DomainError("rho step leaves (0, 1)")
-
-    d2s = stability_second_derivative(p, r, field, h_s=h_s, budget=budget, seed=seed,
-                                      mode=mode, n_shards=n_shards, threads=threads)
-
-    def stencil(step):
-        return [(s, rr) for s in (-step, step) for rr in (r - hr, r + hr)]
-
-    def mixed(a, b, c, d, step):
-        return (d - b - c + a) / (4 * step * hr)
-
-    return HyperstabilityReport(d2s, _stability_flow_difference(
-        p, field, stencil, mixed, h_s=h_s, budget=budget, seed=seed, mode=mode,
-        n_shards=n_shards, threads=threads))
+    route_args = dict(budget=budget, seed=seed, mode=mode, n_shards=n_shards, threads=threads)
+    mixed = _flow_difference(_flowed(p, field), r, 1, **route_args)  # first: it checks rho
+    return HyperstabilityReport(stability_second_derivative(p, r, field, **route_args), mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +640,8 @@ def hyperstability_probe(p: PartitionSpec, rho, field, *, budget: int = 2_000_00
 
 
 def bilinear_second_derivative(p: PartitionSpec, q: PartitionSpec, rho, v, *,
-                               h_s: float | None = None, budget: int = 2_000_000,
-                               seed=0, mode: str = "auto", n_shards: int = 32) -> Estimate:
+                               budget: int = 2_000_000, seed=0, mode: str = "auto",
+                               n_shards: int = 32) -> Estimate:
     """d^2/ds^2 of the bilinear stability when both partitions translate by s v."""
     r = as_rho(rho, nonzero=True)
     vv = check_point(v, p.dim)
@@ -676,9 +649,7 @@ def bilinear_second_derivative(p: PartitionSpec, q: PartitionSpec, rho, v, *,
     def moved(s):
         return (p.translated(s * vv), q.translated(s * vv)) if s else (p, q)
 
-    return _flow_difference(moved, _bilinear_quadrature,
-                            lambda step: [(-step, r), (0.0, r), (step, r)], _second_difference,
-                            h_s=h_s, budget=budget, seed=seed, mode=mode, n_shards=n_shards)
+    return _flow_difference(moved, r, 0, budget=budget, seed=seed, mode=mode, n_shards=n_shards)
 
 
 def bilinear_translation_form(p: PartitionSpec, q: PartitionSpec, rho, v, *,

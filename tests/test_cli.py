@@ -162,6 +162,12 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", halfspace_file, "--rho-grid", "0.5,1.2")
         assert code == 3
 
+    @pytest.mark.parametrize("grid", ["0.1:0.9:x", "a,b", "0.1:0.9:2.5"])
+    def test_unreadable_grid_exit_2(self, capsys, halfspace_file, grid):
+        code, _, err = run(capsys, "sweep", halfspace_file, "--rho-grid", grid)
+        assert code == 2
+        assert err.startswith("error: bad --rho-grid")
+
 
 class TestPluralityCommand:
     def test_csv_table(self, capsys):

@@ -142,7 +142,8 @@ def _float_literals(expr, func):
 
 
 #: (module, function, error slots of its returned tuples): the cell-moment,
-#: propeller, gradient and d/drho routes and the closed forms they return
+#: propeller, gradient and d/drho routes, the closed forms they return, and the
+#: pair d/drho and finite-difference oracles of stability
 MOMENT_ROUTES = [
     ("stability.py", "cell_moment", ()),
     ("stability.py", "propeller_functional", ()),
@@ -150,6 +151,8 @@ MOMENT_ROUTES = [
     ("partitions.py", "_shifted_moment", (1, 3)),
     ("partitions.py", "ou_gradient_exact", (1,)),
     ("partitions.py", "ou_drho_exact", (1,)),
+    ("partitions.py", "pair_drho_exact", (1,)),
+    ("variation.py", "_flow_difference", ()),
     ("gauss.py", "ou_gradient_quadrature", ()),
     ("gauss.py", "ou_rho_derivative_exact", ()),
     ("cones.py", "central_cone", (1, 3)),

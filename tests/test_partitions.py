@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,33 @@ class TestFacetLineRule:
         est = facet.gauss_integral(lambda pts: (np.ones(len(pts)), np.full(len(pts), 0.01)))
         assert est.value == pytest.approx(facet.mass, abs=1e-15)
         assert est.std_error == pytest.approx(0.01 * facet.mass, rel=1e-12)
+
+
+class TestFacetMassNearUnitRho:
+    """The closed-form mass of line facets under N(rho x, (1 - rho^2) I) as
+    |rho| -> 1, against 40-digit mpmath.  The facets pass through the origin,
+    so rounding rho x moves each standardized offset by ulps of itself only."""
+
+    # (facet, tangent-coordinate interval): the line x1 = 0 and its halves x2 >= 0, x2 <= 0
+    FACETS = [(Facet([1.0, 0.0], 0.0, [[0.0, 1.0]]), (-mpmath.inf, mpmath.inf)),
+              (Facet([1.0, 0.0], 0.0, [[0.0, 1.0]], [([0.0, -1.0], 0.0)]), (0, mpmath.inf)),
+              (Facet([1.0, 0.0], 0.0, [[0.0, 1.0]], [([0.0, 1.0], 0.0)]), (-mpmath.inf, 0))]
+
+    @pytest.mark.parametrize("rho", [-0.999999, -0.9999, 0.9999, 0.999999])
+    def test_mass_against_mpmath(self, rho):
+        # standardized offsets u across the line and along it from x2 = 0, |u| < 8
+        u = np.random.default_rng(7).uniform(-8.0, 8.0, (60, 2))
+        x = -math.sqrt((1 - rho) * (1 + rho)) * u / rho
+        with mpmath.workdps(40):
+            r = mpmath.mpf(rho)
+            sig = mpmath.sqrt((1 - r) * (1 + r))
+            for facet, (lo, hi) in self.FACETS:
+                mass = facet.gauss_integral(1.0, rho, x).value
+                for (x1, x2), value in zip(x, mass):
+                    mu = r * x2
+                    ref = (mpmath.npdf(r * x1 / sig) / sig
+                           * (mpmath.ncdf((hi - mu) / sig) - mpmath.ncdf((lo - mu) / sig)))
+                    assert abs(value - ref) <= 1e-13 * ref
 
 
 class TestPlanarConeFacetArcs:

@@ -456,6 +456,70 @@ class TestSectorPairsOverTheDomain:
         assert tol <= 1e-6 * max(1.0, abs(exact))
 
 
+def _drho(p, rho):
+    """sum over the cells of p of SetSpec.pair_drho_exact: d/drho of the stability."""
+    value, err = 0.0, 0.0
+    for c in p.cells:
+        v, e = c.pair_drho_exact(c, rho)
+        value, err = value + v, err + e
+    return value, err
+
+
+PRIME_RHOS = [-0.9999, -0.5, 0.3, 0.9, 0.9999]
+
+
+class TestPairDrho:
+    """SetSpec.pair_drho_exact, the exact d/drho of P(X in a, Y in b), on its
+    half-space and sector routes: every value is within its reported error plus
+    the reference's of an independent reference."""
+
+    @pytest.mark.parametrize("rho", PRIME_RHOS)
+    @pytest.mark.parametrize("p", [halfspace_partition([1.0, 0.0], 0.0),
+                                   sector_partition([-math.pi / 2, math.pi / 2])],
+                             ids=["half-spaces", "sectors"])
+    def test_half_plane_pair(self, p, rho):
+        # two half-planes have stability 1/2 + arcsin(rho)/pi
+        value, err = _drho(p, rho)
+        with mpmath.workdps(40):
+            assert abs(value - 1 / (mpmath.pi * mpmath.sqrt(1 - mpmath.mpf(rho) ** 2))) <= err
+
+    @pytest.mark.parametrize("rho", PRIME_RHOS + DOMAIN_RHOS)
+    @pytest.mark.parametrize("a, b", [(0.3, -0.4), (-6.0, -5.0), (2.0, 7.0), (-1.5, 1.2)])
+    def test_offset_half_spaces_match_mpmath(self, a, b, rho):
+        # c phi_2(a, b; rho c) with c = <n_a, n_b>, the inner product of the
+        # cells' stored normals taken in mpmath
+        cell_a, cell_b = HalfSpace([1.0, 0.0], a), HalfSpace([0.6, 0.8], b)
+        value, err = cell_a.pair_drho_exact(cell_b, rho)
+        (na, a), (nb, b) = cell_a.halfspace(), cell_b.halfspace()
+        with mpmath.workdps(40):
+            c = sum(mpmath.mpf(float(u)) * mpmath.mpf(float(w)) for u, w in zip(na, nb))
+            r, a, b = mpmath.mpf(rho) * c, mpmath.mpf(a), mpmath.mpf(b)
+            ref = (c * mpmath.exp(-(a * a - 2 * r * a * b + b * b) / (2 * (1 - r * r)))
+                   / (2 * mpmath.pi * mpmath.sqrt(1 - r * r)))
+            assert abs(value - ref) <= err
+
+    @pytest.mark.parametrize("rho", PRIME_RHOS)
+    @pytest.mark.parametrize("p", [sector_partition([0.0, 2.0, 4.0]).translated([0.4, -0.3]),
+                                   sector_partition([0.3, 0.3 + 1e-3]).translated([0.2, 0.1]),
+                                   sector_partition([0.5, 4.5]).translated([-0.6, 0.25])],
+                             ids=["shifted-apex", "narrow-arc", "arc-wider-than-pi"])
+    def test_sectors_are_the_richardson_limit(self, p, rho):
+        # Richardson-extrapolated central differences of the quadrature stability
+        # with steps k and 2k, weights over 12 k at rho - 2k, rho - k, rho + k and
+        # rho + 2k; their error is the extrapolation's gap term plus the values'
+        # errors through the weights
+        value, err = _drho(p, rho)
+        k = 1e-3 * (1 - abs(rho))
+        ests = [partition_stability_quadrature(p, rho + j * k) for j in (-2, -1, 1, 2)]
+        vals = np.array([e.value for e in ests])
+        vals -= vals[0]
+        errs = np.array([e.std_error for e in ests])
+        ref = (vals @ [1, -8, 8, -1]) / (12 * k)
+        ref_err = (abs(vals @ [2, -4, 4, -2]) + errs @ [1, 8, 8, 1]) / (12 * k)
+        assert abs(value - ref) <= err + ref_err
+        assert ref_err <= 1e-5 * max(1.0, abs(value))
+
+
 _R3_CONES = simplex_cone_partition(4)
 SWEEP_PARTITIONS = {
     "simplex-cones-R3": _R3_CONES,

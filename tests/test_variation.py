@@ -422,7 +422,7 @@ class TestSecondVariationGeneral:
         hermite = {1: lambda t: t, 2: lambda t: t * t - 1.0, 3: lambda t: t**3 - 3.0 * t}
         for k, he in hermite.items():
             est = g_form_value(p, rho, NormalScalarField(lambda pts, nms, he=he: he(pts[:, 1])))
-            expect = PHI0**2 * math.factorial(k) * rho**k / math.sqrt(1.0 - rho * rho)
+            expect = PHI0**2 * math.factorial(k) * rho**k / math.sqrt((1 - rho) * (1 + rho))
             assert abs(est.value - expect) <= 1e-12
             assert est.method == "quadrature"
 
@@ -529,10 +529,13 @@ class TestHyperstabilityProbe:
             3 * (mc.second_s.std_error + quad.second_s.std_error)
         )
 
-    def test_rho_step_validation(self):
+    @pytest.mark.parametrize("mode", ["quadrature", "monte-carlo"])
+    @pytest.mark.parametrize("rho", [-0.5, 5e-4])
+    def test_rho_step_validation(self, rho, mode):
+        # the sampled rho step 1e-3 (1 - |rho|) must keep rho -+ step inside (0, 1)
         p = simplex_cone_partition(3)
-        with pytest.raises(DomainError):
-            hyperstability_probe(p, 0.5, DilationField(), h_rho=0.6, seed=37)
+        with pytest.raises(DomainError, match="rho step"):
+            hyperstability_probe(p, rho, DilationField(), mode=mode, seed=37)
 
 
 class TestBilinearSuite:
