@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -58,7 +59,10 @@ def _add_common(sub):
     sub.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each call gets a fresh namespace of defaults."""
     ap = argparse.ArgumentParser(prog="noiselab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -179,8 +183,9 @@ def cmd_sweep(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     p = _load_partition(args.partition)
     grid = _parse_grid(args.rho_grid)
-    # one call for the grid: the rhos it samples share one pair stream, and each
-    # row equals `stability --rho` at the same seed and budget
+    # one call for the grid: its deterministic rows come from one batched pair
+    # rule, the rhos it samples share one pair stream, and each row equals
+    # `stability --rho` at the same seed and budget, bit for bit
     ests = stability_sweep(p, grid, args.budget, seed=seed, threads=args.threads)
     rows = [{"rho": f"{r:.12g}", "value": f"{est.value:.12g}",
              "std_error": f"{est.std_error:.6g}", "samples": est.samples,

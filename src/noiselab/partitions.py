@@ -167,10 +167,12 @@ def shifted_sector_moment(apex, alpha: float, beta: float) -> np.ndarray:
 
 
 def _plackett_integrand(edges_a, edges_b, theta):
-    """cos(th) P'(sin th) at each angle of ``theta``, and the summed magnitudes
-    of its terms: one bivariate normal CDF call for all edge pairs and angles."""
-    ta, sa, ca, da = (v[:, None, None] for v in edges_a)
-    tb, sb, cb, db = (v[None, :, None] for v in edges_b)
+    """cos(th) P'(sin th) of each edge-ray pair (e_k, f_k) at each angle of
+    ``theta``, and the magnitude of each term: two (pairs, angles) arrays from
+    one bivariate normal CDF call.  ``edges_a`` and ``edges_b`` hold the (t, s,
+    c, d) of :func:`_sector_edges` of e_k and of f_k, one entry per pair."""
+    ta, sa, ca, da = (v[:, None] for v in edges_a)
+    tb, sb, cb, db = (v[:, None] for v in edges_b)
     c, sn = np.cos(ta - tb), np.sin(ta - tb)  # <N_e, N_f> = s_e s_f c
     r, cos_t = np.sin(theta), np.cos(theta)
     rc, det = r * c, sn * sn + (c * cos_t) ** 2  # 1 - (rho c)^2, no cancellation
@@ -179,8 +181,7 @@ def _plackett_integrand(edges_a, edges_b, theta):
              * np.exp(-0.5 * (db * db + (da - rc * db) ** 2 / det)))
     h_a = (r * sn * (db - rc * da) / det - ca) * root / cos_t
     h_b = (-r * sn * (da - rc * db) / det - cb) * root / cos_t
-    vals = terms * bivariate_normal_cdf(h_a, h_b, rc)
-    return vals.sum(axis=(0, 1)), np.abs(terms).sum(axis=(0, 1))
+    return terms * bivariate_normal_cdf(h_a, h_b, rc), np.abs(terms)
 
 
 def _graded_panels(theta_end: float) -> np.ndarray:
@@ -191,23 +192,174 @@ def _graded_panels(theta_end: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [theta_end]])
 
 
+def _edge_pair_sums(decos, theta):
+    """For each sector pair ((apex_a, arcs_a), (apex_b, arcs_b)) of ``decos``,
+    the sums over its edge-ray pairs of :func:`_plackett_integrand`'s values
+    and magnitudes at every angle of ``theta``.  The edge rays of all the
+    pairs form one pair list (edge e of A against each edge f of B, in that
+    order), so one integrand call serves them all; each pair's block of rows
+    is summed alone, in the order its own call would sum it."""
+    ea, eb, sizes = [], [], []
+    for (qa, arcs_a), (qb, arcs_b) in decos:
+        a, b = _sector_edges(qa, arcs_a), _sector_edges(qb, arcs_b)
+        ea.append([np.repeat(v, b[0].size) for v in a])
+        eb.append([np.tile(v, a[0].size) for v in b])
+        sizes.append(a[0].size * b[0].size)
+    vals, mags = _plackett_integrand([np.concatenate(v) for v in zip(*ea)],
+                                     [np.concatenate(v) for v in zip(*eb)], theta)
+    ends = np.cumsum(sizes)
+    return [(vals[hi - n:hi].sum(axis=0), mags[hi - n:hi].sum(axis=0))
+            for n, hi in zip(sizes, ends)]
+
+
+def _sector_pair_rows(decos, rhos):
+    """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B) and its
+    bound for every sector pair (A, B) of ``decos`` at every rho of ``rhos``.
+
+    Each rho keeps its own graded panels, and all the rhos' nodes go through
+    one integrand call.  Every entry is then reduced exactly as the one-pair
+    one-rho rule of :func:`shifted_sector_pair_stability` reduces it, so it
+    carries the same bits: the 16- and 32-node Gauss-Legendre rules of each
+    panel, their difference plus the rounding of the terms' magnitudes as the
+    bound, and the product of the cell masses (once per call, not per rho) added."""
+    (t16, w16), (t32, w32) = _leggauss(16), _leggauss(32)
+    panels = []
+    for rho in rhos:
+        cuts = _graded_panels(math.asin(rho))
+        half = 0.5 * np.diff(cuts)[:, None]
+        panels.append((half, 0.5 * (cuts[:-1] + cuts[1:])[:, None]
+                       + half * np.concatenate([t16, t32])))
+    sums = _edge_pair_sums(decos, np.concatenate([theta.ravel() for _, theta in panels]))
+    values, errors = np.empty((len(decos), len(rhos))), np.empty((len(decos), len(rhos)))
+    for k, ((da, db), (cell_vals, cell_mags)) in enumerate(zip(decos, sums)):
+        mass_a, mass_b = (sum(shifted_sector_mass(q, a, b) for a, b in arcs) for q, arcs in (da, db))
+        lo = 0
+        for j, (half, theta) in enumerate(panels):
+            vals, mags = (v[lo:lo + theta.size].reshape(theta.shape) * half
+                          for v in (cell_vals, cell_mags))
+            coarse, fine = vals[:, :16] @ w16, vals[:, 16:] @ w32
+            magnitude = len(da[1]) + len(db[1]) + np.abs(mags[:, 16:] @ w32).sum()  # 1 per mass
+            values[k, j] = mass_a * mass_b + float(fine.sum())
+            errors[k, j] = float(np.abs(coarse - fine).sum() + ROUNDING * magnitude)
+            lo += theta.size
+    return values, errors
+
+
 def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
     """(P(X in A, Y in B), error bound) for a rho-correlated pair and the unions
     A and B of sectors over the arcs at the apexes, by Plackett's identity: one
     batch of 16- and 32-node Gauss-Legendre rules on the graded panels, with
-    their difference plus the rounding of the terms' magnitudes as the bound."""
-    cuts = _graded_panels(math.asin(rho))
-    half = 0.5 * np.diff(cuts)[:, None]
-    (t16, w16), (t32, w32) = _leggauss(16), _leggauss(32)
-    theta = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * np.concatenate([t16, t32])
-    vals, mags = (v.reshape(theta.shape) * half for v in _plackett_integrand(
-        _sector_edges(apex_a, arcs_a), _sector_edges(apex_b, arcs_b), theta.ravel()))
-    coarse, fine = vals[:, :16] @ w16, vals[:, 16:] @ w32
-    mass_a, mass_b = (sum(shifted_sector_mass(q, a, b) for a, b in arcs)
-                      for q, arcs in ((apex_a, arcs_a), (apex_b, arcs_b)))
-    magnitude = len(arcs_a) + len(arcs_b) + np.abs(mags[:, 16:] @ w32).sum()  # 1 per mass
-    return (mass_a * mass_b + float(fine.sum()),
-            float(np.abs(coarse - fine).sum() + ROUNDING * magnitude))
+    their difference plus the rounding of the terms' magnitudes as the bound.
+    The one-pair one-rho case of :func:`_sector_pair_rows`."""
+    values, errors = _sector_pair_rows([((apex_a, arcs_a), (apex_b, arcs_b))], [rho])
+    return float(values[0, 0]), float(errors[0, 0])
+
+
+def _halfspace_pair_rows(halfspaces, rhos):
+    """(values, errors), two (pairs, rhos) arrays: P(<n_a, X> <= a, <n_b, Y> <= b)
+    and its bound for every half-space pair ((n_a, a), (n_b, b)) of
+    ``halfspaces`` at every rho, from one broadcast bivariate normal CDF call.
+    <n_a, X> and <n_b, Y> are standard normals with correlation rho <n_a, n_b>,
+    and Owen's terms for Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))."""
+    c = np.array([[float(np.clip(na @ nb, -1.0, 1.0))] for (na, _), (nb, _) in halfspaces])
+    offsets = np.array([[a, b] for (_, a), (_, b) in halfspaces])
+    values = bivariate_normal_cdf(offsets[:, :1], offsets[:, 1:], np.asarray(rhos, dtype=float) * c)
+    errors = [[2.0 * ROUNDING * float(ndtr(a) + ndtr(b))] for (_, a), (_, b) in halfspaces]
+    return values, np.broadcast_to(errors, values.shape)
+
+
+def _halfspace_pair_drho(ha, hb, rho: float):
+    """(d/drho P(<n_a, X> <= a, <n_b, Y> <= b), error bound) = c phi_2(a, b; r =
+    rho c), c = <n_a, n_b>, whose exponent q carries q ulps and, unless |c| = 1,
+    moves by (1 + |a b| + 2 q)/(1 - r^2) per ulp of r."""
+    (na, a), (nb, b) = ha, hb
+    c = float(np.clip(na @ nb, -1, 1))
+    r, (a, b) = rho * c, np.clip([a, b], -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
+    # a^2 - 2 r a b + b^2, written to keep its digits as r -> +-1 with b near +-a
+    num = (a - b) ** 2 + 2 * (1 - r) * a * b if r >= 0 else (a + b) ** 2 - 2 * (1 + r) * a * b
+    q = num / (2 * (1 - r) * (1 + r))
+    val = c * math.exp(-q) / (_TWO_PI * math.sqrt((1 - r) * (1 + r)))
+    slope = 0 if abs(c) == 1 else abs(r) * (1 + abs(a * b) + 2 * q) / ((1 - r) * (1 + r))
+    return val, ROUNDING * abs(val) * (1 + q + slope)
+
+
+def _pair_routes(pairs):
+    """(kind, data) per cell pair (a, b), on the routes of
+    :meth:`SetSpec.pair_exact` and in its order: ("halfspace", (a.halfspace(),
+    b.halfspace())) when both are half-spaces, else ("sector",
+    (a.sector_decomposition(), b.sector_decomposition())) when both are unions
+    of planar sectors; None when some pair has neither."""
+    routes = []
+    for a, b in pairs:
+        ha, hb = a.halfspace(), b.halfspace()
+        if ha is not None and hb is not None:
+            routes.append(("halfspace", (ha, hb)))
+            continue
+        da, db = a.sector_decomposition(), b.sector_decomposition()
+        if da is None or db is None:
+            return None
+        routes.append(("sector", (da, db)))
+    return routes
+
+
+def _pair_rows(pairs, rhos):
+    """(values, errors), two (pairs, rhos) arrays of P(X in a, Y in b) and its
+    bound for every cell pair (a, b) at every rho, or None when some pair has
+    no route: one call of each route for all the pairs that take it."""
+    routes = _pair_routes(pairs)
+    if routes is None:
+        return None
+    values, errors = np.empty((len(routes), len(rhos))), np.empty((len(routes), len(rhos)))
+    for kind, rows in (("halfspace", _halfspace_pair_rows), ("sector", _sector_pair_rows)):
+        idx = [k for k, (route_kind, _) in enumerate(routes) if route_kind == kind]
+        if idx and len(rhos):
+            values[idx], errors[idx] = rows([routes[k][1] for k in idx], rhos)
+    return values, errors
+
+
+def _summed(terms):
+    """(value, error) terms added in order from 0.0, as floats."""
+    total = err = 0.0
+    for v, e in terms:
+        total, err = total + v, err + e
+    return float(total), float(err)
+
+
+def pair_sums(pairs, rhos):
+    """[(sum over the cell pairs (a, b) of P(X in a, Y in b), error bound)] at
+    each rho of ``rhos``, or None where :meth:`SetSpec.pair_exact` declines a
+    pair.  The half-space pairs take one bivariate normal CDF call and the
+    sector pairs one Plackett integrand call, over all the pairs and rhos at
+    once; each pair's entry equals ``pair_exact`` at that rho to the bit, and
+    the pairs are added in their order, so each sum is that of the one-rho
+    loop over ``pair_exact``."""
+    rows = _pair_rows(list(pairs), rhos)
+    return None if rows is None else [_summed(zip(v, e)) for v, e in zip(rows[0].T, rows[1].T)]
+
+
+def _sector_pair_drho(decos, rho: float):
+    """(values, errors): d/drho P(X in A, Y in B) and its bound for every sector
+    pair (A, B) of ``decos``, the Plackett integrand at theta = arcsin(rho) over
+    cos(theta) and the rounding of its terms' magnitudes, from one integrand call."""
+    theta = math.asin(rho)
+    sums = _edge_pair_sums(decos, np.array([theta]))
+    return ([float(v[0]) / math.cos(theta) for v, _ in sums],
+            [ROUNDING * float(m[0]) / math.cos(theta) for _, m in sums])
+
+
+def pair_drho_sum(pairs, rho: float):
+    """(sum over the cell pairs (a, b) of d/drho P(X in a, Y in b), error bound)
+    at ``rho``, or None where :meth:`SetSpec.pair_drho_exact` declines a pair:
+    the half-space closed form, and one integrand call for all the sector
+    pairs.  Each pair's term equals ``pair_drho_exact`` to the bit, and the
+    terms are added in the pairs' order."""
+    routes = _pair_routes(list(pairs))
+    if routes is None:
+        return None
+    sectors = [data for kind, data in routes if kind == "sector"]
+    sector_terms = zip(*_sector_pair_drho(sectors, rho)) if sectors else iter(())
+    return _summed(_halfspace_pair_drho(*data, rho) if kind == "halfspace" else next(sector_terms)
+                   for kind, data in routes)
 
 
 # ---------------------------------------------------------------------------
@@ -337,41 +489,15 @@ class SetSpec:
 
     def pair_exact(self, other: "SetSpec", rho: float):
         """(P(X in self, Y in other), error_bound) for a rho-correlated pair
-        when both cells are half-spaces or both are planar sectors, else None."""
-        ha, hb = self.halfspace(), other.halfspace()
-        if ha is not None and hb is not None:
-            (na, a), (nb, b) = ha, hb
-            # <na, X> and <nb, Y> are standard normals with correlation rho <na, nb>, and
-            # Owen's terms for Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))
-            return (bivariate_normal_cdf(a, b, rho * float(np.clip(na @ nb, -1.0, 1.0))),
-                    2.0 * ROUNDING * float(ndtr(a) + ndtr(b)))
-        da, db = self.sector_decomposition(), other.sector_decomposition()
-        if da is None or db is None:
-            return None
-        return shifted_sector_pair_stability(*da, *db, rho)
+        when both cells are half-spaces or both are planar sectors, else None:
+        the one-pair one-rho case of :func:`pair_sums`."""
+        rows = _pair_rows([(self, other)], [rho])
+        return None if rows is None else (float(rows[0][0, 0]), float(rows[1][0, 0]))
 
     def pair_drho_exact(self, other: "SetSpec", rho: float):
         """(d/drho P(X in self, Y in other), error_bound) on the routes of :meth:`pair_exact`,
-        else None: c phi_2(a, b; r = rho c), c = <n_a, n_b>, whose exponent q carries q ulps
-        and, unless |c| = 1, moves by (1 + |a b| + 2 q)/(1 - r^2) per ulp of r; or the
-        Plackett integrand at theta = arcsin(rho) over cos(theta) for sectors."""
-        ha, hb = self.halfspace(), other.halfspace()
-        if ha is not None and hb is not None:
-            (na, a), (nb, b) = ha, hb
-            c = float(np.clip(na @ nb, -1, 1))
-            r, (a, b) = rho * c, np.clip([a, b], -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
-            # a^2 - 2 r a b + b^2, written to keep its digits as r -> +-1 with b near +-a
-            num = (a - b) ** 2 + 2 * (1 - r) * a * b if r >= 0 else (a + b) ** 2 - 2 * (1 + r) * a * b
-            q = num / (2 * (1 - r) * (1 + r))
-            val = c * math.exp(-q) / (_TWO_PI * math.sqrt((1 - r) * (1 + r)))
-            slope = 0 if abs(c) == 1 else abs(r) * (1 + abs(a * b) + 2 * q) / ((1 - r) * (1 + r))
-            return val, ROUNDING * abs(val) * (1 + q + slope)
-        da, db = self.sector_decomposition(), other.sector_decomposition()
-        if da is None or db is None:
-            return None
-        theta = math.asin(rho)
-        val, mag = _plackett_integrand(_sector_edges(*da), _sector_edges(*db), np.array([theta]))
-        return float(val[0]) / math.cos(theta), ROUNDING * float(mag[0]) / math.cos(theta)
+        else None: the one-pair case of :func:`pair_drho_sum`."""
+        return pair_drho_sum([(self, other)], rho)
 
     def translate(self, t) -> "SetSpec":
         return ShiftedSet(self, np.asarray(t, dtype=float))

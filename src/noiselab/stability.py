@@ -20,10 +20,13 @@ partitions classify X once and form each Y.  Comparisons between candidate
 partitions run with positively correlated errors when they reuse a seed.
 
 Every deterministic route is a sum of pair probabilities P(X in a, Y in b)
-over cell pairs, taken from :meth:`noiselab.partitions.SetSpec.pair_exact`
+over cell pairs, on the routes of :meth:`noiselab.partitions.SetSpec.pair_exact`
 (the bivariate normal CDF for two half-spaces, Plackett's identity in
 arcsin(rho) for two planar sectors): over (s, s) for a set, (p_i, p_i) for a partition
-and (p_i, q_i) for a bilinear form.  At rho = 0 the stability is the sum of
+and (p_i, q_i) for a bilinear form.  The sum comes from one batched call,
+:func:`noiselab.partitions.pair_sums`, for all the cell pairs and, in a sweep,
+for every nonzero rho of the grid at once; each row still equals the one-rho
+call bit for bit.  At rho = 0 the stability is the sum of
 the squared cell measures when every cell has a closed-form measure; otherwise
 rho = 0 is sampled like any other rho.  A partition takes these routes only
 when its cell measures add up to 1, so cells that overlap are sampled by first
@@ -32,6 +35,7 @@ claim.  This module knows no cell kind.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -52,7 +56,7 @@ from .gauss import (
     mc_shard_means,
     route,
 )
-from .partitions import PartitionSpec, SetSpec, gaussian_measure
+from .partitions import PartitionSpec, SetSpec, gaussian_measure, pair_drho_sum, pair_sums
 
 
 def _pair_values(classify, match, rhos, d):
@@ -146,16 +150,12 @@ def agreement_values(p: PartitionSpec, q: PartitionSpec, rhos):
     return _pair_values(p.membership, lambda cx, y: cx == q.membership(y), rhos, p.dim)
 
 
-def _pair_sum(pairs, rho: float, pair=SetSpec.pair_exact) -> Estimate | None:
-    """sum of ``pair``(a, b, rho), P(X in a, Y in b) or its d/drho, over the
-    cell pairs (a, b), or None when a pair has no deterministic route."""
-    total, err = 0.0, 0.0
-    for a, b in pairs:
-        res = pair(a, b, rho)
-        if res is None:
-            return None
-        total, err = total + res[0], err + res[1]
-    return Estimate(total, err, 0, QUADRATURE)
+def _pair_sum(pairs, rhos) -> list[Estimate] | None:
+    """sum over the cell pairs (a, b) of P(X in a, Y in b) at each rho of
+    ``rhos``, from one :func:`noiselab.partitions.pair_sums` call, or None
+    when a pair has no deterministic route."""
+    sums = pair_sums(pairs, rhos)
+    return None if sums is None else [Estimate(v, e, 0, QUADRATURE) for v, e in sums]
 
 
 def _closed_measures(cells):
@@ -171,15 +171,17 @@ def _tiles(measures) -> bool:
     return measures is not None and abs(sum(v for v, _ in measures) - 1.0) <= 1e-9
 
 
-def _stability_exact(cells, rho: float, measures) -> Estimate | None:
-    """The pair sum, or at rho = 0, where X and Y are independent, the sum of
-    the cells' squared closed-form ``measures`` (None when they have none)."""
-    if rho != 0.0:
-        return _pair_sum(zip(cells, cells), rho)
-    if measures is None:
-        return None
-    return Estimate(sum(v**2 for v, _ in measures), sum(2 * v * e for v, e in measures),
-                    0, CLOSED_FORM)
+def _stability_exact(cells, rhos, measures) -> list[Estimate | None]:
+    """At each rho of ``rhos``, the pair sum over (cell, cell), one batched call
+    for all the nonzero rhos, or at rho = 0, where X and Y are independent, the
+    sum of the cells' squared closed-form ``measures``; None where the route
+    declines."""
+    moving = [r for r in rhos if r != 0.0]
+    sums = _pair_sum(zip(cells, cells), moving) if moving else None
+    by_rho = dict(zip(moving, sums)) if sums is not None else {}
+    still = None if measures is None else Estimate(
+        sum(v**2 for v, _ in measures), sum(2 * v * e for v, e in measures), 0, CLOSED_FORM)
+    return [still if r == 0.0 else by_rho.get(r) for r in rhos]
 
 
 def noise_stability(s: SetSpec, rho, budget: int = 1_000_000, *, seed=0,
@@ -192,32 +194,30 @@ def noise_stability(s: SetSpec, rho, budget: int = 1_000_000, *, seed=0,
         values = _pair_values(s.contains, lambda in_x, y: in_x & s.contains(y), [r], s.dim)
         return _column(mc_mean(values, budget, seed=seed, threads=threads), 0)
 
-    return route(mode, lambda: _stability_exact([s], r, _closed_measures([s])), sampled)
+    return route(mode, lambda: _stability_exact([s], [r], _closed_measures([s]))[0], sampled)
 
 
 def stability_sweep(p: PartitionSpec, rhos, budget: int = 1_000_000, *, seed=0,
                     threads: int = 1, mode: str = "auto") -> list[Estimate]:
     """:func:`partition_stability` at every rho of ``rhos``, in order.
 
-    Each rho takes its own route: the quadrature, or at rho = 0 the sum of
-    squared closed-form cell measures.  The rhos left to sampling, rho = 0
-    included, share one Monte Carlo pair stream (one
+    The deterministic rows come from one batched pair-rule call for the whole
+    grid (:func:`noiselab.partitions.pair_sums`), or at rho = 0 from the sum
+    of squared closed-form cell measures; each still equals the one-rho call
+    bit for bit.  ``mode`` is applied row by row.  The rhos left to sampling,
+    rho = 0 included, share one Monte Carlo pair stream (one
     :func:`noiselab.gauss.mc_mean` call), so every row equals the one-rho call
     at the same seed and budget, bit for bit.
     """
     rs = [as_rho(r) for r in rhos]
     measures = _closed_measures(p.cells)
     tiles = _tiles(measures)
-    to_sample = []
-
-    def row(r):
-        def mark_sampled():
-            to_sample.append(r)  # the row stays None until the shared pass below
-
-        return route(mode, lambda: _stability_exact(p.cells, r, measures) if tiles else None,
-                     mark_sampled)
-
-    rows = [row(r) for r in rs]
+    # the deterministic rows, computed together the first time a row asks
+    exact = functools.cache(lambda: _stability_exact(p.cells, rs, measures) if tiles
+                            else [None] * len(rs))
+    to_sample = []  # a sampled row stays None until the shared pass below
+    rows = [route(mode, lambda k=k: exact()[k], lambda r=r: to_sample.append(r))
+            for k, r in enumerate(rs)]
     if to_sample:
         cols = list(dict.fromkeys(to_sample))
         est = mc_mean(agreement_values(p, p, cols), budget, seed=seed, threads=threads)
@@ -271,12 +271,20 @@ def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, budget: int = 400
             )
 
 
-def _bilinear_quadrature(p: PartitionSpec, q: PartitionSpec, rho: float,
-                         pair=SetSpec.pair_exact) -> Estimate | None:
-    """:func:`_pair_sum` over (p_i, q_i) when the closed-form cell measures of
-    both partitions tile, else None."""
+def _bilinear_quadrature(p: PartitionSpec, q: PartitionSpec, rho: float, *,
+                         drho: bool = False) -> Estimate | None:
+    """sum_i P(X in p_i, Y in q_i), or its d/drho, from one batched pair-rule
+    call over the cell pairs (:func:`noiselab.partitions.pair_sums` or
+    :func:`noiselab.partitions.pair_drho_sum`) when the closed-form cell
+    measures of both partitions tile, else None."""
     tiles = _tiles(_closed_measures(p.cells)) and (q is p or _tiles(_closed_measures(q.cells)))
-    return _pair_sum(zip(p.cells, q.cells), rho, pair) if tiles else None
+    if not tiles:
+        return None
+    if drho:
+        res = pair_drho_sum(zip(p.cells, q.cells), rho)
+        return None if res is None else Estimate(*res, 0, QUADRATURE)
+    res = _pair_sum(zip(p.cells, q.cells), [rho])
+    return None if res is None else res[0]
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,34 @@ class TestSweepCommand:
         assert err.startswith("error: bad --rho-grid")
 
 
+class TestParserBuiltOnce:
+    def test_calls_in_one_process_match_fresh_calls(self, tmp_path, simplex3_file):
+        # sweep defaults to CSV and stability to JSON: neither default, nor any
+        # other state, may leak from one call into the next through the parser
+        import noiselab.cli as cli_module
+
+        calls = [["sweep", simplex3_file, "--rho-grid", "0.5,0.0,-0.3"],
+                 ["stability", simplex3_file, "--rho", "0.4"],
+                 ["sweep", simplex3_file, "--rho-grid", "0.5,0.0,-0.3"]]
+
+        def outputs(tag, fresh):
+            texts = []
+            for k, argv in enumerate(calls):
+                if fresh:
+                    cli_module.build_parser.cache_clear()
+                path = tmp_path / f"{tag}{k}.out"
+                assert main(argv + ["--output", str(path)]) == 0
+                texts.append(path.read_text())
+            return texts
+
+        in_process = outputs("seq", fresh=False)
+        assert cli_module.build_parser() is cli_module.build_parser()
+        assert in_process == outputs("fresh", fresh=True)
+        assert in_process[0] == in_process[2]
+        assert in_process[0].startswith("rho,value,std_error,samples,method,seed\n")
+        assert json.loads(in_process[1])["command"] == "stability"
+
+
 class TestPluralityCommand:
     def test_csv_table(self, capsys):
         code, out, _ = run(capsys, "plurality", "--m", "3", "--n-list", "1,3",

@@ -151,7 +151,8 @@ MOMENT_ROUTES = [
     ("partitions.py", "_shifted_moment", (1, 3)),
     ("partitions.py", "ou_gradient_exact", (1,)),
     ("partitions.py", "ou_drho_exact", (1,)),
-    ("partitions.py", "pair_drho_exact", (1,)),
+    ("partitions.py", "_halfspace_pair_drho", (1,)),
+    ("partitions.py", "_sector_pair_drho", (1,)),
     ("variation.py", "_flow_difference", ()),
     ("gauss.py", "ou_gradient_quadrature", ()),
     ("gauss.py", "ou_rho_derivative_exact", ()),

@@ -32,6 +32,8 @@ from noiselab.partitions import (
     gaussian_measure,
     halfspace_partition,
     partition_from_json,
+    pair_drho_sum,
+    pair_sums,
     partition_to_json,
     perturbed_simplex_cones,
     random_orthogonal,
@@ -577,8 +579,9 @@ class TestFacetCache:
 
 
 class TestSectorPairBatching:
-    """pair_exact on two single-arc sectors is one batched rule: one bivariate
-    normal CDF call over every edge-ray pair and every node, and one mass per cell."""
+    """The pair rule is batched: one bivariate normal CDF call over every
+    edge-ray pair and every node, and one mass per cell, for one pair at one
+    rho (pair_exact) as for a partition's cell pairs over a grid (pair_sums)."""
 
     @pytest.mark.parametrize("rho", [0.5, -0.98, 0.9999])
     def test_one_bivariate_normal_call(self, monkeypatch, rho):
@@ -602,6 +605,67 @@ class TestSectorPairBatching:
         assert sizes == [2 * 2 * panels * 48]
         assert len(masses) <= 2
         assert 0.0 < err <= 1e-13
+
+    @pytest.mark.parametrize("p", [
+        sector_partition([0.0, 2.0, 4.0]).translated([0.4, -0.3]),
+        sector_partition([0.3, 0.3 + 1e-3]).translated([0.2, 0.1]),
+        cylinder_extend(sector_partition([0.5, 4.5]).translated([-0.6, 0.25]), 1),
+        halfspace_partition([1.0, -2.0], 0.4),
+        PartitionSpec([ConeCell([[1.0, 0.0], [-1.0, 0.0]], 0), Sector2D(math.pi / 2, 3 * math.pi / 2)]),
+    ], ids=["shifted-apex", "narrow-arc", "wide-arc-cylinder", "half-spaces", "both-routes"])
+    def test_sums_are_the_one_pair_calls_added_in_order(self, p):
+        def bits(pair):
+            return float(pair[0]).hex(), float(pair[1]).hex()
+
+        pairs = list(zip(p.cells, p.cells[::-1]))
+        grid = [0.5, -0.9999, 0.0, 0.9999, 0.5, -0.3]
+        for rho, row in zip(grid, pair_sums(pairs, grid)):
+            total = err = 0.0
+            for a, b in pairs:
+                v, e = a.pair_exact(b, rho)
+                total, err = total + v, err + e
+            assert bits(row) == bits((total, err))
+        for rho in (0.5, -0.9999, 0.9999):
+            total = err = 0.0
+            for a, b in pairs:
+                v, e = a.pair_drho_exact(b, rho)
+                total, err = total + v, err + e
+            assert bits(pair_drho_sum(pairs, rho)) == bits((total, err))
+
+    def test_one_call_and_one_mass_per_arc_for_a_whole_grid(self, monkeypatch):
+        sizes, masses = [], []
+        bvn, mass = partitions_module.bivariate_normal_cdf, partitions_module.shifted_sector_mass
+
+        def counted_bvn(a, b, r):
+            sizes.append(np.shape(a))
+            return bvn(a, b, r)
+
+        def counted_mass(*args, **kwargs):
+            masses.append(args)
+            return mass(*args, **kwargs)
+
+        monkeypatch.setattr(partitions_module, "bivariate_normal_cdf", counted_bvn)
+        monkeypatch.setattr(partitions_module, "shifted_sector_mass", counted_mass)
+        p = sector_partition([0.0, 2.0, 4.0]).translated([0.4, -0.3])
+        pairs = list(zip(p.cells, p.cells))
+        assert len(pair_sums(pairs, [0.5, -0.98, 0.9999, 0.2])) == 4
+        panels = sum(len(partitions_module._graded_panels(math.asin(r))) - 1
+                     for r in (0.5, -0.98, 0.9999, 0.2))
+        # 3 cells x 2 x 2 edge-ray pairs; each cell's mass on each side of its pair
+        assert sizes == [(12, 48 * panels)]
+        assert len(masses) == 6
+        sizes.clear()
+        pair_drho_sum(pairs, 0.7)
+        assert sizes == [(12, 1)]
+
+    def test_a_pair_without_a_route_declines_the_sum(self):
+        cones = simplex_cone_partition(4)
+        assert pair_sums(zip(cones.cells, cones.cells), [0.5]) is None
+        assert pair_drho_sum(zip(cones.cells, cones.cells), 0.5) is None
+        mixed = [(HalfSpace([1.0, 0.0], 0.0), HalfSpace([0.0, 1.0], 0.0)),
+                 (HalfSpace([1.0, 0.0], 0.0), Sector2D(0.0, 1.0))]
+        assert pair_sums(mixed, [0.5]) is None
+        assert HalfSpace([1.0, 0.0], 0.0).pair_exact(Sector2D(0.0, 1.0), 0.5) is None
 
     def test_panels_are_graded_toward_the_ends(self):
         counts = {rho: len(partitions_module._graded_panels(math.asin(rho))) - 1

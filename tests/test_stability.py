@@ -9,7 +9,15 @@ from scipy.special import ndtr, ndtri
 
 import noiselab.partitions as partitions_module
 import noiselab.stability as stability_module
-from noiselab.gauss import DomainError, mc_mean, mc_shard_means, sample_correlated_pair
+from noiselab.gauss import (
+    QUADRATURE,
+    ROUNDING,
+    DomainError,
+    bivariate_normal_cdf,
+    mc_mean,
+    mc_shard_means,
+    sample_correlated_pair,
+)
 from noiselab.partitions import (
     Complement,
     ConeCell,
@@ -24,6 +32,7 @@ from noiselab.partitions import (
     halfspace_partition,
     random_orthogonal,
     sector_partition,
+    shifted_sector_pair_stability,
     simplex_cone_partition,
     simplex_generators,
     three_sectors_120,
@@ -40,7 +49,7 @@ from noiselab.stability import (
     sheppard_half_space,
     stability_sweep,
 )
-from noiselab.variation import TranslationField, stability_second_derivative
+from noiselab.variation import TranslationField, hyperstability_probe, stability_second_derivative
 
 PROPELLER_BOUND = 9.0 / (8.0 * math.pi)
 
@@ -437,10 +446,7 @@ class TestSectorPairsOverTheDomain:
     def test_derivative_is_the_richardson_limit(self, a, b, rho):
         # P'(rho) = cos(th) P'(sin th) / cos(th) against Richardson-extrapolated
         # central differences of P with steps h and 2h
-        edges = [partitions_module._sector_edges(*c.sector_decomposition()) for c in (a, b)]
-        theta = math.asin(rho)
-        exact = float(partitions_module._plackett_integrand(*edges, np.array([theta]))[0][0]
-                      / math.cos(theta))
+        exact = a.pair_drho_exact(b, rho)[0]
         h = 0.01 * (1.0 - abs(rho))
 
         def central(step):
@@ -576,6 +582,103 @@ class TestStabilitySweep:
         p = SWEEP_PARTITIONS["shifted-cones-R3"]
         b = bilinear_stability(p, p, 0.4, 140_000, seed=10, threads=2, mode="monte-carlo")
         assert b == partition_stability(p, 0.4, 140_000, seed=10, threads=2, mode="monte-carlo")
+
+
+def _bits(value, error):
+    return float(value).hex(), float(error).hex()
+
+
+def _one_pair_sum(p, q, rho):
+    """sum over the cell pairs (p_i, q_i), in order from 0.0, of the one-pair
+    one-rho rule: shifted_sector_pair_stability for sector pairs, and for
+    half-space pairs the scalar bivariate normal CDF with the error figure
+    2 ROUNDING (Phi(a) + Phi(b)); as the bits of (value, error)."""
+    total = err = 0.0
+    for a, b in zip(p.cells, q.cells):
+        ha, hb = a.halfspace(), b.halfspace()
+        if ha is not None and hb is not None:
+            (na, oa), (nb, ob) = ha, hb
+            v = bivariate_normal_cdf(oa, ob, rho * float(np.clip(na @ nb, -1.0, 1.0)))
+            e = 2.0 * ROUNDING * float(ndtr(oa) + ndtr(ob))
+        else:
+            v, e = shifted_sector_pair_stability(*a.sector_decomposition(),
+                                                 *b.sector_decomposition(), rho)
+        total, err = total + v, err + e
+    return _bits(total, err)
+
+
+PAIR_RULE_PARTITIONS = {
+    "shifted-apex": sector_partition([0.0, 2.0, 4.0]).translated([0.4, -0.3]),
+    "narrow-arc": sector_partition([0.3, 0.3 + 1e-3]).translated([0.2, 0.1]),
+    "arc-wider-than-pi": sector_partition([0.5, 4.5]).translated([-0.6, 0.25]),
+    "shifted-cones-x-R2": cylinder_extend(simplex_cone_partition(3).translated([0.3, -0.2]), 2),
+    "half-spaces": halfspace_partition([1.0, 2.0, -0.5], 0.3),
+    "half-space-and-sector": PartitionSpec([ConeCell([[1.0, 0.0], [-1.0, 0.0]], 0),
+                                            Sector2D(math.pi / 2, 3 * math.pi / 2)]),
+}
+#: unsorted, mixed-sign, with a duplicate, 0 and +-0.9999
+PAIR_RULE_GRID = [0.5, -0.9999, 0.0, 0.3, 0.9999, -0.4, 0.5]
+
+
+class TestBatchedPairRule:
+    """The deterministic rows of a sweep come from one batched pair-rule call
+    and equal the one-pair one-rho rule, value and error, to the bit."""
+
+    @pytest.mark.parametrize("name", sorted(PAIR_RULE_PARTITIONS))
+    def test_sweep_rows_are_the_one_pair_rule(self, name):
+        p = PAIR_RULE_PARTITIONS[name]
+        rows = stability_sweep(p, PAIR_RULE_GRID)
+        for rho, row in zip(PAIR_RULE_GRID, rows):
+            one = partition_stability(p, rho)
+            assert _bits(row.value, row.std_error) == _bits(one.value, one.std_error)
+            assert row == one
+            quad = partition_stability_quadrature(p, rho)
+            assert _bits(quad.value, quad.std_error) == _one_pair_sum(p, p, rho)
+            if rho != 0.0:  # rho = 0 sums the squared closed-form measures
+                assert row.method == QUADRATURE
+                assert _bits(row.value, row.std_error) == _one_pair_sum(p, p, rho)
+
+    @pytest.mark.parametrize("p, q", [
+        (sector_partition([0.0, 2.0, 4.0]), sector_partition([0.3, 2.3, 4.3])),
+        (sector_partition([0.3, 0.3 + 1e-3]), sector_partition([1.0, 1.0 + 1e-3])),
+        (simplex_cone_partition(3), three_sectors_120()),
+    ], ids=["shifted-boundaries", "narrow-and-wide", "cones-and-sectors"])
+    def test_bilinear_pair_is_the_one_pair_rule(self, p, q):
+        for rho in PAIR_RULE_GRID:
+            b = bilinear_stability(p, q, rho)
+            assert b.method == QUADRATURE
+            assert _bits(b.value, b.std_error) == _one_pair_sum(p, q, rho)
+
+    def test_one_bivariate_normal_call_per_sweep(self, monkeypatch):
+        calls = []
+        original = partitions_module.bivariate_normal_cdf
+
+        def counted(*args):
+            calls.append(np.shape(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(partitions_module, "bivariate_normal_cdf", counted)
+        p = PAIR_RULE_PARTITIONS["shifted-apex"]
+        grid = [0.9, -0.5, 0.2, -0.98, 0.7, 0.9999, -0.3]
+        rows = stability_sweep(p, grid)
+        # 3 cells x 2 x 2 edge-ray pairs against the 16 + 32 nodes of every row's panels
+        nodes = sum(48 * (len(partitions_module._graded_panels(math.asin(r))) - 1) for r in grid)
+        assert calls == [(12, nodes)]
+        assert [r.method for r in rows] == [QUADRATURE] * len(grid)
+
+    def test_drho_is_one_integrand_call_per_stencil_point(self, monkeypatch):
+        # the mixed derivative's 4 stencil points and the second derivative's 5
+        calls = []
+        original = partitions_module._plackett_integrand
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(partitions_module, "_plackett_integrand", counted)
+        hyperstability_probe(simplex_cone_partition(3), 0.5, TranslationField([1.0, 0.3]),
+                             mode="quadrature", volume_policy="skip")
+        assert len(calls) == 9
 
 
 _SHIFTED_R3 = SWEEP_PARTITIONS["shifted-cones-R3"]
