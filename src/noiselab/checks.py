@@ -197,7 +197,8 @@ def _propeller(seed, budget):
 
 
 def _gaussian_core(seed, budget):
-    x, y = sample_correlated_pair(0.7, 3, 400_000, seed=seed)
+    # E[X_0 Y_0] reads one coordinate, so the pairs are drawn in R^1
+    x, y = sample_correlated_pair(0.7, 1, 400_000, seed=seed)
     hp = halfspace_partition([1.0, 0.0], 0.0).cells[0]
     u, w = np.array([0.3, -0.1]), np.array([0.2, 0.5])
     return [

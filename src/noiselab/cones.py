@@ -14,8 +14,8 @@ grad gamma_3 = -x gamma_3, the divergence theorem gives the moment
 
     E[X 1_C] = -sum_F n_F (integral of gamma_3 over F) = -sum_F n_F alpha_F / (2 pi)^(3/2).
 
-No special function is needed.  The cells reach these forms through
-:meth:`noiselab.partitions.SetSpec.cone_normals`.
+No special function is needed.  A cell whose constraints span three
+directions reaches these forms through its :class:`noiselab.partitions.Shape`.
 """
 
 from __future__ import annotations

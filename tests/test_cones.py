@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from noiselab.cones import central_cone
 from noiselab.gauss import ou_apply
 from noiselab.partitions import (
     ConeCell,
@@ -112,24 +113,33 @@ class TestElementaryCones:
     def test_wedge_is_half_of_two_half_spaces(self, seed):
         # facets are half-planes of wedge angle pi, so the moment is half the
         # sum of the two half-spaces' moments, and the measure is the dihedral
-        # angle over 2 pi
+        # angle over 2 pi.  The cone cell over these normals is planar and
+        # takes the sector route, which agrees within both errors
         n = _random_normals(np.random.default_rng([51, seed]), 2)
-        cell = _cone(n)
-        assert cell.halfspace() is None and cell.cone_normals().shape == (2, 3)
+        measure, err, moment, moment_err = central_cone(n)
         dihedral = math.pi - math.acos(float(n[0] @ n[1]))
-        _assert_close(*_measure(cell), dihedral / (2 * math.pi), slack=1e-16)
+        _assert_close(measure, err, dihedral / (2 * math.pi), slack=1e-16)
         halves = [HalfSpace(v, 0.0).moment_exact() for v in n]
         oracle = 0.5 * (halves[0][0] + halves[1][0])
-        _assert_close(*_moment(cell), oracle, slack=halves[0][1] + halves[1][1])
+        _assert_close(moment, moment_err, oracle, slack=halves[0][1] + halves[1][1])
+        cell = _cone(n)
+        assert cell.halfspace() is None and cell.cone_normals() is None
+        (v, e), (m, me) = _measure(cell), _moment(cell)
+        assert abs(v - measure) <= e + err and np.all(np.abs(m - moment) <= me + moment_err)
 
     def test_half_space_through_parallel_normals(self):
-        # z_1 - z_0 and z_2 - z_0 point the same way: one facet, counted once
+        # z_1 - z_0 and z_2 - z_0 point the same way: one facet, counted once,
+        # by the cone rule and by the sector route the planar cell takes
         u = np.array([0.3, -0.4, 1.2])
+        normals = np.stack([u, 2.5 * u]) / np.linalg.norm(np.stack([u, 2.5 * u]), axis=1)[:, None]
+        measure, err, moment, moment_err = central_cone(normals)
+        (m_hs, e_hs) = HalfSpace(u, 0.0).moment_exact()
+        _assert_close(measure, err, 0.5)
+        _assert_close(moment, moment_err, m_hs, slack=e_hs)
         cell = ConeCell([np.zeros(3), u, 2.5 * u], 0)
         assert cell.halfspace() is None
-        (m_hs, e_hs) = HalfSpace(u, 0.0).moment_exact()
-        _assert_close(*_measure(cell), 0.5)
-        _assert_close(*_moment(cell), m_hs, slack=e_hs)
+        (v, e), (m, me) = _measure(cell), _moment(cell)
+        assert abs(v - 0.5) <= e and np.all(np.abs(m - m_hs) <= me + e_hs)
 
     def test_two_generators_take_the_half_space_route(self):
         u = np.array([0.3, -0.4, 1.2])
@@ -233,7 +243,7 @@ class TestInvariance:
             assert np.array_equal(ew, np.concatenate([e, [0.0, 0.0]]))
 
     def test_other_kinds_decline(self):
-        cell = ConeCell(np.eye(3), 0)
+        cell = _cone(np.eye(3))
         assert ConeCell(np.eye(4), 0).cone_normals() is None
         assert ConeCell(np.eye(2), 0).cone_normals() is None
         assert cell.translate([0.1, 0.0, 0.0]).cone_normals() is None

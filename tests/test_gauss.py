@@ -32,7 +32,6 @@ from noiselab.gauss import (
 )
 from noiselab.partitions import (
     Complement,
-    ConeCell,
     DilationFlowSet,
     ExplicitCell,
     HalfSpace,
@@ -319,7 +318,7 @@ class TestBatchContract:
         ball = OracleSet(lambda pts: np.sum(pts * pts, axis=1) <= 1.0, 2)
         pts = np.zeros((3, 2))
         assert ball.ou_exact(0.5, pts) is None
-        assert ConeCell(np.eye(3), 0).ou_exact(0.5, np.zeros((3, 3))) is None
+        assert simplex_cone_partition(4).cells[0].ou_exact(0.5, np.zeros((3, 3))) is None
 
     def test_gradient_without_exact_route_raises(self):
         ball = OracleSet(lambda pts: np.sum(pts * pts, axis=1) <= 1.0, 2)
@@ -359,9 +358,9 @@ _RECORDED = [
 
 class TestReductions:
     """The five closed forms (T_rho, its gradient, the measure, the moment and
-    the pair probability), written once against SetSpec.halfspace() and
-    SetSpec.sector_decomposition(), on every cell kind.  The measure and
-    moment of central cones in R^3 (SetSpec.cone_normals()) are tested in
+    the pair probability), written once against the half-space and sector
+    kinds of the cell's shape record, on every cell kind.  The measure and
+    moment of central cones in R^3 (the record's cone kind) are tested in
     test_cones.py."""
 
     @pytest.mark.parametrize("cell", _reduction_cells(), ids=lambda c: type(c).__name__)
@@ -429,7 +428,8 @@ class TestReductions:
     def test_mixed_kinds_decline(self):
         hs, cone = HalfSpace([1.0, 0.0], 0.0), simplex_cone_partition(3).cells[0]
         assert hs.pair_exact(cone, 0.5) is None and cone.pair_exact(hs, 0.5) is None
-        assert ConeCell(np.eye(3), 0).pair_exact(ConeCell(np.eye(3), 0), 0.5) is None
+        cone = simplex_cone_partition(4).cells[0]
+        assert cone.pair_exact(cone, 0.5) is None
 
     @pytest.mark.parametrize("base", [
         HalfSpace([0.6, -0.8], 0.3), HalfSpace([0.2, -0.5, 1.0], -0.4),

@@ -93,13 +93,41 @@ def _cell_references(tree):
 
 
 def test_only_partitions_knows_cell_kinds():
-    # every closed form reaches a cell through SetSpec.halfspace(),
-    # SetSpec.sector_decomposition() and SetSpec.cone_normals(), so no other
-    # module branches on a cell class; __init__ only re-exports the public classes
+    # every closed form reaches a cell through its one Shape record
+    # (SetSpec.shape: a half-space, planar sectors or a central cone in a
+    # frame, with its measure), so no other module branches on a cell class;
+    # __init__ only re-exports the public classes
     found = [f"{p.name}:{line} {name}" for p in SOURCES
              if p.name not in ("partitions.py", "__init__.py")
              for line, name in _cell_references(ast.parse(p.read_text()))]
     assert found == []
+
+
+REDUCTIONS = {"halfspace", "sector_decomposition", "cone_normals"}
+
+
+def _reduction_definitions(tree, module):
+    """(owner, name) of every def or assignment of a reduction name in the body
+    of the module or of one of its classes."""
+    scopes = [(module, tree.body)] + [(n.name, n.body) for n in ast.walk(tree)
+                                      if isinstance(n, ast.ClassDef)]
+    for owner, body in scopes:
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            else:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            yield from ((owner, name) for name in names if name in REDUCTIONS)
+
+
+def test_the_reductions_are_views_written_once():
+    # a cell states its shape once, as its record; halfspace(),
+    # sector_decomposition() and cone_normals() are views on it written on
+    # SetSpec alone.  ConeCell binds its own sector_decomposition only because
+    # perfbench/tracer.py times that view by name on the class
+    found = {d for p in SOURCES for d in _reduction_definitions(ast.parse(p.read_text()), p.stem)}
+    assert found == {("SetSpec", name) for name in REDUCTIONS} | {("ConeCell", "sector_decomposition")}
 
 
 def _functions(tree):

@@ -12,7 +12,12 @@ from scipy import stats
 from scipy.special import log_ndtr, ndtr
 
 import noiselab.partitions as partitions_module
-from noiselab.gauss import DomainError, bivariate_normal_cdf
+from noiselab.gauss import (
+    DomainError,
+    bivariate_normal_cdf,
+    ou_gradient_quadrature,
+    ou_rho_derivative_exact,
+)
 from noiselab.partitions import (
     Complement,
     ConeCell,
@@ -39,13 +44,12 @@ from noiselab.partitions import (
     random_orthogonal,
     sector_partition,
     shifted_sector_mass,
-    shifted_sector_moment,
     shifted_sector_pair_stability,
     simplex_cone_partition,
     simplex_generators,
     three_sectors_120,
 )
-from noiselab.stability import partition_stability
+from noiselab.stability import cell_moment, partition_stability, stability_sweep
 from noiselab.variation import TranslationField, sij_operator
 
 
@@ -172,7 +176,7 @@ class TestShiftedSectorMachinery:
     def test_moment_against_monte_carlo(self):
         apex = np.array([0.3, -0.2])
         alpha, beta = 0.3, 1.9
-        mom = shifted_sector_moment(apex, alpha, beta)
+        mom = Sector2D(alpha, beta).translate(apex).moment_exact()[0]
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2_000_000, 2))
         rel = x - apex
@@ -651,12 +655,27 @@ class TestSectorPairBatching:
         assert len(pair_sums(pairs, [0.5, -0.98, 0.9999, 0.2])) == 4
         panels = sum(len(partitions_module._graded_panels(math.asin(r))) - 1
                      for r in (0.5, -0.98, 0.9999, 0.2))
-        # 3 cells x 2 x 2 edge-ray pairs; each cell's mass on each side of its pair
+        # 3 cells x 2 x 2 edge-ray pairs; each cell's mass once, from its record
         assert sizes == [(12, 48 * panels)]
-        assert len(masses) == 6
+        assert len(masses) == 3
         sizes.clear()
         pair_drho_sum(pairs, 0.7)
         assert sizes == [(12, 1)]
+
+    def test_a_sweep_takes_one_mass_per_cell(self, monkeypatch):
+        # the closed-form measures (the rho = 0 row and the tiling test) and the
+        # pair rule's mass products all read each cell's one cached mass
+        masses, mass = [], partitions_module.shifted_sector_mass
+
+        def counted_mass(*args, **kwargs):
+            masses.append(args)
+            return mass(*args, **kwargs)
+
+        monkeypatch.setattr(partitions_module, "shifted_sector_mass", counted_mass)
+        p = sector_partition([0.0, 2.0, 4.0]).translated([0.4, -0.3])
+        rows = stability_sweep(p, [-0.9, 0.0, 0.5, 0.98])
+        assert [r.samples for r in rows] == [0, 0, 0, 0]
+        assert len(masses) == 3
 
     def test_a_pair_without_a_route_declines_the_sum(self):
         cones = simplex_cone_partition(4)
@@ -671,6 +690,59 @@ class TestSectorPairBatching:
         counts = {rho: len(partitions_module._graded_panels(math.asin(rho))) - 1
                   for rho in (0.0, 0.5, 0.7, 0.98, -0.98, 0.9999)}
         assert counts == {0.0: 1, 0.5: 1, 0.7: 1, 0.98: 3, -0.98: 3, 0.9999: 7}
+
+
+def _turned_simplex3(d, seed):
+    """The cells of simplex_cone_partition(3), their generators embedded in R^d
+    and turned by a random orthogonal Q, with Q."""
+    q = random_orthogonal(d, np.random.default_rng([70, d, seed]))
+    z = np.pad(simplex_cone_partition(3).cells[0].generators, ((0, 0), (0, d - 2))) @ q.T
+    return cone_partition(z), q
+
+
+class TestRotatedPlanarCells:
+    """Planar cone generators turned into R^3 and R^4 take the planar routes,
+    with no sample, and reproduce the planar values within both errors: the
+    cell reads x through the plane Q e_1, Q e_2, so a point x of R^d is the
+    planar point (Q^T x)[:2] and a planar vector v the vector Q (v, 0)."""
+
+    @pytest.mark.parametrize("d, seed", [(3, 0), (3, 1), (4, 0), (4, 1)])
+    def test_cells_match_the_planar_cells(self, d, seed):
+        p, q = _turned_simplex3(d, seed)
+        flat = simplex_cone_partition(3)
+        x = np.random.default_rng([71, d, seed]).standard_normal((5, d))
+        xp = (x @ q)[:, :2]
+        pad = lambda v: np.pad(v, [(0, 0)] * (np.ndim(v) - 1) + [(0, d - 2)])
+        lift, lift_err = (lambda v: pad(v) @ q.T), (lambda e: pad(e) @ np.abs(q).T)
+        for cell, planar in zip(p.cells, flat.cells):
+            est, ref = gaussian_measure(cell, mode="quadrature"), gaussian_measure(planar)
+            assert est.samples == 0 and abs(est.value - ref.value) <= est.std_error + ref.std_error
+            m, (mp, mpe) = cell_moment(cell, mode="quadrature"), planar.moment_exact()
+            assert m.samples == 0
+            assert np.all(np.abs(m.value - lift(mp)) <= m.std_error + lift_err(mpe))
+            for rho in (-0.6, 0.5, 0.95):
+                (t, te), (tp, tpe) = cell.ou_exact(rho, x), planar.ou_exact(rho, xp)
+                assert np.all(np.abs(t - tp) <= te + tpe)
+                g, (gp, gpe) = ou_gradient_quadrature(cell, rho, x), planar.ou_gradient_exact(rho, xp)
+                assert g.samples == 0
+                assert np.all(np.abs(g.value - lift(gp)) <= g.std_error + lift_err(gpe))
+                r, (rp, rpe) = ou_rho_derivative_exact(cell, rho, x), planar.ou_drho_exact(rho, xp)
+                assert r.samples == 0 and np.all(np.abs(r.value - rp) <= r.std_error + rpe)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_stability_matches_the_planar_partition(self, d):
+        p, _ = _turned_simplex3(d, 0)
+        flat = simplex_cone_partition(3)
+        for rho in (-0.9, 0.5, 0.98):
+            est, ref = partition_stability(p, rho, mode="quadrature"), partition_stability(flat, rho)
+            assert est.samples == 0
+            assert abs(est.value - ref.value) <= est.std_error + ref.std_error
+
+    def test_stability_against_monte_carlo(self):
+        p, _ = _turned_simplex3(4, 1)
+        est = partition_stability(p, 0.5, mode="quadrature")
+        mc = partition_stability(p, 0.5, 400_000, seed=72, mode="monte-carlo")
+        assert abs(est.value - mc.value) <= 4 * (mc.std_error + est.std_error)
 
 
 class TestNegationAndRotation:
@@ -901,7 +973,8 @@ class TestSectorClosedForms:
             alpha = rng.uniform(-4.0, 4.0)
             beta = alpha + rng.uniform(0.0, 2 * math.pi)
             _, old = _old_sector_rule(apex, alpha, beta, 96)
-            assert np.max(np.abs(shifted_sector_moment(apex, alpha, beta) - old[0])) <= 1e-13
+            mom = Sector2D(alpha, beta).translate(apex).moment_exact()[0]
+            assert np.max(np.abs(mom - old[0])) <= 1e-13
 
     def test_no_gauss_legendre_table_is_built(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -911,5 +984,5 @@ class TestSectorClosedForms:
         monkeypatch.setattr(partitions_module, "_leggauss", refuse)
         apex = np.array([[0.3, -0.2], [4.0, 0.0]])
         assert shifted_sector_mass(apex, 0.1, 2.0).shape == (2,)
-        assert shifted_sector_moment(apex[0], 0.1, 2.0).shape == (2,)
+        assert Sector2D(0.1, 2.0).translate(apex[0]).moment_exact()[0].shape == (2,)
         assert 0.0 < bivariate_normal_cdf(0.4, -0.3, 0.999) < 1.0

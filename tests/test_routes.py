@@ -14,9 +14,7 @@ from noiselab.partitions import (
     HalfSpace,
     gaussian_measure,
     halfspace_partition,
-    cone_partition,
     simplex_cone_partition,
-    simplex_generators,
     three_sectors_120,
 )
 from noiselab.stability import (
@@ -39,8 +37,8 @@ from noiselab.variation import (
 P2 = simplex_cone_partition(3)      # planar cones: sector routes throughout
 P3 = simplex_cone_partition(4, 3)   # cones in R^3: measures and moments, no T route
 P4 = simplex_cone_partition(5, 4)   # cones in R^4: no deterministic route at all
-# three wedges in R^3, shifted off the origin: no T route and only generic facets
-SHIFTED_WEDGES = cone_partition(simplex_generators(3, 3)).translated([0.2, -0.1, 0.3])
+# four cones in R^3, shifted off the origin: no T route and only generic facets
+SHIFTED_CONES = P3.translated([0.2, -0.1, 0.3])
 HALF = halfspace_partition([1.0, 0.0], 0.2)
 X2 = np.array([0.3, -0.2])
 X3 = np.array([0.3, -0.2, 0.1])
@@ -110,14 +108,15 @@ ENTRY_POINTS = {
     "dilation_eigen_residual-rhs_mode": (
         lambda m: dilation_eigen_residual(P2, 0.5, 0, 1, 2, budget=N, seed=11, rhs_mode=m),
         lambda m: dilation_eigen_residual(P3, 0.5, 0, 1, 2, budget=N, seed=11, rhs_mode=m)),
-    # every two-cell partition with interfaces is made of half-spaces or planar
-    # sectors, so the uncovered input has three cells, shifted so that no facet
-    # is a planar cone (S of a translation would be exact there); every node of
-    # its sampled facets samples S again, hence the smaller budget
+    # every partition with interfaces into two or three cone cells is made of
+    # half-spaces or planar sectors, so the uncovered input has four cells in
+    # R^3, shifted so that no facet is a planar cone (S of a translation would
+    # be exact there); every node of its sampled facets samples S again, hence
+    # the smaller budget
     "second_variation_general": (
         lambda m: second_variation_general(HALF, 0.5, TranslationField([1.0, 0.0]), budget=N,
                                            seed=12, mode=m, volume_policy="skip"),
-        lambda m: second_variation_general(SHIFTED_WEDGES, 0.5, TranslationField([1.0, 0.0, 0.0]),
+        lambda m: second_variation_general(SHIFTED_CONES, 0.5, TranslationField([1.0, 0.0, 0.0]),
                                            budget=N // 10, seed=12, mode=m,
                                            volume_policy="skip")),
     "stability_second_derivative": (
