@@ -8,7 +8,7 @@ the measure-zero interfaces broken toward the lowest cell index.
 
 Interfaces between cells of the polyhedral kinds are finite unions of convex
 pieces of hyperplanes (facets); those of half-space pairs and planar sectors
-are read off the cells' shape records below.  Boundary sampling draws points from the
+are read off the cells' shape records.  Boundary sampling draws points from the
 Gaussian density restricted to each facet, selecting facets proportionally to
 their Gaussian surface mass, and attaches importance weights in units of plain
 surface measure so that
@@ -16,16 +16,11 @@ surface measure so that
     integral_F h(y) dy      ~  sum_k  w_k h(y_k),
     integral_F h(y) gamma dy ~ sum_k  w_k gamma(y_k) h(y_k).
 
-Each cell states its shape once, as a cached :class:`Shape` record: a
-half-space, planar sectors or a central cone, with the data in an orthonormal
-frame the cell depends on alone, and the closed-form measure, computed once.
-Wrapper cells (shifts, complements, cylinders, dilation flows) map their
-base's record.  Every closed form (T_rho of the indicator, its gradient and
-d/drho, the measure, the cell moment and P(X in a, Y in b)) is written once
-in :class:`SetSpec` against the record, and other modules reach cells only
-through these methods.  :meth:`SetSpec.halfspace`,
-:meth:`SetSpec.sector_decomposition` and :meth:`SetSpec.cone_normals` are
-views on the record.
+Every closed form (T_rho of the indicator, its gradient and d/drho, the
+measure, the cell moment and P(X in a, Y in b)) is written once in
+:class:`SetSpec` against the cell's :class:`Shape` record, built once per
+cell; wrapper cells map their base's.  Other modules reach cells only
+through these methods.
 """
 
 from __future__ import annotations
@@ -213,8 +208,8 @@ def _edge_pair_sums(decos, theta):
 
 def _sector_pair_rows(pairs, rhos):
     """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B) and its
-    bound for every pair (A, B) of planar :class:`Shape` records of ``pairs``
-    at every rho of ``rhos``.
+    bound for every pair (A, B) of the sectors of :class:`Shape` records of
+    ``pairs`` at every rho of ``rhos``.
 
     Each rho keeps its own graded panels, and all the rhos' nodes go through
     one integrand call.  Every entry is then reduced exactly as the one-pair
@@ -229,11 +224,11 @@ def _sector_pair_rows(pairs, rhos):
         half = 0.5 * np.diff(cuts)[:, None]
         panels.append((half, 0.5 * (cuts[:-1] + cuts[1:])[:, None]
                        + half * np.concatenate([t16, t32])))
-    sums = _edge_pair_sums([(a.data, b.data) for a, b in pairs],
+    sums = _edge_pair_sums([(a.deco, b.deco) for a, b in pairs],
                            np.concatenate([theta.ravel() for _, theta in panels]))
     values, errors = np.empty((len(pairs), len(rhos))), np.empty((len(pairs), len(rhos)))
     for k, ((a, b), (cell_vals, cell_mags)) in enumerate(zip(pairs, sums)):
-        mass, arcs = a.measure[0] * b.measure[0], len(a.data[1]) + len(b.data[1])
+        mass, arcs = a.sector_mass * b.sector_mass, len(a.deco[1]) + len(b.deco[1])
         lo = 0
         for j, (half, theta) in enumerate(panels):
             vals, mags = (v[lo:lo + theta.size].reshape(theta.shape) * half
@@ -252,9 +247,8 @@ def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
     batch of 16- and 32-node Gauss-Legendre rules on the graded panels, with
     their difference plus the rounding of the terms' magnitudes as the bound.
     The one-pair one-rho case of :func:`_sector_pair_rows`."""
-    plane = Frame(np.eye(2))
-    values, errors = _sector_pair_rows([(Shape("sectors", plane, (apex_a, arcs_a)),
-                                         Shape("sectors", plane, (apex_b, arcs_b)))], [rho])
+    pair = (Shape(deco=(apex_a, arcs_a)), Shape(deco=(apex_b, arcs_b)))
+    values, errors = _sector_pair_rows([pair], [rho])
     return float(values[0, 0]), float(errors[0, 0])
 
 
@@ -288,20 +282,20 @@ def _halfspace_pair_drho(ha, hb, rho: float):
 
 def _pair_routes(pairs):
     """(kind, data) per cell pair (a, b), on the routes of
-    :meth:`SetSpec.pair_exact` and in its order: ("halfspace", the two (normal,
-    offset)) when both records are half-spaces, else ("sector", the two
-    :attr:`Shape.planar` records) when both cells are planar sectors in one
-    frame; None when some pair has neither."""
+    :meth:`SetSpec.pair_exact` and in its order: ("halfspace", (a.halfspace(),
+    b.halfspace())) when both are half-spaces, else ("sector", (a.shape,
+    b.shape)) when both are unions of sectors in one plane; None when some
+    pair has neither."""
     routes = []
     for a, b in pairs:
-        sa, sb = a.shape, b.shape
-        if sa.kind == sb.kind == "half-space":
-            routes.append(("halfspace", (sa.data, sb.data)))
+        ha, hb = a.halfspace(), b.halfspace()
+        if ha is not None and hb is not None:
+            routes.append(("halfspace", (ha, hb)))
             continue
-        pa, pb = sa.planar, sb.planar
-        if pa is None or pb is None or not np.array_equal(pa.frame.rows, pb.frame.rows):
+        sa, sb = a.shape, b.shape
+        if sa.deco is None or sb.deco is None or not np.array_equal(sa.plane, sb.plane):
             return None
-        routes.append(("sector", (pa, pb)))
+        routes.append(("sector", (sa, sb)))
     return routes
 
 
@@ -340,13 +334,12 @@ def pair_sums(pairs, rhos):
     return None if rows is None else [_summed(zip(v, e)) for v, e in zip(rows[0].T, rows[1].T)]
 
 
-def _sector_pair_drho(pairs, rho: float):
-    """(values, errors): d/drho P(X in A, Y in B) and its bound for every pair
-    (A, B) of planar records of ``pairs``, the Plackett integrand at theta =
-    arcsin(rho) over cos(theta) and the rounding of its terms' magnitudes, from
-    one integrand call."""
+def _sector_pair_drho(decos, rho: float):
+    """(values, errors): d/drho P(X in A, Y in B) and its bound for every sector
+    pair (A, B) of ``decos``, the Plackett integrand at theta = arcsin(rho) over
+    cos(theta) and the rounding of its terms' magnitudes, from one integrand call."""
     theta = math.asin(rho)
-    sums = _edge_pair_sums([(a.data, b.data) for a, b in pairs], np.array([theta]))
+    sums = _edge_pair_sums(decos, np.array([theta]))
     return ([float(v[0]) / math.cos(theta) for v, _ in sums],
             [ROUNDING * float(m[0]) / math.cos(theta) for _, m in sums])
 
@@ -360,7 +353,7 @@ def pair_drho_sum(pairs, rho: float):
     routes = _pair_routes(list(pairs))
     if routes is None:
         return None
-    sectors = [data for kind, data in routes if kind == "sector"]
+    sectors = [(a.deco, b.deco) for kind, (a, b) in routes if kind == "sector"]
     sector_terms = zip(*_sector_pair_drho(sectors, rho)) if sectors else iter(())
     return _summed(_halfspace_pair_drho(*data, rho) if kind == "halfspace" else next(sector_terms)
                    for kind, data in routes)
@@ -370,122 +363,85 @@ def pair_drho_sum(pairs, rho: float):
 # cells
 
 
-class Frame:
-    """Orthonormal rows e_1, ..., e_k of R^d.  On the leading coordinate axes
-    frame coordinates are a slice and lifts a zero padding, so cells there keep
-    the bits of plain coordinates."""
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
-        self.axes = np.array_equal(self.rows, np.eye(*self.rows.shape))
-
-    def coords(self, x):
-        """(<e_1, x>, ..., <e_k, x>) of a point or of each row of a batch."""
-        return x[..., :len(self.rows)] if self.axes else x @ self.rows.T
-
-    def lift(self, v):
-        """The vector of R^d with frame coordinates v, or one per row of v."""
-        (k, d), edge = self.rows.shape, [(0, 0)] * (np.ndim(v) - 1)
-        return np.pad(v, edge + [(0, d - k)]) if self.axes else v @ self.rows
-
-
-def _family_plane(z) -> Frame | None:
-    """The plane of every cone over the generators z, which read x only through
-    the z_j - z_0: the first two axes when those vanish outside them, else the
-    two leading right singular vectors when the third singular value is within
-    rounding of 0, else None.  One family gives one plane, to the bit."""
-    diff = z - z[0]
-    if z.shape[1] < 2:
-        return None
-    if not np.any(diff[:, 2:]):
-        return Frame(np.eye(2, z.shape[1]))
-    _, sv, vt = np.linalg.svd(diff)
-    return Frame(vt[:2]) if sv.size < 3 or sv[2] <= ROUNDING * sv[0] else None
+def _plane_coords(plane, x):
+    """The coordinates of a point, or of each row of a batch, in ``plane``."""
+    return x[..., :2] if plane is None else x @ plane.T
 
 
 @dataclass(frozen=True, eq=False)
 class Shape:
-    """A cell's shape, built once per cell as :attr:`SetSpec.shape`.  By ``kind``:
+    """A cell's shape, built once per cell as :attr:`SetSpec.shape`: each
+    description that holds of it, None where one does not, tried in this order
+    by every closed form.
 
-    - "half-space": ``data`` (n, a), the cell {x: <n, x> <= a}, n a unit vector
-      (0 with a = +-inf for R^d and the empty cell); ``frame`` is the plane
-      it lies in as a half-plane (:attr:`planar`), or None;
-    - "sectors": ``data`` (apex, arcs), the union over the arcs (alpha, beta) of
-      {apex + r (cos t, sin t): r >= 0, alpha <= t <= beta} in ``frame``, a plane;
-    - "cone": ``data`` the (k, 3) outward unit normals N of {u: N u <= 0} in
-      ``frame``, the first three axes."""
+    - ``hs``: (n, a), the half-space {x: <n, x> <= a}, n a unit vector (0
+      with a = +-inf for R^d and the empty cell);
+    - ``deco``: (apex, arcs), the union over the arcs (alpha, beta) of the
+      sectors {apex + r (cos t, sin t): r >= 0, alpha <= t <= beta} in the
+      coordinates of ``plane``, orthonormal (2, d) rows, or of the first two
+      axes when None;
+    - ``normals``: the (k, 3) outward unit normals N of the central cone
+      {x: N x[:3] <= 0}."""
 
-    kind: str
-    frame: Frame | None
-    data: tuple | np.ndarray
+    hs: tuple | None = None
+    deco: tuple | None = None
+    plane: np.ndarray | None = None
+    normals: np.ndarray | None = None
 
     @functools.cached_property
     def measure(self):
-        """(gamma(cell), error bound), or None for a cone whose arcs do not close."""
-        if self.kind == "half-space":
-            return float(ndtr(self.data[1])), 1e-15
-        if self.kind == "sectors":
-            apex, arcs = self.data
-            return sum(shifted_sector_mass(apex, a, b) for a, b in arcs), SECTOR_MASS_ERR
-        return None if self.cone is None else self.cone[:2]
+        """(gamma(cell), error bound) of the first description, or None; a
+        central cone's also carries its moment and bound."""
+        if self.hs is not None:
+            return float(ndtr(self.hs[1])), 1e-15
+        if self.deco is not None:
+            return self.sector_mass, SECTOR_MASS_ERR
+        return None if self.normals is None else central_cone(self.normals)
 
     @functools.cached_property
-    def cone(self):
-        """:func:`noiselab.cones.central_cone` of a cone's normals, else None."""
-        return central_cone(self.data) if self.kind == "cone" else None
-
-    @functools.cached_property
-    def planar(self) -> "Shape | None":
-        """The cell as planar sectors, else None: the record itself, or for a
-        half-plane one arc of width pi at the foot of its normal (the whole
-        plane for R^d)."""
-        if self.kind == "sectors":
-            return self
-        if self.kind == "cone" or self.frame is None or self.data[1] == -math.inf:
-            return None
-        n, a = self.data
-        nf = self.frame.coords(n)
-        apex = a * nf if math.isfinite(a) else np.zeros(2)
-        return Shape("sectors", self.frame, (apex, [feasible_arc(-nf[None, :])]))
-
-
-_NO_SHAPE = Shape(None, None, None)  # no closed form: measure, cone and planar are None
+    def sector_mass(self) -> float:
+        """The Gaussian measure of the union of ``deco``'s sectors."""
+        return sum(shifted_sector_mass(self.deco[0], a, b) for a, b in self.deco[1])
 
 
 class SetSpec:
     """Base class for measurable cells.  Subclasses are immutable and state
     their shape once, as the :class:`Shape` record :attr:`shape`, which a
-    wrapper cell maps from its base's.  Each closed form below is written once
-    against the record's kind, and declines with None where none applies; the
-    moment, grad T_rho and d/drho T_rho all read :meth:`_shifted_moment`, the
-    moment at the shifted apex.  A central cone has its measure and moment,
-    but nothing at rho != 0.  :meth:`halfspace`, :meth:`sector_decomposition`
-    and :meth:`cone_normals` are views on the record."""
+    wrapper cell maps from its base's.  :meth:`halfspace`,
+    :meth:`sector_decomposition` and :meth:`cone_normals` are views on it.
+    Each closed form below is written once against them, tried in that order,
+    and declines with None where none applies.  The moment, grad T_rho and
+    d/drho T_rho all read :meth:`_shifted_moment`, the moment at the shifted
+    apex.  A central cone in R^3 has its measure and moment, but nothing at
+    rho != 0."""
 
     dim: int
-    shape: Shape = _NO_SHAPE
+    shape = Shape()
 
-    def contains(self, points) -> np.ndarray:
-        raise NotImplementedError
+    def contains(self, points):
+        """A point's membership, or each row's of a batch, by ``_member`` on batches."""
+        pts = np.asarray(points, dtype=float)
+        out = self._member(np.atleast_2d(pts))
+        return bool(out[0]) if pts.ndim == 1 else out
 
     def halfspace(self):
         """(unit normal, offset) when the cell is {x: <normal, x> <= offset},
         else None.  R^d is (0, +inf) and the empty set (0, -inf)."""
-        return self.shape.data if self.shape.kind == "half-space" else None
+        return self.shape.hs
 
     def sector_decomposition(self):
         """(apex, [(alpha, beta), ...]) when the cell is a union of planar
-        sectors in its frame coordinates (:attr:`Shape.planar`), else None."""
-        return None if self.shape.planar is None else self.shape.planar.data
+        sectors in its record's plane (times its orthogonal complement), else None."""
+        return self.shape.deco
 
     def cone_normals(self):
         """(k, 3) outward unit normals N when the cell is the central cone
         {x: N x[:3] <= 0} (times R^(d-3)), else None."""
-        return self.shape.data if self.shape.kind == "cone" else None
+        return self.shape.normals
 
     def gaussian_measure_exact(self):
         """(value, error_bound) of the record's closed-form measure, else None."""
-        return self.shape.measure
+        return None if self.shape.measure is None else self.shape.measure[:2]
 
     def ou_exact(self, rho: float, x: np.ndarray):
         """(T_rho 1_set(x), error_bound) when a deterministic route exists.
@@ -494,17 +450,19 @@ class SetSpec:
         point and n values for a batch.  At rho = 0 a central cone gives its
         measure, the solid angle over 4 pi.
         """
-        s, sig = self.shape, math.sqrt((1.0 - rho) * (1.0 + rho))  # no cancellation as |rho| -> 1
-        if s.kind == "half-space":
-            n, a = s.data
+        sig = math.sqrt((1.0 - rho) * (1.0 + rho))  # no cancellation as |rho| -> 1
+        hs = self.halfspace()
+        if hs is not None:
+            n, a = hs
             val = ndtr((a - rho * (np.asarray(x, dtype=float) @ n)) / sig)
             return (float(val) if np.ndim(val) == 0 else val), 1e-15
-        if s.kind == "sectors":
-            apex, arcs = s.data
-            q = (apex - rho * s.frame.coords(np.asarray(x, dtype=float))) / sig
+        deco = self.sector_decomposition()
+        if deco is not None:
+            apex, arcs = deco
+            q = (apex - rho * _plane_coords(self.shape.plane, np.asarray(x, dtype=float))) / sig
             return sum(shifted_sector_mass(q, a, b) for a, b in arcs), SECTOR_MASS_ERR
-        if rho == 0.0 and s.measure is not None:
-            value, err = s.measure
+        if rho == 0.0 and self.shape.measure is not None:
+            value, err = self.shape.measure[:2]
             return (value if np.ndim(x) == 1 else np.full(len(x), value)), err
         return None
 
@@ -520,18 +478,17 @@ class SetSpec:
         lambda(c) = phi(c)/Phi(-c) <= (c + sqrt(c^2 + 4))/2, and D's factor by
         s |rho|/sigma^2; an underflowing density is off by the smallest normal."""
         sig, x = math.sqrt(sig2 := (1 - rho) * (1 + rho)), np.asarray(x, dtype=float)
-        shape = self.shape
-        if shape.kind == "half-space":
-            (n, a), xr, lam = shape.data, x, 0
+        if (hs := self.halfspace()) is not None:
+            (n, a), xr, lam = hs, x, 0
             # clipped so that R^d and the empty cell (offsets +-inf) give phi(d) = 0 at a finite d
             d = np.clip((rho * np.einsum("...j,j->...", x, n) - a) / sig, -TRUNCATION_RADIUS,
                         TRUNCATION_RADIUS)[..., None]
             normals, terms, apex = -n[None, :], norm_pdf(d), abs(a) if math.isfinite(a) else 0
-        elif shape.kind == "sectors":
-            (q, arcs), xr = shape.data, shape.frame.coords(x)
-            t, s, c, d = _sector_edges((q - rho * xr) / sig, arcs)
-            normals = shape.frame.lift(np.stack([-np.sin(t), np.cos(t)], axis=1))
-            apex = math.hypot(*q)
+        elif (deco := self.sector_decomposition()) is not None:
+            xr, apex = _plane_coords(plane := self.shape.plane, x), math.hypot(*deco[0])
+            t, s, c, d = _sector_edges((deco[0] - rho * xr) / sig, deco[1])
+            normals = np.stack([-np.sin(t), np.cos(t)] + [np.zeros_like(t)] * (self.dim - 2), axis=1)
+            normals = normals if plane is None else normals[:, :2] @ plane  # lifted from the plane
             terms, lam = s * norm_pdf(d) * ndtr(-c), (c + np.sqrt(c * c + 4)) / 2
         else:
             return None
@@ -560,12 +517,12 @@ class SetSpec:
     def moment_exact(self):
         """(integral of x * gamma_d(x) over the cell, componentwise error bound)
         in closed form, else None: M of :meth:`_shifted_moment` at rho = 0, or
-        the central cone's moment lifted from its frame."""
+        the central cone's moment in R^3."""
         res = self._shifted_moment(0.0, np.zeros(self.dim))
         if res is not None:
             return res[:2]
-        cone = self.shape.cone
-        return None if cone is None else tuple(self.shape.frame.lift(v) for v in cone[2:])
+        m = self.shape.measure
+        return None if m is None else tuple(np.pad(v, (0, self.dim - 3)) for v in m[2:])
 
     def pair_exact(self, other: "SetSpec", rho: float):
         """(P(X in self, Y in other), error_bound) for a rho-correlated pair
@@ -591,12 +548,6 @@ class SetSpec:
     def to_json(self) -> dict:
         raise DomainError(f"{type(self).__name__} does not serialize")
 
-    def _pts(self, points) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim == 1:
-            return arr[None, :], True
-        return arr, False
-
 
 class HalfSpace(SetSpec):
     """{x: <normal, x> <= offset}; the normal is stored as a unit vector."""
@@ -610,14 +561,12 @@ class HalfSpace(SetSpec):
         self.offset = float(offset) / nn
         self.dim = n.shape[0]
 
-    def contains(self, points):
-        pts, single = self._pts(points)
-        out = pts @ self.normal <= self.offset
-        return bool(out[0]) if single else out
+    def _member(self, pts):
+        return pts @ self.normal <= self.offset
 
     @functools.cached_property
     def shape(self):
-        return Shape("half-space", None, (self.normal, self.offset))
+        return Shape((self.normal, self.offset))
 
     def translate(self, t):
         return HalfSpace(self.normal, self.offset + float(self.normal @ np.asarray(t, float)))
@@ -634,10 +583,7 @@ class HalfSpace(SetSpec):
 
 class ConeCell(SetSpec):
     """Cell i of the maximal-inner-product partition over a generator family:
-    {x: <x, z_i> = max_j <x, z_j>}.  Its record is a half-space when one
-    distinct z_j - z_i is left, else sectors in the family's plane
-    (:func:`_family_plane`) when it has one, else a central cone when the
-    z_j - z_i vanish outside the first three coordinates."""
+    {x: <x, z_i> = max_j <x, z_j>}."""
 
     def __init__(self, generators, index: int):
         z = np.asarray(generators, dtype=float)
@@ -649,48 +595,33 @@ class ConeCell(SetSpec):
         self.index = int(index)
         self.dim = z.shape[1]
 
-    def contains(self, points):
-        pts, single = self._pts(points)
+    def _member(self, pts):
         dots = pts @ self.generators.T
-        out = dots[:, self.index] >= dots.max(axis=1)
-        return bool(out[0]) if single else out
-
-    @functools.cached_property
-    def _outward(self):
-        """The nonzero z_j - z_i: the cell is {x: <x, w> <= 0} for each row w
-        (z_i itself, and any generator identical to it, constrains nothing)."""
-        w = self.generators - self.generators[self.index]
-        return w[np.any(w != 0.0, axis=1)]
-
-    @functools.cached_property
-    def _plane(self):
-        return _family_plane(self.generators)
-
-    @functools.cached_property
-    def _arc(self):
-        """The cell's arc in the family's plane, or None when it is a line or empty."""
-        z = self.generators
-        return feasible_arc(self._plane.coords(z[self.index] - np.delete(z, self.index, axis=0)))
+        return dots[:, self.index] >= dots.max(axis=1)
 
     @functools.cached_property
     def shape(self):
-        w, plane = self._outward, self._plane
-        if w.shape[0] == 0:
-            return Shape("half-space", plane, (np.zeros(self.dim), math.inf))
-        if not np.any(w != w[0]):
-            return Shape("half-space", plane, (w[0] / float(np.linalg.norm(w[0])), 0.0))
-        if plane is not None and self._arc is not None:
-            return Shape("sectors", plane, (np.zeros(2), [self._arc]))
-        if self.dim < 3 or np.any(w[:, 3:]):
-            return _NO_SHAPE
-        return Shape("cone", Frame(np.eye(3, self.dim)),
-                     w[:, :3] / np.linalg.norm(w[:, :3], axis=1, keepdims=True))
+        """A half-space when one distinct z_j - z_i is left; sectors at the
+        origin over the cell's arc when the family's z_j - z_0, through which
+        every cell reads x, span at most a plane: the first two axes when they
+        vanish outside them, else their two leading right singular vectors;
+        else, in R^3, a central cone."""
+        z, i = self.generators, self.index
+        w = z - z[i]
+        w = w[np.any(w != 0.0, axis=1)]  # z_i, and any generator equal to it, constrains nothing
+        hs = (w[0] / float(np.linalg.norm(w[0])), 0.0) if len(w) else (np.zeros(self.dim), math.inf)
+        diff, plane, planar = z - z[0], None, self.dim >= 2
+        if planar and np.any(diff[:, 2:]):
+            _, sv, vt = np.linalg.svd(diff)
+            plane, planar = vt[:2], sv.size < 3 or sv[2] <= ROUNDING * sv[0]
+        arc = feasible_arc(_plane_coords(plane, z[i] - np.delete(z, i, axis=0))) if planar else None
+        deco = None if arc is None else (np.zeros(2), [arc])
+        cone = self.dim == 3 and deco is None
+        return Shape(None if np.any(w != w[:1]) else hs, deco, plane,
+                     w / np.linalg.norm(w, axis=1, keepdims=True) if cone else None)
 
     # a view of its own on this class: the benchmark's tracer times it by this name
     sector_decomposition = SetSpec.sector_decomposition
-
-    def translate(self, t):
-        return ShiftedSet(self, np.asarray(t, dtype=float))
 
     def negate(self):
         return ConeCell(-self.generators, self.index)
@@ -716,16 +647,14 @@ class Sector2D(SetSpec):
         self.end = float(end_angle)
         self.dim = 2
 
-    def contains(self, points):
-        pts, single = self._pts(points)
+    def _member(self, pts):
         ang = np.arctan2(pts[:, 1], pts[:, 0])
         rel = np.mod(ang - self.start, _TWO_PI)
-        out = rel < (self.end - self.start)
-        return bool(out[0]) if single else out
+        return rel < (self.end - self.start)
 
     @functools.cached_property
     def shape(self):
-        return Shape("sectors", Frame(np.eye(2)), (np.zeros(2), [(self.start, self.end)]))
+        return Shape(deco=(np.zeros(2), [(self.start, self.end)]))
 
     def negate(self):
         return Sector2D(self.start + math.pi, self.end + math.pi)
@@ -748,18 +677,17 @@ class ExplicitCell(SetSpec):
         else:
             raise DomainError("dimension required for the unconstrained cell")
 
-    def contains(self, points):
-        pts, single = self._pts(points)
+    def _member(self, pts):
         out = np.ones(pts.shape[0], dtype=bool)
         for h in self.halfspaces:
             out &= pts @ h.normal <= h.offset
-        return bool(out[0]) if single else out
+        return out
 
     @functools.cached_property
     def shape(self):
         if not self.halfspaces:
-            return Shape("half-space", None, (np.zeros(self.dim), math.inf))
-        return self.halfspaces[0].shape if len(self.halfspaces) == 1 else _NO_SHAPE
+            return Shape((np.zeros(self.dim), math.inf))
+        return self.halfspaces[0].shape if len(self.halfspaces) == 1 else Shape()
 
     def translate(self, t):
         return ExplicitCell([h.translate(t) for h in self.halfspaces], dim=self.dim)
@@ -788,18 +716,15 @@ class ProductWithR(SetSpec):
         self.extra = int(extra_dims)
         self.dim = base.dim + self.extra
 
-    def contains(self, points):
-        pts, single = self._pts(points)
-        out = self.base.contains(pts[:, : self.base.dim])
-        return bool(np.atleast_1d(out)[0]) if single else np.atleast_1d(out)
+    def _member(self, pts):
+        return self.base._member(pts[:, : self.base.dim])
 
     @functools.cached_property
     def shape(self):
-        s = self.base.shape
-        data = ((np.concatenate([s.data[0], np.zeros(self.extra)]), s.data[1])
-                if s.kind == "half-space" else s.data)
-        frame = None if s.frame is None else Frame(np.pad(s.frame.rows, ((0, 0), (0, self.extra))))
-        return Shape(s.kind, frame, data)
+        s, hs = self.base.shape, self.base.halfspace()
+        hs = None if hs is None else (np.concatenate([hs[0], np.zeros(self.extra)]), hs[1])
+        plane = None if s.plane is None else np.pad(s.plane, ((0, 0), (0, self.extra)))
+        return Shape(hs, s.deco, plane, s.normals)
 
     def translate(self, t):
         return ProductWithR(self.base.translate(np.asarray(t, float)[: self.base.dim]), self.extra)
@@ -816,20 +741,16 @@ class Complement(SetSpec):
         self.base = base
         self.dim = base.dim
 
-    def contains(self, points):
-        out = self.base.contains(points)
-        return (not out) if isinstance(out, bool) else ~out
+    def _member(self, pts):
+        return ~self.base._member(pts)
 
     @functools.cached_property
     def shape(self):
-        """The flipped half-space, or the complementary arc of one sector."""
-        s = self.base.shape
-        if s.kind == "half-space":
-            return Shape(s.kind, s.frame, (-s.data[0], -s.data[1]))
-        if s.kind != "sectors" or len(s.data[1]) != 1:
-            return _NO_SHAPE
-        apex, [(a, b)] = s.data
-        return Shape(s.kind, s.frame, (apex, [(b, a + _TWO_PI)]))
+        hs, deco = self.base.halfspace(), self.base.sector_decomposition()
+        if deco is not None:
+            apex, arcs = deco
+            deco = (apex, [(arcs[0][1], arcs[0][0] + _TWO_PI)]) if len(arcs) == 1 else None
+        return Shape(None if hs is None else (-hs[0], -hs[1]), deco, self.base.shape.plane)
 
     def translate(self, t):
         return Complement(self.base.translate(t))
@@ -852,22 +773,17 @@ class ShiftedSet(SetSpec):
         self.shift = check_point(shift, base.dim)
         self.dim = base.dim
 
-    def contains(self, points):
-        pts, single = self._pts(points)
-        out = self.base.contains(pts - self.shift)
-        return bool(np.atleast_1d(out)[0]) if single else np.atleast_1d(out)
+    def _member(self, pts):
+        return self.base._member(pts - self.shift)
 
     @functools.cached_property
     def shape(self):
-        """The half-space's offset moved by <n, shift>, or the sectors' apex by
-        the shift's frame coordinates; a shifted cone is not central."""
-        s = self.base.shape
-        if s.kind == "half-space":
-            n, a = s.data
-            return Shape(s.kind, s.frame, (n, a + float(n @ self.shift)))
-        if s.kind != "sectors":
-            return _NO_SHAPE
-        return Shape(s.kind, s.frame, (s.data[0] + s.frame.coords(self.shift), s.data[1]))
+        """The half-space's offset moved by <n, shift>, and the sectors' apex by
+        the shift's coordinates in their plane; a shifted cone is not central."""
+        hs, deco, plane = self.base.halfspace(), self.base.sector_decomposition(), self.base.shape.plane
+        hs = None if hs is None else (hs[0], hs[1] + float(hs[0] @ self.shift))
+        deco = None if deco is None else (deco[0] + _plane_coords(plane, self.shift), deco[1])
+        return Shape(hs, deco, plane)
 
     def translate(self, t):
         return ShiftedSet(self.base, self.shift + np.asarray(t, dtype=float))
@@ -886,13 +802,8 @@ class OracleSet(SetSpec):
         self.indicator = indicator
         self.dim = int(dim)
 
-    def contains(self, points):
-        pts, single = self._pts(points)
-        out = np.asarray(self.indicator(pts), dtype=bool)
-        return bool(out[0]) if single else out
-
-    def translate(self, t):
-        return ShiftedSet(self, np.asarray(t, dtype=float))
+    def _member(self, pts):
+        return np.asarray(self.indicator(pts), dtype=bool)
 
     def negate(self):
         return OracleSet(lambda pts: self.indicator(-pts), self.dim)
@@ -911,19 +822,17 @@ class DilationFlowSet(SetSpec):
         self.s = float(s)
         self.dim = base.dim
 
-    def contains(self, points):
-        pts, single = self._pts(points)
+    def _member(self, pts):
         factor = 1.0 + self.s * pts[:, -1]
         factor = np.maximum(factor, 1e-9)
-        out = self.base.contains(pts / factor[:, None])
-        return bool(np.atleast_1d(out)[0]) if single else np.atleast_1d(out)
+        return self.base._member(pts / factor[:, None])
 
     @functools.cached_property
     def shape(self):
         # cones with apex at the origin are flow-invariant
-        planar = self.base.shape.planar
-        centred = planar is not None and float(np.linalg.norm(planar.data[0])) < 1e-12
-        return planar if centred else _NO_SHAPE
+        deco = self.base.sector_decomposition()
+        centred = deco is not None and float(np.linalg.norm(deco[0])) < 1e-12
+        return Shape(deco=deco, plane=self.base.shape.plane) if centred else Shape()
 
 
 # ---------------------------------------------------------------------------
@@ -1236,7 +1145,7 @@ class PartitionSpec:
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
         if self.argmax_form is not None:
-            # the inner products of ConeCell.contains on the same coordinates, so
+            # the inner products of ConeCell._member on the same coordinates, so
             # the first maximum is the cell that claims the point first
             z, shift, base_dim = self.argmax_form
             x = pts[:, :base_dim]
@@ -1305,16 +1214,14 @@ class PartitionSpec:
                 base = PartitionSpec([c.base.translate(shift[: c.base.dim]) for c in cells])
                 return [f.extended(extra) for f in base._facets_low(i, j)]
 
-        shapes = [c.shape for c in self.cells]
-        if self.m == 2 and all(s.kind == "half-space" for s in shapes):
+        if self.m == 2 and all(c.halfspace() is not None for c in self.cells):
             # complementary half-spaces {<n, x> <= a} and {<-n, x> <= -a}
-            (n_i, a_i), (n_j, a_j) = shapes[i].data, shapes[j].data
+            (n_i, a_i), (n_j, a_j) = self.cells[i].halfspace(), self.cells[j].halfspace()
             if np.allclose(n_i, -n_j) and abs(a_i + a_j) < 1e-12:
                 return [Facet(n_i, a_i, _tangent_basis(n_i))]
 
         # planar sectors, one arc per cell, around one common apex
-        planar = [s.planar for s in shapes] if self.dim == 2 else [None]
-        decos = [None if p is None else p.data for p in planar]
+        decos = [c.sector_decomposition() for c in self.cells] if self.dim == 2 else [None]
         if all(d is not None and len(d[1]) == 1 and np.array_equal(d[0], decos[0][0])
                for d in decos):
             return _sector_facets([d[1][0] for d in decos], decos[0][0], i, j)

@@ -22,6 +22,7 @@ from noiselab.partitions import (
     gaussian_measure,
     random_orthogonal,
     simplex_cone_partition,
+    simplex_generators,
 )
 from noiselab.stability import cell_moment, partition_stability, propeller_functional
 
@@ -245,6 +246,9 @@ class TestInvariance:
     def test_other_kinds_decline(self):
         cell = _cone(np.eye(3))
         assert ConeCell(np.eye(4), 0).cone_normals() is None
+        # the central cone is a kind of R^3 alone, also where a family in R^4
+        # differs only on the first three axes
+        assert ConeCell(simplex_generators(4, 4), 0).cone_normals() is None
         assert ConeCell(np.eye(2), 0).cone_normals() is None
         assert cell.translate([0.1, 0.0, 0.0]).cone_normals() is None
         assert Sector2D(0.0, 1.0).cone_normals() is None

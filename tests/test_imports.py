@@ -94,8 +94,8 @@ def _cell_references(tree):
 
 def test_only_partitions_knows_cell_kinds():
     # every closed form reaches a cell through its one Shape record
-    # (SetSpec.shape: a half-space, planar sectors or a central cone in a
-    # frame, with its measure), so no other module branches on a cell class;
+    # (SetSpec.shape: a half-space, planar sectors in a plane or a central
+    # cone, with its measure), so no other module branches on a cell class;
     # __init__ only re-exports the public classes
     found = [f"{p.name}:{line} {name}" for p in SOURCES
              if p.name not in ("partitions.py", "__init__.py")

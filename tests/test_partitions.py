@@ -12,6 +12,7 @@ from scipy import stats
 from scipy.special import log_ndtr, ndtr
 
 import noiselab.partitions as partitions_module
+from noiselab.cones import feasible_arc
 from noiselab.gauss import (
     DomainError,
     bivariate_normal_cdf,
@@ -475,6 +476,37 @@ class TestShiftedInterfaces:
         for i, j in ((0, 1), (1, 2), (0, 2)):
             self._assert_same_facets(shifted, cyl.translated(t), i, j)
 
+    @pytest.mark.parametrize("t", [[0.3, 0.2], [-0.1, 0.4]])
+    def test_a_shifted_half_plane_shares_its_apex_with_shifted_sectors(self, t):
+        # a two-generator cone cell is a half-space and one sector at once; its
+        # sector apex moves with the shift, as a sector's does, so the pair
+        # keeps the sector rule's two facets after any translation
+        p = PartitionSpec([ConeCell([[1.0, 0.0], [-1.0, 0.0]], 0),
+                           Sector2D(math.pi / 2, 3 * math.pi / 2)])
+        want = [Facet(f.normal, f.offset + f.normal @ t, f.tangents,
+                      [(c, b + c @ t) for c, b in f.constraints]) for f in p.interface_facets(0, 1)]
+        assert len(want) == 2 and set(p.translated(t).all_interfaces()) == {(0, 1)}
+        got = p.translated(t).interface_facets(0, 1)
+        assert [f.kind for f in got] == ["interval", "interval"]
+        for f, g in zip(got, want):
+            assert np.allclose(f.normal, g.normal) and f.offset == pytest.approx(g.offset, abs=1e-12)
+            assert f.mass == pytest.approx(g.mass, abs=1e-15)
+
+    def test_a_half_plane_takes_its_generator_arc_on_the_sector_route(self):
+        # the sector view of a two-generator cell is the arc of its generator
+        # differences at the shift, so a pair with a sector is the sector pair
+        # rule on that arc to the bit
+        z, t = np.array([[1.0, 0.0], [-1.0, 0.5]]), np.array([0.3, 0.2])
+        arc = feasible_arc(z[0] - z[1:])
+        cell, sector = ConeCell(z, 0).translate(t), Sector2D(0.3, 2.0).translate(t)
+        apex, arcs = cell.sector_decomposition()
+        assert np.array_equal(apex, t) and arcs == [arc] and cell.halfspace() is not None
+        for rho in (-0.6, 0.5, 0.9):
+            assert cell.pair_exact(sector, rho) == shifted_sector_pair_stability(
+                t, [arc], t, [(0.3, 2.0)], rho)
+        (_, [(a, b)]) = Complement(ConeCell(z, 0)).sector_decomposition()
+        assert (a, b) == (arc[1], arc[0] + 2 * math.pi)
+
 
 def _first_claim(p, pts):
     """Cell index by the first-claim rule, from each cell's own ``contains``."""
@@ -872,7 +904,8 @@ class TestConeArcs:
     ])
     def test_closed_form_matches_old_scan(self, name, partition):
         for cell, old in zip(partition.cells, OLD_SCAN_ARCS[name]):
-            arc = cell._arc
+            deco = cell.sector_decomposition()
+            arc = None if deco is None else deco[1][0]
             if old is None:
                 assert arc is None
             else:
