@@ -206,26 +206,33 @@ def _edge_pair_sums(decos, theta):
             for n, hi in zip(sizes, ends)]
 
 
-def _sector_pair_rows(pairs, rhos):
-    """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B) and its
-    bound for every pair (A, B) of the sectors of :class:`Shape` records of
-    ``pairs`` at every rho of ``rhos``.
+def _sector_pair_rows(pairs, rhos, drho=False):
+    """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B), or its
+    d/drho, and its bound for every pair (A, B) of the sectors of
+    :class:`Shape` records of ``pairs`` at every rho of ``rhos``.
 
-    Each rho keeps its own graded panels, and all the rhos' nodes go through
-    one integrand call.  Every entry is then reduced exactly as the one-pair
+    d/drho is the Plackett integrand at theta = arcsin(rho) over cos(theta),
+    with the rounding of its terms' magnitudes as the bound.  For P each rho
+    keeps its own graded panels, and all the rhos' nodes go through one
+    integrand call.  Every entry is then reduced exactly as the one-pair
     one-rho rule of :func:`shifted_sector_pair_stability` reduces it, so it
     carries the same bits: the 16- and 32-node Gauss-Legendre rules of each
     panel, their difference plus the rounding of the terms' magnitudes as the
     bound, and the product of the records' masses added."""
+    decos = [(a.deco, b.deco) for a, b in pairs]
+    if drho:
+        thetas = [math.asin(rho) for rho in rhos]
+        vals, mags = (np.array(v) for v in zip(*_edge_pair_sums(decos, np.array(thetas))))
+        cos = np.array([math.cos(theta) for theta in thetas])
+        return vals / cos, ROUNDING * mags / cos
     (t16, w16), (t32, w32) = _leggauss(16), _leggauss(32)
     panels = []
     for rho in rhos:
         cuts = _graded_panels(math.asin(rho))
-        half = 0.5 * np.diff(cuts)[:, None]
-        panels.append((half, 0.5 * (cuts[:-1] + cuts[1:])[:, None]
+        half = np.diff(cuts)[:, None] / 2
+        panels.append((half, (cuts[:-1] + cuts[1:])[:, None] / 2
                        + half * np.concatenate([t16, t32])))
-    sums = _edge_pair_sums([(a.deco, b.deco) for a, b in pairs],
-                           np.concatenate([theta.ravel() for _, theta in panels]))
+    sums = _edge_pair_sums(decos, np.concatenate([theta.ravel() for _, theta in panels]))
     values, errors = np.empty((len(pairs), len(rhos))), np.empty((len(pairs), len(rhos)))
     for k, ((a, b), (cell_vals, cell_mags)) in enumerate(zip(pairs, sums)):
         mass, arcs = a.sector_mass * b.sector_mass, len(a.deco[1]) + len(b.deco[1])
@@ -252,12 +259,17 @@ def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
     return float(values[0, 0]), float(errors[0, 0])
 
 
-def _halfspace_pair_rows(halfspaces, rhos):
-    """(values, errors), two (pairs, rhos) arrays: P(<n_a, X> <= a, <n_b, Y> <= b)
-    and its bound for every half-space pair ((n_a, a), (n_b, b)) of
-    ``halfspaces`` at every rho, from one broadcast bivariate normal CDF call.
-    <n_a, X> and <n_b, Y> are standard normals with correlation rho <n_a, n_b>,
-    and Owen's terms for Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))."""
+def _halfspace_pair_rows(halfspaces, rhos, drho=False):
+    """(values, errors), two (pairs, rhos) arrays: P(<n_a, X> <= a, <n_b, Y> <= b),
+    or its d/drho by :func:`_halfspace_pair_drho`, and its bound for every
+    half-space pair ((n_a, a), (n_b, b)) of ``halfspaces`` at every rho; P
+    from one broadcast bivariate normal CDF call.  <n_a, X> and <n_b, Y> are
+    standard normals with correlation rho <n_a, n_b>, and Owen's terms for
+    Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))."""
+    if drho:
+        rows = np.array([[_halfspace_pair_drho(ha, hb, rho) for rho in rhos]
+                         for ha, hb in halfspaces])
+        return rows[..., 0], rows[..., 1]
     c = np.array([[float(np.clip(na @ nb, -1.0, 1.0))] for (na, _), (nb, _) in halfspaces])
     offsets = np.array([[a, b] for (_, a), (_, b) in halfspaces])
     values = bivariate_normal_cdf(offsets[:, :1], offsets[:, 1:], np.asarray(rhos, dtype=float) * c)
@@ -299,10 +311,11 @@ def _pair_routes(pairs):
     return routes
 
 
-def _pair_rows(pairs, rhos):
-    """(values, errors), two (pairs, rhos) arrays of P(X in a, Y in b) and its
-    bound for every cell pair (a, b) at every rho, or None when some pair has
-    no route: one call of each route for all the pairs that take it."""
+def _pair_rows(pairs, rhos, drho=False):
+    """(values, errors), two (pairs, rhos) arrays of P(X in a, Y in b), or of
+    its d/drho, and its bound for every cell pair (a, b) at every rho, or None
+    when some pair has no route: one call of each route for all the pairs
+    that take it."""
     routes = _pair_routes(pairs)
     if routes is None:
         return None
@@ -310,7 +323,7 @@ def _pair_rows(pairs, rhos):
     for kind, rows in (("halfspace", _halfspace_pair_rows), ("sector", _sector_pair_rows)):
         idx = [k for k, (route_kind, _) in enumerate(routes) if route_kind == kind]
         if idx and len(rhos):
-            values[idx], errors[idx] = rows([routes[k][1] for k in idx], rhos)
+            values[idx], errors[idx] = rows([routes[k][1] for k in idx], rhos, drho)
     return values, errors
 
 
@@ -334,29 +347,14 @@ def pair_sums(pairs, rhos):
     return None if rows is None else [_summed(zip(v, e)) for v, e in zip(rows[0].T, rows[1].T)]
 
 
-def _sector_pair_drho(decos, rho: float):
-    """(values, errors): d/drho P(X in A, Y in B) and its bound for every sector
-    pair (A, B) of ``decos``, the Plackett integrand at theta = arcsin(rho) over
-    cos(theta) and the rounding of its terms' magnitudes, from one integrand call."""
-    theta = math.asin(rho)
-    sums = _edge_pair_sums(decos, np.array([theta]))
-    return ([float(v[0]) / math.cos(theta) for v, _ in sums],
-            [ROUNDING * float(m[0]) / math.cos(theta) for _, m in sums])
-
-
 def pair_drho_sum(pairs, rho: float):
     """(sum over the cell pairs (a, b) of d/drho P(X in a, Y in b), error bound)
     at ``rho``, or None where :meth:`SetSpec.pair_drho_exact` declines a pair:
     the half-space closed form, and one integrand call for all the sector
     pairs.  Each pair's term equals ``pair_drho_exact`` to the bit, and the
     terms are added in the pairs' order."""
-    routes = _pair_routes(list(pairs))
-    if routes is None:
-        return None
-    sectors = [(a.deco, b.deco) for kind, (a, b) in routes if kind == "sector"]
-    sector_terms = zip(*_sector_pair_drho(sectors, rho)) if sectors else iter(())
-    return _summed(_halfspace_pair_drho(*data, rho) if kind == "halfspace" else next(sector_terms)
-                   for kind, data in routes)
+    rows = _pair_rows(list(pairs), [rho], drho=True)
+    return None if rows is None else _summed(zip(rows[0][:, 0], rows[1][:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1236,7 +1234,7 @@ class PartitionSpec:
             for j in range(i + 1, self.m):
                 try:
                     facets = self.interface_facets(i, j)
-                except (UnsupportedBoundaryError, EmptyInterfaceError):
+                except EmptyInterfaceError:
                     continue
                 if sum(f.mass for f in facets) > 0:
                     out[(i, j)] = facets

@@ -19,18 +19,21 @@ scores, a null event, count for every tied cell rather than the first.  Other
 partitions classify X once and form each Y.  Comparisons between candidate
 partitions run with positively correlated errors when they reuse a seed.
 
-Every deterministic route is a sum of pair probabilities P(X in a, Y in b)
-over cell pairs, on the routes of :meth:`noiselab.partitions.SetSpec.pair_exact`
-(the bivariate normal CDF for two half-spaces, Plackett's identity in
-arcsin(rho) for two planar sectors): over (s, s) for a set, (p_i, p_i) for a partition
-and (p_i, q_i) for a bilinear form.  The sum comes from one batched call,
-:func:`noiselab.partitions.pair_sums`, for all the cell pairs and, in a sweep,
-for every nonzero rho of the grid at once; each row still equals the one-rho
-call bit for bit.  At rho = 0 the stability is the sum of
-the squared cell measures when every cell has a closed-form measure; otherwise
-rho = 0 is sampled like any other rho.  A partition takes these routes only
-when its cell measures add up to 1, so cells that overlap are sampled by first
-claim.  This module knows no cell kind.
+Every deterministic route is a sum of pair probabilities P(X in a, Y in b),
+or of their d/drho, over cell pairs: over (s, s) for a set, (p_i, p_i) for a
+partition and (p_i, q_i) for a bilinear form.  One helper, :func:`_pair_rule`,
+takes them all, at every rho, rho = 0 included, from one batched call of
+:func:`noiselab.partitions.pair_sums` or
+:func:`noiselab.partitions.pair_drho_sum` on the routes of
+:meth:`noiselab.partitions.SetSpec.pair_exact` (the bivariate normal CDF for
+two half-spaces, Plackett's identity in arcsin(rho) for two planar sectors),
+for all the cell pairs and, in a sweep, every rho of the grid at once; each
+row still equals the one-rho call bit for bit.  Only where the pair rule
+declines does rho = 0, where X and Y are independent, fall back to the sum of
+products of closed-form cell measures (the cones in R^3); otherwise rho = 0
+is sampled like any other rho.  A partition takes these routes only when its
+cell measures add up to 1, so cells that overlap are sampled by first claim.
+This module knows no cell kind.
 """
 
 from __future__ import annotations
@@ -150,14 +153,6 @@ def agreement_values(p: PartitionSpec, q: PartitionSpec, rhos):
     return _pair_values(p.membership, lambda cx, y: cx == q.membership(y), rhos, p.dim)
 
 
-def _pair_sum(pairs, rhos) -> list[Estimate] | None:
-    """sum over the cell pairs (a, b) of P(X in a, Y in b) at each rho of
-    ``rhos``, from one :func:`noiselab.partitions.pair_sums` call, or None
-    when a pair has no deterministic route."""
-    sums = pair_sums(pairs, rhos)
-    return None if sums is None else [Estimate(v, e, 0, QUADRATURE) for v, e in sums]
-
-
 def _closed_measures(cells):
     """The cells' closed-form measures as (value, error) pairs, or None unless
     every cell has one."""
@@ -171,50 +166,62 @@ def _tiles(measures) -> bool:
     return measures is not None and abs(sum(v for v, _ in measures) - 1.0) <= 1e-9
 
 
-def _stability_exact(cells, rhos, measures) -> list[Estimate | None]:
-    """At each rho of ``rhos``, the pair sum over (cell, cell), one batched call
-    for all the nonzero rhos, or at rho = 0, where X and Y are independent, the
-    sum of the cells' squared closed-form ``measures``; None where the route
-    declines."""
-    moving = [r for r in rhos if r != 0.0]
-    sums = _pair_sum(zip(cells, cells), moving) if moving else None
-    by_rho = dict(zip(moving, sums)) if sums is not None else {}
-    still = None if measures is None else Estimate(
-        sum(v**2 for v, _ in measures), sum(2 * v * e for v, e in measures), 0, CLOSED_FORM)
-    return [still if r == 0.0 else by_rho.get(r) for r in rhos]
+def _tiled_pairs(p: PartitionSpec, q: PartitionSpec):
+    """The cell pairs (p_i, q_i) when the closed-form cell measures of both
+    partitions tile, else None."""
+    tiles = _tiles(_closed_measures(p.cells)) and (q is p or _tiles(_closed_measures(q.cells)))
+    return list(zip(p.cells, q.cells)) if tiles else None
+
+
+def _pair_rule(pairs, rhos, *, drho: bool = False) -> list[Estimate | None]:
+    """At each rho of ``rhos``, the sum over the cell ``pairs`` (a, b) of
+    P(X in a, Y in b), or of its d/drho, from one batched pair-rule call
+    (:func:`noiselab.partitions.pair_sums` or
+    :func:`noiselab.partitions.pair_drho_sum`).  Where the pair rule declines
+    a pair, P at rho = 0, where X and Y are independent, is the sum of the
+    products gamma(a) gamma(b) of closed-form cell measures.  None where
+    neither route applies, and at every rho when ``pairs`` is None."""
+    if pairs is None:
+        return [None] * len(rhos)
+    if drho:
+        sums = [pair_drho_sum(pairs, r) for r in rhos]
+        return [None if v is None else Estimate(*v, 0, QUADRATURE) for v in sums]
+    sums = pair_sums(pairs, rhos)
+    if sums is not None:
+        return [Estimate(*v, 0, QUADRATURE) for v in sums]
+    measures = [(a.gaussian_measure_exact(), b.gaussian_measure_exact()) for a, b in pairs]
+    still = None if any(None in m for m in measures) else Estimate(
+        sum(va * vb for (va, _), (vb, _) in measures),
+        sum(va * eb + vb * ea for (va, ea), (vb, eb) in measures), 0, CLOSED_FORM)
+    return [still if r == 0.0 else None for r in rhos]
 
 
 def noise_stability(s: SetSpec, rho, budget: int = 1_000_000, *, seed=0,
                     threads: int = 1, mode: str = "auto") -> Estimate:
-    """P((X, Y) in s x s) for a rho-correlated Gaussian pair; at rho = 0 the
-    deterministic route is the squared closed-form measure."""
+    """P((X, Y) in s x s) for a rho-correlated Gaussian pair; the
+    deterministic route is :func:`_pair_rule` over the pair (s, s)."""
     r = as_rho(rho)
 
     def sampled():
         values = _pair_values(s.contains, lambda in_x, y: in_x & s.contains(y), [r], s.dim)
         return _column(mc_mean(values, budget, seed=seed, threads=threads), 0)
 
-    return route(mode, lambda: _stability_exact([s], [r], _closed_measures([s]))[0], sampled)
+    return route(mode, lambda: _pair_rule([(s, s)], [r])[0], sampled)
 
 
 def stability_sweep(p: PartitionSpec, rhos, budget: int = 1_000_000, *, seed=0,
                     threads: int = 1, mode: str = "auto") -> list[Estimate]:
     """:func:`partition_stability` at every rho of ``rhos``, in order.
 
-    The deterministic rows come from one batched pair-rule call for the whole
-    grid (:func:`noiselab.partitions.pair_sums`), or at rho = 0 from the sum
-    of squared closed-form cell measures; each still equals the one-rho call
-    bit for bit.  ``mode`` is applied row by row.  The rhos left to sampling,
-    rho = 0 included, share one Monte Carlo pair stream (one
-    :func:`noiselab.gauss.mc_mean` call), so every row equals the one-rho call
-    at the same seed and budget, bit for bit.
+    The deterministic rows come from one :func:`_pair_rule` call for the
+    whole grid; each still equals the one-rho call bit for bit.  ``mode`` is
+    applied row by row.  The rhos left to sampling share one Monte Carlo pair
+    stream (one :func:`noiselab.gauss.mc_mean` call), so every row equals the
+    one-rho call at the same seed and budget, bit for bit.
     """
     rs = [as_rho(r) for r in rhos]
-    measures = _closed_measures(p.cells)
-    tiles = _tiles(measures)
     # the deterministic rows, computed together the first time a row asks
-    exact = functools.cache(lambda: _stability_exact(p.cells, rs, measures) if tiles
-                            else [None] * len(rs))
+    exact = functools.cache(lambda: _pair_rule(_tiled_pairs(p, p), rs))
     to_sample = []  # a sampled row stays None until the shared pass below
     rows = [route(mode, lambda k=k: exact()[k], lambda r=r: to_sample.append(r))
             for k, r in enumerate(rs)]
@@ -227,16 +234,18 @@ def stability_sweep(p: PartitionSpec, rhos, budget: int = 1_000_000, *, seed=0,
 
 def partition_stability(p: PartitionSpec, rho, budget: int = 1_000_000, *, seed=0,
                         threads: int = 1, mode: str = "auto") -> Estimate:
-    """sum_i P((X, Y) in cell_i x cell_i), shared pairs across cells; at
-    rho = 0 the deterministic route sums squared closed-form cell measures.
-    The one-rho case of :func:`stability_sweep`."""
+    """sum_i P((X, Y) in cell_i x cell_i), shared pairs across cells.  The
+    one-rho case of :func:`stability_sweep`."""
     return stability_sweep(p, [rho], budget, seed=seed, threads=threads, mode=mode)[0]
 
 
 def partition_stability_quadrature(p: PartitionSpec, rho: float) -> Estimate | None:
-    """Deterministic stability: the sum over cells of P(X in p_i, Y in p_i),
-    or None when a cell is neither a half-space nor a planar sector."""
-    return _bilinear_quadrature(p, p, rho)
+    """Deterministic stability: the sum over cells of P(X in p_i, Y in p_i) by
+    :func:`_pair_rule`, as :func:`partition_stability` takes it, or None where
+    that has no route: when a cell is neither a half-space nor a planar sector
+    and, at rho = 0, also lacks a closed-form measure, or when the cells'
+    closed-form measures do not tile."""
+    return _pair_rule(_tiled_pairs(p, p), [rho])[0]
 
 
 def bilinear_stability(p: PartitionSpec, q: PartitionSpec, rho,
@@ -253,7 +262,7 @@ def bilinear_stability(p: PartitionSpec, q: PartitionSpec, rho,
     if p.m != q.m:
         raise DomainError("partitions must have the same cell count")
     check_measure_match(p, q, seed=seed)
-    return route(mode, lambda: _bilinear_quadrature(p, q, r),
+    return route(mode, lambda: _pair_rule(_tiled_pairs(p, q), [r])[0],
                  lambda: _column(mc_mean(agreement_values(p, q, [r]), budget, seed=seed,
                                          threads=threads), 0))
 
@@ -269,22 +278,6 @@ def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, budget: int = 400
             raise DomainError(
                 f"cell {k} measures differ: {ma.value:.6f} vs {mb.value:.6f} (tol {tol:.2g})"
             )
-
-
-def _bilinear_quadrature(p: PartitionSpec, q: PartitionSpec, rho: float, *,
-                         drho: bool = False) -> Estimate | None:
-    """sum_i P(X in p_i, Y in q_i), or its d/drho, from one batched pair-rule
-    call over the cell pairs (:func:`noiselab.partitions.pair_sums` or
-    :func:`noiselab.partitions.pair_drho_sum`) when the closed-form cell
-    measures of both partitions tile, else None."""
-    tiles = _tiles(_closed_measures(p.cells)) and (q is p or _tiles(_closed_measures(q.cells)))
-    if not tiles:
-        return None
-    if drho:
-        res = pair_drho_sum(zip(p.cells, q.cells), rho)
-        return None if res is None else Estimate(*res, 0, QUADRATURE)
-    res = _pair_sum(zip(p.cells, q.cells), [rho])
-    return None if res is None else res[0]
 
 
 # ---------------------------------------------------------------------------

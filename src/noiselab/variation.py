@@ -66,7 +66,7 @@ from .gauss import (
     route,
 )
 from .partitions import BoundarySample, Facet, PartitionSpec
-from .stability import _bilinear_quadrature, agreement_values, check_measure_match
+from .stability import _pair_rule, _tiled_pairs, agreement_values, check_measure_match
 
 VOLUME_TOL = 1e-6
 #: translation step of the deterministic finite differences
@@ -555,10 +555,10 @@ def _flow_difference(moved, rho: float, order: int, *, budget: int, seed, mode: 
                      n_shards: int, threads: int = 1) -> Estimate:
     """d^2/ds^2 (order 0) or d^2/(ds drho) (order 1) at s = 0 of sum_i P(X in p_i,
     Y in q_i), (p, q) = moved(s), as ``mode`` (see :func:`noiselab.gauss.route`)
-    picks: :data:`_RICHARDSON` on the exact P or d/drho P, one batched pair-rule
-    call over the cell pairs per stencil point (:func:`noiselab.partitions.pair_sums`
-    or :func:`noiselab.partitions.pair_drho_sum`), with h = H_S_QUADRATURE, its error
-    term plus the values' errors through |weights| as the error figure; else
+    picks: :data:`_RICHARDSON` on the exact P or d/drho P, one
+    :func:`noiselab.stability._pair_rule` call over the cell pairs per stencil
+    point, with h = H_S_QUADRATURE, its error term plus the values' errors
+    through |weights| as the error figure; else
     shared-seed Monte Carlo over an (s, rho) grid with steps H_S_MONTE_CARLO and
     H_RHO_MONTE_CARLO (1 - |rho|), the standard error across shards plus h^2.
     The mixed derivative needs rho -+ its rho step inside (0, 1) on both routes."""
@@ -568,7 +568,8 @@ def _flow_difference(moved, rho: float, order: int, *, budget: int, seed, mode: 
 
     def deterministic():
         h, stencil = H_S_QUADRATURE, _RICHARDSON[order]
-        ests = [_bilinear_quadrature(*moved(k * h), rho, drho=bool(order)) for k in stencil]
+        ests = [_pair_rule(_tiled_pairs(*moved(k * h)), [rho], drho=bool(order))[0]
+                for k in stencil]
         if any(e is None for e in ests):
             return None
         (w, gap), scale = np.array(list(stencil.values())).T, 12 * h ** (2 - order)

@@ -158,6 +158,23 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", halfspace_file, "--rho-grid", "0.1:0.9:0")
         assert code == 3
 
+    @pytest.mark.parametrize("grid", ["0.1:0.5", "0.1:0.5:0", ","])
+    def test_malformed_grid_exit_3(self, capsys, halfspace_file, grid):
+        code, _, err = run(capsys, "sweep", halfspace_file, "--rho-grid", grid)
+        assert code == 3
+        assert err.startswith("error: ")
+
+    def test_json_rows_are_the_csv_rows(self, capsys, simplex3_file):
+        _, csv, _ = run(capsys, "sweep", simplex3_file, "--rho-grid", "0.5,0.0,-0.3")
+        code, out, _ = run(capsys, "sweep", simplex3_file, "--rho-grid", "0.5,0.0,-0.3",
+                           "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["command"] == "sweep"
+        header, *lines = csv.strip().split("\n")
+        assert [{k: str(v) for k, v in row.items()} for row in report["rows"]] == [
+            dict(zip(header.split(","), line.split(","))) for line in lines]
+
     def test_out_of_range_grid_exit_3(self, capsys, halfspace_file):
         code, _, _ = run(capsys, "sweep", halfspace_file, "--rho-grid", "0.5,1.2")
         assert code == 3

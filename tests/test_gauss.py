@@ -28,6 +28,7 @@ from noiselab.gauss import (
     ou_rho_derivative,
     ou_rho_derivative_exact,
     ou_rho_derivative_heat,
+    rho_step,
     sample_correlated_pair,
 )
 from noiselab.partitions import (
@@ -545,6 +546,19 @@ class TestOuRhoDerivative:
         hs = HalfSpace([1.0], 0.0)
         with pytest.raises(DomainError):
             ou_rho_derivative(hs, 0.0, [0.0])
+
+    def test_sampled_difference_on_a_cone_in_r3(self):
+        # a cone in R^3 has no closed-form d/drho: the shared-draw central
+        # difference in rho samples it, and agrees with the heat identity
+        cone = simplex_cone_partition(4, 3).cells[0]
+        res = ou_rho_derivative(cone, 0.5, [0.3, -0.2, 0.4], seed=5)
+        fd, heat = res.finite_difference, res.divergence_form
+        assert fd.method == heat.method == "monte-carlo"
+        assert fd.std_error >= rho_step(0.5) ** 2
+        assert abs(fd.value - heat.value) <= 3 * (fd.std_error + heat.std_error)
+        # at 0.99995 the step, 1e-4, crosses 1
+        with pytest.raises(DomainError, match="leaves"):
+            ou_rho_derivative(cone, 0.99995, [0.3, -0.2, 0.4], budget=1000)
 
 
 def _mp_derivatives(cell, rho, x):

@@ -180,7 +180,7 @@ MOMENT_ROUTES = [
     ("partitions.py", "ou_gradient_exact", (1,)),
     ("partitions.py", "ou_drho_exact", (1,)),
     ("partitions.py", "_halfspace_pair_drho", (1,)),
-    ("partitions.py", "_sector_pair_drho", (1,)),
+    ("partitions.py", "_sector_pair_rows", (1,)),
     ("variation.py", "_flow_difference", ()),
     ("gauss.py", "ou_gradient_quadrature", ()),
     ("gauss.py", "ou_rho_derivative_exact", ()),
@@ -198,6 +198,35 @@ def test_no_float_literal_is_a_moment_error_figure():
         for expr in _error_slots(func, slots):
             found += [f"{module}:{line}" for line in _float_literals(expr, func)]
     assert found == []
+
+
+#: the pair rule of partitions.py: P(X in a, Y in b) and its d/drho per cell pair
+PAIR_RULE = {"pair_sums", "pair_drho_sum", "pair_exact", "pair_drho_exact", "_pair_rows",
+             "_sector_pair_rows", "_halfspace_pair_rows", "_halfspace_pair_drho",
+             "shifted_sector_pair_stability"}
+
+
+def _names(node):
+    """Every name ``node`` reads, binds or imports, and every attribute it reads."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.asname or n.name
+
+
+def test_one_helper_reaches_the_pair_rule():
+    # every deterministic stability sum, rho = 0 and d/drho included, is one
+    # helper's call of the pair rule, so a new pair route is added once
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    callers = [name for name, func in _functions(trees["stability.py"]).items()
+               if PAIR_RULE & set(_names(func))]
+    assert callers == ["_pair_rule"]
+    used = set(_names(trees["variation.py"]))
+    assert PAIR_RULE & used == set()
+    assert "_pair_rule" in used
 
 
 def _reads_ou_exact(func):

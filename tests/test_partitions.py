@@ -51,7 +51,7 @@ from noiselab.partitions import (
     three_sectors_120,
 )
 from noiselab.stability import cell_moment, partition_stability, stability_sweep
-from noiselab.variation import TranslationField, sij_operator
+from noiselab.variation import TranslationField, second_variation_general, sij_operator
 
 
 class TestSimplexGenerators:
@@ -376,6 +376,11 @@ class TestBoundarySampling:
         p = PartitionSpec([ball, Complement(ball)])
         with pytest.raises(UnsupportedBoundaryError):
             p.boundary_sample(0, 1, 10, seed=0)
+        # an interface without a facet rule fails rather than vanish from the sums
+        with pytest.raises(UnsupportedBoundaryError):
+            p.cell_boundary(0)
+        with pytest.raises(UnsupportedBoundaryError):
+            second_variation_general(p, 0.5, TranslationField([1.0, 0.0]), budget=2000)
 
     def test_one_dimensional_point_facets(self):
         p = halfspace_partition([1.0], 0.4)
@@ -695,8 +700,8 @@ class TestSectorPairBatching:
         assert sizes == [(12, 1)]
 
     def test_a_sweep_takes_one_mass_per_cell(self, monkeypatch):
-        # the closed-form measures (the rho = 0 row and the tiling test) and the
-        # pair rule's mass products all read each cell's one cached mass
+        # the closed-form measures of the tiling test and the pair rule's mass
+        # products, at every rho, rho = 0 included, read each cell's one cached mass
         masses, mass = [], partitions_module.shifted_sector_mass
 
         def counted_mass(*args, **kwargs):

@@ -22,7 +22,9 @@ from noiselab.stability import (
     cell_moment,
     noise_stability,
     partition_stability,
+    partition_stability_quadrature,
     propeller_functional,
+    stability_sweep,
 )
 from noiselab.variation import (
     TranslationField,
@@ -172,8 +174,9 @@ def test_monte_carlo_samples_where_a_route_exists():
 
 
 class TestRhoZero:
-    """At rho = 0 the deterministic route is the independence reduction: the
-    sum of squared closed-form cell measures.  Without closed-form measures
+    """At rho = 0 the deterministic route is the pair rule, as at every other
+    rho.  Only where it declines (the cones in R^3) is it the independence
+    reduction, the sum of squared closed-form cell measures.  Without either,
     rho = 0 is sampled like any other rho."""
 
     @pytest.mark.parametrize("stability, arg", [(noise_stability, P2.cells[0]),
@@ -182,9 +185,19 @@ class TestRhoZero:
                                                 (partition_stability, P3)])
     def test_closed_form_measures(self, stability, arg):
         est = stability(arg, 0.0, N, seed=3, mode="auto")
-        assert est.method == "closed-form"
+        # the planar cones take the pair rule, the cones in R^3 their measures
+        assert est.method == {2: "quadrature", 3: "closed-form"}[arg.dim]
         assert _fields(est) == _fields(stability(arg, 0.0, N, seed=3, mode="quadrature"))
         assert stability(arg, 0.0, N, seed=3, mode="monte-carlo").samples == N
+
+    @pytest.mark.parametrize("p", [P2, P3], ids=["planar-cones", "cones-R3"])
+    def test_every_entry_point_takes_one_route(self, p):
+        est = partition_stability(p, 0.0, N, seed=3)
+        assert est == stability_sweep(p, [0.5, 0.0], N, seed=3)[1]
+        assert est == partition_stability_quadrature(p, 0.0)
+        assert est == bilinear_stability(p, p, 0.0, N, seed=3, mode="quadrature")
+        if p is P3:  # four cones of measure 1/4 each
+            assert est.value == 0.25 and est.method == "closed-form"
 
     @pytest.mark.parametrize("stability, arg", [(noise_stability, P4.cells[0]),
                                                 (partition_stability, P4)])

@@ -634,9 +634,8 @@ class TestBatchedPairRule:
             assert row == one
             quad = partition_stability_quadrature(p, rho)
             assert _bits(quad.value, quad.std_error) == _one_pair_sum(p, p, rho)
-            if rho != 0.0:  # rho = 0 sums the squared closed-form measures
-                assert row.method == QUADRATURE
-                assert _bits(row.value, row.std_error) == _one_pair_sum(p, p, rho)
+            assert row.method == QUADRATURE
+            assert _bits(row.value, row.std_error) == _one_pair_sum(p, p, rho)
 
     @pytest.mark.parametrize("p, q", [
         (sector_partition([0.0, 2.0, 4.0]), sector_partition([0.3, 2.3, 4.3])),

@@ -120,6 +120,13 @@ class TestSurfaceOperator:
         assert expect == pytest.approx(0.49867785050179086, abs=1e-12)
         assert est.value == pytest.approx(expect, abs=3 * est.std_error)
 
+    def test_boundary_points_give_the_sample_value(self):
+        bs = simplex_cone_partition(3).boundary_sample(0, 1, 300, seed=9)
+        field, x = TranslationField([0.3, -0.8]), np.array([0.2, 0.1])
+        est = s_operator(bs.boundary_points(), 0.6, field, x)
+        assert est.value == s_operator(bs, 0.6, field, x).value
+        assert est.samples == len(bs) and est.method == "monte-carlo"
+
     def test_zero_field_gives_zero(self):
         p = halfspace_partition([1.0, 0.0], 0.0)
         bs = p.boundary_sample(0, 1, 200, seed=6)
