@@ -206,33 +206,26 @@ def _edge_pair_sums(decos, theta):
             for n, hi in zip(sizes, ends)]
 
 
-def _sector_pair_rows(pairs, rhos, drho=False):
-    """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B), or its
-    d/drho, and its bound for every pair (A, B) of the sectors of
-    :class:`Shape` records of ``pairs`` at every rho of ``rhos``.
+def _sector_pair_rows(pairs, rhos):
+    """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B) and its
+    bound for every pair (A, B) of the sectors of :class:`Shape` records of
+    ``pairs`` at every rho of ``rhos``.
 
-    d/drho is the Plackett integrand at theta = arcsin(rho) over cos(theta),
-    with the rounding of its terms' magnitudes as the bound.  For P each rho
-    keeps its own graded panels, and all the rhos' nodes go through one
-    integrand call.  Every entry is then reduced exactly as the one-pair
+    Each rho keeps its own graded panels, and all the rhos' nodes go through
+    one integrand call.  Every entry is then reduced exactly as the one-pair
     one-rho rule of :func:`shifted_sector_pair_stability` reduces it, so it
     carries the same bits: the 16- and 32-node Gauss-Legendre rules of each
     panel, their difference plus the rounding of the terms' magnitudes as the
     bound, and the product of the records' masses added."""
-    decos = [(a.deco, b.deco) for a, b in pairs]
-    if drho:
-        thetas = [math.asin(rho) for rho in rhos]
-        vals, mags = (np.array(v) for v in zip(*_edge_pair_sums(decos, np.array(thetas))))
-        cos = np.array([math.cos(theta) for theta in thetas])
-        return vals / cos, ROUNDING * mags / cos
     (t16, w16), (t32, w32) = _leggauss(16), _leggauss(32)
     panels = []
     for rho in rhos:
         cuts = _graded_panels(math.asin(rho))
-        half = np.diff(cuts)[:, None] / 2
-        panels.append((half, (cuts[:-1] + cuts[1:])[:, None] / 2
+        half = 0.5 * np.diff(cuts)[:, None]
+        panels.append((half, 0.5 * (cuts[:-1] + cuts[1:])[:, None]
                        + half * np.concatenate([t16, t32])))
-    sums = _edge_pair_sums(decos, np.concatenate([theta.ravel() for _, theta in panels]))
+    sums = _edge_pair_sums([(a.deco, b.deco) for a, b in pairs],
+                           np.concatenate([theta.ravel() for _, theta in panels]))
     values, errors = np.empty((len(pairs), len(rhos))), np.empty((len(pairs), len(rhos)))
     for k, ((a, b), (cell_vals, cell_mags)) in enumerate(zip(pairs, sums)):
         mass, arcs = a.sector_mass * b.sector_mass, len(a.deco[1]) + len(b.deco[1])
@@ -248,6 +241,19 @@ def _sector_pair_rows(pairs, rhos, drho=False):
     return values, errors
 
 
+def _sector_pair_drho_rows(pairs, rhos):
+    """(values, errors), two (pairs, rhos) arrays: d/drho P(X in A, Y in B) and
+    its bound for every pair (A, B) of the sectors of :class:`Shape` records of
+    ``pairs`` at every rho of ``rhos``, the Plackett integrand at theta =
+    arcsin(rho) over cos(theta) and the rounding of its terms' magnitudes,
+    from one integrand call."""
+    thetas = [math.asin(rho) for rho in rhos]
+    vals, mags = (np.array(v) for v in zip(*_edge_pair_sums([(a.deco, b.deco) for a, b in pairs],
+                                                             np.array(thetas))))
+    cos = np.array([math.cos(theta) for theta in thetas])
+    return vals / cos, ROUNDING * mags / cos
+
+
 def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
     """(P(X in A, Y in B), error bound) for a rho-correlated pair and the unions
     A and B of sectors over the arcs at the apexes, by Plackett's identity: one
@@ -259,22 +265,25 @@ def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
     return float(values[0, 0]), float(errors[0, 0])
 
 
-def _halfspace_pair_rows(halfspaces, rhos, drho=False):
-    """(values, errors), two (pairs, rhos) arrays: P(<n_a, X> <= a, <n_b, Y> <= b),
-    or its d/drho by :func:`_halfspace_pair_drho`, and its bound for every
-    half-space pair ((n_a, a), (n_b, b)) of ``halfspaces`` at every rho; P
-    from one broadcast bivariate normal CDF call.  <n_a, X> and <n_b, Y> are
-    standard normals with correlation rho <n_a, n_b>, and Owen's terms for
-    Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))."""
-    if drho:
-        rows = np.array([[_halfspace_pair_drho(ha, hb, rho) for rho in rhos]
-                         for ha, hb in halfspaces])
-        return rows[..., 0], rows[..., 1]
+def _halfspace_pair_rows(halfspaces, rhos):
+    """(values, errors), two (pairs, rhos) arrays: P(<n_a, X> <= a, <n_b, Y> <= b)
+    and its bound for every half-space pair ((n_a, a), (n_b, b)) of
+    ``halfspaces`` at every rho, from one broadcast bivariate normal CDF call.
+    <n_a, X> and <n_b, Y> are standard normals with correlation rho <n_a, n_b>,
+    and Owen's terms for Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))."""
     c = np.array([[float(np.clip(na @ nb, -1.0, 1.0))] for (na, _), (nb, _) in halfspaces])
     offsets = np.array([[a, b] for (_, a), (_, b) in halfspaces])
     values = bivariate_normal_cdf(offsets[:, :1], offsets[:, 1:], np.asarray(rhos, dtype=float) * c)
     errors = [[2.0 * ROUNDING * float(ndtr(a) + ndtr(b))] for (_, a), (_, b) in halfspaces]
     return values, np.broadcast_to(errors, values.shape)
+
+
+def _halfspace_pair_drho_rows(halfspaces, rhos):
+    """(values, errors), two (pairs, rhos) arrays of
+    :func:`_halfspace_pair_drho` for every half-space pair of ``halfspaces``
+    at every rho."""
+    rows = np.array([[_halfspace_pair_drho(ha, hb, rho) for rho in rhos] for ha, hb in halfspaces])
+    return rows[..., 0], rows[..., 1]
 
 
 def _halfspace_pair_drho(ha, hb, rho: float):
@@ -311,19 +320,19 @@ def _pair_routes(pairs):
     return routes
 
 
-def _pair_rows(pairs, rhos, drho=False):
-    """(values, errors), two (pairs, rhos) arrays of P(X in a, Y in b), or of
-    its d/drho, and its bound for every cell pair (a, b) at every rho, or None
-    when some pair has no route: one call of each route for all the pairs
-    that take it."""
+def _pair_rows(pairs, rhos, halfspace_rows, sector_rows):
+    """(values, errors), two (pairs, rhos) arrays for every cell pair (a, b)
+    at every rho, from ``halfspace_rows`` for the half-space pairs and
+    ``sector_rows`` for the sector pairs, one call of each for all the pairs
+    that take it; None when some pair has no route."""
     routes = _pair_routes(pairs)
     if routes is None:
         return None
     values, errors = np.empty((len(routes), len(rhos))), np.empty((len(routes), len(rhos)))
-    for kind, rows in (("halfspace", _halfspace_pair_rows), ("sector", _sector_pair_rows)):
+    for kind, rows in (("halfspace", halfspace_rows), ("sector", sector_rows)):
         idx = [k for k, (route_kind, _) in enumerate(routes) if route_kind == kind]
         if idx and len(rhos):
-            values[idx], errors[idx] = rows([routes[k][1] for k in idx], rhos, drho)
+            values[idx], errors[idx] = rows([routes[k][1] for k in idx], rhos)
     return values, errors
 
 
@@ -343,7 +352,7 @@ def pair_sums(pairs, rhos):
     once; each pair's entry equals ``pair_exact`` at that rho to the bit, and
     the pairs are added in their order, so each sum is that of the one-rho
     loop over ``pair_exact``."""
-    rows = _pair_rows(list(pairs), rhos)
+    rows = _pair_rows(list(pairs), rhos, _halfspace_pair_rows, _sector_pair_rows)
     return None if rows is None else [_summed(zip(v, e)) for v, e in zip(rows[0].T, rows[1].T)]
 
 
@@ -353,7 +362,7 @@ def pair_drho_sum(pairs, rho: float):
     the half-space closed form, and one integrand call for all the sector
     pairs.  Each pair's term equals ``pair_drho_exact`` to the bit, and the
     terms are added in the pairs' order."""
-    rows = _pair_rows(list(pairs), [rho], drho=True)
+    rows = _pair_rows(list(pairs), [rho], _halfspace_pair_drho_rows, _sector_pair_drho_rows)
     return None if rows is None else _summed(zip(rows[0][:, 0], rows[1][:, 0]))
 
 
@@ -526,7 +535,7 @@ class SetSpec:
         """(P(X in self, Y in other), error_bound) for a rho-correlated pair
         when both cells are half-spaces or both are planar sectors, else None:
         the one-pair one-rho case of :func:`pair_sums`."""
-        rows = _pair_rows([(self, other)], [rho])
+        rows = _pair_rows([(self, other)], [rho], _halfspace_pair_rows, _sector_pair_rows)
         return None if rows is None else (float(rows[0][0, 0]), float(rows[1][0, 0]))
 
     def pair_drho_exact(self, other: "SetSpec", rho: float):

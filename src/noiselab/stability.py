@@ -175,25 +175,23 @@ def _tiled_pairs(p: PartitionSpec, q: PartitionSpec):
 
 def _pair_rule(pairs, rhos, *, drho: bool = False) -> list[Estimate | None]:
     """At each rho of ``rhos``, the sum over the cell ``pairs`` (a, b) of
-    P(X in a, Y in b), or of its d/drho, from one batched pair-rule call
-    (:func:`noiselab.partitions.pair_sums` or
-    :func:`noiselab.partitions.pair_drho_sum`).  Where the pair rule declines
-    a pair, P at rho = 0, where X and Y are independent, is the sum of the
-    products gamma(a) gamma(b) of closed-form cell measures.  None where
-    neither route applies, and at every rho when ``pairs`` is None."""
+    P(X in a, Y in b), or of its d/drho, by the pair rule
+    (:func:`noiselab.partitions.pair_sums`, one batched call for the whole
+    grid, or :func:`noiselab.partitions.pair_drho_sum`).  Where the pair rule
+    declines a pair, P at rho = 0, where X and Y are independent, is the sum
+    of the products gamma(a) gamma(b) of closed-form cell measures.  None
+    where neither route applies, and at every rho when ``pairs`` is None."""
     if pairs is None:
         return [None] * len(rhos)
-    if drho:
-        sums = [pair_drho_sum(pairs, r) for r in rhos]
-        return [None if v is None else Estimate(*v, 0, QUADRATURE) for v in sums]
-    sums = pair_sums(pairs, rhos)
-    if sums is not None:
-        return [Estimate(*v, 0, QUADRATURE) for v in sums]
-    measures = [(a.gaussian_measure_exact(), b.gaussian_measure_exact()) for a, b in pairs]
-    still = None if any(None in m for m in measures) else Estimate(
-        sum(va * vb for (va, _), (vb, _) in measures),
-        sum(va * eb + vb * ea for (va, ea), (vb, eb) in measures), 0, CLOSED_FORM)
-    return [still if r == 0.0 else None for r in rhos]
+    sums = ([pair_drho_sum(pairs, r) for r in rhos] if drho
+            else pair_sums(pairs, rhos) or [None] * len(rhos))
+    ma, mb = ((_closed_measures(a for a, _ in pairs), _closed_measures(b for _, b in pairs))
+              if not drho and 0.0 in rhos and None in sums else (None, None))
+    still = None if ma is None or mb is None else Estimate(
+        sum(va * vb for (va, _), (vb, _) in zip(ma, mb)),
+        sum(va * eb + vb * ea for (va, ea), (vb, eb) in zip(ma, mb)), 0, CLOSED_FORM)
+    return [Estimate(*v, 0, QUADRATURE) if v is not None else still if r == 0.0 else None
+            for v, r in zip(sums, rhos)]
 
 
 def noise_stability(s: SetSpec, rho, budget: int = 1_000_000, *, seed=0,

@@ -180,7 +180,7 @@ MOMENT_ROUTES = [
     ("partitions.py", "ou_gradient_exact", (1,)),
     ("partitions.py", "ou_drho_exact", (1,)),
     ("partitions.py", "_halfspace_pair_drho", (1,)),
-    ("partitions.py", "_sector_pair_rows", (1,)),
+    ("partitions.py", "_sector_pair_drho_rows", (1,)),
     ("variation.py", "_flow_difference", ()),
     ("gauss.py", "ou_gradient_quadrature", ()),
     ("gauss.py", "ou_rho_derivative_exact", ()),
@@ -202,8 +202,8 @@ def test_no_float_literal_is_a_moment_error_figure():
 
 #: the pair rule of partitions.py: P(X in a, Y in b) and its d/drho per cell pair
 PAIR_RULE = {"pair_sums", "pair_drho_sum", "pair_exact", "pair_drho_exact", "_pair_rows",
-             "_sector_pair_rows", "_halfspace_pair_rows", "_halfspace_pair_drho",
-             "shifted_sector_pair_stability"}
+             "_sector_pair_rows", "_sector_pair_drho_rows", "_halfspace_pair_rows",
+             "_halfspace_pair_drho_rows", "_halfspace_pair_drho", "shifted_sector_pair_stability"}
 
 
 def _names(node):
