@@ -279,26 +279,24 @@ def _halfspace_pair_rows(halfspaces, rhos):
 
 
 def _halfspace_pair_drho_rows(halfspaces, rhos):
-    """(values, errors), two (pairs, rhos) arrays of
-    :func:`_halfspace_pair_drho` for every half-space pair of ``halfspaces``
-    at every rho."""
-    rows = np.array([[_halfspace_pair_drho(ha, hb, rho) for rho in rhos] for ha, hb in halfspaces])
-    return rows[..., 0], rows[..., 1]
-
-
-def _halfspace_pair_drho(ha, hb, rho: float):
-    """(d/drho P(<n_a, X> <= a, <n_b, Y> <= b), error bound) = c phi_2(a, b; r =
-    rho c), c = <n_a, n_b>, whose exponent q carries q ulps and, unless |c| = 1,
-    moves by (1 + |a b| + 2 q)/(1 - r^2) per ulp of r."""
-    (na, a), (nb, b) = ha, hb
-    c = float(np.clip(na @ nb, -1, 1))
-    r, (a, b) = rho * c, np.clip([a, b], -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
-    # a^2 - 2 r a b + b^2, written to keep its digits as r -> +-1 with b near +-a
-    num = (a - b) ** 2 + 2 * (1 - r) * a * b if r >= 0 else (a + b) ** 2 - 2 * (1 + r) * a * b
-    q = num / (2 * (1 - r) * (1 + r))
-    val = c * math.exp(-q) / (_TWO_PI * math.sqrt((1 - r) * (1 + r)))
-    slope = 0 if abs(c) == 1 else abs(r) * (1 + abs(a * b) + 2 * q) / ((1 - r) * (1 + r))
-    return val, ROUNDING * abs(val) * (1 + q + slope)
+    """(values, errors), two (pairs, rhos) arrays: d/drho P(<n_a, X> <= a,
+    <n_b, Y> <= b) = c phi_2(a, b; r = rho c), c = <n_a, n_b>, and its bound
+    for every half-space pair ((n_a, a), (n_b, b)) of ``halfspaces`` at every
+    rho.  The exponent q carries q ulps and, unless |c| = 1, moves by
+    (1 + |a b| + 2 q)/(1 - r^2) per ulp of r."""
+    values, errors = np.empty((len(halfspaces), len(rhos))), np.empty((len(halfspaces), len(rhos)))
+    for k, ((na, a), (nb, b)) in enumerate(halfspaces):
+        c = float(np.clip(na @ nb, -1, 1))
+        a, b = np.clip([a, b], -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
+        for j, r in enumerate(np.asarray(rhos, dtype=float) * c):
+            # a^2 - 2 r a b + b^2, written to keep its digits as r -> +-1 with b near +-a
+            num = ((a - b) ** 2 + 2 * (1 - r) * a * b if r >= 0
+                   else (a + b) ** 2 - 2 * (1 + r) * a * b)
+            q = num / (2 * (1 - r) * (1 + r))
+            val = c * math.exp(-q) / (_TWO_PI * math.sqrt((1 - r) * (1 + r)))
+            slope = 0 if abs(c) == 1 else abs(r) * (1 + abs(a * b) + 2 * q) / ((1 - r) * (1 + r))
+            values[k, j], errors[k, j] = val, ROUNDING * abs(val) * (1 + q + slope)
+    return values, errors
 
 
 def _pair_routes(pairs):

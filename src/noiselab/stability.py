@@ -185,11 +185,13 @@ def _pair_rule(pairs, rhos, *, drho: bool = False) -> list[Estimate | None]:
         return [None] * len(rhos)
     sums = ([pair_drho_sum(pairs, r) for r in rhos] if drho
             else pair_sums(pairs, rhos) or [None] * len(rhos))
-    ma, mb = ((_closed_measures(a for a, _ in pairs), _closed_measures(b for _, b in pairs))
-              if not drho and 0.0 in rhos and None in sums else (None, None))
-    still = None if ma is None or mb is None else Estimate(
-        sum(va * vb for (va, _), (vb, _) in zip(ma, mb)),
-        sum(va * eb + vb * ea for (va, ea), (vb, eb) in zip(ma, mb)), 0, CLOSED_FORM)
+    still = None
+    if not drho and 0.0 in rhos and None in sums:
+        ma, mb = _closed_measures(a for a, _ in pairs), _closed_measures(b for _, b in pairs)
+        if ma is not None and mb is not None:
+            still = Estimate(sum(va * vb for (va, _), (vb, _) in zip(ma, mb)),
+                             sum(va * eb + vb * ea for (va, ea), (vb, eb) in zip(ma, mb)),
+                             0, CLOSED_FORM)
     return [Estimate(*v, 0, QUADRATURE) if v is not None else still if r == 0.0 else None
             for v, r in zip(sums, rhos)]
 

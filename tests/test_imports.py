@@ -179,7 +179,7 @@ MOMENT_ROUTES = [
     ("partitions.py", "_shifted_moment", (1, 3)),
     ("partitions.py", "ou_gradient_exact", (1,)),
     ("partitions.py", "ou_drho_exact", (1,)),
-    ("partitions.py", "_halfspace_pair_drho", (1,)),
+    ("partitions.py", "_halfspace_pair_drho_rows", (1,)),
     ("partitions.py", "_sector_pair_drho_rows", (1,)),
     ("variation.py", "_flow_difference", ()),
     ("gauss.py", "ou_gradient_quadrature", ()),
@@ -203,7 +203,7 @@ def test_no_float_literal_is_a_moment_error_figure():
 #: the pair rule of partitions.py: P(X in a, Y in b) and its d/drho per cell pair
 PAIR_RULE = {"pair_sums", "pair_drho_sum", "pair_exact", "pair_drho_exact", "_pair_rows",
              "_sector_pair_rows", "_sector_pair_drho_rows", "_halfspace_pair_rows",
-             "_halfspace_pair_drho_rows", "_halfspace_pair_drho", "shifted_sector_pair_stability"}
+             "_halfspace_pair_drho_rows", "shifted_sector_pair_stability"}
 
 
 def _names(node):
