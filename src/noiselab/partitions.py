@@ -248,10 +248,9 @@ def _sector_pair_drho_rows(pairs, rhos):
     arcsin(rho) over cos(theta) and the rounding of its terms' magnitudes,
     from one integrand call."""
     thetas = [math.asin(rho) for rho in rhos]
-    vals, mags = (np.array(v) for v in zip(*_edge_pair_sums([(a.deco, b.deco) for a, b in pairs],
-                                                             np.array(thetas))))
+    sums = _edge_pair_sums([(a.deco, b.deco) for a, b in pairs], np.array(thetas))
     cos = np.array([math.cos(theta) for theta in thetas])
-    return vals / cos, ROUNDING * mags / cos
+    return np.array([v for v, _ in sums]) / cos, ROUNDING * np.array([m for _, m in sums]) / cos
 
 
 def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
