@@ -204,7 +204,8 @@ def cmd_plurality(args) -> int:
     n_list = [_number(int, t, "--n-list") for t in args.n_list.split(",") if t.strip()]
     if not n_list or any(n < 1 for n in n_list):
         raise DomainError("n-list must contain positive voter counts")
-    rows = plurality_stability_table(args.m, args.rho, n_list, args.samples, seed=seed)
+    rows = plurality_stability_table(args.m, args.rho, n_list, args.samples, seed=seed,
+                                     threads=args.threads)
     if args.format == "json":
         report = _header(args, seed)
         report["rows"] = rows

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partialmethod
+from functools import lru_cache, partialmethod
 
 import numpy as np
 from scipy.special import ndtr, owens_t
@@ -554,6 +554,29 @@ def ou_rho_derivative(set_spec, rho, x, budget: int = 200_000, *, seed=0,
         fd = Estimate(fd.value, fd.std_error + h * h, fd.samples, MONTE_CARLO)
     heat = ou_rho_derivative_heat(set_spec, r, xv, budget, seed=seed, threads=threads)
     return RhoDerivative(fd, heat)
+
+
+# ---------------------------------------------------------------------------
+# quadrature tables and block sums
+
+
+@lru_cache(maxsize=None)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per size.
+
+    Every caller shares the returned arrays, so they are read-only.
+    """
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
+def _block_sums(rows, sizes):
+    """The sum of each block of ``sizes`` consecutive rows of ``rows``, one row
+    per block, each block added alone and in its order."""
+    ends = np.cumsum(sizes)
+    return np.array([rows[hi - n:hi].sum(axis=0) for n, hi in zip(sizes, ends)])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
-from .cones import central_cone, feasible_arc
+from .cones import central_cone, cone_pair_terms, feasible_arc
 from .gauss import (
     CLOSED_FORM,
     MONTE_CARLO,
@@ -43,7 +43,10 @@ from .gauss import (
     DomainError,
     Estimate,
     VectorEstimate,
+    _block_sums,
     _check_batch,
+    _leggauss,
+    as_rho,
     bivariate_normal_cdf,
     check_point,
     make_seedseq,
@@ -90,18 +93,6 @@ class UnsupportedBoundaryError(ValueError):
 # c = cos(t_e - t_f) and h are the apexes' c standardised given the d (variance
 # (1 - rho^2)/(1 - rho^2 c^2)).  Then P(rho) = gamma(A) gamma(B) +
 # int_0^{arcsin rho} cos(th) P'(sin th) dth, free of the 1/sqrt(1 - rho^2) edge.
-
-
-@functools.lru_cache(maxsize=None)
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per size.
-
-    Every caller shares the returned arrays, so they are read-only.
-    """
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
 
 
 def _edge_antiderivative(q: np.ndarray, t: float, inward: float):
@@ -186,24 +177,53 @@ def _graded_panels(theta_end: float) -> np.ndarray:
     return np.concatenate([[0.0], inner, [theta_end]])
 
 
+def _graded_rule(rhos, integrand):
+    """The 16- and 32-node Gauss-Legendre rules on the graded panels of [0,
+    arcsin rho] for each rho of ``rhos``, applied to ``integrand``.  It maps
+    all the rhos' angles, in one call, to (pairs, angles) arrays: values first,
+    then nonnegative figures (magnitudes, error figures).  Returns (pairs,
+    rhos) arrays: the fine rule of the values, the summed difference of the
+    two rules, and the fine rule of each figure, every entry reduced by itself
+    as the one-pair one-rho call reduces it."""
+    (t16, w16), (t32, w32) = _leggauss(16), _leggauss(32)
+    panels = []
+    for rho in rhos:
+        cuts = _graded_panels(math.asin(rho))
+        half = 0.5 * np.diff(cuts)[:, None]
+        theta = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * np.concatenate([t16, t32])
+        panels.append((half, theta if rho else theta[:0]))  # nothing to integrate at rho = 0
+    rows = integrand(np.concatenate([theta.ravel() for _, theta in panels]))
+    out = np.empty((len(rows) + 1, len(rows[0]), len(rhos)))
+    lo = 0
+    for j, (half, theta) in enumerate(panels):
+        vals, *figures = (v[:, lo:lo + theta.size].reshape(len(v), *theta.shape) * half
+                          for v in rows)
+        coarse, fine = vals[..., :16] @ w16, vals[..., 16:] @ w32
+        out[0, :, j] = fine.sum(axis=-1)
+        out[1, :, j] = np.abs(coarse - fine).sum(axis=-1)
+        for k, fig in enumerate(figures, 2):
+            out[k, :, j] = np.abs(fig[..., 16:] @ w32).sum(axis=-1)
+        lo += theta.size
+    return out
+
+
 def _edge_pair_sums(decos, theta):
-    """For each sector pair ((apex_a, arcs_a), (apex_b, arcs_b)) of ``decos``,
-    the sums over its edge-ray pairs of :func:`_plackett_integrand`'s values
-    and magnitudes at every angle of ``theta``.  The edge rays of all the
-    pairs form one pair list (edge e of A against each edge f of B, in that
-    order), so one integrand call serves them all; each pair's block of rows
-    is summed alone, in the order its own call would sum it."""
+    """For the sector pairs ((apex_a, arcs_a), (apex_b, arcs_b)) of ``decos``,
+    the sums over each one's edge-ray pairs of :func:`_plackett_integrand`'s
+    values and magnitudes at every angle of ``theta``: two (pairs, angles)
+    arrays.  The edge rays of all the pairs form one pair list (edge e of A
+    against each edge f of B, in that order), so one integrand call serves
+    them all; each pair's block of rows is summed alone, in the order its own
+    call would sum it."""
     ea, eb, sizes = [], [], []
     for (qa, arcs_a), (qb, arcs_b) in decos:
         a, b = _sector_edges(qa, arcs_a), _sector_edges(qb, arcs_b)
         ea.append([np.repeat(v, b[0].size) for v in a])
         eb.append([np.tile(v, a[0].size) for v in b])
         sizes.append(a[0].size * b[0].size)
-    vals, mags = _plackett_integrand([np.concatenate(v) for v in zip(*ea)],
-                                     [np.concatenate(v) for v in zip(*eb)], theta)
-    ends = np.cumsum(sizes)
-    return [(vals[hi - n:hi].sum(axis=0), mags[hi - n:hi].sum(axis=0))
-            for n, hi in zip(sizes, ends)]
+    terms = _plackett_integrand([np.concatenate(v) for v in zip(*ea)],
+                                [np.concatenate(v) for v in zip(*eb)], theta)
+    return [_block_sums(t, sizes) for t in terms]
 
 
 def _sector_pair_rows(pairs, rhos):
@@ -211,34 +231,15 @@ def _sector_pair_rows(pairs, rhos):
     bound for every pair (A, B) of the sectors of :class:`Shape` records of
     ``pairs`` at every rho of ``rhos``.
 
-    Each rho keeps its own graded panels, and all the rhos' nodes go through
-    one integrand call.  Every entry is then reduced exactly as the one-pair
-    one-rho rule of :func:`shifted_sector_pair_stability` reduces it, so it
-    carries the same bits: the 16- and 32-node Gauss-Legendre rules of each
-    panel, their difference plus the rounding of the terms' magnitudes as the
-    bound, and the product of the records' masses added."""
-    (t16, w16), (t32, w32) = _leggauss(16), _leggauss(32)
-    panels = []
-    for rho in rhos:
-        cuts = _graded_panels(math.asin(rho))
-        half = 0.5 * np.diff(cuts)[:, None]
-        panels.append((half, 0.5 * (cuts[:-1] + cuts[1:])[:, None]
-                       + half * np.concatenate([t16, t32])))
-    sums = _edge_pair_sums([(a.deco, b.deco) for a, b in pairs],
-                           np.concatenate([theta.ravel() for _, theta in panels]))
-    values, errors = np.empty((len(pairs), len(rhos))), np.empty((len(pairs), len(rhos)))
-    for k, ((a, b), (cell_vals, cell_mags)) in enumerate(zip(pairs, sums)):
-        mass, arcs = a.sector_mass * b.sector_mass, len(a.deco[1]) + len(b.deco[1])
-        lo = 0
-        for j, (half, theta) in enumerate(panels):
-            vals, mags = (v[lo:lo + theta.size].reshape(theta.shape) * half
-                          for v in (cell_vals, cell_mags))
-            coarse, fine = vals[:, :16] @ w16, vals[:, 16:] @ w32
-            magnitude = arcs + np.abs(mags[:, 16:] @ w32).sum()  # 1 per mass
-            values[k, j] = mass + float(fine.sum())
-            errors[k, j] = float(np.abs(coarse - fine).sum() + ROUNDING * magnitude)
-            lo += theta.size
-    return values, errors
+    Each entry is the :func:`_graded_rule` of the Plackett integrand, one
+    call for all the pairs and rhos, plus the product of the records' masses,
+    with the rules' difference plus the rounding of the terms' magnitudes as
+    the bound."""
+    decos = [(a.deco, b.deco) for a, b in pairs]
+    fine, diff, mags = _graded_rule(rhos, lambda theta: _edge_pair_sums(decos, theta))
+    mass = np.array([[a.sector_mass * b.sector_mass] for a, b in pairs])
+    arcs = np.array([[len(a.deco[1]) + len(b.deco[1])] for a, b in pairs])  # 1 per mass
+    return mass + fine, diff + ROUNDING * (arcs + mags)
 
 
 def _sector_pair_drho_rows(pairs, rhos):
@@ -248,9 +249,9 @@ def _sector_pair_drho_rows(pairs, rhos):
     arcsin(rho) over cos(theta) and the rounding of its terms' magnitudes,
     from one integrand call."""
     thetas = [math.asin(rho) for rho in rhos]
-    sums = _edge_pair_sums([(a.deco, b.deco) for a, b in pairs], np.array(thetas))
+    vals, mags = _edge_pair_sums([(a.deco, b.deco) for a, b in pairs], np.array(thetas))
     cos = np.array([math.cos(theta) for theta in thetas])
-    return np.array([v for v, _ in sums]) / cos, ROUNDING * np.array([m for _, m in sums]) / cos
+    return vals / cos, ROUNDING * mags / cos
 
 
 def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
@@ -298,35 +299,83 @@ def _halfspace_pair_drho_rows(halfspaces, rhos):
     return values, errors
 
 
+def _cone_pair_rows(pairs, rhos):
+    """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B) and its
+    bound for every pair (A, B) of central cones of :class:`Shape` records of
+    ``pairs`` at every rho of ``rhos``: the :func:`_graded_rule` of
+    :func:`noiselab.cones.cone_pair_terms` at r = sin(th), s = cos(th), one
+    call for all the pairs
+    and rhos, plus gamma(A) gamma(B).  The bound adds the rules' difference,
+    the rule of the orthant rule's figures, the rounding of the terms'
+    magnitudes and the measures' own bounds."""
+    normals = [(a.normals, b.normals) for a, b in pairs]
+    fine, diff, mags, errs = _graded_rule(
+        rhos, lambda theta: cone_pair_terms(normals, np.sin(theta), np.cos(theta)))
+    ga, ea, gb, eb = np.array([[*a.measure[:2], *b.measure[:2]] for a, b in pairs]).T[..., None]
+    return ga * gb + fine, diff + errs + ROUNDING * mags + (ga * eb + gb * ea)
+
+
+def _cone_pair_drho_rows(pairs, rhos):
+    """(values, errors), two (pairs, rhos) arrays: d/drho P(X in A, Y in B) and
+    its bound for every pair (A, B) of central cones of :class:`Shape` records
+    of ``pairs`` at every rho of ``rhos``: :func:`noiselab.cones.cone_pair_terms`
+    at r = rho over s = sqrt(1 - rho^2), with its figures and the rounding of
+    its magnitudes."""
+    r = np.asarray(rhos, dtype=float)
+    s = np.sqrt((1 - r) * (1 + r))
+    vals, mags, errs = cone_pair_terms([(a.normals, b.normals) for a, b in pairs], r, s)
+    return vals / s, (errs + ROUNDING * mags) / s
+
+
 def _pair_routes(pairs):
     """(kind, data) per cell pair (a, b), on the routes of
     :meth:`SetSpec.pair_exact` and in its order: ("halfspace", (a.halfspace(),
     b.halfspace())) when both are half-spaces, else ("sector", (a.shape,
-    b.shape)) when both are unions of sectors in one plane; None when some
-    pair has neither."""
+    b.shape)) when both are unions of sectors in one plane, else ("cone",
+    (a.shape, b.shape)) when both are central cones in R^3 with three facets
+    and a closed-form measure; None when some pair has none of them."""
     routes = []
     for a, b in pairs:
         ha, hb = a.halfspace(), b.halfspace()
+        sa, sb = a.shape, b.shape
         if ha is not None and hb is not None:
             routes.append(("halfspace", (ha, hb)))
-            continue
-        sa, sb = a.shape, b.shape
-        if sa.deco is None or sb.deco is None or not np.array_equal(sa.plane, sb.plane):
+        elif sa.deco is not None and sb.deco is not None and np.array_equal(sa.plane, sb.plane):
+            routes.append(("sector", (sa, sb)))
+        elif _trihedral(sa) and _trihedral(sb):
+            routes.append(("cone", (sa, sb)))
+        else:
             return None
-        routes.append(("sector", (sa, sb)))
     return routes
 
 
-def _pair_rows(pairs, rhos, halfspace_rows, sector_rows):
+def _trihedral(shape) -> bool:
+    """Whether a :class:`Shape` is a central cone with three independent unit
+    normals and a closed-form measure.  A central cone of fewer facets is a
+    half-space or a wedge over planar sectors, which the records state as such."""
+    n = shape.normals
+    return (n is not None and n.shape == (3, 3) and abs(np.linalg.det(n)) > ROUNDING
+            and shape.measure is not None)
+
+
+#: the P rows and the d/drho rows of each route kind
+_P_ROWS = {"halfspace": _halfspace_pair_rows, "sector": _sector_pair_rows,
+           "cone": _cone_pair_rows}
+_DRHO_ROWS = {"halfspace": _halfspace_pair_drho_rows, "sector": _sector_pair_drho_rows,
+              "cone": _cone_pair_drho_rows}
+
+
+def _pair_rows(pairs, rhos, row_functions):
     """(values, errors), two (pairs, rhos) arrays for every cell pair (a, b)
-    at every rho, from ``halfspace_rows`` for the half-space pairs and
-    ``sector_rows`` for the sector pairs, one call of each for all the pairs
-    that take it; None when some pair has no route."""
+    at every rho, from the function of ``row_functions`` for each route kind,
+    one call of each for all the pairs that take it; None when some pair has
+    no route.  A rho outside (-1, 1) raises :class:`DomainError` first."""
+    rhos = [as_rho(r) for r in rhos]
     routes = _pair_routes(pairs)
     if routes is None:
         return None
     values, errors = np.empty((len(routes), len(rhos))), np.empty((len(routes), len(rhos)))
-    for kind, rows in (("halfspace", halfspace_rows), ("sector", sector_rows)):
+    for kind, rows in row_functions.items():
         idx = [k for k, (route_kind, _) in enumerate(routes) if route_kind == kind]
         if idx and len(rhos):
             values[idx], errors[idx] = rows([routes[k][1] for k in idx], rhos)
@@ -344,12 +393,12 @@ def _summed(terms):
 def pair_sums(pairs, rhos):
     """[(sum over the cell pairs (a, b) of P(X in a, Y in b), error bound)] at
     each rho of ``rhos``, or None where :meth:`SetSpec.pair_exact` declines a
-    pair.  The half-space pairs take one bivariate normal CDF call and the
-    sector pairs one Plackett integrand call, over all the pairs and rhos at
-    once; each pair's entry equals ``pair_exact`` at that rho to the bit, and
-    the pairs are added in their order, so each sum is that of the one-rho
-    loop over ``pair_exact``."""
-    rows = _pair_rows(list(pairs), rhos, _halfspace_pair_rows, _sector_pair_rows)
+    pair.  The half-space pairs take one bivariate normal CDF call, the
+    sector pairs one Plackett integrand call and the cone pairs one nested
+    Plackett rule, over all the pairs and rhos at once; each pair's entry
+    equals ``pair_exact`` at that rho to the bit, and the pairs are added in
+    their order, so each sum is that of the one-rho loop over ``pair_exact``."""
+    rows = _pair_rows(list(pairs), rhos, _P_ROWS)
     return None if rows is None else [_summed(zip(v, e)) for v, e in zip(rows[0].T, rows[1].T)]
 
 
@@ -357,9 +406,10 @@ def pair_drho_sum(pairs, rho: float):
     """(sum over the cell pairs (a, b) of d/drho P(X in a, Y in b), error bound)
     at ``rho``, or None where :meth:`SetSpec.pair_drho_exact` declines a pair:
     the half-space closed form, and one integrand call for all the sector
-    pairs.  Each pair's term equals ``pair_drho_exact`` to the bit, and the
-    terms are added in the pairs' order."""
-    rows = _pair_rows(list(pairs), [rho], _halfspace_pair_drho_rows, _sector_pair_drho_rows)
+    pairs and one for all the cone pairs.  Each pair's term equals
+    ``pair_drho_exact`` to the bit, and the terms are added in the pairs'
+    order."""
+    rows = _pair_rows(list(pairs), [rho], _DRHO_ROWS)
     return None if rows is None else _summed(zip(rows[0][:, 0], rows[1][:, 0]))
 
 
@@ -416,8 +466,8 @@ class SetSpec:
     Each closed form below is written once against them, tried in that order,
     and declines with None where none applies.  The moment, grad T_rho and
     d/drho T_rho all read :meth:`_shifted_moment`, the moment at the shifted
-    apex.  A central cone in R^3 has its measure and moment, but nothing at
-    rho != 0."""
+    apex.  A central cone in R^3 has its measure and moment and, with three
+    facets, its pair probabilities, but no T_rho at a point for rho != 0."""
 
     dim: int
     shape = Shape()
@@ -530,9 +580,10 @@ class SetSpec:
 
     def pair_exact(self, other: "SetSpec", rho: float):
         """(P(X in self, Y in other), error_bound) for a rho-correlated pair
-        when both cells are half-spaces or both are planar sectors, else None:
-        the one-pair one-rho case of :func:`pair_sums`."""
-        rows = _pair_rows([(self, other)], [rho], _halfspace_pair_rows, _sector_pair_rows)
+        when both cells are half-spaces, planar sectors in one plane or central
+        cones in R^3 with three facets, else None: the one-pair one-rho case of
+        :func:`pair_sums`."""
+        rows = _pair_rows([(self, other)], [rho], _P_ROWS)
         return None if rows is None else (float(rows[0][0, 0]), float(rows[1][0, 0]))
 
     def pair_drho_exact(self, other: "SetSpec", rho: float):

@@ -26,11 +26,13 @@ takes them all, at every rho, rho = 0 included, from one batched call of
 :func:`noiselab.partitions.pair_sums` or
 :func:`noiselab.partitions.pair_drho_sum` on the routes of
 :meth:`noiselab.partitions.SetSpec.pair_exact` (the bivariate normal CDF for
-two half-spaces, Plackett's identity in arcsin(rho) for two planar sectors),
-for all the cell pairs and, in a sweep, every rho of the grid at once; each
-row still equals the one-rho call bit for bit.  Only where the pair rule
-declines does rho = 0, where X and Y are independent, fall back to the sum of
-products of closed-form cell measures (the cones in R^3); otherwise rho = 0
+two half-spaces, Plackett's identity in arcsin(rho) for two planar sectors,
+and for two central cones in R^3 with three facets that identity over facet
+pairs with a second Plackett integral for the conditional orthant), for all
+the cell pairs and, in a sweep, every rho of the grid at once; each row still
+equals the one-rho call bit for bit.  Only where the pair rule declines does
+rho = 0, where X and Y are independent, fall back to the sum of products of
+closed-form cell measures (cones in R^3 with more facets); otherwise rho = 0
 is sampled like any other rho.  A partition takes these routes only when its
 cell measures add up to 1, so cells that overlap are sampled by first claim.
 This module knows no cell kind.
@@ -242,10 +244,11 @@ def partition_stability(p: PartitionSpec, rho, budget: int = 1_000_000, *, seed=
 def partition_stability_quadrature(p: PartitionSpec, rho: float) -> Estimate | None:
     """Deterministic stability: the sum over cells of P(X in p_i, Y in p_i) by
     :func:`_pair_rule`, as :func:`partition_stability` takes it, or None where
-    that has no route: when a cell is neither a half-space nor a planar sector
-    and, at rho = 0, also lacks a closed-form measure, or when the cells'
-    closed-form measures do not tile."""
-    return _pair_rule(_tiled_pairs(p, p), [rho])[0]
+    that has no route: when a cell is neither a half-space, a planar sector
+    nor a central cone in R^3 with three facets and, at rho = 0, also lacks a
+    closed-form measure, or when the cells' closed-form measures do not tile.  A rho outside (-1, 1) raises
+    :class:`DomainError`."""
+    return _pair_rule(_tiled_pairs(p, p), [as_rho(rho)])[0]
 
 
 def bilinear_stability(p: PartitionSpec, q: PartitionSpec, rho,

@@ -324,12 +324,14 @@ def _chain_mean(values_fn, samples: int, seed) -> Estimate:
 
 
 def plurality_stability_table(m: int, rho: float, n_list, samples: int = 200_000,
-                              *, seed=0, benchmark_budget: int = 400_000) -> list[dict]:
+                              *, seed=0, benchmark_budget: int = 400_000,
+                              threads: int = 1) -> list[dict]:
     """S_rho of plurality for each n, plus the continuous cone benchmark.
 
     Rows carry (m, n, rho, value, std_error, method); the final row reports
     the simplex-cone partition stability at the same rho (the conjectured
-    large-n comparison point), with n = "limit".  Each row takes the cheaper
+    large-n comparison point), with n = "limit", sampled on ``threads``
+    threads where it has no deterministic route.  Each row takes the cheaper
     exact route, the histogram or the tensor contraction, and samples only
     when both refuse.
     """
@@ -343,7 +345,7 @@ def plurality_stability_table(m: int, rho: float, n_list, samples: int = 200_000
             est = plurality_stability_mc(m, n, rho, samples, seed=[seed, k])
             rows.append({"m": m, "n": n, "rho": rho, "value": est.value,
                          "std_error": est.std_error, "method": est.method})
-    rows.append(_continuous_benchmark(m, rho, benchmark_budget, seed))
+    rows.append(_continuous_benchmark(m, rho, benchmark_budget, seed, threads))
     return rows
 
 
@@ -358,10 +360,10 @@ def _exact_plurality_stability(m: int, n: int, rho: float) -> float | None:
     return None
 
 
-def _continuous_benchmark(m: int, rho: float, budget: int, seed) -> dict:
+def _continuous_benchmark(m: int, rho: float, budget: int, seed, threads: int) -> dict:
     # m = 2 cones in R^1 are the opposing half-lines; use the half-space
     # representation so the closed-form route applies
     part = halfspace_partition([1.0], 0.0) if m == 2 else simplex_cone_partition(m)
-    est = partition_stability(part, rho, budget, seed=seed)
+    est = partition_stability(part, rho, budget, seed=seed, threads=threads)
     return {"m": m, "n": "limit", "rho": rho, "value": est.value,
             "std_error": est.std_error, "method": f"continuous-simplex-cones/{est.method}"}

@@ -8,6 +8,7 @@ import pytest
 
 import noiselab.checks as checks_module
 import noiselab.stability as stability_module
+import noiselab.voting as voting_module
 from noiselab.cli import main
 from noiselab.partitions import (
     cylinder_extend,
@@ -102,17 +103,17 @@ class TestSweepCommand:
                          "--seed", "5", "--budget", "50000")
         assert out1 == out2
 
-    #: recorded when every rho of a sweep drew its own pairs; the cylinder
-    #: draws only the three coordinates its cells read, so it gives these rows too
-    MC_ROWS = ["-0.5,0.09574,0.000759712,150000,monte-carlo,17",
-               "0.3,0.36634,0.00124402,150000,monte-carlo,17",
-               "0.9,0.75098,0.00111657,150000,monte-carlo,17"]
+    #: recorded before the cones in R^3 had a deterministic route; the cylinder
+    #: draws only the four coordinates its cells read, so it gives these rows too
+    MC_ROWS = ["-0.5,0.0623733333333,0.000624411,150000,monte-carlo,17",
+               "0.3,0.314446666667,0.00119881,150000,monte-carlo,17",
+               "0.9,0.723546666667,0.00115478,150000,monte-carlo,17"]
 
     @pytest.mark.parametrize("name", ["cones", "cylinder"])
-    def test_monte_carlo_sweep_in_r3_is_thread_independent(self, capsys, tmp_path, name):
-        # simplex cones in R^3 and their cylinder in R^5 have no deterministic
+    def test_monte_carlo_sweep_in_r4_is_thread_independent(self, capsys, tmp_path, name):
+        # simplex cones in R^4 and their cylinder in R^6 have no deterministic
         # route; 150,000 pairs make two shards, so two threads split the work
-        p = simplex_cone_partition(4)
+        p = simplex_cone_partition(5)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(partition_to_json(
             p if name == "cones" else cylinder_extend(p, 2))))
@@ -145,7 +146,7 @@ class TestSweepCommand:
 
     def test_sweep_row_equals_stability_at_that_rho(self, capsys, tmp_path):
         path = tmp_path / "cones.json"
-        path.write_text(json.dumps(partition_to_json(simplex_cone_partition(4))))
+        path.write_text(json.dumps(partition_to_json(simplex_cone_partition(5))))
         _, sweep, _ = run(capsys, "sweep", str(path), "--rho-grid=0.2,0.7", "--budget", "30000",
                           "--seed", "9")
         _, one, _ = run(capsys, "stability", str(path), "--rho", "0.7", "--budget", "30000",
@@ -236,6 +237,25 @@ class TestPluralityCommand:
                    for r in report["rows"])
         assert [(r["method"], r["std_error"]) for r in report["rows"][:3]] == [("exact", 0.0)] * 3
         assert report["rows"][-1]["method"].startswith("continuous-simplex-cones")
+
+    def test_threads_reach_the_sampled_limit_row(self, capsys, monkeypatch):
+        # the m = 5 cones in R^4 have no deterministic route; their 400,000
+        # pairs make four shards, which two threads split without changing a bit
+        seen = []
+        original = voting_module.partition_stability
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(voting_module, "partition_stability", spy)
+        outs = [run(capsys, "plurality", "--m", "5", "--n-list", "1,2", "--rho", "0.4",
+                    "--format", "json", "--threads", threads) for threads in ("1", "2")]
+        assert [code for code, _, _ in outs] == [0, 0]
+        assert outs[0][1] == outs[1][1]
+        assert seen == [1, 2]
+        limit = json.loads(outs[0][1])["rows"][-1]
+        assert limit["n"] == "limit" and limit["method"] == "continuous-simplex-cones/monte-carlo"
 
     def test_bad_n_list_exit(self, capsys):
         code, _, _ = run(capsys, "plurality", "--n-list", "1,x")

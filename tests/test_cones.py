@@ -254,7 +254,11 @@ class TestInvariance:
         assert Sector2D(0.0, 1.0).cone_normals() is None
         assert HalfSpace([1.0, 0.0, 0.0], 0.0).cone_normals() is None
         assert cell.ou_exact(0.5, np.zeros(3)) is None
-        assert cell.pair_exact(cell, 0.5) is None
+        # three facets take the pair rule, four decline it
+        assert cell.pair_exact(cell, 0.5) is not None
+        square = _cone([[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [0.0, -1.0, -1.0]])
+        assert square.cone_normals().shape == (4, 3)
+        assert square.pair_exact(square, 0.5) is None
 
 
 class TestAgainstMpmath:

@@ -42,6 +42,7 @@ from noiselab.partitions import (
     Sector2D,
     ShiftedSet,
     _leggauss,
+    cone_partition,
     cylinder_extend,
     halfspace_partition,
     gaussian_measure,
@@ -429,8 +430,13 @@ class TestReductions:
     def test_mixed_kinds_decline(self):
         hs, cone = HalfSpace([1.0, 0.0], 0.0), simplex_cone_partition(3).cells[0]
         assert hs.pair_exact(cone, 0.5) is None and cone.pair_exact(hs, 0.5) is None
+        # a trihedral cone pairs with no half-space, and a cube's cell, of four
+        # facets, with nothing
         cone = simplex_cone_partition(4).cells[0]
-        assert cone.pair_exact(cone, 0.5) is None
+        hs = HalfSpace([1.0, 0.0, 0.0], 0.0)
+        assert hs.pair_exact(cone, 0.5) is None and cone.pair_exact(hs, 0.5) is None
+        cube = cone_partition(np.vstack([np.eye(3), -np.eye(3)])).cells[0]
+        assert cube.pair_exact(cube, 0.5) is None and cone.pair_exact(cube, 0.5) is None
 
     @pytest.mark.parametrize("base", [
         HalfSpace([0.6, -0.8], 0.3), HalfSpace([0.2, -0.5, 1.0], -0.4),

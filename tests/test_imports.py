@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import noiselab
 
 SOURCES = sorted(Path(noiselab.__file__).parent.glob("*.py"))
@@ -149,9 +151,38 @@ def _error_slots(func, slots):
             yield from (kw.value for kw in node.keywords if kw.arg == "std_error")
 
 
-def _float_literals(expr, func):
-    """Nonzero float constants in ``expr`` and in whatever ``func`` assigns to
-    the names it reads, followed transitively."""
+#: the largest int literal a divisor or exponent may be: halves, squares and
+#: the 4 of a quadratic are a formula's own arithmetic, while a larger one, or
+#: a negative exponent, scales a figure by a factor no computation checks
+SMALL_INT = 4
+
+
+def _int_scale(node) -> bool:
+    """Whether ``node`` divides by an int literal larger than SMALL_INT, or
+    takes a power or shift with such a literal or a negative exponent."""
+    if not isinstance(node, ast.BinOp):
+        return False
+
+    def value(o):
+        sign = -1 if isinstance(o, ast.UnaryOp) and isinstance(o.op, ast.USub) else 1
+        o = o.operand if isinstance(o, ast.UnaryOp) else o
+        ok = isinstance(o, ast.Constant) and type(o.value) is int
+        return sign * o.value if ok else None
+
+    if isinstance(node.op, (ast.Div, ast.FloorDiv)):
+        right = value(node.right)
+        return right is not None and abs(right) > SMALL_INT
+    if isinstance(node.op, (ast.Pow, ast.LShift, ast.RShift)):
+        base, power = value(node.left), value(node.right)
+        return ((base is not None and abs(base) > SMALL_INT)
+                or (power is not None and (abs(power) > SMALL_INT or power < 0)))
+    return False
+
+
+def _literals(expr, func):
+    """Nonzero float constants, and int literals that scale (see
+    :func:`_int_scale`), in ``expr`` and in whatever ``func`` assigns to the
+    names it reads, followed transitively."""
     assigned = {}
     for node in ast.walk(func):
         if isinstance(node, ast.Assign):
@@ -162,7 +193,8 @@ def _float_literals(expr, func):
     seen, todo = set(), [expr]
     while todo:
         for node in ast.walk(todo.pop()):
-            if isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value:
+            if ((isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value)
+                    or _int_scale(node)):
                 yield node.lineno
             elif isinstance(node, ast.Name) and node.id in assigned and node.id not in seen:
                 seen.add(node.id)
@@ -170,8 +202,8 @@ def _float_literals(expr, func):
 
 
 #: (module, function, error slots of its returned tuples): the cell-moment,
-#: propeller, gradient and d/drho routes, the closed forms they return, and the
-#: pair d/drho and finite-difference oracles of stability
+#: propeller, gradient and d/drho routes, the closed forms they return, the
+#: pair d/drho and finite-difference oracles of stability, and the cone pair rows
 MOMENT_ROUTES = [
     ("stability.py", "cell_moment", ()),
     ("stability.py", "propeller_functional", ()),
@@ -181,6 +213,8 @@ MOMENT_ROUTES = [
     ("partitions.py", "ou_drho_exact", (1,)),
     ("partitions.py", "_halfspace_pair_drho_rows", (1,)),
     ("partitions.py", "_sector_pair_drho_rows", (1,)),
+    ("partitions.py", "_cone_pair_rows", (1,)),
+    ("partitions.py", "_cone_pair_drho_rows", (1,)),
     ("variation.py", "_flow_difference", ()),
     ("gauss.py", "ou_gradient_quadrature", ()),
     ("gauss.py", "ou_rho_derivative_exact", ()),
@@ -196,14 +230,15 @@ def test_no_float_literal_is_a_moment_error_figure():
     for module, name, slots in MOMENT_ROUTES:
         func = _functions(trees[module])[name]
         for expr in _error_slots(func, slots):
-            found += [f"{module}:{line}" for line in _float_literals(expr, func)]
+            found += [f"{module}:{line}" for line in _literals(expr, func)]
     assert found == []
 
 
 #: the pair rule of partitions.py: P(X in a, Y in b) and its d/drho per cell pair
 PAIR_RULE = {"pair_sums", "pair_drho_sum", "pair_exact", "pair_drho_exact", "_pair_rows",
              "_sector_pair_rows", "_sector_pair_drho_rows", "_halfspace_pair_rows",
-             "_halfspace_pair_drho_rows", "shifted_sector_pair_stability"}
+             "_halfspace_pair_drho_rows", "_cone_pair_rows", "_cone_pair_drho_rows",
+             "_P_ROWS", "_DRHO_ROWS", "shifted_sector_pair_stability"}
 
 
 def _names(node):
@@ -249,7 +284,18 @@ def test_no_route_differences_t():
 
 def test_the_float_literal_check_catches_a_constant():
     func = ast.parse("def f(m):\n    err = 1e-12\n    return Estimate(m, err + 0.0, 0, 'q')\n")
-    assert [line for expr in _error_slots(func.body[0], ()) for line in _float_literals(expr, func)] == [2]
+    assert [line for expr in _error_slots(func.body[0], ()) for line in _literals(expr, func)] == [2]
+
+
+@pytest.mark.parametrize("figure, flagged", [
+    ("e / 1000000000000", True), ("e * 10 ** -12", True), ("e // 100", True),
+    ("e * 2 ** -40", True), ("e / (1 << 40)", True), ("e / -8", True),
+    ("e * (1 + q + slope)", False), ("(c + r) / 2", False), ("(a - b) ** 2", False),
+    ("e * 3 / 4", False), ("n ** k", False)])
+def test_the_literal_check_catches_int_scales(figure, flagged):
+    func = ast.parse(f"def f(e, q, slope, c, r, a, b, n, k):\n    err = {figure}\n    return m, err\n")
+    found = [line for expr in _error_slots(func.body[0], (1,)) for line in _literals(expr, func)]
+    assert found == ([2] if flagged else [])
 
 
 FACET_INTERNALS = {"_lo", "_hi", "mass_err"}

@@ -12,6 +12,7 @@ import pytest
 from noiselab.gauss import DomainError, ou_apply
 from noiselab.partitions import (
     HalfSpace,
+    cone_partition,
     gaussian_measure,
     halfspace_partition,
     simplex_cone_partition,
@@ -37,8 +38,11 @@ from noiselab.variation import (
 )
 
 P2 = simplex_cone_partition(3)      # planar cones: sector routes throughout
-P3 = simplex_cone_partition(4, 3)   # cones in R^3: measures and moments, no T route
+P3 = simplex_cone_partition(4, 3)   # cones in R^3: measures, moments and pair rule, no T route
 P4 = simplex_cone_partition(5, 4)   # cones in R^4: no deterministic route at all
+# the six cones over the faces of a cube in R^3: measures and moments, but four
+# facets per cell, so no pair rule
+CUBE = cone_partition(np.vstack([np.eye(3), -np.eye(3)]))
 # four cones in R^3, shifted off the origin: no T route and only generic facets
 SHIFTED_CONES = P3.translated([0.2, -0.1, 0.3])
 HALF = halfspace_partition([1.0, 0.0], 0.2)
@@ -72,13 +76,22 @@ ENTRY_POINTS = {
         lambda m: gaussian_measure(P4.cells[0], N, seed=2, mode=m)),
     "noise_stability": (
         lambda m: noise_stability(P2.cells[0], 0.5, N, seed=3, mode=m),
-        lambda m: noise_stability(P3.cells[0], 0.5, N, seed=3, mode=m)),
+        lambda m: noise_stability(P4.cells[0], 0.5, N, seed=3, mode=m)),
+    "noise_stability-cones-R3": (
+        lambda m: noise_stability(P3.cells[0], 0.5, N, seed=3, mode=m),
+        lambda m: noise_stability(P4.cells[0], 0.5, N, seed=3, mode=m)),
     "partition_stability": (
         lambda m: partition_stability(P2, 0.5, N, seed=4, mode=m),
-        lambda m: partition_stability(P3, 0.5, N, seed=4, mode=m)),
+        lambda m: partition_stability(P4, 0.5, N, seed=4, mode=m)),
+    "partition_stability-cones-R3": (
+        lambda m: partition_stability(P3, 0.5, N, seed=4, mode=m),
+        lambda m: partition_stability(P4, 0.5, N, seed=4, mode=m)),
     "bilinear_stability": (
         lambda m: bilinear_stability(P2, P2, 0.4, N, seed=5, mode=m),
-        lambda m: bilinear_stability(P3, P3, 0.4, N, seed=5, mode=m)),
+        lambda m: bilinear_stability(P4, P4, 0.4, N, seed=5, mode=m)),
+    "bilinear_stability-cones-R3": (
+        lambda m: bilinear_stability(P3, P3, 0.4, N, seed=5, mode=m),
+        lambda m: bilinear_stability(P4, P4, 0.4, N, seed=5, mode=m)),
     "cell_moment": (
         lambda m: cell_moment(three_sectors_120().cells[0], N, seed=6, mode=m),
         lambda m: cell_moment(P4.cells[0], N, seed=6, mode=m)),
@@ -175,29 +188,34 @@ def test_monte_carlo_samples_where_a_route_exists():
 
 class TestRhoZero:
     """At rho = 0 the deterministic route is the pair rule, as at every other
-    rho.  Only where it declines (the cones in R^3) is it the independence
-    reduction, the sum of squared closed-form cell measures.  Without either,
-    rho = 0 is sampled like any other rho."""
+    rho.  Only where it declines (cones in R^3 with more than three facets)
+    is it the independence reduction, the sum of squared closed-form cell
+    measures.  Without either, rho = 0 is sampled like any other rho."""
 
     @pytest.mark.parametrize("stability, arg", [(noise_stability, P2.cells[0]),
                                                 (partition_stability, P2),
                                                 (noise_stability, P3.cells[0]),
-                                                (partition_stability, P3)])
+                                                (partition_stability, P3),
+                                                (noise_stability, CUBE.cells[0]),
+                                                (partition_stability, CUBE)])
     def test_closed_form_measures(self, stability, arg):
         est = stability(arg, 0.0, N, seed=3, mode="auto")
-        # the planar cones take the pair rule, the cones in R^3 their measures
-        assert est.method == {2: "quadrature", 3: "closed-form"}[arg.dim]
+        # the planar and trihedral cones take the pair rule, the cube's cells their measures
+        cube = arg is CUBE or arg is CUBE.cells[0]
+        assert est.method == ("closed-form" if cube else "quadrature")
         assert _fields(est) == _fields(stability(arg, 0.0, N, seed=3, mode="quadrature"))
         assert stability(arg, 0.0, N, seed=3, mode="monte-carlo").samples == N
 
-    @pytest.mark.parametrize("p", [P2, P3], ids=["planar-cones", "cones-R3"])
+    @pytest.mark.parametrize("p", [P2, P3, CUBE], ids=["planar-cones", "cones-R3", "cube-cones"])
     def test_every_entry_point_takes_one_route(self, p):
         est = partition_stability(p, 0.0, N, seed=3)
         assert est == stability_sweep(p, [0.5, 0.0], N, seed=3)[1]
         assert est == partition_stability_quadrature(p, 0.0)
         assert est == bilinear_stability(p, p, 0.0, N, seed=3, mode="quadrature")
         if p is P3:  # four cones of measure 1/4 each
-            assert est.value == 0.25 and est.method == "closed-form"
+            assert est.value == 0.25 and est.method == "quadrature"
+        if p is CUBE:  # six cones of measure 1/6 each
+            assert abs(est.value - 1 / 6) <= est.std_error and est.method == "closed-form"
 
     @pytest.mark.parametrize("stability, arg", [(noise_stability, P4.cells[0]),
                                                 (partition_stability, P4)])

@@ -527,8 +527,10 @@ class TestPairDrho:
 
 
 _R3_CONES = simplex_cone_partition(4)
+_R4_CONES = simplex_cone_partition(5)
 SWEEP_PARTITIONS = {
     "simplex-cones-R3": _R3_CONES,
+    "simplex-cones-R4": _R4_CONES,
     "shifted-cones-R3": _R3_CONES.translated([0.2, -0.1, 0.3]),
     "cones-R3-x-R2": cylinder_extend(_R3_CONES, 2),
     "half-space-pair-R3": halfspace_partition([1.0, 2.0, -0.5], 0.3),
@@ -564,19 +566,19 @@ class TestStabilitySweep:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(stability_module, "mc_mean", counted)
-        rows = stability_sweep(_R3_CONES, [0.3, 0.6, 0.9], 50_000, seed=3)
+        rows = stability_sweep(_R4_CONES, [0.3, 0.6, 0.9], 50_000, seed=3)
         assert calls == [50_000]
         assert [r.method for r in rows] == ["monte-carlo"] * 3
         assert all(r.samples == 50_000 for r in rows)
 
     def test_modes_are_checked_per_row(self):
-        assert stability_sweep(_R3_CONES, [], 1000) == []
+        assert stability_sweep(_R4_CONES, [], 1000) == []
         with pytest.raises(DomainError):
-            stability_sweep(_R3_CONES, [0.5], 1000, mode="quadrature")
+            stability_sweep(_R4_CONES, [0.5], 1000, mode="quadrature")
         with pytest.raises(DomainError):
-            stability_sweep(_R3_CONES, [0.5], 1000, mode="bogus")
+            stability_sweep(_R4_CONES, [0.5], 1000, mode="bogus")
         with pytest.raises(DomainError):
-            stability_sweep(_R3_CONES, [0.5, 1.0], 1000)
+            stability_sweep(_R4_CONES, [0.5, 1.0], 1000)
 
     def test_bilinear_on_one_partition_is_its_stability(self):
         p = SWEEP_PARTITIONS["shifted-cones-R3"]
@@ -747,8 +749,8 @@ class TestScoreKernel:
             return original(self, points)
 
         monkeypatch.setattr(PartitionSpec, "membership", counted)
-        stability_sweep(_R3_CONES, [0.3, 0.9], 50_000, seed=1)
-        stability_sweep(cylinder_extend(_R3_CONES, 2), [0.3, 0.9], 50_000, seed=1)
+        stability_sweep(_R4_CONES, [0.3, 0.9], 50_000, seed=1)
+        stability_sweep(cylinder_extend(_R4_CONES, 2), [0.3, 0.9], 50_000, seed=1)
         bilinear_stability(*KERNEL_PAIRS["cones-vs-negated-R3"], 0.4, 50_000, seed=2,
                            mode="monte-carlo")
         stability_second_derivative(_R3_CONES, 0.5, TranslationField([1.0, 0.5, 0.0]),
