@@ -13,8 +13,9 @@ and budget.  Two partitions whose membership is one argmax of inner products
 (:attr:`noiselab.partitions.PartitionSpec.argmax_form`) are counted in score
 space: the scores of Y = rho X + sqrt(1 - rho^2) Z are rho <z, X> +
 sqrt(1 - rho^2) <z, Z> - <z, c>, so X and Z are drawn over the base
-coordinates only and projected once per shard, and each rho costs a few
-passes over an (m, k) score array, with no Y and no argmax.  Two equal
+coordinates only and projected block by block of a shard, and each rho costs
+a few passes over each block's (m, block) score array, with no Y and no
+argmax.  Two equal
 scores, a null event, count for every tied cell rather than the first.  Other
 partitions classify X once and form each Y.  Comparisons between candidate
 partitions run with positively correlated errors when they reuse a seed.
@@ -63,6 +64,9 @@ from .gauss import (
 )
 from .partitions import PartitionSpec, SetSpec, gaussian_measure, pair_drho_sum, pair_sums
 
+#: pairs per block of a shard in :func:`_score_values`
+_SCORE_BLOCK = 1 << 12
+
 
 def _pair_values(classify, match, rhos, d):
     """Integrand of a correlated pair (X, Y) with one bool column per rho of
@@ -92,9 +96,12 @@ def _score_values(p: PartitionSpec, q: PartitionSpec, rhos):
     those coordinates only), X is in the cell of the largest entry of
     Z_p X - Z_p c_p.  Y = rho X + sigma Z, sigma = sqrt(1 - rho^2) > 0, is in
     the cell of the largest of its scores over sigma, (rho/sigma) Z_q X +
-    Z_q Z - Z_q c_q/sigma.  Both projections of Z_q are formed once per shard
-    in (m, k) layout, each rho adds them into one reused buffer, and a pair
-    agrees where the rows that attain the column maxima of X and of Y meet.
+    Z_q Z - Z_q c_q/sigma.  A shard draws all of X, then all of Z, and is
+    scored in blocks of _SCORE_BLOCK pairs: both projections of Z_q are
+    formed once per block in (m, block) layout, each rho adds them into one
+    reused buffer, and a pair agrees where the rows that attain the column
+    maxima of X and of Y meet.  The blocks keep the scores' temporaries to a
+    few hundred kilobytes, so a shard's thread holds little beyond its draws.
     A tie, which needs two scores equal (a null event with distinct
     generators), lights every tied row rather than the first."""
     zp, cp, d = p.argmax_form
@@ -109,25 +116,26 @@ def _score_values(p: PartitionSpec, q: PartitionSpec, rhos):
 
     def values(rng, k):
         x = rng.standard_normal((k, d))
-        px = zq @ x.T
-        sx = px if same else zp @ x.T
-        del x
-        if off_p is not None:
-            sx = sx - off_p[:, None]
-        hot_x = sx == sx.max(axis=0)
-        del sx
-        pz = zq @ rng.standard_normal((k, d)).T
-        buf, top = np.empty_like(px), np.empty(k)
-        hot = np.empty(px.shape, dtype=bool)
+        z = rng.standard_normal((k, d))
         out = np.empty((len(steps), k), dtype=bool)
-        for c, (t, off) in enumerate(steps):
-            np.multiply(px, t, out=buf)
-            buf += pz
-            if off is not None:
-                buf -= off
-            np.equal(buf, buf.max(axis=0, out=top), out=hot)
-            hot &= hot_x
-            np.logical_or.reduce(hot, axis=0, out=out[c])
+        for lo in range(0, k, _SCORE_BLOCK):
+            hi = min(lo + _SCORE_BLOCK, k)
+            px = zq @ x[lo:hi].T
+            sx = px if same else zp @ x[lo:hi].T
+            if off_p is not None:
+                sx = sx - off_p[:, None]
+            hot_x = sx == sx.max(axis=0)
+            pz = zq @ z[lo:hi].T
+            buf, top = np.empty_like(px), np.empty(hi - lo)
+            hot = np.empty(px.shape, dtype=bool)
+            for c, (t, off) in enumerate(steps):
+                np.multiply(px, t, out=buf)
+                buf += pz
+                if off is not None:
+                    buf -= off
+                np.equal(buf, buf.max(axis=0, out=top), out=hot)
+                hot &= hot_x
+                np.logical_or.reduce(hot, axis=0, out=out[c, lo:hi])
         return out.T
 
     return values
