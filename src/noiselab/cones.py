@@ -209,15 +209,41 @@ def _orthant4(corr, levels: int):
     coefs = [c[..., None] for c in (x_p, y_p, x_q, y_q, g[..., 1], z1, z2, top)]
     coarse, fine = np.empty(end.shape), np.empty(end.shape)
     step = max(1, _ORTHANT_CHUNK // (end.shape[1] * nodes.size))
+    # the per-node arithmetic runs in place on five chunk buffers
+    bufs = np.empty((5, min(step, len(g)), end.shape[1], nodes.size))
     for lo in range(0, len(g), step):
         x_p, y_p, x_q, y_q, z0, z1, z2, top_ = (c[lo:lo + step] for c in coefs)
-        v = top_ * nodes
-        jac = 1 / (1 + v * v)
-        a = 2 * v * jac
-        a2 = a * a
-        s_pq = a * (z0 + a * (z1 + a * z2))
-        s_pp_qq = (1 - a2 * (x_p - a * y_p)) * (1 - a2 * (x_q - a * y_q))
-        f = np.arcsin(np.clip(s_pq / np.sqrt(s_pp_qq), -1, 1)) * jac
+        v, jac, a, f, s = bufs[:, :len(top_)]
+        np.multiply(top_, nodes, out=v)
+        np.multiply(v, v, out=jac)
+        jac += 1
+        np.divide(1, jac, out=jac)
+        np.multiply(2, v, out=a)
+        a *= jac
+        # s_pq = a (z0 + a (z1 + a z2)) in f
+        np.multiply(a, z2, out=f)
+        f += z1
+        f *= a
+        f += z0
+        f *= a
+        # s_pp_qq = (1 - a^2 (x_p - a y_p)) (1 - a^2 (x_q - a y_q)) in s, with
+        # a^2 in v and the second factor in a
+        np.multiply(a, a, out=v)
+        np.multiply(a, y_p, out=s)
+        np.subtract(x_p, s, out=s)
+        s *= v
+        np.subtract(1, s, out=s)
+        np.multiply(a, y_q, out=a)
+        np.subtract(x_q, a, out=a)
+        a *= v
+        np.subtract(1, a, out=a)
+        s *= a
+        np.sqrt(s, out=s)
+        f /= s
+        np.maximum(f, -1, out=f)
+        np.minimum(f, 1, out=f)
+        np.arcsin(f, out=f)
+        f *= jac
         coarse[lo:lo + step] = (f[..., :wc.size] * wc).sum(axis=-1)
         fine[lo:lo + step] = (f[..., wc.size:] * wf).sum(axis=-1)
     inner = top / (2 * math.pi ** 2)  # dpsi = 2 jac dv
