@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .gauss import ROUNDING, DomainError, _block_sums, _leggauss
+from .gauss import ROUNDING, DomainError, _block_sums, _kronrod
 
 _TWO_PI = 2.0 * math.pi
 
@@ -157,9 +157,12 @@ def central_cone(normals):
 # sin(psi) and dpsi/dv are rational, so no node needs a sine.  The integrand
 # varies on the scale of the distance from t = 1 to a singular I + t (R - I),
 # at least lambda_min(R) >= (1 - |rho|) sigma_min(N_A, N_B)^2, and its panels
-# are graded toward the end down to that scale.  Then P(rho) = gamma(A)
+# are graded toward the end down to that scale; each panel takes the 21-node
+# Gauss-Kronrod rule, whose 10 Gauss nodes give the error figure, so the
+# integrand is evaluated 21 times per panel.  Then P(rho) = gamma(A)
 # gamma(B) + int_0^{arcsin rho} cos(th) P'(sin th) dth, which
-# :mod:`noiselab.partitions` takes by the graded rule of the planar sectors.
+# :mod:`noiselab.partitions` takes by the graded rule of the planar sectors,
+# 33 nodes per panel.
 
 #: the variable pairs (k, l) of a 4-variable orthant, in the order of its
 #: correlations; row n of _ORTHANT_TERMS holds the positions among them of
@@ -171,8 +174,8 @@ _ORTHANT_TERMS = np.array([[_PAIRS4.index((min(x, y), max(x, y))) for x, y in
 #: array elements per chunk of the conditioning and of the orthant rule, so
 #: that their temporaries stay in cache
 _ORTHANT_CHUNK = 1 << 15
-#: nodes per panel of the orthant rule's coarse Gauss-Legendre rule; the fine
-#: rule has twice as many
+#: Gauss nodes per panel of the orthant rule; its Gauss-Kronrod extension has
+#: 2 _ORTHANT_NODES + 1, the Gauss ones among them
 _ORTHANT_NODES = 10
 #: a distance to the nearest singular I + t (R - I), in t beyond 1, down to
 #: which one psi panel suffices; each quartering below it adds a panel
@@ -185,16 +188,18 @@ def _orthant4(corr, levels: int):
     order of _PAIRS4, by the rule above in v = tan(psi/2), which turns the
     pieces into rational functions of v.  Each term's v range is cut into
     the panels [0, 3/4], [3/4, 15/16], ... of its normalised length,
-    ``levels`` of them short of the end, with the Gauss-Legendre rules of
-    _ORTHANT_NODES and twice as many nodes and their difference as the error
-    figure.  Each row is reduced by itself, so it has the same bits in any
-    batch."""
-    (tc, wc), (tf, wf) = _leggauss(_ORTHANT_NODES), _leggauss(2 * _ORTHANT_NODES)
+    ``levels`` of them short of the end, with the Gauss-Kronrod rule of
+    2 _ORTHANT_NODES + 1 nodes and, as the error figure, its difference
+    from the Gauss rule on the first _ORTHANT_NODES of them, so the integrand
+    is evaluated 21 times per panel.  Each row is reduced by itself, so it has
+    the same bits in any batch."""
+    t, wf, wc = _kronrod(_ORTHANT_NODES)
     cuts = np.concatenate([[0.0], 1 - 4.0 ** -np.arange(1, levels + 1), [1.0]])
     half, mid = np.diff(cuts)[:, None] / 2, (cuts[:-1] + cuts[1:])[:, None] / 2
-    # every panel's coarse nodes, then every panel's fine ones, and their weights
-    nodes = np.concatenate([(mid + half * tc).ravel(), (mid + half * tf).ravel()])
-    wc, wf = (half * wc).ravel(), (half * wf).ravel()
+    # node by node, every panel's: the Gauss nodes come first, so the coarse
+    # rule reads a leading block of the fine rule's integrand values
+    nodes = (mid + half * t).T.ravel()
+    wc, wf = (half * wc).T.ravel(), (half * wf).T.ravel()
     g = corr[:, _ORTHANT_TERMS]  # (rows, terms, 6)
     end = np.arcsin(g[..., 0])
     top = g[..., 0] / (1 + np.sqrt((1 - g[..., 0]) * (1 + g[..., 0])))  # tan(end/2)
@@ -245,7 +250,7 @@ def _orthant4(corr, levels: int):
         np.arcsin(f, out=f)
         f *= jac
         coarse[lo:lo + step] = (f[..., :wc.size] * wc).sum(axis=-1)
-        fine[lo:lo + step] = (f[..., wc.size:] * wf).sum(axis=-1)
+        fine[lo:lo + step] = (f * wf).sum(axis=-1)
     inner = top / (2 * math.pi ** 2)  # dpsi = 2 jac dv
     return (1 / 16 + (end / (8 * math.pi) + inner * fine).sum(axis=-1),
             1 / 16 + np.abs(end).sum(axis=-1) / (4 * math.pi),

@@ -560,16 +560,79 @@ def ou_rho_derivative(set_spec, rho, x, budget: int = 200_000, *, seed=0,
 # quadrature tables and block sums
 
 
-@lru_cache(maxsize=None)
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per size.
+def _jacobi_kronrod(n: int) -> list[float]:
+    """b_0 = 2, b_1, ..., b_2n: the squared off-diagonal entries of the
+    Jacobi-Kronrod matrix of the Legendre weight on [-1, 1], by Laurie's
+    algorithm (Math. Comp. 66:1133, 1997) with its diagonal terms, all 0 for
+    this even weight, left out."""
+    b = [2.0] + [k * k / (4.0 * k * k - 1) for k in range(1, (3 * n + 1) // 2 + 1)]
+    b += [0.0] * (2 * n + 1 - len(b))
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        acc = 0.0
+        for j in range((m + 1) // 2, -1, -1):
+            acc += b[j + n + 1] * s[j] - b[m - j] * s[j + 1]
+            s[j + 1] = acc
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        acc = 0.0
+        for j in range(m + 1 - n, (m - 1) // 2 + 1):
+            i = n - 1 - m + j
+            acc += b[m - j] * s[i + 2] - b[j + n + 1] * s[i + 1]
+            s[i + 1] = acc
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[i + 1] / s[i + 2]
+        s, t = t, s
+    return b
 
-    Every caller shares the returned arrays, so they are read-only.
-    """
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+
+@lru_cache(maxsize=None)
+def _kronrod(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2n+1-node Gauss-Kronrod rule on [-1, 1] that extends the n-node
+    Gauss-Legendre rule: (nodes, Kronrod weights, Gauss weights), the n Gauss
+    nodes first, then the n+1 Kronrod nodes, each group ascending.  Built
+    once per n at first use; every caller shares the arrays, so they are
+    read-only.
+
+    The nodes are the roots of the characteristic polynomial p_2n+1 = P_n
+    E_n+1 of the Jacobi-Kronrod matrix, evaluated by its three-term
+    recurrence at x + ih with h = 1e-30, so the imaginary part carries h
+    p'(x) and needs no recurrence of its own.  The Aberth iteration (Newton's
+    step, deflated by the other roots) starts from the angles of the nodes
+    of a Chebyshev-like rule, the Gauss nodes at the odd ones, scaled by
+    Tricomi's factor, and stops when no node moves by more than rounding.
+    Each weight is the Christoffel function 2 / sum_k q_k(x)^2 of the
+    orthonormal recurrence, over k <= 2n for the Kronrod rule and k < n for
+    the Gauss rule: a sum of squares, which moves little with a node's
+    rounding."""
+    b = _jacobi_kronrod(n)
+    theta = math.pi * (np.arange(2 * n + 1) + 0.5) / (2 * n + 1)
+    x = -(1 - (n - 1) / (8 * n ** 3)) * np.cos(np.concatenate([theta[1::2], theta[::2]]))
+    apart = ~np.eye(2 * n + 1, dtype=bool)
+    while True:
+        z = x + 1e-30j
+        prev, p = np.zeros_like(z), np.ones_like(z)
+        for b_k in b:
+            prev, p = p, z * p - b_k * prev
+        newton = p.real / (1e30 * p.imag)
+        others = (1 / np.where(apart, x[:, None] - x, np.inf)).sum(axis=1)
+        step = newton / (1 - newton * others)
+        if np.max(np.abs(step)) <= 2 * np.finfo(float).eps:
+            break
+        x = x - step
+    c = [math.sqrt(b_k) for b_k in b]
+    prev, q, total = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+    for k in range(1, 2 * n + 1):
+        if k == n:
+            w_g = 2 / total[:n]
+        prev, q = q, (x * q - c[k - 1] * prev) / c[k]
+        total += q * q
+    tables = (x, 2 / total, w_g)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _block_sums(rows, sizes):

@@ -45,7 +45,7 @@ from .gauss import (
     VectorEstimate,
     _block_sums,
     _check_batch,
-    _leggauss,
+    _kronrod,
     as_rho,
     bivariate_normal_cdf,
     check_point,
@@ -178,19 +178,20 @@ def _graded_panels(theta_end: float) -> np.ndarray:
 
 
 def _graded_rule(rhos, integrand):
-    """The 16- and 32-node Gauss-Legendre rules on the graded panels of [0,
-    arcsin rho] for each rho of ``rhos``, applied to ``integrand``.  It maps
+    """The 33-node Gauss-Kronrod rule and the 16-node Gauss rule on its first
+    16 nodes, on the graded panels of [0, arcsin rho] for each rho of
+    ``rhos``, applied to ``integrand``: 33 evaluations per panel.  It maps
     all the rhos' angles, in one call, to (pairs, angles) arrays: values first,
     then nonnegative figures (magnitudes, error figures).  Returns (pairs,
-    rhos) arrays: the fine rule of the values, the summed difference of the
-    two rules, and the fine rule of each figure, every entry reduced by itself
-    as the one-pair one-rho call reduces it."""
-    (t16, w16), (t32, w32) = _leggauss(16), _leggauss(32)
+    rhos) arrays: the Kronrod rule of the values, the summed difference of
+    the two rules, and the Kronrod rule of each figure, every entry reduced by
+    itself as the one-pair one-rho call reduces it."""
+    t, w_k, w_g = _kronrod(16)
     panels = []
     for rho in rhos:
         cuts = _graded_panels(math.asin(rho))
         half = 0.5 * np.diff(cuts)[:, None]
-        theta = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * np.concatenate([t16, t32])
+        theta = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * t
         panels.append((half, theta if rho else theta[:0]))  # nothing to integrate at rho = 0
     rows = integrand(np.concatenate([theta.ravel() for _, theta in panels]))
     out = np.empty((len(rows) + 1, len(rows[0]), len(rhos)))
@@ -198,11 +199,11 @@ def _graded_rule(rhos, integrand):
     for j, (half, theta) in enumerate(panels):
         vals, *figures = (v[:, lo:lo + theta.size].reshape(len(v), *theta.shape) * half
                           for v in rows)
-        coarse, fine = vals[..., :16] @ w16, vals[..., 16:] @ w32
+        coarse, fine = vals[..., :16] @ w_g, vals @ w_k
         out[0, :, j] = fine.sum(axis=-1)
         out[1, :, j] = np.abs(coarse - fine).sum(axis=-1)
         for k, fig in enumerate(figures, 2):
-            out[k, :, j] = np.abs(fig[..., 16:] @ w32).sum(axis=-1)
+            out[k, :, j] = np.abs(fig @ w_k).sum(axis=-1)
         lo += theta.size
     return out
 
@@ -257,8 +258,9 @@ def _sector_pair_drho_rows(pairs, rhos):
 def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
     """(P(X in A, Y in B), error bound) for a rho-correlated pair and the unions
     A and B of sectors over the arcs at the apexes, by Plackett's identity: one
-    batch of 16- and 32-node Gauss-Legendre rules on the graded panels, with
-    their difference plus the rounding of the terms' magnitudes as the bound.
+    batch of the 33-node Gauss-Kronrod rule on the graded panels, with its
+    difference from the 16-node Gauss rule on its Gauss nodes plus the
+    rounding of the terms' magnitudes as the bound.
     The one-pair one-rho case of :func:`_sector_pair_rows`."""
     pair = (Shape(deco=(apex_a, arcs_a)), Shape(deco=(apex_b, arcs_b)))
     values, errors = _sector_pair_rows([pair], [rho])
@@ -893,8 +895,9 @@ class DilationFlowSet(SetSpec):
 # ---------------------------------------------------------------------------
 # facets and boundary sampling
 
-#: nodes of the coarse line rule (the fine one has twice as many) and its half-width
-#: in standard deviations, outside which the Gaussian mass is below 1e-32
+#: Gauss nodes of the line rule (its Gauss-Kronrod extension has 2 _LINE_NODES + 1)
+#: and its half-width in standard deviations, outside which the Gaussian mass is
+#: below 1e-32
 _LINE_NODES = 64
 _LINE_RADIUS = 12.0
 
@@ -906,22 +909,25 @@ def _values_and_errors(out):
 
 def _line_rule(h, lo: float, hi: float, mu=0.0, sigma: float = 1.0):
     """(integral over [lo, hi] of h(t) phi((t - mu)/sigma)/sigma dt, error figure)
-    by Gauss-Legendre on [lo, hi] cut to mu +- _LINE_RADIUS sigma: the value of
-    the 2 _LINE_NODES-node rule, and as error figure its difference from the
-    _LINE_NODES-node rule plus the rule's integral of any per-node error figures
-    h returns.  ``h`` gets both rules' nodes side by side in the last axis of
-    t, with one row per centre when ``mu`` is an array."""
+    on [lo, hi] cut to mu +- _LINE_RADIUS sigma, by the Gauss-Kronrod rule
+    with _LINE_NODES Gauss nodes: the value of the 2 _LINE_NODES + 1-node
+    Kronrod rule, and as error figure its difference from the Gauss rule plus
+    the rule's integral of any per-node error figures h returns and of the
+    rounding of the values (the two rules share their values, so their
+    difference does not see it).  ``h`` gets the 2 _LINE_NODES + 1 nodes, the
+    Gauss ones first, in the last axis of t, with one row per centre when
+    ``mu`` is an array."""
     mu = np.asarray(mu, dtype=float)
     a = np.maximum(lo, mu - _LINE_RADIUS * sigma)
     b = np.maximum(a, np.minimum(hi, mu + _LINE_RADIUS * sigma))
-    (tc, wc), (tf, wf) = _leggauss(_LINE_NODES), _leggauss(2 * _LINE_NODES)
+    t, w_k, w_g = _kronrod(_LINE_NODES)
     half = 0.5 * (b - a)
-    t = (0.5 * (a + b))[..., None] + half[..., None] * np.concatenate([tc, tf])
+    t = (0.5 * (a + b))[..., None] + half[..., None] * t
     vals, errs = _values_and_errors(h(t))
     dens = half[..., None] * norm_pdf((t - mu[..., None]) / sigma) / sigma
-    coarse = (vals * dens)[..., :_LINE_NODES] @ wc
-    fine = (vals * dens)[..., _LINE_NODES:] @ wf
-    err = (np.abs(errs) * dens)[..., _LINE_NODES:] @ wf
+    coarse = (vals * dens)[..., :_LINE_NODES] @ w_g
+    fine = (vals * dens) @ w_k
+    err = ((np.abs(errs) + ROUNDING * np.abs(vals)) * dens) @ w_k
     return fine, np.abs(coarse - fine) + err
 
 

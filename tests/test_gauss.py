@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, owens_t
 
+import noiselab.partitions as partitions_module
+from noiselab.cones import _orthant4
 from noiselab.gauss import (
     Correlation,
     DomainError,
     Estimate,
     SignedDifference,
     VectorEstimate,
+    _kronrod,
     bivariate_normal_cdf,
     gaussian_density,
     kernel_g,
@@ -41,7 +44,6 @@ from noiselab.partitions import (
     ProductWithR,
     Sector2D,
     ShiftedSet,
-    _leggauss,
     cone_partition,
     cylinder_extend,
     halfspace_partition,
@@ -328,13 +330,113 @@ class TestBatchContract:
             ou_gradient_quadrature(ball, 0.5, [0.1, 0.2])
 
     def test_node_table_is_cached_and_read_only(self):
-        t, w = _leggauss(48)
-        assert _leggauss(48)[0] is t and _leggauss(48)[1] is w
-        assert not t.flags.writeable and not w.flags.writeable
+        tables = _kronrod(48)
+        assert all(a is b for a, b in zip(_kronrod(48), tables))
+        t, w_k, w = tables
+        assert not any(a.flags.writeable for a in tables)
         with pytest.raises(ValueError):
             t[0] = 0.0
+        # the Gauss part is numpy's Gauss-Legendre rule, to rounding: numpy's
+        # end weights are 4e-15 (1.3e-12 relative) off the 40-digit ones
         ref_t, ref_w = np.polynomial.legendre.leggauss(48)
-        assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
+        assert np.max(np.abs(t[:48] - ref_t)) <= 4.5e-16
+        assert np.max(np.abs(w - ref_w)) <= 5e-15
+
+
+def _mp_kronrod(n):
+    """(nodes, Kronrod weights, Gauss weights) of the 2n+1-node Gauss-Kronrod
+    rule at 60 digits, by their definitions alone: the Gauss nodes are the
+    roots of P_n, the Kronrod nodes those of the Stieltjes polynomial E_n+1,
+    monic and orthogonal to P_n x^k for k <= n, and the weights make each rule
+    exact on the monomials up to its node count less one."""
+    with mpmath.workdps(60):
+        def moment(m):  # of x^m over [-1, 1]
+            return mpmath.mpf(2) / (m + 1) if m % 2 == 0 else mpmath.mpf(0)
+
+        p = [mpmath.mpf(0)] * (n + 1)  # P_n, ascending
+        for k in range(n // 2 + 1):
+            p[n - 2 * k] = mpmath.mpf((-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n)) / 2**n
+        # E_n+1 has the parity of n + 1, so its free coefficients are those
+        # x^j and the conditions those k that leave P_n x^k E_n+1 even
+        js = [j for j in range(n + 1) if (n + 1 - j) % 2 == 0]
+        ks = [k for k in range(n + 1) if k % 2 == 1]
+        a = mpmath.matrix([[sum(c * moment(i + j + k) for i, c in enumerate(p)) for j in js]
+                           for k in ks])
+        r = mpmath.matrix([-sum(c * moment(i + n + 1 + k) for i, c in enumerate(p)) for k in ks])
+        e = [mpmath.mpf(0)] * (n + 1) + [mpmath.mpf(1)]
+        for j, v in zip(js, mpmath.lu_solve(a, r)):
+            e[j] = v
+        gauss, stieltjes = (sorted(mpmath.re(z) for z in mpmath.polyroots(c[::-1], maxsteps=100,
+                                                                         extraprec=60))
+                            for c in (p, e))
+
+        def weights(xs):
+            v = mpmath.matrix([[x**m for x in xs] for m in range(len(xs))])
+            return mpmath.lu_solve(v, mpmath.matrix([moment(m) for m in range(len(xs))]))
+
+        return tuple(np.array([float(v) for v in vals])
+                     for vals in (gauss + stieltjes, weights(gauss + stieltjes), weights(gauss)))
+
+
+class TestKronrodRule:
+    """gauss._kronrod, the one quadrature table builder: the n-node
+    Gauss-Legendre rule and its 2n+1-node Kronrod extension."""
+
+    @pytest.mark.parametrize("n", [10, 16, 64])
+    def test_gauss_nodes_come_first(self, n):
+        t, w_k, w_g = _kronrod(n)
+        assert t.shape == w_k.shape == (2 * n + 1,) and w_g.shape == (n,)
+        ref_t, _ = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(t[:n] - ref_t)) <= 4.5e-16
+        # each group ascends, and the Kronrod nodes interlace the Gauss ones
+        assert np.all(np.diff(t[:n]) > 0) and np.all(np.diff(t[n:]) > 0)
+        assert np.array_equal(np.sort(t)[1::2], t[:n])
+
+    @pytest.mark.parametrize("n", [10, 16, 64])
+    def test_exact_on_legendre_polynomials(self, n):
+        t, w_k, w_g = _kronrod(n)
+        assert w_k.min() > 0 and w_g.min() > 0
+        exact = np.zeros(3 * n + 2)
+        exact[0] = 2.0
+        kronrod = w_k @ np.polynomial.legendre.legvander(t, 3 * n + 1)
+        gauss = w_g @ np.polynomial.legendre.legvander(t[:n], 2 * n - 1)
+        assert np.max(np.abs(kronrod - exact)) <= 2.4e-15
+        assert np.max(np.abs(gauss - exact[:2 * n])) <= 2.4e-15
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_matches_the_60_digit_rule(self, n):
+        for got, ref in zip(_kronrod(n), _mp_kronrod(n)):
+            assert np.max(np.abs(got - ref)) <= 2.3e-16
+
+    def test_each_rule_evaluates_its_integrand_once_per_node(self, monkeypatch):
+        seen = []
+
+        def integrand(theta):
+            seen.append(theta.size)
+            return [np.zeros((1, theta.size))] * 2
+
+        def line(t):
+            seen.append(t.shape[-1])
+            return np.ones_like(t)
+
+        arcsin = np.arcsin
+
+        def counted_arcsin(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return arcsin(a, *args, **kwargs)
+
+        partitions_module._graded_rule([0.5], integrand)
+        panels = len(partitions_module._graded_panels(math.asin(0.5))) - 1
+        assert seen == [33 * panels]
+        seen.clear()
+        partitions_module._line_rule(line, -1.0, 1.0)
+        assert seen == [129]
+        # the orthant rule takes the arcsine of its 6 terms' ends, then of
+        # the integrand at 21 nodes in each of its 3 panels
+        monkeypatch.setattr(np, "arcsin", counted_arcsin)
+        seen.clear()
+        _orthant4(np.full((1, 6), 0.3), 2)
+        assert seen == [(1, 6), (1, 6, 21 * 3)]
 
 
 def _reduction_cells():

@@ -1,6 +1,7 @@
 """Structural checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,52 @@ def test_no_route_differences_t():
     found = [f"{name}:{line}" for name in ("ou_gradient_quadrature", "ou_rho_derivative_exact")
              for line in _reads_ou_exact(funcs[name])]
     assert found == []
+
+
+#: callables that build a quadrature table: numpy's Gauss rules, scipy.special's
+#: roots_* and *_roots, and the eigensolvers of the Golub-Welsch route
+TABLE_BUILDERS = re.compile(r"^((leg|cheb|lag|herm|herme)gauss|roots_\w+|\w+_roots|eig\w*)$")
+#: the functions that may build one: gauss._kronrod builds every Gauss-Legendre
+#: and Gauss-Kronrod table, and gauss._gh_nodes the Gauss-Hermite rule of T_rho
+#: on callables, whose weight is on the whole line
+TABLE_HOMES = {("gauss.py", "_kronrod"), ("gauss.py", "_gh_nodes")}
+
+
+def _table_builds(tree, path):
+    """(line, name) of each call or import of a table builder outside TABLE_HOMES."""
+    skip = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and (path.name, f.name) in TABLE_HOMES
+            for n in ast.walk(f)}
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Call):
+            f = node.func
+            names = [f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")]
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names if TABLE_BUILDERS.match(name))
+
+
+def test_one_quadrature_table_builder():
+    # every embedded rule reads gauss._kronrod's cached tables, whose Gauss
+    # nodes its Kronrod rule reuses; a second builder would evaluate the
+    # integrand at nodes no other rule shares
+    found = [f"{p.name}:{line} {name}" for p in SOURCES
+             for line, name in _table_builds(ast.parse(p.read_text()), p)]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def f(n):\n    return np.polynomial.legendre.leggauss(n)\n", [(2, "leggauss")]),
+    ("from scipy.special import roots_legendre\n", [(1, "roots_legendre")]),
+    ("def f(m):\n    return np.linalg.eigvalsh(m)\n", [(2, "eigvalsh")]),
+    ("def _kronrod(n):\n    return np.polynomial.legendre.leggauss(n)\n", []),
+    ("def f(m):\n    return np.linalg.svd(m)\n", [])])
+def test_the_table_check_catches_a_builder(source, flagged):
+    assert list(_table_builds(ast.parse(source), Path("gauss.py"))) == flagged
 
 
 def test_the_float_literal_check_catches_a_constant():

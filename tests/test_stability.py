@@ -662,8 +662,9 @@ class TestBatchedPairRule:
         p = PAIR_RULE_PARTITIONS["shifted-apex"]
         grid = [0.9, -0.5, 0.2, -0.98, 0.7, 0.9999, -0.3]
         rows = stability_sweep(p, grid)
-        # 3 cells x 2 x 2 edge-ray pairs against the 16 + 32 nodes of every row's panels
-        nodes = sum(48 * (len(partitions_module._graded_panels(math.asin(r))) - 1) for r in grid)
+        # 3 cells x 2 x 2 edge-ray pairs against the 33 Gauss-Kronrod nodes of
+        # every row's panels
+        nodes = sum(33 * (len(partitions_module._graded_panels(math.asin(r))) - 1) for r in grid)
         assert calls == [(12, nodes)]
         assert [r.method for r in rows] == [QUADRATURE] * len(grid)
 
