@@ -653,8 +653,9 @@ class ConeCell(SetSpec):
         self.dim = z.shape[1]
 
     def _member(self, pts):
-        dots = pts @ self.generators.T
-        return dots[:, self.index] >= dots.max(axis=1)
+        # (m, k) scores, reduced over the long rows' short axis 0
+        dots = self.generators @ pts.T
+        return dots[self.index] >= dots.max(axis=0)
 
     @functools.cached_property
     def shape(self):
@@ -1206,13 +1207,14 @@ class PartitionSpec:
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
         if self.argmax_form is not None:
-            # the inner products of ConeCell._member on the same coordinates, so
-            # the first maximum is the cell that claims the point first
+            # the (m, k) scores of ConeCell._member on the same coordinates, so
+            # the first row at the maximum is the cell that claims the point first
             z, shift, base_dim = self.argmax_form
             x = pts[:, :base_dim]
             if shift.any():  # subtracting zero would only copy
                 x = x - shift
-            idx = np.argmax(x @ z.T, axis=1)
+            scores = z @ x.T
+            idx = np.argmax(scores == scores.max(axis=0), axis=0)
         else:
             claimed = np.zeros(pts.shape[0], dtype=bool)
             idx = np.full(pts.shape[0], -1, dtype=int)

@@ -129,6 +129,25 @@ class TestMembership:
         with pytest.raises(DomainError):
             p.membership(np.array([np.inf, 0.0]))
 
+    @pytest.mark.parametrize("m, d", [(2, 2), (3, 2), (5, 3), (4, 5)])
+    def test_scores_in_cell_by_point_layout_keep_their_bits(self, m, d):
+        # ConeCell._member and the argmax of membership form z @ x.T, (m, k),
+        # and reduce over axis 0; their scores are those of x @ z.T to the bit,
+        # on whole, sliced and shifted batches of every size a shard passes
+        rng = np.random.default_rng([61, m, d])
+        z = rng.standard_normal((m, d))
+        p = PartitionSpec([ConeCell(z, i) for i in range(m)])
+        for k in (1, 7, 4096, 1 << 17):
+            wide = rng.standard_normal((k, d + 2))
+            for x in (wide[:, :d].copy(), wide[:, :d], wide[:, :d] - 0.3):
+                rows = x @ z.T
+                assert np.array_equal(z @ x.T, rows.T)
+                assert np.array_equal(p.membership(x), np.argmax(rows, axis=1))
+                for i, cell in enumerate(p.cells):
+                    assert np.array_equal(cell.contains(x), rows[:, i] >= rows.max(axis=1))
+        # at the origin every score ties, and the lowest index claims it
+        assert p.membership(np.zeros(d)) == 0
+
 
 class TestMeasure:
     def test_halfspace_closed_form(self):
