@@ -313,7 +313,8 @@ def _mp_sector_pair(arc_a, arc_b, rho):
     is uniform and independent of the angle difference, so this is (1/2pi) times
     the integral of the angle-difference density against the length of the part
     of A that the difference carries into B.  The length is linear between the
-    kinks, which bound the pieces of the mpmath quadrature."""
+    kinks, which bound the pieces of the mpmath quadrature, so each piece reads
+    its two coefficients off the length at its ends."""
     with mpmath.workdps(20):
         tau, r = 2 * mpmath.pi, mpmath.mpf(rho)
         (a1, b1), (a2, b2) = ([mpmath.mpf(x) for x in arc] for arc in (arc_a, arc_b))
@@ -324,8 +325,12 @@ def _mp_sector_pair(arc_a, arc_b, rho):
 
         kinks = {(x + mpmath.pi) % tau - mpmath.pi for x in (a2 - a1, a2 - b1, b2 - a1, b2 - b1)}
         pieces = sorted(kinks | {-mpmath.pi, mpmath.mpf(0), mpmath.pi})
-        return float(mpmath.quad(lambda d: _mp_angle_difference_density(d, r) * overlap(d),
-                                 pieces) / tau)
+        total = 0
+        for lo, hi in zip(pieces, pieces[1:]):
+            start, slope = overlap(lo), (overlap(hi) - overlap(lo)) / (hi - lo)
+            total += mpmath.quad(lambda d: _mp_angle_difference_density(d, r)
+                                 * (start + slope * (d - lo)), [lo, hi])
+        return float(total / tau)
 
 
 def _mp_bivariate_normal(a, b, rho):
