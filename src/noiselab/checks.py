@@ -197,8 +197,10 @@ def _propeller(seed, budget):
 
 
 def _gaussian_core(seed, budget):
-    # E[X_0 Y_0] reads one coordinate, so the pairs are drawn in R^1
+    # E[X_0 Y_0] reads one coordinate, so the pairs are drawn in R^1; the
+    # tolerance is 3 standard errors of the sample's own X_0 Y_0
     x, y = sample_correlated_pair(0.7, 1, 400_000, seed=seed)
+    xy = x[:, 0] * y[:, 0]
     hp = halfspace_partition([1.0, 0.0], 0.0).cells[0]
     u, w = np.array([0.3, -0.1]), np.array([0.2, 0.5])
     return [
@@ -206,7 +208,7 @@ def _gaussian_core(seed, budget):
         check("bvn-arcsine", bivariate_normal_cdf(0, 0, 0.5), 1e-9, target=1.0 / 3.0),
         check("closed-form-halfspace", half_space_stability_closed_form(0.5, 0.5), 1e-8,
               target=sheppard_half_space(0.5)),
-        check("pair-correlation", float(np.mean(x[:, 0] * y[:, 0])), 3 * 1.5 / math.sqrt(400_000),
+        check("pair-correlation", float(np.mean(xy)), 3 * float(np.std(xy, ddof=1)) / math.sqrt(xy.size),
               target=0.7),
         check("ou-halfspace-center", ou_apply(hp, 0.4, np.zeros(2), budget).value, 1e-9,
               target=0.5),
