@@ -197,10 +197,11 @@ def _propeller(seed, budget):
 
 
 def _gaussian_core(seed, budget):
-    # E[X_0 Y_0] reads one coordinate, so the pairs are drawn in R^1; the
-    # tolerance is 3 standard errors of the sample's own X_0 Y_0
+    # E[X_0 Y_0] reads one coordinate, so the pairs are drawn in R^1, and the
+    # products overwrite X; the tolerance is 3 standard errors of the sample's
+    # own X_0 Y_0
     x, y = sample_correlated_pair(0.7, 1, 400_000, seed=seed)
-    xy = x[:, 0] * y[:, 0]
+    xy = np.multiply(x[:, 0], y[:, 0], out=x[:, 0])
     hp = halfspace_partition([1.0, 0.0], 0.0).cells[0]
     u, w = np.array([0.3, -0.1]), np.array([0.2, 0.5])
     return [

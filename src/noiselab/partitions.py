@@ -653,7 +653,7 @@ class ConeCell(SetSpec):
         self.dim = z.shape[1]
 
     def _member(self, pts):
-        # (m, k) scores, reduced over the long rows' short axis 0
+        # scores in (m, k) layout, so the maximum over the cells runs along rows
         dots = self.generators @ pts.T
         return dots[self.index] >= dots.max(axis=0)
 
