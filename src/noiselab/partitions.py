@@ -199,7 +199,7 @@ def _graded_rule(rhos, integrand):
     for j, (half, theta) in enumerate(panels):
         vals, *figures = (v[:, lo:lo + theta.size].reshape(len(v), *theta.shape) * half
                           for v in rows)
-        coarse, fine = vals[..., :16] @ w_g, vals @ w_k
+        coarse, fine = vals[..., :w_g.size] @ w_g, vals @ w_k
         out[0, :, j] = fine.sum(axis=-1)
         out[1, :, j] = np.abs(coarse - fine).sum(axis=-1)
         for k, fig in enumerate(figures, 2):
