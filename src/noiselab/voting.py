@@ -20,14 +20,17 @@ where K_a is row a of the noise kernel.  The route evaluates that product on
 the (n+1)^(m-1) DFT grid for each histogram up to relabelling of candidates
 (a partition of n into at most m parts), pairs it with the DFT of plurality's
 values on the grid, and weights each histogram by its orbit size times its
-multinomial probability.  The plurality table takes whichever exact route
-costs less and samples only when both refuse.
+multinomial probability.  The exponents c_a are integers 0..n, so the
+products come from a table of integer powers (K_a . x)^k built by repeated
+multiplication at each grid point: a histogram's product is m rows gathered
+from the table and multiplied, with no exp, log or trigonometric call per
+histogram.  The plurality table takes whichever exact route costs less and
+samples only when both refuse.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,13 +44,17 @@ EXACT_TABLE_LIMIT = 10_000_000
 #: largest n * m^(n+1) that exact stability may cost (see _exact_affordable)
 EXACT_PAIR_LIMIT = 6_000_000
 #: byte cap, at 16 bytes per grid point, on each (rows x half DFT grid) array
-#: of the histogram route: the m transformed plurality columns, and each block
-#: of histograms
+#: of the histogram route: the m transformed plurality columns, and each
+#: (m x (n+1) x columns) table of powers
 HISTOGRAM_BLOCK_BYTES = 16 << 20
 #: largest histograms * half grid * m that the histogram route may cost: about
-#: 17 ns a unit on 2 CPUs, so (3, 201) at 2.1e8 takes 3.5 s, where the sampled
+#: 2 ns a unit on 2 CPUs, so (3, 201) at 2.1e8 takes 0.4 s, where the sampled
 #: row it replaces holds samples x n votes (0.7 GB at (3, 101))
 HISTOGRAM_PAIR_LIMIT = 500_000_000
+#: cache-sized bytes of the histogram route's power table per block of grid
+#: columns, and of each block of histogram rows gathered from it
+_POWER_BYTES = 1 << 20
+_GATHER_BYTES = 1 << 19
 SIMPLEX_TOL = 1e-12
 
 
@@ -163,12 +170,20 @@ def coordinate_stability(table, m: int, n: int, rho: float) -> float:
 
 
 def sample_noisy_profiles(m: int, n: int, rho: float, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """k i.i.d. pairs (w, d) from the uniform/noise joint chain."""
+    """k i.i.d. pairs (w, d) from the uniform/noise joint chain.
+
+    Each draw is cast as soon as it is made to the smallest unsigned type that
+    holds w + shift <= 2m - 2, and d is formed in place in that type; the draws
+    themselves are those of int64 sampling, so seeded values keep their bits.
+    """
     stay = float(noise_kernel(m, rho)[0, 0])
-    w = rng.integers(0, m, size=(k, n))
+    small = np.min_scalar_type(2 * m - 2)
+    w = rng.integers(0, m, size=(k, n)).astype(small)
     move = rng.random((k, n)) >= stay
-    shift = rng.integers(1, m, size=(k, n))
-    d = np.where(move, (w + shift) % m, w)
+    d = rng.integers(1, m, size=(k, n)).astype(small)
+    d *= move
+    d += w
+    d %= m
     return w, d
 
 
@@ -196,7 +211,8 @@ def plurality(m: int, n: int) -> DiscreteFunction:
 
 def plurality_values(m: int, profiles: np.ndarray) -> np.ndarray:
     """PLUR evaluated directly on a (k, n) array of profiles (oracle mode)."""
-    return plurality_of_counts(np.stack([(profiles == c).sum(axis=1) for c in range(m)], axis=1))
+    return plurality_of_counts(np.stack([np.count_nonzero(profiles == c, axis=1)
+                                         for c in range(m)], axis=1))
 
 
 def plurality_of_counts(counts: np.ndarray) -> np.ndarray:
@@ -246,15 +262,20 @@ def _sorted_histograms(m: int, n: int) -> np.ndarray:
     return np.array(out)
 
 
-def _histogram_weight(c, m: int, n: int) -> float:
-    # P(hist(w) lands in the orbit of c): orbit size * multinomial / m^n
-    orbit = math.factorial(m)
-    for k in Counter(c).values():
-        orbit //= math.factorial(k)
-    ways = math.factorial(n)
-    for a in c:
-        ways //= math.factorial(a)
-    return orbit * ways / m**n
+def _histogram_weights(reps: np.ndarray, m: int, n: int) -> np.ndarray:
+    """P(hist(w) lands in the orbit of each sorted histogram): orbit size times
+    multinomial over m^n, each an exact integer divided once by m^n."""
+    fact = [1]
+    for k in range(1, max(m, n) + 1):
+        fact.append(fact[-1] * k)
+    # a run of k equal counts in a sorted row divides the orbit by k!, which is
+    # the product of each entry's rank 1..k within its run
+    rank = np.ones(reps.shape, dtype=int)
+    for a in range(1, m):
+        rank[:, a] = np.where(reps[:, a] == reps[:, a - 1], rank[:, a - 1] + 1, 1)
+    numerator, scale = fact[m] * fact[n], m**n
+    return np.array([numerator // (math.prod(r) * math.prod([fact[a] for a in c])) / scale
+                     for c, r in zip(reps.tolist(), rank.tolist())])
 
 
 def plurality_stability_histogram(m: int, n: int, rho: float) -> float:
@@ -263,8 +284,13 @@ def plurality_stability_histogram(m: int, n: int, rho: float) -> float:
     For each histogram c up to relabelling, E[PLUR(hist d) | c] is the
     pairing of the generating function prod_a (K_a . x)^(c_a) on the DFT grid
     with the DFT of plurality's values there.  Both are conjugate-symmetric,
-    so only the half grid of a real FFT is evaluated.  Histograms go in
-    blocks that keep each (rows x half grid) array under HISTOGRAM_BLOCK_BYTES.
+    so only the half grid of a real FFT is evaluated.  The counts c_a are
+    integers 0..n, so the products are read from a table of the powers
+    (K_a . x)^k, k = 0..n, built by repeated multiplication for a block of
+    grid columns: each histogram's row is m gathered table rows multiplied
+    together, and one real matrix product sums the rows, weighted, per
+    candidate.  The m transformed plurality columns and each power table stay
+    under HISTOGRAM_BLOCK_BYTES.
     """
     if n < 1:
         raise DomainError("need n >= 1 voters")
@@ -285,22 +311,44 @@ def plurality_stability_histogram(m: int, n: int, rho: float) -> float:
     if n % 2:
         fold[-1] = 1.0
     spectrum = (spectrum * (fold[:, None] / full.shape[1])).reshape(-1, m)
-    # |K_a . x| and arg(K_a . x) on the half grid, with x_{m-1} = 1
+    # sum Re(spectrum * u) is the float dot of conj(spectrum) with u
+    paired = np.ascontiguousarray(spectrum.conj().T).view(float)
+    # K_a . x on the half grid, with x_{m-1} = 1
     t = np.indices(half).reshape(m - 1, -1)
     gen = kernel @ np.vstack([np.exp(2j * np.pi / (n + 1) * t), np.ones((1, t.shape[1]))])
-    log_modulus = np.log(np.maximum(np.abs(gen), np.finfo(float).tiny))
-    phase = np.angle(gen)
     reps = _sorted_histograms(m, n)
-    weights = np.array([_histogram_weight(c, m, n) for c in reps.tolist()])
-    own = plurality_of_counts(reps)
-    block = HISTOGRAM_BLOCK_BYTES // (16 * t.shape[1])
+    scaled = (_histogram_weights(reps, m, n)[:, None] * plurality_of_counts(reps)).T.copy()
+    # row a * (n+1) + c_a of the flattened power table holds (K_a . x)^(c_a)
+    index = reps + (n + 1) * np.arange(m)
+    grid = t.shape[1]
+    cols = min(grid, max(1, min(_POWER_BYTES, HISTOGRAM_BLOCK_BYTES) // (16 * m * (n + 1))))
+    rows = min(len(reps), max(1, _GATHER_BYTES // (16 * cols)))
+    # flat buffers, so that the narrower last column block is contiguous too
+    powers = np.empty(m * (n + 1) * cols, complex)
+    z, factor = np.empty(rows * cols, complex), np.empty(rows * cols, complex)
     total = 0.0
-    for s in range(0, len(reps), block):
-        c = reps[s:s + block].astype(float)
-        modulus, angle = np.exp(c @ log_modulus), c @ phase
-        expect = ((modulus * np.cos(angle)) @ spectrum.real
-                  - (modulus * np.sin(angle)) @ spectrum.imag)
-        total += float(weights[s:s + block] @ np.einsum("ij,ij->i", expect, own[s:s + block]))
+    for g in range(0, grid, cols):
+        width = min(cols, grid - g)
+        pw = powers[:m * (n + 1) * width].reshape(m, n + 1, width)
+        pw[:, 0] = 1.0
+        for k in range(1, n + 1):
+            np.multiply(pw[:, k - 1], gen[:, g:g + width], out=pw[:, k])
+        table = pw.reshape(m * (n + 1), width)
+        u = np.zeros((m, 2 * width))
+        for s in range(0, len(reps), rows):
+            block = index[s:s + rows]
+            zb = z[:len(block) * width].reshape(-1, width)
+            fb = factor[:len(block) * width].reshape(-1, width)
+            # every index is in range; mode="clip" lets take write into out
+            # directly, where mode="raise" would buffer it
+            np.take(table, block[:, 0], axis=0, out=zb, mode="clip")
+            for a in range(1, m):
+                np.take(table, block[:, a], axis=0, out=fb, mode="clip")
+                zb *= fb
+            u += scaled[:, s:s + rows] @ zb.view(float)
+        # einsum, not a BLAS dot: at m = 5 a dot this long wakes a second
+        # thread, and (5, 8) took 24 ms instead of 4 ms on 2 CPUs
+        total += float(np.einsum("ij,ij->", paired[:, 2 * g:2 * (g + width)], u))
     return total
 
 

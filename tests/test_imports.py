@@ -391,3 +391,35 @@ def test_cli_states_no_verify_criterion():
     found = [f"{name}:{node.lineno}" for name in sorted(path) for node in ast.walk(funcs[name])
              if isinstance(node, ast.Constant) and isinstance(node.value, float)]
     assert found == []
+
+
+#: the numpy transcendentals whose per-grid-point evaluation the histogram
+#: route's table of integer powers replaces
+TRANSCENDENTALS = {"exp", "log", "cos", "sin", "angle", "power"}
+
+
+def _transcendentals_in_loops(func):
+    """(line, name) of each np.<transcendental> call inside a loop of ``func``."""
+    return sorted({(node.lineno, node.func.attr)
+                   for loop in ast.walk(func) if isinstance(loop, (ast.For, ast.While))
+                   for node in ast.walk(loop)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                   and node.func.attr in TRANSCENDENTALS})
+
+
+def test_histogram_route_loops_only_multiply():
+    # the generating function is evaluated once per grid point, outside the
+    # loops; every block of histograms multiplies rows of the power table
+    funcs = _functions(ast.parse(next(p for p in SOURCES if p.name == "voting.py").read_text()))
+    assert _transcendentals_in_loops(funcs["plurality_stability_histogram"]) == []
+
+
+@pytest.mark.parametrize("body, flagged", [
+    ("for s in r:\n        t += np.exp(c @ x)\n", [(3, "exp")]),
+    ("while s:\n        a = np.angle(g)\n", [(3, "angle")]),
+    ("for s in r:\n        for a in q:\n            z *= np.power(g, a)\n", [(4, "power")]),
+    ("g = np.exp(x)\n    for s in r:\n        z *= g\n", [])])
+def test_the_loop_check_catches_a_transcendental(body, flagged):
+    func = ast.parse(f"def f(r, c, x, g, q, z, t):\n    {body}").body[0]
+    assert _transcendentals_in_loops(func) == flagged

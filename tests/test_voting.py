@@ -3,6 +3,8 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,55 @@ from noiselab.voting import (
     plurality_stability_table,
     plurality_values,
 )
+
+
+def orbit_weight(c, m: int, n: int) -> float:
+    """P(hist(w) is a relabelling of c), rounded once from the exact fraction."""
+    orbit = math.factorial(m)
+    for k in Counter(c).values():
+        orbit //= math.factorial(k)
+    multinomial = math.factorial(n)
+    for a in c:
+        multinomial //= math.factorial(a)
+    return float(Fraction(orbit * multinomial, m**n))
+
+
+def convolution_stability(m: int, n: int, rho: float) -> float:
+    """Independent oracle for the histogram route at large n: for each
+    histogram up to relabelling, the law of the noisy histogram is built by
+    convolving in one voter's kernel row at a time (no DFT, no power table)."""
+    stay, move = (1 + (m - 1) * rho) / m, (1 - rho) / m
+    hists = [c for c in itertools.combinations_with_replacement(range(n, -1, -1), m)
+             if sum(c) == n]
+    # voter t of histogram h votes votes[h, t]; the law is over the counts of
+    # candidates 0..m-2, the last count being n minus their sum
+    votes = np.array([np.repeat(np.arange(m), c) for c in hists])
+    law = np.zeros((len(hists),) + (n + 1,) * (m - 1))
+    law[(slice(None),) + (0,) * (m - 1)] = 1.0
+    for t in range(n):
+        grown = np.zeros_like(law)
+        for b in range(m):
+            coef = np.where(votes[:, t] == b, stay, move).reshape((-1,) + (1,) * (m - 1))
+            if b == m - 1:
+                grown += coef * law
+            else:
+                to = [slice(None)] * m
+                to[b + 1] = slice(1, None)
+                frm = [slice(None)] * m
+                frm[b + 1] = slice(None, -1)
+                grown[tuple(to)] += coef * law[tuple(frm)]
+        law = grown
+
+    def rule(counts):
+        # the strict winner's basis vector, else the uniform point
+        top = counts == counts.max(axis=1, keepdims=True)
+        return np.where(top.sum(axis=1, keepdims=True) == 1, top, 1.0 / m)
+
+    grid = np.indices((n + 1,) * (m - 1)).reshape(m - 1, -1).T
+    noisy = rule(np.column_stack([grid, n - grid.sum(axis=1)]))
+    agree = rule(np.array(hists)) @ noisy.T
+    weights = np.array([orbit_weight(c, m, n) for c in hists])
+    return float(weights @ np.einsum("hg,hg->h", law.reshape(len(hists), -1), agree))
 
 
 def brute_force_stability(f: DiscreteFunction, rho: float) -> float:
@@ -308,6 +359,26 @@ class TestOneCopyPerRule:
         with pytest.raises(DomainError):
             plurality_stability_mc(3, 5, 0.4, 0)
 
+    def test_sampler_memory(self):
+        # votes are held in one byte each: 50,000 profiles of 101 votes traced
+        # 167 MB when each pair of draws was held in int64
+        tracemalloc.start()
+        try:
+            est = plurality_stability_mc(3, 101, 0.4, 50_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.samples == 50_000
+        assert peak <= 80e6
+
+    def test_sampler_dtype_holds_the_shifted_vote(self):
+        # w + shift reaches 2m - 2 = 254 at m = 128, past a signed byte
+        w, d = voting.sample_noisy_profiles(128, 3, 0.0, 2_000, np.random.default_rng(5))
+        assert w.dtype == d.dtype == np.uint8
+        assert d.max() < 128 and np.any(d >= 64)
+        w, d = voting.sample_noisy_profiles(129, 3, 0.0, 10, np.random.default_rng(5))
+        assert d.dtype == np.uint16
+
 
 class TestHistogramRoute:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -339,20 +410,34 @@ class TestHistogramRoute:
         rows += plurality_stability_table(4, 0.4, [21], benchmark_budget=1_000)
         assert [r["method"] for r in rows if r["n"] != "limit"] == ["exact"] * 3
 
-    def test_block_cap_bounds_memory(self, monkeypatch):
-        # (3, 51) has 243 sorted histograms on a 52 x 27 half grid; the small
-        # cap fits the three transformed columns and blocks of 3 histograms
-        whole = plurality_stability_histogram(3, 51, 0.4)
-        cap = 70_000
+    @pytest.mark.parametrize("m,n,cap", [(3, 51, 70_000), (4, 21, 371_712)])
+    def test_block_cap_bounds_memory(self, monkeypatch, m, n, cap):
+        # (3, 51) has 243 sorted histograms on a 52 x 27 half grid, whose three
+        # transformed columns take 67,392 bytes; (4, 21) has a 22 x 22 x 12
+        # half grid, whose four columns take exactly 371,712.  Each cap blocks
+        # the power table to 28 and 264 grid columns
+        whole = plurality_stability_histogram(m, n, 0.4)
         monkeypatch.setattr(voting, "HISTOGRAM_BLOCK_BYTES", cap)
         tracemalloc.start()
         try:
-            blocked = plurality_stability_histogram(3, 51, 0.4)
+            blocked = plurality_stability_histogram(m, n, 0.4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert abs(blocked - whole) <= 1e-15
         assert peak <= 20 * cap
+
+    @pytest.mark.parametrize("m,n", [(3, 25), (3, 51), (4, 9), (4, 21), (5, 8)])
+    def test_matches_direct_convolution(self, m, n):
+        for rho in (-1.0 / (m - 1) + 1e-6, 0.4, 0.99):
+            expect = convolution_stability(m, n, rho)
+            assert abs(plurality_stability_histogram(m, n, rho) - expect) <= 1e-13
+
+    @pytest.mark.parametrize("m,n", [(3, 51), (4, 21)])
+    def test_weights_are_the_rounded_fractions(self, m, n):
+        reps = voting._sorted_histograms(m, n)
+        expect = [orbit_weight(c, m, n) for c in reps.tolist()]
+        assert voting._histogram_weights(reps, m, n).tolist() == expect
 
     def test_refusals(self):
         with pytest.raises(DomainError):
