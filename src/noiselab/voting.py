@@ -44,12 +44,12 @@ EXACT_TABLE_LIMIT = 10_000_000
 #: largest n * m^(n+1) that exact stability may cost (see _exact_affordable)
 EXACT_PAIR_LIMIT = 6_000_000
 #: byte cap, at 16 bytes per grid point, on each (rows x half DFT grid) array
-#: of the histogram route: the m transformed plurality columns, and each
-#: (m x (n+1) x columns) table of powers
+#: of the histogram route: the m transformed plurality columns, each
+#: (m x (n+1) x columns) table of powers, and each block of gathered rows
 HISTOGRAM_BLOCK_BYTES = 16 << 20
 #: largest histograms * half grid * m that the histogram route may cost: about
 #: 2 ns a unit on 2 CPUs, so (3, 201) at 2.1e8 takes 0.4 s, where the sampled
-#: row it replaces holds samples x n votes (0.7 GB at (3, 101))
+#: row it replaces holds samples x n votes (0.22 GB at (3, 101), 200,000 samples)
 HISTOGRAM_PAIR_LIMIT = 500_000_000
 #: cache-sized bytes of the histogram route's power table per block of grid
 #: columns, and of each block of histogram rows gathered from it
@@ -289,8 +289,8 @@ def plurality_stability_histogram(m: int, n: int, rho: float) -> float:
     (K_a . x)^k, k = 0..n, built by repeated multiplication for a block of
     grid columns: each histogram's row is m gathered table rows multiplied
     together, and one real matrix product sums the rows, weighted, per
-    candidate.  The m transformed plurality columns and each power table stay
-    under HISTOGRAM_BLOCK_BYTES.
+    candidate.  The m transformed plurality columns, each power table and
+    each block of gathered rows stay under HISTOGRAM_BLOCK_BYTES.
     """
     if n < 1:
         raise DomainError("need n >= 1 voters")
@@ -322,7 +322,7 @@ def plurality_stability_histogram(m: int, n: int, rho: float) -> float:
     index = reps + (n + 1) * np.arange(m)
     grid = t.shape[1]
     cols = min(grid, max(1, min(_POWER_BYTES, HISTOGRAM_BLOCK_BYTES) // (16 * m * (n + 1))))
-    rows = min(len(reps), max(1, _GATHER_BYTES // (16 * cols)))
+    rows = min(len(reps), max(1, min(_GATHER_BYTES, HISTOGRAM_BLOCK_BYTES) // (16 * cols)))
     # flat buffers, so that the narrower last column block is contiguous too
     powers = np.empty(m * (n + 1) * cols, complex)
     z, factor = np.empty(rows * cols, complex), np.empty(rows * cols, complex)
