@@ -199,13 +199,16 @@ def _propeller(seed, budget):
 def _gaussian_core(seed, budget):
     # E[X_0 Y_0] reads one coordinate, so the pairs are drawn in R^1, and the
     # products overwrite X; the tolerance is 3 standard errors of the sample's
-    # own X_0 Y_0
+    # own X_0 Y_0.  At rho = 0 the CDF is the product of the marginals, here
+    # written with math.erfc rather than the ndtr the CDF uses; 1e-13 is a
+    # rounding floor, above the 2.4e-14 the half-space pair rule reports there
     x, y = sample_correlated_pair(0.7, 1, 400_000, seed=seed)
     xy = np.multiply(x[:, 0], y[:, 0], out=x[:, 0])
     hp = halfspace_partition([1.0, 0.0], 0.0).cells[0]
     u, w = np.array([0.3, -0.1]), np.array([0.2, 0.5])
     return [
-        check("bvn-independence", bivariate_normal_cdf(0, 0, 1e-12), 1e-9, target=0.25),
+        check("bvn-independence", bivariate_normal_cdf(0.3, -0.7, 0.0), 1e-13,
+              target=0.25 * math.erfc(-0.3 / math.sqrt(2)) * math.erfc(0.7 / math.sqrt(2))),
         check("bvn-arcsine", bivariate_normal_cdf(0, 0, 0.5), 1e-9, target=1.0 / 3.0),
         check("closed-form-halfspace", half_space_stability_closed_form(0.5, 0.5), 1e-8,
               target=sheppard_half_space(0.5)),

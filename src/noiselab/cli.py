@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="1,3,5")
     p.add_argument("--samples", type=int, default=200_000)
     _add_common(p)
-    p.set_defaults(format="csv")
+    p.set_defaults(format="csv", budget=400_000)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", help="one of: " + ", ".join(SUITES))
@@ -205,7 +205,7 @@ def cmd_plurality(args) -> int:
     if not n_list or any(n < 1 for n in n_list):
         raise DomainError("n-list must contain positive voter counts")
     rows = plurality_stability_table(args.m, args.rho, n_list, args.samples, seed=seed,
-                                     threads=args.threads)
+                                     benchmark_budget=args.budget, threads=args.threads)
     if args.format == "json":
         report = _header(args, seed)
         report["rows"] = rows
@@ -238,6 +238,10 @@ def main(argv=None) -> int:
             raise DomainError(f"--tolerance-scale must be finite and positive, got {args.tolerance_scale}")
         if args.threads < 1:
             raise DomainError(f"--threads must be at least 1, got {args.threads}")
+        if args.budget < 1:
+            raise DomainError(f"--budget must be at least 1, got {args.budget}")
+        if args.command == "plurality" and args.samples < 1:
+            raise DomainError(f"--samples must be at least 1, got {args.samples}")
         if args.command == "stability":
             return cmd_stability(args)
         if args.command == "sweep":

@@ -320,11 +320,11 @@ def route(mode: str, deterministic, sampled):
 
     ``deterministic()`` returns a result, or None where no quadrature or
     closed form covers the input; ``sampled()`` runs Monte Carlo.  "auto"
-    samples only where the deterministic route declines, "quadrature" (also
-    spelt "exact") raises :class:`DomainError` there, "monte-carlo" always
-    samples, and any other mode raises :class:`DomainError`.
+    samples only where the deterministic route declines, "quadrature" raises
+    :class:`DomainError` there, "monte-carlo" always samples, and any other
+    mode raises :class:`DomainError`.
     """
-    if mode not in ("auto", QUADRATURE, "exact", MONTE_CARLO):
+    if mode not in ("auto", QUADRATURE, MONTE_CARLO):
         raise DomainError(f"unknown mode {mode!r}; use auto, quadrature or monte-carlo")
     if mode != MONTE_CARLO:
         res = deterministic()
@@ -457,34 +457,6 @@ def ou_gradient_quadrature(set_spec, rho, x) -> VectorEstimate:
     return VectorEstimate(*res, 0, CLOSED_FORM)
 
 
-def _moment_samples(set_spec, r: float, xv: np.ndarray, rng, k: int):
-    """Moment-form samples of Lap T_rho 1_A(x) and <x, grad T_rho 1_A(x)>.
-
-    With Y ~ N(rho x, (1-rho^2) I) and w = 1_A(Y) (any weight ``contains``
-    returns), E[rho^2 (||Y - rho x||^2/(1-rho^2) - d) / (1-rho^2) * w] is the
-    Laplacian and E[rho/(1-rho^2) <Y - rho x, x> w] is <x, grad>.
-    """
-    s = 1.0 - r * r
-    y = noisy_copies(rng, r, xv, k)
-    w = set_spec.contains(y).astype(float)
-    centered = y - r * xv
-    q = np.einsum("ij,ij->i", centered, centered)
-    return (r * r / s) * (q / s - xv.shape[0]) * w, (r / s) * (centered @ xv) * w
-
-
-def ou_divergence_mc(set_spec, rho, x, budget: int = 200_000, *, seed=0,
-                     threads: int = 1) -> Estimate:
-    """Monte Carlo estimate of div grad T_rho 1_set(x) (the Laplacian), in
-    moment form."""
-    r = as_rho(rho, nonzero=True)
-    xv = check_point(x)
-
-    def values(rng, k):
-        return _moment_samples(set_spec, r, xv, rng, k)[0]
-
-    return mc_mean(values, budget, seed=seed, threads=threads)
-
-
 @dataclass(frozen=True)
 class RhoDerivative:
     """d/drho of T_rho 1_set at a point, by two independent routes."""
@@ -513,12 +485,23 @@ def ou_rho_derivative_exact(set_spec, rho, x) -> Estimate | VectorEstimate | Non
 def ou_rho_derivative_heat(set_spec, rho, x, budget: int = 200_000, *, seed=0,
                            threads: int = 1) -> Estimate:
     """d/drho T_rho 1_set(x) by the heat identity (1/rho) * (-Lap T + <x, grad T>),
-    with both terms in moment form (Monte Carlo, no differencing)."""
+    with both terms in moment form (Monte Carlo, no differencing).
+
+    With Y ~ N(rho x, (1-rho^2) I) and w = 1_A(Y) (any weight ``contains``
+    returns), E[rho^2 (||Y - rho x||^2/(1-rho^2) - d) / (1-rho^2) * w] is the
+    Laplacian and E[rho/(1-rho^2) <Y - rho x, x> w] is <x, grad>.
+    """
     r = as_rho(rho, nonzero=True)
     xv = check_point(x)
+    s = 1.0 - r * r
 
     def values(rng, k):
-        lap, grad_dot_x = _moment_samples(set_spec, r, xv, rng, k)
+        y = noisy_copies(rng, r, xv, k)
+        w = set_spec.contains(y).astype(float)
+        centered = y - r * xv
+        q = np.einsum("ij,ij->i", centered, centered)
+        lap = (r * r / s) * (q / s - xv.shape[0]) * w
+        grad_dot_x = (r / s) * (centered @ xv) * w
         return (-lap + grad_dot_x) / r
 
     return mc_mean(values, budget, seed=seed, threads=threads)

@@ -1142,12 +1142,6 @@ class BoundarySample:
     def __len__(self):
         return self.points.shape[0]
 
-    def boundary_points(self) -> list[BoundaryPoint]:
-        return [
-            BoundaryPoint(self.points[k], self.normals[k], self.interface, float(self.weights[k]))
-            for k in range(len(self))
-        ]
-
 
 def _tangent_basis(normal: np.ndarray) -> np.ndarray:
     d = normal.shape[0]
@@ -1462,12 +1456,6 @@ def cylinder_extend(p: PartitionSpec, k: int) -> PartitionSpec:
     if k < 1:
         raise DomainError("k must be >= 1")
     return PartitionSpec([ProductWithR(c, k) for c in p.cells])
-
-
-def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
 
 
 def gaussian_measure(s: SetSpec, budget: int = 200_000, *, seed=0, threads: int = 1,

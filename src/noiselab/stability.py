@@ -295,22 +295,6 @@ def check_measure_match(p: PartitionSpec, q: PartitionSpec, *, budget: int = 400
 # the first-moment (propeller) functional
 
 
-def cell_moment(s: SetSpec, budget: int = 400_000, *, seed=0, mode: str = "auto") -> VectorEstimate:
-    """integral of x * gamma_d(x) over the cell: the closed form of
-    :meth:`noiselab.partitions.SetSpec.moment_exact` with its rounding bound
-    where one exists, else Monte Carlo."""
-
-    def deterministic():
-        exact = s.moment_exact()
-        return None if exact is None else VectorEstimate(*exact, 0, QUADRATURE)
-
-    def values(rng, k):
-        x = rng.standard_normal((k, s.dim))
-        return x * s.contains(x).astype(float)[:, None]
-
-    return route(mode, deterministic, lambda: mc_mean(values, budget, seed=seed))
-
-
 def propeller_functional(p: PartitionSpec, budget: int = 1_000_000, *, seed=0,
                          mode: str = "auto") -> Estimate:
     """sum_i || integral_{cell_i} x gamma(x) dx ||^2.
@@ -354,7 +338,8 @@ def half_space_stability_closed_form(measure: float, rho) -> float:
     """Noise stability of a half-space of the given Gaussian measure.
 
     This is the benchmark value maximizing noise stability at fixed measure:
-    Phi2(a, a; rho) with a = Phi^{-1}(measure).  Deterministic to 1e-10.
+    Phi2(a, a; rho) with a = Phi^{-1}(measure), by Owen's closed form: exact
+    to rounding.
     """
     r = as_rho(rho)
     if not 0.0 < measure < 1.0:

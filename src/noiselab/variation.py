@@ -310,13 +310,11 @@ def first_variation_constancy(p: PartitionSpec, rho, i: int, j: int,
                            float(est.std_error.max()), est.value, sample.points)
 
 
-def first_variation_constants(p: PartitionSpec, rho, *, n_probe: int = 6,
-                              budget: int = 100_000, seed=0, mode: str = "auto") -> dict:
-    """Mean T_rho(1_i - 1_j) over a few boundary points, per interface."""
+def first_variation_constants(p: PartitionSpec, rho, *, seed=0) -> dict:
+    """Mean T_rho(1_i - 1_j) over six boundary points, per interface."""
     out = {}
     for (i, j) in p.all_interfaces():
-        rep = first_variation_constancy(p, rho, i, j, n_probe, budget=budget,
-                                        seed=[seed, i, j], mode=mode)
+        rep = first_variation_constancy(p, rho, i, j, 6, budget=100_000, seed=[seed, i, j])
         out[(i, j)] = (rep.mean, rep.pointwise_error)
     return out
 
@@ -339,8 +337,8 @@ def cell_volume_rates(p: PartitionSpec, field) -> tuple[np.ndarray, np.ndarray]:
     return rates, errs
 
 
-def check_volume_condition(p: PartitionSpec, field, rho=None, *, tol: float = VOLUME_TOL,
-                           policy: str = "relaxed", seed=0) -> str:
+def check_volume_condition(p: PartitionSpec, field, rho=None, *, policy: str = "relaxed",
+                           seed=0) -> str:
     """Enforce the volume-preservation hypothesis for a variation field.
 
     "strict" demands near-zero per-cell volume rates.  "relaxed" additionally
@@ -352,7 +350,7 @@ def check_volume_condition(p: PartitionSpec, field, rho=None, *, tol: float = VO
     if policy == "skip":
         return "skipped"
     rates, errs = cell_volume_rates(p, field)
-    if np.all(np.abs(rates) <= tol + 3 * errs):
+    if np.all(np.abs(rates) <= VOLUME_TOL + 3 * errs):
         return "volume-preserved"
     if policy == "relaxed" and rho is not None:
         consts = first_variation_constants(p, rho, seed=seed)
@@ -375,19 +373,6 @@ class ResidualReport:
     rhs: np.ndarray
     points: np.ndarray
     interface: tuple[int, int]
-
-    def entries(self) -> list[dict]:
-        return [
-            {
-                "interface": list(self.interface),
-                "point": self.points[k].tolist(),
-                "lhs": float(self.lhs[k]),
-                "rhs": float(self.rhs[k]),
-                "residual": float(abs(self.lhs[k] - self.rhs[k])),
-                "tolerance": self.tolerance,
-            }
-            for k in range(len(self.lhs))
-        ]
 
 
 def translation_eigen_residual(p: PartitionSpec, rho, v, i: int, j: int,
@@ -529,15 +514,6 @@ def second_variation_general(p: PartitionSpec, rho, field, *, budget: int = 200_
                       (-1.0, facet, 2, partial(_gradient_norms, s, r, budget=budget, mode=mode,
                                                seed=[seed, 11, fk]), facet_budget, [seed, 13, fk])]
     return _form(field, terms)
-
-
-def g_form_value(p: PartitionSpec, rho, field, *, seed=0) -> Estimate:
-    """The double-surface term alone: integral of G(x,y) f(x) f(y) over
-    Sigma x Sigma for the first cell's boundary (positive semidefinite)."""
-    r = as_rho(rho, nonzero=True)
-    cross = partial(_s_values, p, r, ((0, 1.0),), field, mode="auto", budget=20_000, seed=[seed, 18])
-    return _form(field, [(1.0, facet, 1, cross, 2000, [seed, 19, fk])
-                         for fk, facet in enumerate(p.interface_facets(0, 1))])
 
 
 # ---------------------------------------------------------------------------

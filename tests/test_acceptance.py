@@ -19,7 +19,6 @@ from noiselab.partitions import (
     cylinder_extend,
     halfspace_partition,
     perturbed_simplex_cones,
-    random_orthogonal,
     simplex_cone_partition,
     simplex_generators,
     three_sectors_120,
@@ -40,7 +39,6 @@ from noiselab.variation import (
     bilinear_variation_suite,
     dilation_eigen_residual,
     first_variation_constancy,
-    g_form_value,
     second_variation_translation,
     stability_second_derivative,
     translation_eigen_residual,
@@ -51,6 +49,8 @@ from noiselab.voting import (
     noise_kernel,
     plurality,
 )
+
+from helpers import g_form, random_orthogonal
 
 
 def _passes(record):
@@ -239,7 +239,7 @@ def test_criterion_9_structural_invariants():
                 + c[1] * (pts[:, 1] ** 2 - 1.0)
                 + c[2] * np.sin(pts[:, 1])
             )
-            est = g_form_value(hp, 0.5, f, seed=k)
+            est = g_form(hp, 0.5, f, seed=k)
             assert est.value >= -3 * est.std_error
         # coverage and normal consistency
         pts = np.random.default_rng(122).standard_normal((1_000_000, 2))

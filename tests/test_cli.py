@@ -9,7 +9,7 @@ import pytest
 import noiselab.checks as checks_module
 import noiselab.stability as stability_module
 import noiselab.voting as voting_module
-from noiselab.cli import main
+from noiselab.cli import build_parser, main
 from noiselab.partitions import (
     cylinder_extend,
     gaussian_measure,
@@ -17,6 +17,7 @@ from noiselab.partitions import (
     partition_to_json,
     simplex_cone_partition,
 )
+from noiselab.stability import partition_stability
 
 
 @pytest.fixture
@@ -257,6 +258,18 @@ class TestPluralityCommand:
         limit = json.loads(outs[0][1])["rows"][-1]
         assert limit["n"] == "limit" and limit["method"] == "continuous-simplex-cones/monte-carlo"
 
+    def test_budget_reaches_the_limit_row(self, capsys):
+        # the m = 5 cones in R^4 are sampled, so the limit row shows the budget
+        code, out, _ = run(capsys, "plurality", "--m", "5", "--n-list", "1", "--rho", "0.4",
+                           "--seed", "3", "--budget", "1000", "--format", "json")
+        assert code == 0
+        limit = json.loads(out)["rows"][-1]
+        est = partition_stability(simplex_cone_partition(5), 0.4, 1000, seed=3)
+        assert (limit["value"], limit["std_error"]) == (est.value, est.std_error)
+
+    def test_default_budget_of_the_limit_row(self):
+        assert build_parser().parse_args(["plurality"]).budget == 400_000
+
     def test_bad_n_list_exit(self, capsys):
         code, _, _ = run(capsys, "plurality", "--n-list", "1,x")
         assert code == 2
@@ -328,3 +341,19 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "stability", halfspace_file, f"--threads={threads}")
         assert code == 3
         assert out == "" and "--threads" in err
+
+    @pytest.mark.parametrize("command", ["stability", "sweep", "plurality", "verify"])
+    def test_budget_below_one_exit_3(self, capsys, halfspace_file, command):
+        # rejected also where every route is deterministic and reads no budget
+        head = {"stability": [halfspace_file], "sweep": [halfspace_file],
+                "plurality": [], "verify": ["gaussian-core"]}[command]
+        for budget in ("0", "-5"):
+            code, out, err = run(capsys, command, *head, f"--budget={budget}")
+            assert code == 3
+            assert out == "" and "--budget" in err
+
+    def test_samples_below_one_exit_3(self, capsys):
+        for samples in ("0", "-5"):
+            code, out, err = run(capsys, "plurality", "--n-list", "1,3", f"--samples={samples}")
+            assert code == 3
+            assert out == "" and "--samples" in err

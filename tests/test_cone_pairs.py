@@ -20,7 +20,6 @@ from noiselab.partitions import (
     halfspace_partition,
     pair_drho_sum,
     pair_sums,
-    random_orthogonal,
     simplex_cone_partition,
 )
 from noiselab.stability import (
@@ -29,6 +28,8 @@ from noiselab.stability import (
     partition_stability_quadrature,
     stability_sweep,
 )
+
+from helpers import random_orthogonal
 
 SIMPLEX = simplex_cone_partition(4)
 #: the acceptance grid of rhos

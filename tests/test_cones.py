@@ -20,11 +20,12 @@ from noiselab.partitions import (
     Sector2D,
     cone_partition,
     gaussian_measure,
-    random_orthogonal,
     simplex_cone_partition,
     simplex_generators,
 )
-from noiselab.stability import cell_moment, partition_stability, propeller_functional
+from noiselab.stability import partition_stability, propeller_functional
+
+from helpers import mc_moment, random_orthogonal
 
 BOUND = 1e-13
 
@@ -42,9 +43,9 @@ def _measure(cell):
 
 
 def _moment(cell):
-    est = cell_moment(cell, mode="quadrature")
-    assert est.method == "quadrature" and est.samples == 0
-    return est.value, est.std_error
+    res = cell.moment_exact()
+    assert res is not None
+    return res
 
 
 def _assert_close(value, error, oracle, slack=0.0):
@@ -307,7 +308,7 @@ class TestAgainstMonteCarlo:
             mc = gaussian_measure(cell, 2_000_000, seed=[57, seed, k], mode="monte-carlo")
             assert abs(v - mc.value) <= 4 * mc.std_error and e <= BOUND
             m, me = _moment(cell)
-            mc = cell_moment(cell, 2_000_000, seed=[58, seed, k], mode="monte-carlo")
+            mc = mc_moment(cell, 2_000_000, seed=[58, seed, k])
             assert np.all(np.abs(m - mc.value) <= 4 * mc.std_error) and np.all(me <= BOUND)
 
 

@@ -24,8 +24,8 @@ from noiselab.gauss import (
     mc_mean,
     mc_shard_means,
     mehler_kernel,
+    noisy_copies,
     ou_apply,
-    ou_divergence_mc,
     ou_gradient,
     ou_gradient_quadrature,
     ou_rho_derivative,
@@ -53,11 +53,12 @@ from noiselab.partitions import (
 )
 from noiselab.stability import (
     bilinear_stability,
-    cell_moment,
     noise_stability,
     partition_stability,
     propeller_functional,
 )
+
+from helpers import mc_moment
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -487,10 +488,9 @@ class TestReductions:
         mc = gaussian_measure(cell, n, seed=4, mode="monte-carlo")
         assert mu.method == "closed-form"
         assert abs(mu.value - mc.value) <= 4 * mc.std_error + 1e-15
-        mom = cell_moment(cell)
-        mc = cell_moment(cell, n, seed=5, mode="monte-carlo")
-        assert mom.method == "quadrature"
-        assert np.all(np.abs(mom.value - mc.value) <= 4 * mc.std_error + 1e-12)
+        mom, _ = cell.moment_exact()
+        mc = mc_moment(cell, n, seed=5)
+        assert np.all(np.abs(mom - mc.value) <= 4 * mc.std_error + 1e-12)
 
     @pytest.mark.parametrize("cell, recorded", list(zip(_exact_cells(), _RECORDED)),
                              ids=lambda c: type(c).__name__)
@@ -568,8 +568,7 @@ class TestReductions:
             g = ou_gradient_quadrature(one, rho, pts)
             assert g.method == "closed-form"
             assert np.array_equal(g.value, ou_gradient_quadrature(hs, rho, pts).value)
-        mom = cell_moment(one, mode="quadrature")
-        assert np.array_equal(mom.value, cell_moment(hs).value)
+        assert np.array_equal(one.moment_exact()[0], hs.moment_exact()[0])
         everything = ExplicitCell([], dim=2)
         for cell, value in ((everything, 1.0), (Complement(everything), 0.0)):
             assert noise_stability(cell, 0.6, mode="quadrature").value == value
@@ -645,9 +644,21 @@ class TestOuRhoDerivative:
         assert res.finite_difference.method == "closed-form"
 
     def test_laplacian_moment_form(self):
-        # Lap T on the full space vanishes
+        # Lap T on the full space vanishes, in the moment form of the heat
+        # identity of ou_rho_derivative_heat: with Y ~ N(rho x, (1-rho^2) I),
+        # Lap T_rho 1_A(x) = E[rho^2 (||Y - rho x||^2/(1-rho^2) - d) / (1-rho^2) 1_A(Y)]
         full = ExplicitCell([], dim=3)
-        est = ou_divergence_mc(full, 0.6, [0.1, 0.2, -0.3], budget=300_000, seed=9)
+        r, x = 0.6, np.array([0.1, 0.2, -0.3])
+        s = 1.0 - r * r
+
+        def lap_values(rng, k):
+            y = noisy_copies(rng, r, x, k)
+            w = full.contains(y).astype(float)
+            centered = y - r * x
+            q = np.einsum("ij,ij->i", centered, centered)
+            return (r * r / s) * (q / s - x.shape[0]) * w
+
+        est = mc_mean(lap_values, 300_000, seed=9)
         assert abs(est.value) <= 3 * est.std_error
 
     def test_rejects_rho_zero(self):
@@ -968,11 +979,6 @@ class TestSignedDifference:
             y, w = draws(rng, k)
             return (r / s) * (y - r * x) * w[:, None]
 
-        def lap_values(rng, k):
-            y, w = draws(rng, k)
-            q = np.einsum("ij,ij->i", y - r * x, y - r * x)
-            return (r * r / s) * (q / s - d) * w
-
         def heat_values(rng, k):
             y, w = draws(rng, k)
             q = np.einsum("ij,ij->i", y - r * x, y - r * x)
@@ -986,7 +992,6 @@ class TestSignedDifference:
         got, want = ou_gradient(diff, r, x, n, seed=4), mc_mean(grad_values, n, seed=4)
         assert np.array_equal(got.value, want.value)
         assert np.array_equal(got.std_error, want.std_error)
-        assert ou_divergence_mc(diff, r, x, n, seed=5) == mc_mean(lap_values, n, seed=5)
         assert ou_rho_derivative_heat(diff, r, x, n, seed=6) == mc_mean(heat_values, n, seed=6)
 
     def test_declines_unless_both_cells_have_the_route(self):
@@ -996,7 +1001,7 @@ class TestSignedDifference:
             assert diff.ou_exact(0.5, np.zeros(2)) is None
             assert ou_rho_derivative_exact(diff, 0.5, np.zeros(2)) is None
             with pytest.raises(DomainError):
-                ou_apply(diff, 0.5, np.zeros(2), mode="exact")
+                ou_apply(diff, 0.5, np.zeros(2), mode="quadrature")
 
 
 class TestMonteCarloMean:

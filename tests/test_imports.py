@@ -1,7 +1,9 @@
 """Structural checks on the package source."""
 
 import ast
+import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -206,7 +208,6 @@ def _literals(expr, func):
 #: propeller, gradient and d/drho routes, the closed forms they return, the
 #: pair d/drho and finite-difference oracles of stability, and the cone pair rows
 MOMENT_ROUTES = [
-    ("stability.py", "cell_moment", ()),
     ("stability.py", "propeller_functional", ()),
     ("partitions.py", "moment_exact", (1,)),
     ("partitions.py", "_shifted_moment", (1, 3)),
@@ -423,3 +424,84 @@ def test_histogram_route_loops_only_multiply():
 def test_the_loop_check_catches_a_transcendental(body, flagged):
     func = ast.parse(f"def f(r, c, x, g, q, z, t):\n    {body}").body[0]
     assert _transcendentals_in_loops(func) == flagged
+
+
+def _reads(node):
+    """Every name ``node`` loads and every attribute it reads."""
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+            yield n.id if isinstance(n, ast.Name) else n.attr
+
+
+def _unread_names(trees):
+    """``module.name`` of every public module-level function or class, and of
+    every public method of a class that is neither exported nor a base of an
+    exported class, that no code of ``trees`` (module stem -> tree) reads by
+    name outside its own definition and that ``__init__`` does not export."""
+    exported = {a.asname or a.name for n in ast.walk(trees["__init__"])
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    classes = {n.name: n for t in trees.values() for n in t.body if isinstance(n, ast.ClassDef)}
+    covered, todo = set(), sorted(exported & set(classes))
+    while todo:
+        name = todo.pop()
+        if name in classes and name not in covered:
+            covered.add(name)
+            todo += [b.id for b in classes[name].bases if isinstance(b, ast.Name)]
+    reads = Counter(name for t in trees.values() for name in _reads(t))
+    for module, tree in trees.items():
+        for node in tree.body:
+            defs = []
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and node.name not in exported):
+                defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef) and node.name not in covered:
+                defs += [(f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+            yield from (f"{module}.{qual}" for qual, d in defs
+                        if reads[d.name] == Counter(_reads(d))[d.name])
+
+
+#: functions no package code calls, kept because perfbench/tracer.py binds them
+#: by name as layers until ROADMAP item 1 Step B moves its instrumentation
+TRACER_BOUND = ["partitions.shifted_sector_pair_stability",
+                "stability.partition_stability_quadrature"]
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that no package code reads and __init__ does not export is
+    # surface that only tests reach; tests keep their own oracles in tests/
+    trees = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert sorted(_unread_names(trees)) == TRACER_BOUND
+
+
+@pytest.mark.parametrize("init, source, flagged", [
+    ("", "def f():\n    return 1\n", ["m.f"]),
+    ("", "def f(n):\n    return f(n - 1)\n", ["m.f"]),
+    ("from .m import g\n", "def f():\n    return 1\ndef g():\n    return f()\n", []),
+    ("", "class C:\n    def run(self):\n        return 1\n", ["m.C", "m.C.run"]),
+    ("from .m import D\n", "class C:\n    def run(self):\n        return 1\nclass D(C):\n    pass\n",
+     []),
+    ("", "class C:\n    def run(self):\n        return 1\n    def go(self):\n        return self.run()\n"
+         "x = C().go()\n", [])])
+def test_the_surface_check_catches_an_unread_name(init, source, flagged):
+    trees = {"__init__": ast.parse(init), "m": ast.parse(source)}
+    assert sorted(_unread_names(trees)) == flagged
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def _noiselab_imports(tree):
+    """(module, name) of every name imported from noiselab or one of its modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "noiselab":
+            yield from ((node.module, a.name) for a in node.names)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(demo):
+    # a name deleted from the package must not break a demo unseen; the demos
+    # are parsed, not run
+    found = list(_noiselab_imports(ast.parse(demo.read_text())))
+    assert found
+    assert [f"{m}.{n}" for m, n in found if not hasattr(importlib.import_module(m), n)] == []

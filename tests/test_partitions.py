@@ -23,6 +23,7 @@ from noiselab.gauss import (
     ou_rho_derivative_exact,
 )
 from noiselab.partitions import (
+    BoundaryPoint,
     Complement,
     ConeCell,
     CoverageError,
@@ -45,7 +46,6 @@ from noiselab.partitions import (
     pair_sums,
     partition_to_json,
     perturbed_simplex_cones,
-    random_orthogonal,
     sector_partition,
     shifted_sector_mass,
     shifted_sector_pair_stability,
@@ -53,8 +53,10 @@ from noiselab.partitions import (
     simplex_generators,
     three_sectors_120,
 )
-from noiselab.stability import cell_moment, partition_stability, stability_sweep
+from noiselab.stability import partition_stability, stability_sweep
 from noiselab.variation import TranslationField, second_variation_general, sij_operator
+
+from helpers import random_orthogonal
 
 
 class TestSimplexGenerators:
@@ -410,7 +412,8 @@ class TestBoundarySampling:
         bs = p.boundary_sample(0, 1, 50, seed=7)
         assert np.allclose(bs.points, 0.4)
         assert np.allclose(bs.normals, 1.0)
-        pts = bs.boundary_points()
+        pts = [BoundaryPoint(bs.points[k], bs.normals[k], bs.interface, float(bs.weights[k]))
+               for k in range(len(bs))]
         assert pts[0].interface == (0, 1)
         assert pts[0].weight > 0
 
@@ -779,9 +782,8 @@ class TestRotatedPlanarCells:
         for cell, planar in zip(p.cells, flat.cells):
             est, ref = gaussian_measure(cell, mode="quadrature"), gaussian_measure(planar)
             assert est.samples == 0 and abs(est.value - ref.value) <= est.std_error + ref.std_error
-            m, (mp, mpe) = cell_moment(cell, mode="quadrature"), planar.moment_exact()
-            assert m.samples == 0
-            assert np.all(np.abs(m.value - lift(mp)) <= m.std_error + lift_err(mpe))
+            (m, me), (mp, mpe) = cell.moment_exact(), planar.moment_exact()
+            assert np.all(np.abs(m - lift(mp)) <= me + lift_err(mpe))
             for rho in (-0.6, 0.5, 0.95):
                 (t, te), (tp, tpe) = cell.ou_exact(rho, x), planar.ou_exact(rho, xp)
                 assert np.all(np.abs(t - tp) <= te + tpe)

@@ -1,9 +1,10 @@
 """The ``mode`` contract of every entry point that picks a route.
 
 Each entry point is called on an input that a deterministic route covers and
-on one that none covers.  A misspelt mode raises; "exact" is "quadrature";
-"quadrature" raises where no deterministic route exists; "auto" is
-"quadrature" where one exists and "monte-carlo" (same seed) where none does.
+on one that none covers.  A misspelt mode raises, and so does "exact", which
+is not a second spelling of "quadrature"; "quadrature" raises where no
+deterministic route exists; "auto" is "quadrature" where one exists and
+"monte-carlo" (same seed) where none does.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ from noiselab.partitions import (
 )
 from noiselab.stability import (
     bilinear_stability,
-    cell_moment,
     noise_stability,
     partition_stability,
     partition_stability_quadrature,
@@ -92,12 +92,6 @@ ENTRY_POINTS = {
     "bilinear_stability-cones-R3": (
         lambda m: bilinear_stability(P3, P3, 0.4, N, seed=5, mode=m),
         lambda m: bilinear_stability(P4, P4, 0.4, N, seed=5, mode=m)),
-    "cell_moment": (
-        lambda m: cell_moment(three_sectors_120().cells[0], N, seed=6, mode=m),
-        lambda m: cell_moment(P4.cells[0], N, seed=6, mode=m)),
-    "cell_moment-cones-R3": (
-        lambda m: cell_moment(P3.cells[0], N, seed=6, mode=m),
-        lambda m: cell_moment(P4.cells[0], N, seed=6, mode=m)),
     "propeller_functional": (
         lambda m: propeller_functional(three_sectors_120(), N, seed=7, mode=m),
         lambda m: propeller_functional(P4, N, seed=7, mode=m)),
@@ -158,9 +152,10 @@ class TestModeContract:
             with pytest.raises(DomainError, match="unknown mode"):
                 covered(bad)
 
-    def test_exact_is_quadrature(self, name):
-        covered, _ = ENTRY_POINTS[name]
-        assert _fields(covered("exact")) == _fields(covered("quadrature"))
+    def test_exact_is_an_unknown_mode(self, name):
+        for call in ENTRY_POINTS[name]:
+            with pytest.raises(DomainError, match="unknown mode"):
+                call("exact")
 
     def test_auto_is_quadrature_where_covered(self, name):
         covered, _ = ENTRY_POINTS[name]
@@ -168,9 +163,8 @@ class TestModeContract:
 
     def test_quadrature_raises_where_uncovered(self, name):
         _, uncovered = ENTRY_POINTS[name]
-        for mode in ("quadrature", "exact"):
-            with pytest.raises(DomainError):
-                uncovered(mode)
+        with pytest.raises(DomainError):
+            uncovered("quadrature")
 
     def test_auto_is_monte_carlo_where_uncovered(self, name):
         _, uncovered = ENTRY_POINTS[name]
@@ -180,8 +174,8 @@ class TestModeContract:
 def test_monte_carlo_samples_where_a_route_exists():
     # the deterministic route exists but "monte-carlo" still samples
     for name in ("ou_apply-set", "gaussian_measure", "sij_operator", "propeller_functional",
-                 "gaussian_measure-cones-R3", "cell_moment-cones-R3",
-                 "propeller_functional-cones-R3", "sij_operator-cones-R3"):
+                 "gaussian_measure-cones-R3", "propeller_functional-cones-R3",
+                 "sij_operator-cones-R3"):
         covered, _ = ENTRY_POINTS[name]
         assert covered("monte-carlo").method == "monte-carlo", name
 

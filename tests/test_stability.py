@@ -30,7 +30,6 @@ from noiselab.partitions import (
     cylinder_extend,
     gaussian_measure,
     halfspace_partition,
-    random_orthogonal,
     sector_partition,
     shifted_sector_pair_stability,
     simplex_cone_partition,
@@ -40,7 +39,6 @@ from noiselab.partitions import (
 from noiselab.stability import (
     agreement_values,
     bilinear_stability,
-    cell_moment,
     half_space_stability_closed_form,
     noise_stability,
     partition_stability,
@@ -50,6 +48,8 @@ from noiselab.stability import (
     stability_sweep,
 )
 from noiselab.variation import TranslationField, hyperstability_probe, stability_second_derivative
+
+from helpers import random_orthogonal
 
 PROPELLER_BOUND = 9.0 / (8.0 * math.pi)
 
@@ -245,12 +245,12 @@ class TestPropeller:
     def test_moment_balance(self):
         # cell moments sum to the zero vector
         p = simplex_cone_partition(3)
-        total = np.sum([cell_moment(c).value for c in p.cells], axis=0)
+        total = np.sum([c.moment_exact()[0] for c in p.cells], axis=0)
         assert np.linalg.norm(total) <= 1e-9
         q = cone_partition(np.random.default_rng(16).standard_normal((4, 3)))
-        moments = [cell_moment(c, 400_000, seed=[17, k]) for k, c in enumerate(q.cells)]
-        total = np.sum([m.value for m in moments], axis=0)
-        err = np.sum([m.std_error for m in moments], axis=0)
+        moments = [c.moment_exact() for c in q.cells]
+        total = np.sum([m[0] for m in moments], axis=0)
+        err = np.sum([m[1] for m in moments], axis=0)
         assert np.all(np.abs(total) <= 3 * err)
 
     def test_random_3d_partitions_below_bound(self):
