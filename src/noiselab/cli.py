@@ -49,14 +49,21 @@ _SUITE_IMPL = checks.SUITES
 SUITES = tuple(_SUITE_IMPL)
 
 
-def _add_common(sub):
-    sub.add_argument("--rho", type=float, default=0.5)
-    sub.add_argument("--budget", type=int, default=200_000)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--format", choices=("csv", "json"), default="json")
-    sub.add_argument("--tolerance-scale", type=float, default=1.0)
-    sub.add_argument("--output", default=None, help="write the report here instead of stdout")
+#: the flags the subcommands share, each added only to those that read it
+_FLAGS = {
+    "--rho": dict(type=float, default=0.5),
+    "--budget": dict(type=int, default=200_000),
+    "--seed": dict(type=int, default=None),
+    "--threads": dict(type=int, default=1),
+    "--format": dict(choices=("csv", "json"), default="json"),
+    "--tolerance-scale": dict(type=float, default=1.0),
+    "--output": dict(default=None, help="write the report here instead of stdout"),
+}
+
+
+def _add_flags(sub, *names):
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 @functools.cache
@@ -66,28 +73,28 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="noiselab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stability", help="partition noise stability")
+    p = sub.add_parser("stability", allow_abbrev=False, help="partition noise stability")
     p.add_argument("partition", help="partition JSON file")
     p.add_argument("--per-cell", action="store_true", help="include per-cell stabilities")
-    _add_common(p)
+    _add_flags(p, "--rho", "--budget", "--seed", "--threads", "--format", "--output")
 
-    p = sub.add_parser("sweep", help="stability over a rho grid")
+    p = sub.add_parser("sweep", allow_abbrev=False, help="stability over a rho grid")
     p.add_argument("partition")
     p.add_argument("--rho-grid", default="0.1:0.9:9",
                    help="start:stop:count or comma-separated values")
-    _add_common(p)
+    _add_flags(p, "--budget", "--seed", "--threads", "--format", "--output")
     p.set_defaults(format="csv")
 
-    p = sub.add_parser("plurality", help="discrete plurality stability table")
+    p = sub.add_parser("plurality", allow_abbrev=False, help="discrete plurality stability table")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--n-list", default="1,3,5")
     p.add_argument("--samples", type=int, default=200_000)
-    _add_common(p)
+    _add_flags(p, "--rho", "--budget", "--seed", "--threads", "--format", "--output")
     p.set_defaults(format="csv", budget=400_000)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = sub.add_parser("verify", allow_abbrev=False, help="run a named verification suite")
     p.add_argument("suite", help="one of: " + ", ".join(SUITES))
-    _add_common(p)
+    _add_flags(p, "--budget", "--seed", "--tolerance-scale", "--output")
     return ap
 
 
@@ -234,9 +241,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # a non-finite or non-positive scale would pass or fail every scaled check
-        if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
+        if args.command == "verify" and not (math.isfinite(args.tolerance_scale)
+                                             and args.tolerance_scale > 0):
             raise DomainError(f"--tolerance-scale must be finite and positive, got {args.tolerance_scale}")
-        if args.threads < 1:
+        if args.command != "verify" and args.threads < 1:
             raise DomainError(f"--threads must be at least 1, got {args.threads}")
         if args.budget < 1:
             raise DomainError(f"--budget must be at least 1, got {args.budget}")

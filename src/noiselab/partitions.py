@@ -93,6 +93,14 @@ class UnsupportedBoundaryError(ValueError):
 # c = cos(t_e - t_f) and h are the apexes' c standardised given the d (variance
 # (1 - rho^2)/(1 - rho^2 c^2)).  Then P(rho) = gamma(A) gamma(B) +
 # int_0^{arcsin rho} cos(th) P'(sin th) dth, free of the 1/sqrt(1 - rho^2) edge.
+#
+# Every pair route kind (half-spaces, sectors, central cones) states that
+# integrand once, as s P'(r) at nodes (r, s) with s = sqrt(1 - r^2), with its
+# terms' magnitudes and any error figures of its own, and either a closed-form
+# P (half-spaces) or its rho = 0 base with the base's bound.  One rows function
+# then gives d/drho P as the integrand at (rho, sqrt((1 - rho)(1 + rho))) over
+# s, and P as the closed form or the base plus the graded rule of the integrand
+# at (sin th, cos th), for all the kind's pairs and rhos in one integrand call.
 
 
 def _edge_antiderivative(q: np.ndarray, t: float, inward: float):
@@ -151,21 +159,20 @@ def _sector_edges(apex, arcs):
             q[..., 1] * ct - q[..., 0] * st)
 
 
-def _plackett_integrand(edges_a, edges_b, theta):
-    """cos(th) P'(sin th) of each edge-ray pair (e_k, f_k) at each angle of
-    ``theta``, and the magnitude of each term: two (pairs, angles) arrays from
-    one bivariate normal CDF call.  ``edges_a`` and ``edges_b`` hold the (t, s,
-    c, d) of :func:`_sector_edges` of e_k and of f_k, one entry per pair."""
+def _plackett_integrand(edges_a, edges_b, r, s):
+    """s P'(r), s = sqrt(1 - r^2), of each edge-ray pair (e_k, f_k) at each
+    node (r, s), and the magnitude of each term: two (pairs, nodes) arrays
+    from one bivariate normal CDF call.  ``edges_a`` and ``edges_b`` hold the
+    (t, s, c, d) of :func:`_sector_edges` of e_k and of f_k, one entry per pair."""
     ta, sa, ca, da = (v[:, None] for v in edges_a)
     tb, sb, cb, db = (v[:, None] for v in edges_b)
     c, sn = np.cos(ta - tb), np.sin(ta - tb)  # <N_e, N_f> = s_e s_f c
-    r, cos_t = np.sin(theta), np.cos(theta)
-    rc, det = r * c, sn * sn + (c * cos_t) ** 2  # 1 - (rho c)^2, no cancellation
+    rc, det = r * c, sn * sn + (c * s) ** 2  # 1 - (r c)^2, no cancellation
     root = np.sqrt(det)
-    terms = (sa * sb * c * cos_t / (_TWO_PI * root)
-             * np.exp(-0.5 * (db * db + (da - rc * db) ** 2 / det)))
-    h_a = (r * sn * (db - rc * da) / det - ca) * root / cos_t
-    h_b = (-r * sn * (da - rc * db) / det - cb) * root / cos_t
+    terms = (sa * sb * c * s / (_TWO_PI * root)
+             * np.exp(-(db * db + (da - rc * db) ** 2 / det) / 2))
+    h_a = (r * sn * (db - rc * da) / det - ca) * root / s
+    h_b = (-r * sn * (da - rc * db) / det - cb) * root / s
     return terms * bivariate_normal_cdf(h_a, h_b, rc), np.abs(terms)
 
 
@@ -208,51 +215,103 @@ def _graded_rule(rhos, integrand):
     return out
 
 
-def _edge_pair_sums(decos, theta):
-    """For the sector pairs ((apex_a, arcs_a), (apex_b, arcs_b)) of ``decos``,
-    the sums over each one's edge-ray pairs of :func:`_plackett_integrand`'s
-    values and magnitudes at every angle of ``theta``: two (pairs, angles)
-    arrays.  The edge rays of all the pairs form one pair list (edge e of A
-    against each edge f of B, in that order), so one integrand call serves
-    them all; each pair's block of rows is summed alone, in the order its own
-    call would sum it."""
+def _sector_integrand(pairs, r, s):
+    """s P'(r) of each pair (A, B) of the sectors of :class:`Shape` records of
+    ``pairs`` at each node (r, s), and its terms' magnitudes: the sums over
+    each pair's edge-ray pairs of :func:`_plackett_integrand`.  The edge rays
+    of all the pairs form one pair list (edge e of A against each edge f of
+    B, in that order), so one integrand call serves them all; each pair's
+    block of rows is summed alone, in the order its own call would sum it."""
     ea, eb, sizes = [], [], []
-    for (qa, arcs_a), (qb, arcs_b) in decos:
-        a, b = _sector_edges(qa, arcs_a), _sector_edges(qb, arcs_b)
+    for a, b in pairs:
+        a, b = _sector_edges(*a.deco), _sector_edges(*b.deco)
         ea.append([np.repeat(v, b[0].size) for v in a])
         eb.append([np.tile(v, a[0].size) for v in b])
         sizes.append(a[0].size * b[0].size)
     terms = _plackett_integrand([np.concatenate(v) for v in zip(*ea)],
-                                [np.concatenate(v) for v in zip(*eb)], theta)
+                                [np.concatenate(v) for v in zip(*eb)], r, s)
     return [_block_sums(t, sizes) for t in terms]
 
 
-def _sector_pair_rows(pairs, rhos):
-    """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B) and its
-    bound for every pair (A, B) of the sectors of :class:`Shape` records of
-    ``pairs`` at every rho of ``rhos``.
-
-    Each entry is the :func:`_graded_rule` of the Plackett integrand, one
-    call for all the pairs and rhos, plus the product of the records' masses,
-    with the rules' difference plus the rounding of the terms' magnitudes as
-    the bound."""
-    decos = [(a.deco, b.deco) for a, b in pairs]
-    fine, diff, mags = _graded_rule(rhos, lambda theta: _edge_pair_sums(decos, theta))
-    mass = np.array([[a.sector_mass * b.sector_mass] for a, b in pairs])
-    arcs = np.array([[len(a.deco[1]) + len(b.deco[1])] for a, b in pairs])  # 1 per mass
-    return mass + fine, diff + ROUNDING * (arcs + mags)
+def _sector_base(pairs):
+    """gamma(A) gamma(B) of each sector pair, with one rounding per arc."""
+    return (np.array([[a.sector_mass * b.sector_mass] for a, b in pairs]),
+            np.array([[len(a.deco[1]) + len(b.deco[1])] for a, b in pairs]), 0)
 
 
-def _sector_pair_drho_rows(pairs, rhos):
-    """(values, errors), two (pairs, rhos) arrays: d/drho P(X in A, Y in B) and
-    its bound for every pair (A, B) of the sectors of :class:`Shape` records of
-    ``pairs`` at every rho of ``rhos``, the Plackett integrand at theta =
-    arcsin(rho) over cos(theta) and the rounding of its terms' magnitudes,
-    from one integrand call."""
-    thetas = [math.asin(rho) for rho in rhos]
-    vals, mags = _edge_pair_sums([(a.deco, b.deco) for a, b in pairs], np.array(thetas))
-    cos = np.array([math.cos(theta) for theta in thetas])
-    return vals / cos, ROUNDING * mags / cos
+def _cone_integrand(pairs, r, s):
+    """:func:`noiselab.cones.cone_pair_terms` of each central-cone pair."""
+    return cone_pair_terms([(a.normals, b.normals) for a, b in pairs], r, s)
+
+
+def _cone_base(pairs):
+    """gamma(A) gamma(B) of each central-cone pair, with the measures' bounds."""
+    ga, ea, gb, eb = np.array([[*a.measure[:2], *b.measure[:2]] for a, b in pairs]).T[..., None]
+    return ga * gb, 0, ga * eb + gb * ea
+
+
+def _halfspace_integrand(pairs, r, s):
+    """s P'(r) = s c phi_2(a, b; r c), c = <n_a, n_b>, of each half-space pair
+    {<n_a, x> <= a}, {<n_b, y> <= b} of :class:`Shape` records at each node
+    (r, s), and its magnitude in ulps: the exponent q carries q ulps and,
+    unless |c| = 1, moves by (1 + |a b| + 2 q)/(1 - (r c)^2) per ulp of r c."""
+    c = np.array([[float(np.clip(a.hs[0] @ b.hs[0], -1, 1))] for a, b in pairs])
+    ab = np.clip([[a.hs[1], b.hs[1]] for a, b in pairs], -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
+    a, b = ab[:, :1], ab[:, 1:]
+    rc = r * c
+    det = (1 - rc) * (1 + rc)
+    # a^2 - 2 r c a b + b^2, written to keep its digits as r c -> +-1 with b near +-a
+    q = np.where(rc >= 0, (a - b) ** 2 + 2 * (1 - rc) * a * b,
+                 (a + b) ** 2 - 2 * (1 + rc) * a * b) / (2 * det)
+    terms = s * c * np.exp(-q) / (_TWO_PI * np.sqrt(det))
+    slope = np.where(np.abs(c) == 1, 0, np.abs(rc) * (1 + np.abs(a * b) + 2 * q) / det)
+    return terms, np.abs(terms) * (1 + q + slope)
+
+
+def _halfspace_pair_rows(pairs, rhos):
+    """(values, errors), two (pairs, rhos) arrays: P(<n_a, X> <= a, <n_b, Y> <= b)
+    and its bound for every half-space pair of :class:`Shape` records of
+    ``pairs`` at every rho, from one broadcast bivariate normal CDF call.
+    <n_a, X> and <n_b, Y> are standard normals with correlation rho <n_a, n_b>,
+    and Owen's terms for Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))."""
+    c = np.array([[float(np.clip(a.hs[0] @ b.hs[0], -1.0, 1.0))] for a, b in pairs])
+    offsets = np.array([[a.hs[1], b.hs[1]] for a, b in pairs])
+    values = bivariate_normal_cdf(offsets[:, :1], offsets[:, 1:], np.asarray(rhos, dtype=float) * c)
+    errors = [[2.0 * ROUNDING * float(ndtr(a) + ndtr(b))] for a, b in offsets]
+    return values, np.broadcast_to(errors, values.shape)
+
+
+#: each route kind's Plackett integrand over its pairs' :class:`Shape` records,
+#: (pairs, r, s) -> (s P'(r), magnitudes, *error figures) as (pairs, nodes)
+#: arrays, and either its closed-form P rows or its rho = 0 base, pairs ->
+#: (gamma(A) gamma(B), magnitudes, bound)
+_KINDS = {"halfspace": (_halfspace_integrand, _halfspace_pair_rows, None),
+          "sector": (_sector_integrand, None, _sector_base),
+          "cone": (_cone_integrand, None, _cone_base)}
+
+
+def _kind_rows(kind, pairs, rhos, drho=False):
+    """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B), or with
+    ``drho`` its d/drho, and its bound for every :class:`Shape` pair (A, B) of
+    route ``kind`` at every rho of ``rhos``, from one integrand call.
+
+    d/drho P is the integrand at r = rho over s = sqrt(1 - rho^2), with its
+    figures and the rounding of its magnitudes over s.  P is the kind's
+    closed form, else its base plus the :func:`_graded_rule` of the integrand
+    at r = sin(th), s = cos(th), bounded by the rules' difference, the rule
+    of the figures, the rounding of the magnitudes and the base's bound."""
+    integrand, closed, base = _KINDS[kind]
+    if drho:
+        r = np.asarray(rhos, dtype=float)
+        s = np.sqrt((1 - r) * (1 + r))
+        vals, mags, *figures = integrand(pairs, r, s)
+        return vals / s, (sum(figures) + ROUNDING * mags) / s
+    if closed is not None:
+        return closed(pairs, rhos)
+    value, units, bound = base(pairs)
+    fine, diff, mags, *figures = _graded_rule(
+        rhos, lambda theta: integrand(pairs, np.sin(theta), np.cos(theta)))
+    return value + fine, diff + sum(figures) + ROUNDING * (mags + units) + bound
 
 
 def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
@@ -261,87 +320,23 @@ def shifted_sector_pair_stability(apex_a, arcs_a, apex_b, arcs_b, rho: float):
     batch of the 33-node Gauss-Kronrod rule on the graded panels, with its
     difference from the 16-node Gauss rule on its Gauss nodes plus the
     rounding of the terms' magnitudes as the bound.
-    The one-pair one-rho case of :func:`_sector_pair_rows`."""
+    The one-pair one-rho call of the sector kind's :func:`_kind_rows`."""
     pair = (Shape(deco=(apex_a, arcs_a)), Shape(deco=(apex_b, arcs_b)))
-    values, errors = _sector_pair_rows([pair], [rho])
+    values, errors = _kind_rows("sector", [pair], [rho])
     return float(values[0, 0]), float(errors[0, 0])
 
 
-def _halfspace_pair_rows(halfspaces, rhos):
-    """(values, errors), two (pairs, rhos) arrays: P(<n_a, X> <= a, <n_b, Y> <= b)
-    and its bound for every half-space pair ((n_a, a), (n_b, b)) of
-    ``halfspaces`` at every rho, from one broadcast bivariate normal CDF call.
-    <n_a, X> and <n_b, Y> are standard normals with correlation rho <n_a, n_b>,
-    and Owen's terms for Phi_2(a, b) add up to at most 2 (Phi(a) + Phi(b))."""
-    c = np.array([[float(np.clip(na @ nb, -1.0, 1.0))] for (na, _), (nb, _) in halfspaces])
-    offsets = np.array([[a, b] for (_, a), (_, b) in halfspaces])
-    values = bivariate_normal_cdf(offsets[:, :1], offsets[:, 1:], np.asarray(rhos, dtype=float) * c)
-    errors = [[2.0 * ROUNDING * float(ndtr(a) + ndtr(b))] for (_, a), (_, b) in halfspaces]
-    return values, np.broadcast_to(errors, values.shape)
-
-
-def _halfspace_pair_drho_rows(halfspaces, rhos):
-    """(values, errors), two (pairs, rhos) arrays: d/drho P(<n_a, X> <= a,
-    <n_b, Y> <= b) = c phi_2(a, b; r = rho c), c = <n_a, n_b>, and its bound
-    for every half-space pair ((n_a, a), (n_b, b)) of ``halfspaces`` at every
-    rho.  The exponent q carries q ulps and, unless |c| = 1, moves by
-    (1 + |a b| + 2 q)/(1 - r^2) per ulp of r."""
-    values, errors = np.empty((len(halfspaces), len(rhos))), np.empty((len(halfspaces), len(rhos)))
-    for k, ((na, a), (nb, b)) in enumerate(halfspaces):
-        c = float(np.clip(na @ nb, -1, 1))
-        a, b = np.clip([a, b], -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
-        for j, r in enumerate(np.asarray(rhos, dtype=float) * c):
-            # a^2 - 2 r a b + b^2, written to keep its digits as r -> +-1 with b near +-a
-            num = ((a - b) ** 2 + 2 * (1 - r) * a * b if r >= 0
-                   else (a + b) ** 2 - 2 * (1 + r) * a * b)
-            q = num / (2 * (1 - r) * (1 + r))
-            val = c * math.exp(-q) / (_TWO_PI * math.sqrt((1 - r) * (1 + r)))
-            slope = 0 if abs(c) == 1 else abs(r) * (1 + abs(a * b) + 2 * q) / ((1 - r) * (1 + r))
-            values[k, j], errors[k, j] = val, ROUNDING * abs(val) * (1 + q + slope)
-    return values, errors
-
-
-def _cone_pair_rows(pairs, rhos):
-    """(values, errors), two (pairs, rhos) arrays: P(X in A, Y in B) and its
-    bound for every pair (A, B) of central cones of :class:`Shape` records of
-    ``pairs`` at every rho of ``rhos``: the :func:`_graded_rule` of
-    :func:`noiselab.cones.cone_pair_terms` at r = sin(th), s = cos(th), one
-    call for all the pairs
-    and rhos, plus gamma(A) gamma(B).  The bound adds the rules' difference,
-    the rule of the orthant rule's figures, the rounding of the terms'
-    magnitudes and the measures' own bounds."""
-    normals = [(a.normals, b.normals) for a, b in pairs]
-    fine, diff, mags, errs = _graded_rule(
-        rhos, lambda theta: cone_pair_terms(normals, np.sin(theta), np.cos(theta)))
-    ga, ea, gb, eb = np.array([[*a.measure[:2], *b.measure[:2]] for a, b in pairs]).T[..., None]
-    return ga * gb + fine, diff + errs + ROUNDING * mags + (ga * eb + gb * ea)
-
-
-def _cone_pair_drho_rows(pairs, rhos):
-    """(values, errors), two (pairs, rhos) arrays: d/drho P(X in A, Y in B) and
-    its bound for every pair (A, B) of central cones of :class:`Shape` records
-    of ``pairs`` at every rho of ``rhos``: :func:`noiselab.cones.cone_pair_terms`
-    at r = rho over s = sqrt(1 - rho^2), with its figures and the rounding of
-    its magnitudes."""
-    r = np.asarray(rhos, dtype=float)
-    s = np.sqrt((1 - r) * (1 + r))
-    vals, mags, errs = cone_pair_terms([(a.normals, b.normals) for a, b in pairs], r, s)
-    return vals / s, (errs + ROUNDING * mags) / s
-
-
 def _pair_routes(pairs):
-    """(kind, data) per cell pair (a, b), on the routes of
-    :meth:`SetSpec.pair_exact` and in its order: ("halfspace", (a.halfspace(),
-    b.halfspace())) when both are half-spaces, else ("sector", (a.shape,
-    b.shape)) when both are unions of sectors in one plane, else ("cone",
-    (a.shape, b.shape)) when both are central cones in R^3 with three facets
-    and a closed-form measure; None when some pair has none of them."""
+    """(kind, (a.shape, b.shape)) per cell pair (a, b), on the routes of
+    :meth:`SetSpec.pair_exact` and in its order: "halfspace" when both are
+    half-spaces, else "sector" when both are unions of sectors in one plane,
+    else "cone" when both are central cones in R^3 with three facets and a
+    closed-form measure; None when some pair has none of them."""
     routes = []
     for a, b in pairs:
-        ha, hb = a.halfspace(), b.halfspace()
         sa, sb = a.shape, b.shape
-        if ha is not None and hb is not None:
-            routes.append(("halfspace", (ha, hb)))
+        if sa.hs is not None and sb.hs is not None:
+            routes.append(("halfspace", (sa, sb)))
         elif sa.deco is not None and sb.deco is not None and np.array_equal(sa.plane, sb.plane):
             routes.append(("sector", (sa, sb)))
         elif _trihedral(sa) and _trihedral(sb):
@@ -360,27 +355,20 @@ def _trihedral(shape) -> bool:
             and shape.measure is not None)
 
 
-#: the P rows and the d/drho rows of each route kind
-_P_ROWS = {"halfspace": _halfspace_pair_rows, "sector": _sector_pair_rows,
-           "cone": _cone_pair_rows}
-_DRHO_ROWS = {"halfspace": _halfspace_pair_drho_rows, "sector": _sector_pair_drho_rows,
-              "cone": _cone_pair_drho_rows}
-
-
-def _pair_rows(pairs, rhos, row_functions):
+def _pair_rows(pairs, rhos, drho=False):
     """(values, errors), two (pairs, rhos) arrays for every cell pair (a, b)
-    at every rho, from the function of ``row_functions`` for each route kind,
-    one call of each for all the pairs that take it; None when some pair has
-    no route.  A rho outside (-1, 1) raises :class:`DomainError` first."""
+    at every rho, from :func:`_kind_rows` of each route kind, one call of
+    each for all the pairs that take it; None when some pair has no route.
+    A rho outside (-1, 1) raises :class:`DomainError` first."""
     rhos = [as_rho(r) for r in rhos]
     routes = _pair_routes(pairs)
     if routes is None:
         return None
     values, errors = np.empty((len(routes), len(rhos))), np.empty((len(routes), len(rhos)))
-    for kind, rows in row_functions.items():
+    for kind in _KINDS:
         idx = [k for k, (route_kind, _) in enumerate(routes) if route_kind == kind]
         if idx and len(rhos):
-            values[idx], errors[idx] = rows([routes[k][1] for k in idx], rhos)
+            values[idx], errors[idx] = _kind_rows(kind, [routes[k][1] for k in idx], rhos, drho)
     return values, errors
 
 
@@ -392,27 +380,25 @@ def _summed(terms):
     return float(total), float(err)
 
 
-def pair_sums(pairs, rhos):
-    """[(sum over the cell pairs (a, b) of P(X in a, Y in b), error bound)] at
-    each rho of ``rhos``, or None where :meth:`SetSpec.pair_exact` declines a
-    pair.  The half-space pairs take one bivariate normal CDF call, the
-    sector pairs one Plackett integrand call and the cone pairs one nested
-    Plackett rule, over all the pairs and rhos at once; each pair's entry
-    equals ``pair_exact`` at that rho to the bit, and the pairs are added in
-    their order, so each sum is that of the one-rho loop over ``pair_exact``."""
-    rows = _pair_rows(list(pairs), rhos, _P_ROWS)
+def pair_sums(pairs, rhos, *, drho: bool = False):
+    """[(sum over the cell pairs (a, b) of P(X in a, Y in b), or with ``drho``
+    of its d/drho, error bound)] at each rho of ``rhos``, or None where
+    :meth:`SetSpec.pair_exact` declines a pair.  The half-space pairs take one
+    closed-form call, the sector pairs one Plackett integrand call and the
+    cone pairs one nested Plackett rule, over all the pairs and rhos at once;
+    each pair's entry equals ``pair_exact`` (or ``pair_drho_exact``) at that
+    rho to the bit, and the pairs are added in their order, so each sum is
+    that of the one-rho loop over the pairs."""
+    rows = _pair_rows(list(pairs), rhos, drho)
     return None if rows is None else [_summed(zip(v, e)) for v, e in zip(rows[0].T, rows[1].T)]
 
 
 def pair_drho_sum(pairs, rho: float):
     """(sum over the cell pairs (a, b) of d/drho P(X in a, Y in b), error bound)
     at ``rho``, or None where :meth:`SetSpec.pair_drho_exact` declines a pair:
-    the half-space closed form, and one integrand call for all the sector
-    pairs and one for all the cone pairs.  Each pair's term equals
-    ``pair_drho_exact`` to the bit, and the terms are added in the pairs'
-    order."""
-    rows = _pair_rows(list(pairs), [rho], _DRHO_ROWS)
-    return None if rows is None else _summed(zip(rows[0][:, 0], rows[1][:, 0]))
+    the one-rho case of :func:`pair_sums` with ``drho``."""
+    sums = pair_sums(pairs, [rho], drho=True)
+    return None if sums is None else sums[0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +571,7 @@ class SetSpec:
         when both cells are half-spaces, planar sectors in one plane or central
         cones in R^3 with three facets, else None: the one-pair one-rho case of
         :func:`pair_sums`."""
-        rows = _pair_rows([(self, other)], [rho], _P_ROWS)
+        rows = _pair_rows([(self, other)], [rho])
         return None if rows is None else (float(rows[0][0, 0]), float(rows[1][0, 0]))
 
     def pair_drho_exact(self, other: "SetSpec", rho: float):

@@ -24,14 +24,14 @@ Every deterministic route is a sum of pair probabilities P(X in a, Y in b),
 or of their d/drho, over cell pairs: over (s, s) for a set, (p_i, p_i) for a
 partition and (p_i, q_i) for a bilinear form.  One helper, :func:`_pair_rule`,
 takes them all, at every rho, rho = 0 included, from one batched call of
-:func:`noiselab.partitions.pair_sums` or
-:func:`noiselab.partitions.pair_drho_sum` on the routes of
-:meth:`noiselab.partitions.SetSpec.pair_exact` (the bivariate normal CDF for
-two half-spaces, Plackett's identity in arcsin(rho) for two planar sectors,
-and for two central cones in R^3 with three facets that identity over facet
-pairs with a second Plackett integral for the conditional orthant), for all
-the cell pairs and, in a sweep, every rho of the grid at once; each row still
-equals the one-rho call bit for bit.  Only where the pair rule declines does
+:func:`noiselab.partitions.pair_sums`, for P and for d/drho P alike, on the
+routes of :meth:`noiselab.partitions.SetSpec.pair_exact` (the bivariate
+normal CDF for two half-spaces, Plackett's identity in arcsin(rho) for two
+planar sectors, and for two central cones in R^3 with three facets that
+identity over facet pairs with a second Plackett integral for the
+conditional orthant; d/drho P is each kind's Plackett integrand at rho), for
+all the cell pairs and every rho of the grid at once; each row still equals
+the one-rho call bit for bit.  Only where the pair rule declines does
 rho = 0, where X and Y are independent, fall back to the sum of products of
 closed-form cell measures (cones in R^3 with more facets); otherwise rho = 0
 is sampled like any other rho.  A partition takes these routes only when its
@@ -62,7 +62,7 @@ from .gauss import (
     mc_shard_means,
     route,
 )
-from .partitions import PartitionSpec, SetSpec, gaussian_measure, pair_drho_sum, pair_sums
+from .partitions import PartitionSpec, SetSpec, gaussian_measure, pair_sums
 
 #: pairs per block of a shard in :func:`_score_values`
 _SCORE_BLOCK = 1 << 12
@@ -187,14 +187,13 @@ def _pair_rule(pairs, rhos, *, drho: bool = False) -> list[Estimate | None]:
     """At each rho of ``rhos``, the sum over the cell ``pairs`` (a, b) of
     P(X in a, Y in b), or of its d/drho, by the pair rule
     (:func:`noiselab.partitions.pair_sums`, one batched call for the whole
-    grid, or :func:`noiselab.partitions.pair_drho_sum`).  Where the pair rule
+    grid, one integrand call per route kind).  Where the pair rule
     declines a pair, P at rho = 0, where X and Y are independent, is the sum
     of the products gamma(a) gamma(b) of closed-form cell measures.  None
     where neither route applies, and at every rho when ``pairs`` is None."""
     if pairs is None:
         return [None] * len(rhos)
-    sums = ([pair_drho_sum(pairs, r) for r in rhos] if drho
-            else pair_sums(pairs, rhos) or [None] * len(rhos))
+    sums = pair_sums(pairs, rhos, drho=drho) or [None] * len(rhos)
     still = None
     if not drho and 0.0 in rhos and None in sums:
         ma, mb = _closed_measures(a for a, _ in pairs), _closed_measures(b for _, b in pairs)

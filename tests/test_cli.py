@@ -352,6 +352,19 @@ class TestVerifyCommand:
             assert code == 3
             assert out == "" and "--budget" in err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("stability", "--tolerance-scale=2"), ("sweep", "--tolerance-scale=2"),
+        ("plurality", "--tolerance-scale=2"), ("sweep", "--rho=0.9"), ("verify", "--rho=0.9"),
+        ("verify", "--threads=2"), ("verify", "--format=csv")])
+    def test_flag_the_command_does_not_read_exit_2(self, capsys, halfspace_file, command, flag):
+        # a flag that would change nothing is refused rather than ignored
+        head = {"stability": [halfspace_file], "sweep": [halfspace_file],
+                "plurality": [], "verify": ["gaussian-core"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *head, flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
     def test_samples_below_one_exit_3(self, capsys):
         for samples in ("0", "-5"):
             code, out, err = run(capsys, "plurality", "--n-list", "1,3", f"--samples={samples}")

@@ -206,17 +206,20 @@ def _literals(expr, func):
 
 #: (module, function, error slots of its returned tuples): the cell-moment,
 #: propeller, gradient and d/drho routes, the closed forms they return, the
-#: pair d/drho and finite-difference oracles of stability, and the cone pair rows
+#: pair rows of the Plackett kinds (P and d/drho) with the half-space and
+#: sector integrands' magnitudes and the bases' bounds, and the
+#: finite-difference oracles of stability
 MOMENT_ROUTES = [
     ("stability.py", "propeller_functional", ()),
     ("partitions.py", "moment_exact", (1,)),
     ("partitions.py", "_shifted_moment", (1, 3)),
     ("partitions.py", "ou_gradient_exact", (1,)),
     ("partitions.py", "ou_drho_exact", (1,)),
-    ("partitions.py", "_halfspace_pair_drho_rows", (1,)),
-    ("partitions.py", "_sector_pair_drho_rows", (1,)),
-    ("partitions.py", "_cone_pair_rows", (1,)),
-    ("partitions.py", "_cone_pair_drho_rows", (1,)),
+    ("partitions.py", "_kind_rows", (1,)),
+    ("partitions.py", "_halfspace_integrand", (1,)),
+    ("partitions.py", "_plackett_integrand", (1,)),
+    ("partitions.py", "_sector_base", (1, 2)),
+    ("partitions.py", "_cone_base", (1, 2)),
     ("variation.py", "_flow_difference", ()),
     ("gauss.py", "ou_gradient_quadrature", ()),
     ("gauss.py", "ou_rho_derivative_exact", ()),
@@ -238,9 +241,9 @@ def test_no_float_literal_is_a_moment_error_figure():
 
 #: the pair rule of partitions.py: P(X in a, Y in b) and its d/drho per cell pair
 PAIR_RULE = {"pair_sums", "pair_drho_sum", "pair_exact", "pair_drho_exact", "_pair_rows",
-             "_sector_pair_rows", "_sector_pair_drho_rows", "_halfspace_pair_rows",
-             "_halfspace_pair_drho_rows", "_cone_pair_rows", "_cone_pair_drho_rows",
-             "_P_ROWS", "_DRHO_ROWS", "shifted_sector_pair_stability"}
+             "_kind_rows", "_KINDS", "_halfspace_integrand", "_halfspace_pair_rows",
+             "_sector_integrand", "_plackett_integrand", "_sector_base", "_cone_integrand",
+             "cone_pair_terms", "_cone_base", "shifted_sector_pair_stability"}
 
 
 def _names(node):
@@ -254,13 +257,28 @@ def _names(node):
             yield n.asname or n.name
 
 
+#: the nodes inside which a call runs once per item
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _pair_rule_calls(func):
+    """Whether each call ``func`` makes of a PAIR_RULE name sits in a loop."""
+    looped = {id(n) for loop in ast.walk(func) if isinstance(loop, LOOPS) for n in ast.walk(loop)}
+    return [id(node) in looped for node in ast.walk(func)
+            if isinstance(node, ast.Call) and PAIR_RULE & set(_names(node.func))]
+
+
 def test_one_helper_reaches_the_pair_rule():
     # every deterministic stability sum, rho = 0 and d/drho included, is one
-    # helper's call of the pair rule, so a new pair route is added once
+    # helper's call of the pair rule, so a new pair route is added once; that
+    # helper makes one call for the whole grid, P and d/drho alike, so no
+    # rho is taken alone
     trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
-    callers = [name for name, func in _functions(trees["stability.py"]).items()
-               if PAIR_RULE & set(_names(func))]
+    funcs = _functions(trees["stability.py"])
+    callers = [name for name, func in funcs.items() if PAIR_RULE & set(_names(func))]
     assert callers == ["_pair_rule"]
+    assert _pair_rule_calls(funcs["_pair_rule"]) == [False]
     used = set(_names(trees["variation.py"]))
     assert PAIR_RULE & used == set()
     assert "_pair_rule" in used

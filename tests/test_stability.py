@@ -495,11 +495,14 @@ class TestPairDrho:
             assert abs(value - 1 / (mpmath.pi * mpmath.sqrt(1 - mpmath.mpf(rho) ** 2))) <= err
 
     @pytest.mark.parametrize("rho", PRIME_RHOS + DOMAIN_RHOS)
-    @pytest.mark.parametrize("a, b", [(0.3, -0.4), (-6.0, -5.0), (2.0, 7.0), (-1.5, 1.2)])
-    def test_offset_half_spaces_match_mpmath(self, a, b, rho):
+    @pytest.mark.parametrize("normal, a, b", [
+        *(([0.6, 0.8], a, b) for a, b in [(0.3, -0.4), (-6.0, -5.0), (2.0, 7.0), (-1.5, 1.2)]),
+        *((n, a, b) for n in ([1.0, 0.0], [-1.0, 0.0]) for a, b in [(0.3, -0.4), (-1.5, 1.2)])])
+    def test_offset_half_spaces_match_mpmath(self, normal, a, b, rho):
         # c phi_2(a, b; rho c) with c = <n_a, n_b>, the inner product of the
-        # cells' stored normals taken in mpmath
-        cell_a, cell_b = HalfSpace([1.0, 0.0], a), HalfSpace([0.6, 0.8], b)
+        # cells' stored normals taken in mpmath; |c| = 1 takes the exponent's
+        # slope-free error and, with rho c < 0, its (a + b)^2 form
+        cell_a, cell_b = HalfSpace([1.0, 0.0], a), HalfSpace(normal, b)
         value, err = cell_a.pair_drho_exact(cell_b, rho)
         (na, a), (nb, b) = cell_a.halfspace(), cell_b.halfspace()
         with mpmath.workdps(40):
@@ -507,7 +510,12 @@ class TestPairDrho:
             r, a, b = mpmath.mpf(rho) * c, mpmath.mpf(a), mpmath.mpf(b)
             ref = (c * mpmath.exp(-(a * a - 2 * r * a * b + b * b) / (2 * (1 - r * r)))
                    / (2 * mpmath.pi * mpmath.sqrt(1 - r * r)))
-            assert abs(value - ref) <= err
+            if abs(ref) < np.finfo(float).tiny:
+                # the density is below the smallest normal float, where the
+                # route's exponential underflows as well
+                assert abs(value) < np.finfo(float).tiny
+            else:
+                assert abs(value - ref) <= err
 
     @pytest.mark.parametrize("rho", PRIME_RHOS)
     @pytest.mark.parametrize("p", [sector_partition([0.0, 2.0, 4.0]).translated([0.4, -0.3]),
@@ -672,6 +680,35 @@ class TestBatchedPairRule:
         nodes = sum(33 * (len(partitions_module._graded_panels(math.asin(r))) - 1) for r in grid)
         assert calls == [(12, nodes)]
         assert [r.method for r in rows] == [QUADRATURE] * len(grid)
+
+    @pytest.mark.parametrize("name, integrand", [
+        ("shifted-apex", "_plackett_integrand"),
+        ("half-space-and-sector", "_plackett_integrand"),
+        ("simplex-cones-R3", "cone_pair_terms"),
+    ])
+    def test_drho_grid_is_one_integrand_call_per_kind(self, monkeypatch, name, integrand):
+        p = {**PAIR_RULE_PARTITIONS, **SWEEP_PARTITIONS}[name]
+        pairs = list(zip(p.cells, p.cells))
+        calls = []
+        original = getattr(partitions_module, integrand)
+
+        def counted(*args):
+            calls.append(np.shape(args[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(partitions_module, integrand, counted)
+        rows = stability_module._pair_rule(pairs, PAIR_RULE_GRID, drho=True)
+        assert calls == [(len(PAIR_RULE_GRID),)]
+        monkeypatch.undo()
+        for rho, row in zip(PAIR_RULE_GRID, rows):
+            one = stability_module._pair_rule(pairs, [rho], drho=True)[0]
+            assert row.method == QUADRATURE
+            assert _bits(row.value, row.std_error) == _bits(one.value, one.std_error)
+            total = err = 0.0
+            for a, b in pairs:
+                v, e = a.pair_drho_exact(b, rho)
+                total, err = total + v, err + e
+            assert _bits(row.value, row.std_error) == _bits(total, err)
 
     def test_drho_is_one_integrand_call_per_stencil_point(self, monkeypatch):
         # the mixed derivative's 4 stencil points and the second derivative's 5
