@@ -15,11 +15,12 @@ a, b in (0, 1).  A correlated pair (X, Y) with E X_i Y_j = rho * 1_{i=j} is
 realized as X ~ gamma_d, Y = rho*X + sqrt(1 - rho**2) * Z.
 
 Every integrating operation returns an :class:`Estimate` (value, error figure,
-sample count, method).  Monte Carlo estimators are pure functions of their
-seed: the budget is cut into fixed-size shards, each shard draws from a
-generator spawned from the root seed by counter, and partial sums are reduced
-in shard order, so results are reproducible even when shards are evaluated by
-a thread pool.
+sample count, method).  Every sampled estimate is drawn by :func:`mc_mean` or
+:func:`mc_shard_means` in shards of a fixed size, each from its own generator
+spawned from the root seed by counter, and reduced in shard order.  A shard's
+draws never depend on a memory cap or on ``threads``, and a block size may
+split only the work done after the draws, so results are pure functions of
+their seed.
 """
 
 from __future__ import annotations
@@ -233,22 +234,26 @@ def mehler_kernel(y: np.ndarray, x: np.ndarray, rho: float) -> np.ndarray:
 # Monte Carlo plumbing and route choice
 
 
-def _shard_sizes(n: int, shard: int = _SHARD) -> list[int]:
-    sizes = [shard] * (n // shard)
-    if n % shard:
-        sizes.append(n % shard)
-    return sizes
+def _sums(vals):
+    """(column sums, column sums of squares about the shard's mean) of a
+    shard's (k,) or (k, dim) values, each column added alone in (dim, k)
+    order; bools are counted, exactly, and need no second sum."""
+    if vals.dtype == bool:
+        return np.count_nonzero(vals, axis=0).astype(float), None
+    cols = np.array(vals.T, dtype=float, order="C")
+    total = cols.sum(axis=-1)
+    cols -= (total / cols.shape[-1])[..., None]
+    return total, np.einsum("...i,...i->...", cols, cols)
 
 
-def _shard_loop(values_fn, rngs, sizes, reduce, threads: int = 1) -> list:
-    """``reduce(values_fn(rngs[i], sizes[i]))`` for every shard, in shard order.
+def _shard_sums(values_fn, seed, sizes, threads: int = 1) -> list:
+    """:func:`_sums` of ``values_fn(rng_i, sizes[i])`` for every shard i in order,
+    rng_i the i-th generator spawned from ``seed``; a thread pool only changes
+    which worker evaluates a shard."""
+    rngs = spawn_rngs(seed, len(sizes))
 
-    A thread pool only changes which worker evaluates a shard, never its draws
-    or the order of the results.
-    """
     def run(idx):
-        vals = np.asarray(values_fn(rngs[idx], sizes[idx]))
-        return reduce(vals if vals.dtype == bool else vals.astype(float, copy=False))
+        return _sums(np.asarray(values_fn(rngs[idx], sizes[idx])))
 
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -256,45 +261,34 @@ def _shard_loop(values_fn, rngs, sizes, reduce, threads: int = 1) -> list:
     return [run(i) for i in range(len(sizes))]
 
 
-def _sums(vals):
-    """Column sums of the values and of their squares; 0/1 draws given as bools
-    are counted, which are the same sums exactly."""
-    if vals.dtype == bool:
-        hits = np.count_nonzero(vals, axis=0).astype(float)
-        return hits, hits
-    return vals.sum(axis=0), (vals * vals).sum(axis=0)
-
-
-def mean_over_shards(values_fn, rngs, sizes, threads: int = 1) -> Estimate | VectorEstimate:
-    """Mean and standard error of ``values_fn(rng, k)`` over the given shards.
-
-    A callback that returns k values gives an :class:`Estimate`; one that
-    returns a (k, dim) array gives a componentwise :class:`VectorEstimate`.
-    """
-    n = sum(sizes)
-    parts = _shard_loop(values_fn, rngs, sizes, _sums, threads)
-    # seeded results depend on the order: scalars add by shard, vectors via numpy
-    s1, s2 = (np.sum(col, axis=0) if np.ndim(col[0]) else sum(col) for col in zip(*parts))
-    mean = s1 / n
-    var = np.maximum(s2 / n - mean * mean, 0.0) * (n / max(n - 1, 1))
-    se = np.sqrt(var / n)
-    if np.ndim(mean) == 0:
-        return Estimate(float(mean), float(se), n, MONTE_CARLO)
-    return VectorEstimate(mean, se, n, MONTE_CARLO)
-
-
-def mc_mean(values_fn, n: int, *, seed=0, threads: int = 1) -> Estimate | VectorEstimate:
-    """Mean and standard error of ``values_fn(rng, k)`` over n draws.
+def mc_mean(values_fn, n: int, *, seed=0, threads: int = 1,
+            shard: int = _SHARD) -> Estimate | VectorEstimate:
+    """Mean and standard error of ``values_fn(rng, k)`` over n draws, in shards
+    of ``shard`` draws.
 
     ``values_fn`` returns k sample values (the result is an
     :class:`Estimate`) or a (k, dim) array of vector samples (a
     :class:`VectorEstimate`).  Shards are reduced in counter order regardless
-    of thread scheduling.
+    of thread scheduling, float ones by the pairwise update of Chan, Golub and
+    LeVeque (1979), so the variance keeps its digits far from 0.
     """
     if n <= 0:
         raise DomainError("Monte Carlo budget must be positive")
-    sizes = _shard_sizes(n)
-    return mean_over_shards(values_fn, spawn_rngs(seed, len(sizes)), sizes, threads)
+    sizes = [shard] * (n // shard) + [n % shard] * (n % shard > 0)
+    parts = _shard_sums(values_fn, seed, sizes, threads)
+    (total, sq), seen = parts[0], sizes[0]
+    for (t, s), k in zip(parts[1:], sizes[1:]):
+        if sq is not None:
+            sq = sq + s + seen / (k * (seen + k)) * (k / seen * total - t) ** 2
+        total, seen = total + t, seen + k
+    mean = total / n
+    # a count of 0/1 values is the sum of their squares too
+    var = (np.maximum(total / n - mean * mean, 0.0) * (n / max(n - 1, 1)) if sq is None
+           else sq / max(n - 1, 1))
+    se = np.sqrt(var / n)
+    if np.ndim(mean) == 0:
+        return Estimate(float(mean), float(se), n, MONTE_CARLO)
+    return VectorEstimate(mean, se, n, MONTE_CARLO)
 
 
 def mc_shard_means(values_fn, n: int, *, seed=0, n_shards: int = 32, threads: int = 1):
@@ -310,9 +304,8 @@ def mc_shard_means(values_fn, n: int, *, seed=0, n_shards: int = 32, threads: in
     if n <= 0:
         raise DomainError("Monte Carlo budget must be positive")
     shard = max(n // n_shards, 1)
-    means = _shard_loop(values_fn, spawn_rngs(seed, n_shards), [shard] * n_shards,
-                        lambda vals: vals.mean(axis=0), threads)
-    return np.asarray(means), shard
+    sums = _shard_sums(values_fn, seed, [shard] * n_shards, threads)
+    return np.array([total / shard for total, _ in sums]), shard
 
 
 def route(mode: str, deterministic, sampled):

@@ -254,7 +254,8 @@ def _halfspace_integrand(pairs, r, s):
     """s P'(r) = s c phi_2(a, b; r c), c = <n_a, n_b>, of each half-space pair
     {<n_a, x> <= a}, {<n_b, y> <= b} of :class:`Shape` records at each node
     (r, s), and its magnitude in ulps: the exponent q carries q ulps and,
-    unless |c| = 1, moves by (1 + |a b| + 2 q)/(1 - (r c)^2) per ulp of r c."""
+    unless |c| = 1, moves by (1 + |a b| + 2 q)/(1 - (r c)^2) per ulp of r c.
+    An underflowing density is off by the smallest normal."""
     c = np.array([[float(np.clip(a.hs[0] @ b.hs[0], -1, 1))] for a, b in pairs])
     ab = np.clip([[a.hs[1], b.hs[1]] for a, b in pairs], -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
     a, b = ab[:, :1], ab[:, 1:]
@@ -265,7 +266,7 @@ def _halfspace_integrand(pairs, r, s):
                  (a + b) ** 2 - 2 * (1 + rc) * a * b) / (2 * det)
     terms = s * c * np.exp(-q) / (_TWO_PI * np.sqrt(det))
     slope = np.where(np.abs(c) == 1, 0, np.abs(rc) * (1 + np.abs(a * b) + 2 * q) / det)
-    return terms, np.abs(terms) * (1 + q + slope)
+    return terms, (np.abs(terms) + _TINY) * (1 + q + slope)
 
 
 def _halfspace_pair_rows(pairs, rhos):
@@ -979,13 +980,11 @@ class Facet:
         if along is not None:
             self.mass = float(across * along)
             return
-        # generic: pilot estimate of the acceptance fraction
-        rng = np.random.default_rng(np.random.SeedSequence(123456789))
-        n_pilot = 200_000
-        u = rng.standard_normal((n_pilot, k))
-        acc = float(np.mean(self._feasible(u)))
-        self.mass = float(across) * acc
-        self.mass_err = float(across) * math.sqrt(max(acc * (1 - acc), 0.0) / n_pilot)
+        # generic: pilot estimate of the acceptance fraction, at a fixed seed
+        acc = mc_mean(lambda rng, n: self._feasible(rng.standard_normal((n, k))), 200_000,
+                      seed=123456789)
+        self.mass = float(across) * acc.value
+        self.mass_err = float(across) * acc.std_error
 
     def _feasible(self, u: np.ndarray) -> np.ndarray:
         ok = np.ones(u.shape[0], dtype=bool)
@@ -1052,9 +1051,9 @@ class Facet:
         :func:`noiselab.gauss.route`).  Deterministic routes: a constant times
         the closed-form mass (point, interval and planar-cone facets), h at a
         point facet, and on an interval facet :func:`_line_rule` in the
-        tangent coordinate.  The sampled route draws ``budget`` points from
-        gamma_d on the facet, weights them by the kernel over gamma_d, and
-        adds the facet mass's own error.
+        tangent coordinate.  The sampled route is one ``mc_mean`` over gamma_d
+        on the facet of h and its error figures, weighted by the kernel over
+        gamma_d at each x, plus the facet mass's own error.
         """
         point = np.zeros(self.dim) if x is None else np.asarray(x, dtype=float)
         shape = point.shape[:-1]
@@ -1078,17 +1077,23 @@ class Facet:
                 return None
             return VectorEstimate(across * val, across * err, 0, QUADRATURE)
 
-        def sampled():
-            pts = self.sample(np.random.default_rng(make_seedseq(seed)), budget)
-            vals, errs = _values_and_errors(h(pts)) if callable(h) else (np.full(budget, float(h)), 0.0)
+        xs = np.atleast_2d(point)
+
+        def values(rng, k):
+            pts = self.sample(rng, k)
+            vals, errs = _values_and_errors(h(pts)) if callable(h) else (np.full(k, float(h)), 0.0)
+            cols = np.stack(np.broadcast_arrays(vals, errs), axis=1)
+            if rho == 0.0:  # K_0 is gamma_d itself, the same at every x
+                return cols
             gam = np.exp(-0.5 * np.sum(pts * pts, axis=1)) * (2 * math.pi) ** (-self.dim / 2)
-            # K_0 is gamma_d itself; otherwise one row of kernel values at a time
-            rows = ([(vals, errs)] * len(np.atleast_2d(point)) if rho == 0.0 else
-                    ((vals * k / gam, errs * k / gam if np.any(errs) else 0.0)
-                     for k in (mehler_kernel(pts, xk, rho) for xk in np.atleast_2d(point))))
-            mean, sd, err = np.array([(np.mean(v), np.std(v, ddof=1) if budget > 1 else 0.0,
-                                       np.mean(e)) for v, e in rows]).T.reshape(3, *shape)
-            return VectorEstimate(self.mass * mean, self.mass * (sd / math.sqrt(budget) + err)
+            kern = np.stack([mehler_kernel(pts, xk, rho) for xk in xs], axis=1) / gam[:, None]
+            return (cols[:, :, None] * kern[:, None, :]).reshape(k, -1)
+
+        def sampled():
+            est = mc_mean(values, budget, seed=seed)
+            (mean, err), (se, _) = (np.broadcast_to(a.reshape(2, -1), (2, len(xs))).reshape(2, *shape)
+                                    for a in (est.value, est.std_error))
+            return VectorEstimate(self.mass * mean, self.mass * (se + err)
                                   + np.abs(mean) * self.mass_err, budget, MONTE_CARLO)
 
         if self.mass == 0.0:

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gauss import DomainError, Estimate, make_seedseq, mean_over_shards
+from .gauss import DomainError, Estimate, mc_mean
 from .partitions import halfspace_partition, simplex_cone_partition
 from .stability import partition_stability
 
@@ -55,6 +55,8 @@ HISTOGRAM_PAIR_LIMIT = 500_000_000
 #: columns, and of each block of histogram rows gathered from it
 _POWER_BYTES = 1 << 20
 _GATHER_BYTES = 1 << 19
+#: votes per Monte Carlo shard of the chain samplers, whose pairs depend on n alone
+_SHARD_VOTES = 1 << 22
 SIMPLEX_TOL = 1e-12
 
 
@@ -170,17 +172,19 @@ def coordinate_stability(table, m: int, n: int, rho: float) -> float:
 
 
 def sample_noisy_profiles(m: int, n: int, rho: float, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """k i.i.d. pairs (w, d) from the uniform/noise joint chain.
+    """k i.i.d. pairs (w, d) from the uniform/noise joint chain, as (k, n) arrays.
 
-    Each draw is cast as soon as it is made to the smallest unsigned type that
-    holds w + shift <= 2m - 2, and d is formed in place in that type; the draws
-    themselves are those of int64 sampling, so seeded values keep their bits.
+    The votes w are drawn, then whether each vote moves, then a shift 1..m-1
+    for each; d = (w + shift * move) mod m.  The votes and shifts are drawn
+    directly in the smallest unsigned type that holds w + shift <= 2m - 2,
+    and d is formed in place in it.  The move draw is a float64 uniform: a
+    float32 one would bias the move probability by up to 2^-24.
     """
     stay = float(noise_kernel(m, rho)[0, 0])
     small = np.min_scalar_type(2 * m - 2)
-    w = rng.integers(0, m, size=(k, n)).astype(small)
+    w = rng.integers(0, m, size=(k, n), dtype=small)
     move = rng.random((k, n)) >= stay
-    d = rng.integers(1, m, size=(k, n)).astype(small)
+    d = rng.integers(1, m, size=(k, n), dtype=small)
     d *= move
     d += w
     d %= m
@@ -196,7 +200,7 @@ def discrete_noise_stability_mc(f: DiscreteFunction, rho: float, samples: int = 
         w, d = sample_noisy_profiles(f.m, f.n, rho, k, rng)
         return np.einsum("ij,ij->i", f.values[w @ powers], f.values[d @ powers])
 
-    return _chain_mean(values, samples, seed)
+    return mc_mean(values, samples, seed=seed, shard=max(_SHARD_VOTES // f.n, 1))
 
 
 def plurality(m: int, n: int) -> DiscreteFunction:
@@ -360,15 +364,7 @@ def plurality_stability_mc(m: int, n: int, rho: float, samples: int = 200_000,
         w, d = sample_noisy_profiles(m, n, rho, k, rng)
         return np.einsum("ij,ij->i", plurality_values(m, w), plurality_values(m, d))
 
-    return _chain_mean(values, samples, seed)
-
-
-def _chain_mean(values_fn, samples: int, seed) -> Estimate:
-    # the chain is one shard drawn from the seed's root generator: that
-    # layout fixes the seeded values these estimators report
-    if samples <= 0:
-        raise DomainError("sample budget must be positive")
-    return mean_over_shards(values_fn, [np.random.default_rng(make_seedseq(seed))], [samples])
+    return mc_mean(values, samples, seed=seed, shard=max(_SHARD_VOTES // n, 1))
 
 
 def plurality_stability_table(m: int, rho: float, n_list, samples: int = 200_000,

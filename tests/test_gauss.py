@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, owens_t
 
 import noiselab.partitions as partitions_module
+import noiselab.stability as stability_module
 from noiselab.cones import _orthant4
 from noiselab.gauss import (
     Correlation,
@@ -1026,7 +1027,8 @@ class TestMonteCarloMean:
 
         est = mc_mean(vec, 50_000, seed=8)
         vals = vec(np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0]), 50_000)
-        assert np.array_equal(est.value, vals.sum(axis=0) / 50_000)
+        # each column is summed alone, as one contiguous run
+        assert np.array_equal(est.value, np.array([vals[:, j].sum() for j in range(2)]) / 50_000)
         assert np.allclose(est.std_error, vals.std(axis=0, ddof=1) / math.sqrt(50_000),
                            rtol=1e-12, atol=0)
 
@@ -1048,10 +1050,78 @@ class TestMonteCarloMean:
                                      seed=18, n_shards=4, threads=2)
         assert np.array_equal(threaded, means)
 
+    @pytest.mark.parametrize("c", [0.0, 1e3, 1e5])
+    def test_variance_keeps_its_digits_far_from_zero(self, c):
+        # c + 1e-4 sqrt(1 - rho^2) Z has a standard error that does not depend
+        # on c; the one-pass s2/n - mean^2 under-stated it by 0.1% at c = 1e3
+        # and gave 16 times it at c = 1e5
+        est = ou_apply(lambda p: c + 1e-4 * p[:, 0], 0.5, 0, 200_000, mode="monte-carlo")
+        centred = ou_apply(lambda p: 1e-4 * p[:, 0], 0.5, 0, 200_000, mode="monte-carlo")
+        assert est.std_error == pytest.approx(centred.std_error, rel=1e-6)
+        assert est.std_error == pytest.approx(1e-4 * math.sqrt(0.75 / 200_000), rel=0.01)
+        vec = mc_mean(lambda rng, k: c + rng.standard_normal((k, 2)), 300_000, seed=9)
+        assert np.allclose(vec.std_error, 1 / math.sqrt(300_000), rtol=0.01)
+
     def test_heat_route_seeded_literals(self):
-        # d/drho T_rho 1_A by the heat identity, seeded literals recorded
-        # before the moment-form integrand was shared
+        # d/drho T_rho 1_A by the heat identity, within 4 SE of the closed form
         cell = simplex_cone_partition(3).cells[0]
-        est = ou_rho_derivative(cell, 0.5, [0.3, -0.4], budget=150_000, seed=14).divergence_form
+        both = ou_rho_derivative(cell, 0.5, [0.3, -0.4], budget=150_000, seed=14)
+        est = both.divergence_form
         assert (est.value, est.std_error, est.samples) == (
-            0.010795783635265725, 0.00203963951987889, 150_000)
+            0.010795783635265725, 0.0020396395198788676, 150_000)
+        assert both.finite_difference.samples == 0
+        assert abs(est.value - both.finite_difference.value) <= 4 * est.std_error
+
+
+class TestOneStream:
+    """Every sampler that takes ``threads`` gives the same bits at 1 and 2
+    threads, and the score kernel at any block size: a shard's draws depend on
+    its seed and its size alone."""
+
+    @staticmethod
+    def _bits(est):
+        return [np.asarray(getattr(est, f)).tolist() for f in ("value", "std_error", "samples")]
+
+    @pytest.mark.parametrize("values", [
+        lambda rng, k: rng.standard_normal(k) < 0.3,
+        lambda rng, k: rng.standard_normal((k, 3)) < [0.3, -1.0, 2.0],
+        lambda rng, k: rng.standard_normal(k) ** 2,
+        lambda rng, k: rng.standard_normal((k, 3)) + [1.0, 0.0, 1e4]],
+        ids=["bool", "bool-vector", "scalar", "vector"])
+    def test_mc_mean(self, values):
+        one = mc_mean(values, 300_000, seed=31)
+        assert self._bits(mc_mean(values, 300_000, seed=31, threads=2)) == self._bits(one)
+
+    def test_mc_shard_means(self):
+        def values(rng, k):
+            return rng.standard_normal((k, 3)) + [1.0, 0.0, 1e4]
+
+        one, shard = mc_shard_means(values, 40_000, seed=32, n_shards=8)
+        two, _ = mc_shard_means(values, 40_000, seed=32, n_shards=8, threads=2)
+        assert shard == 5_000 and np.array_equal(one, two)
+
+    def test_score_kernel(self, monkeypatch):
+        p = simplex_cone_partition(5)
+        runs = [self._bits(partition_stability(p, 0.4, 300_000, seed=33, threads=t,
+                                               mode="monte-carlo")) for t in (1, 2)]
+        monkeypatch.setattr(stability_module, "_SCORE_BLOCK", 1000)
+        runs += [self._bits(partition_stability(p, 0.4, 300_000, seed=33, threads=t,
+                                                mode="monte-carlo")) for t in (1, 2)]
+        assert runs[0][2] == 300_000 and all(r == runs[0] for r in runs)
+
+    def test_facet_integral(self, monkeypatch):
+        # a generic facet samples; its mc_mean call runs its shards on two threads
+        (facet,) = simplex_cone_partition(3, 3).translated([0.2, -0.1, 0.3]).interface_facets(0, 1)
+        x = np.array([[0.1, 0.2, -0.3], [0.0, 0.0, 0.0], [1.0, -0.5, 0.2]])
+
+        def h(pts):
+            return pts[:, 0] ** 2, 1e-9 * np.abs(pts[:, 1])
+
+        def run():
+            return self._bits(facet.gauss_integral(h, 0.5, x, budget=300_000, seed=34))
+
+        one = run()
+        monkeypatch.setattr(partitions_module, "mc_mean",
+                            lambda *a, **kw: mc_mean(*a, **kw, threads=2))
+        assert facet.kind == "generic" and one[2] == 300_000
+        assert run() == one

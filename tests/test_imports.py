@@ -302,6 +302,44 @@ def test_no_route_differences_t():
     assert found == []
 
 
+#: calls that build a random generator, and the functions outside gauss.py that
+#: may make one: each returns draws, not an estimate
+GENERATOR_BUILDERS = {"default_rng", "SeedSequence", "Generator", "spawn_rngs"}
+GENERATOR_HOMES = {("partitions.py", "PartitionSpec.boundary_sample"),
+                   ("checks.py", "_propeller")}
+
+
+def _generator_builds(node, scope=""):
+    """(function, line) of each call under ``node`` that builds a generator,
+    ``function`` the qualified name of the def that encloses it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    elif isinstance(node, ast.Call):
+        f = node.func
+        if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")) in GENERATOR_BUILDERS:
+            yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _generator_builds(child, scope)
+
+
+def test_every_estimate_samples_through_mc_mean():
+    # every sampled mean and standard error comes from gauss.mc_mean or
+    # mc_shard_means, whose shards draw from generators spawned by counter; a
+    # generator made elsewhere would be a second stream with its own layout
+    found = sorted({(p.name, scope) for p in SOURCES if p.name != "gauss.py"
+                    for scope, _ in _generator_builds(ast.parse(p.read_text()))})
+    assert found == sorted(GENERATOR_HOMES)
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def f(seed):\n    return np.random.default_rng(seed)\n", [("f", 2)]),
+    ("class C:\n    def f(self):\n        return g(np.random.SeedSequence(1))\n", [("C.f", 3)]),
+    ("def f(rng: np.random.Generator, k):\n    return rng.random(k)\n", []),
+    ("def f(seed):\n    return spawn_rngs(seed, 4)\n", [("f", 2)])])
+def test_the_generator_check_catches_a_builder(source, flagged):
+    assert list(_generator_builds(ast.parse(source))) == flagged
+
+
 #: callables that build a quadrature table: numpy's Gauss rules, scipy.special's
 #: roots_* and *_roots, and the eigensolvers of the Golub-Welsch route
 TABLE_BUILDERS = re.compile(r"^((leg|cheb|lag|herm|herme)gauss|roots_\w+|\w+_roots|eig\w*)$")

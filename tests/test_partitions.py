@@ -586,13 +586,21 @@ class TestCylinderConeFastPath:
         assert p.membership(pts).tolist() == [0, 0, 1, 1]
 
     def test_boundary_sample_unchanged(self):
-        # recorded when cylinder membership still went cell by cell
-        bs = cylinder_extend(simplex_cone_partition(4), 2).boundary_sample(0, 1, 50, seed=3)
+        # points recorded when cylinder membership still went cell by cell; the
+        # weights scale with the facet's pilot mass, checked below
+        p = cylinder_extend(simplex_cone_partition(4), 2)
+        bs = p.boundary_sample(0, 1, 50, seed=3)
         assert bs.points[0].tolist() == [0.15750719999198073, -0.43354046449430145,
                                          -0.19648833547362146, -2.019986129147251,
                                          -0.23193237764418947]
-        assert float(bs.weights.sum()) == 204.06742265459505
+        assert float(bs.weights.sum()) == 204.2383755045989
         assert float(bs.points.sum()) == -47.848889263387534
+        # the pilot mass against the planar facet's closed form: the cylinder
+        # directions integrate out
+        (f,) = p.interface_facets(0, 1)
+        (g,) = simplex_cone_partition(4).interface_facets(0, 1)
+        assert f.kind == "generic" and g.kind == "planar-cone"
+        assert abs(f.mass - g.mass) <= 4 * f.mass_err
 
 
 class TestFacetCache:
@@ -634,15 +642,22 @@ class TestFacetCache:
         assert np.array_equal(g.normal, -f.normal)
 
     def test_sij_values_unchanged(self):
-        # recorded when every call rebuilt the facets
+        # recorded when every call rebuilt the facets, and again when the
+        # facet samplers moved onto mc_mean's shards
         p = self.partition()
         x = np.array([0.1, 0.2, -0.3])
         e01 = sij_operator(p, 0.5, 0, 1, TranslationField([1, 0, 0]), x)
         e10 = sij_operator(p, 0.5, 1, 0, TranslationField([1, 0, 0]), x)
         assert (e01.value, e01.std_error, e01.samples) == (
-            0.5786180523898468, 0.002275787602087709, 160000)
+            0.5787726531181984, 0.0022752362285487385, 160000)
         assert (e10.value, e10.std_error, e10.samples) == (
-            -0.5786180523898469, 0.0022757876020877096, 160000)
+            -0.5787726531181984, 0.0022752362285487385, 160000)
+        # the cones are planar, so the third axis integrates out: the plane's
+        # interval facets give the value by quadrature
+        plane = simplex_cone_partition(3).translated([0.2, -0.1])
+        exact = sij_operator(plane, 0.5, 0, 1, TranslationField([1, 0]), x[:2])
+        assert exact.samples == 0
+        assert abs(e01.value - exact.value) <= 4 * e01.std_error
 
 
 class TestSectorPairBatching:

@@ -9,6 +9,7 @@ from scipy.special import ndtr
 from noiselab.gauss import (
     DomainError,
     SignedDifference,
+    ou_rho_derivative_exact,
     ou_rho_derivative_heat,
 )
 from noiselab.partitions import (
@@ -171,13 +172,18 @@ class TestSurfaceOperator:
     def test_sampled_facets_report_monte_carlo(self):
         # shifted cones in R^3 have only generic facets, which no rule covers:
         # "auto" samples them exactly as "monte-carlo" does, facet-mass error
-        # included (the parent reported 0.596017 +- 7.8e-4 as quadrature)
+        # included
         p = simplex_cone_partition(3, 3).translated([0.2, -0.1, 0.3])
         field, x = TranslationField([1.0, 0.0, 0.0]), np.zeros(3)
         auto = sij_operator(p, 0.5, 0, 1, field, x)
         mc = sij_operator(p, 0.5, 0, 1, field, x, mode="monte-carlo")
         assert auto == mc
-        assert auto.value == 0.5960166758515769
+        assert auto.value == 0.5958174193292328
+        # the planar cones' third axis integrates out, and the plane's facets
+        # take the quadrature route
+        plane = sij_operator(simplex_cone_partition(3).translated([0.2, -0.1]), 0.5, 0, 1,
+                             TranslationField([1.0, 0.0]), x[:2])
+        assert plane.samples == 0 and abs(auto.value - plane.value) <= 4 * auto.std_error
         assert auto.method == "monte-carlo" and auto.samples > 0
         assert auto.std_error > 2e-3
         with pytest.raises(DomainError):
@@ -587,27 +593,33 @@ class TestBilinearSuite:
 
 
 class TestSeededDifferences:
-    """Seeded Monte Carlo literals recorded before T_rho(1_i - 1_j) went
-    through the gauss operators; the draws and their reduction are unchanged."""
+    """Seeded Monte Carlo literals of T_rho(1_i - 1_j) and its derivatives, each
+    within 4 SE of its exact route."""
 
     P = simplex_cone_partition(3)
     X = [0.3, -0.4]
 
     def test_t_difference(self):
         est = t_difference(self.P, 0, 1, 0.5, self.X, budget=200_000, seed=11, mode="monte-carlo")
-        assert (est.value, est.std_error, est.samples) == (-0.07479, 0.0019376663934370282, 200_000)
+        assert (est.value, est.std_error, est.samples) == (-0.07479, 0.0019376663934370358, 200_000)
+        exact = t_difference(self.P, 0, 1, 0.5, self.X, mode="quadrature")
+        assert abs(est.value - exact.value) <= 4 * est.std_error
 
     def test_gradient_difference(self):
         est = gradient_difference(self.P, 0, 1, 0.5, self.X, budget=200_000, seed=12,
                                   mode="monte-carlo")
-        assert est.value.tolist() == [-0.3674159760324405, -0.08555758843995528]
-        assert est.std_error.tolist() == [0.0008517545293619499, 0.0009686849463853197]
+        assert est.value.tolist() == [-0.36741597603243814, -0.08555758843995517]
+        assert est.std_error.tolist() == [0.0008517545293619958, 0.0009686849463852322]
         assert est.samples == 200_000
+        exact = gradient_difference(self.P, 0, 1, 0.5, self.X, mode="quadrature")
+        assert np.all(np.abs(est.value - exact.value) <= 4 * est.std_error)
 
     def test_heat_route_of_the_difference(self):
         diff = SignedDifference(self.P.cells[0], self.P.cells[1])
         est = ou_rho_derivative_heat(diff, 0.5, self.X, 200_000, seed=13)
-        assert (est.value, est.std_error) == (-0.20321017912000186, 0.0024461291099945885)
+        assert (est.value, est.std_error) == (-0.20321017912000186, 0.002446129109994599)
+        exact = ou_rho_derivative_exact(diff, 0.5, np.array(self.X))
+        assert abs(est.value - exact.value) <= 4 * est.std_error
 
 
 class TestSharedSeedBudget:
